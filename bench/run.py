@@ -8,8 +8,9 @@ Workloads: spectra, stability-sweep, identity-checks
 (see bench/README.md and bench/workloads.py).  The program is imported from
 ./src of the checkout, in-process.  A run
 
-1. times the set-up (import plus the first operation, cold) in fresh
-   interpreters, three times (``--trace 0`` only);
+1. times the set-up (import plus the first operation, cold) in a fresh
+   interpreter (``--trace 0`` only); this is repeated halfway through the
+   timed passes and after them, and the median of the three is reported;
 2. runs one warm-up pass over the workload's operations, in an order drawn
    from ``--seed``; it is checked and counted but not timed;
 3. runs timed passes, each in a new seeded order, for about ``--seconds``
@@ -45,7 +46,6 @@ sys.path.insert(0, HERE)
 
 import workloads  # noqa: E402
 
-SETUP_PROBES = 3
 PROBE_TIMEOUT_S = 150
 MODULES = ("cli", "breathers", "functionals", "galerkin", "jets", "linops",
            "quadrature", "specfun", "stability")
@@ -131,21 +131,18 @@ def probe(workload: str) -> int:
     return 0
 
 
-def setup_samples(workload: str) -> list[float]:
-    samples = []
-    for _ in range(SETUP_PROBES):
-        proc = subprocess.run(
-            [sys.executable, os.path.abspath(__file__), "--probe", workload],
-            capture_output=True, text=True, timeout=PROBE_TIMEOUT_S,
-        )
-        lines = proc.stdout.strip().splitlines()
-        if proc.returncode != 0 or not lines:
-            raise RuntimeError(f"set-up probe failed: {proc.stderr.strip()[-500:]}")
-        rec = json.loads(lines[-1])
-        if not rec["ok"]:
-            raise RuntimeError("set-up probe: the first operation gave a wrong result")
-        samples.append(rec["setup_s"])
-    return samples
+def setup_sample(workload: str) -> float:
+    proc = subprocess.run(
+        [sys.executable, os.path.abspath(__file__), "--probe", workload],
+        capture_output=True, text=True, timeout=PROBE_TIMEOUT_S,
+    )
+    lines = proc.stdout.strip().splitlines()
+    if proc.returncode != 0 or not lines:
+        raise RuntimeError(f"set-up probe failed: {proc.stderr.strip()[-500:]}")
+    rec = json.loads(lines[-1])
+    if not rec["ok"]:
+        raise RuntimeError("set-up probe: the first operation gave a wrong result")
+    return rec["setup_s"]
 
 
 # ---------------------------------------------------------------------------
@@ -203,15 +200,20 @@ class Runner:
         self.passes.append(rec)
         return rec
 
-    def timed(self, seconds: float, first: int) -> list[dict]:
+    def timed(self, seconds: float, first: int, halfway=None) -> list[dict]:
         """Passes while another one would end nearer to `seconds` than
-        stopping now; at least one."""
+        stopping now; at least one.  `halfway` runs once, between passes,
+        when half the time has gone."""
         start = time.perf_counter()
         while True:
             self.one_pass()
             done = self.passes[first:]
             typical = statistics.median(p["wall_s"] for p in done)
-            if time.perf_counter() - start + typical / 2.0 > seconds:
+            elapsed = time.perf_counter() - start
+            if halfway is not None and elapsed >= seconds / 2.0:
+                halfway()
+                halfway = None
+            if elapsed + typical / 2.0 > seconds:
                 return done
 
 
@@ -243,7 +245,15 @@ def run(args) -> dict:
     root = os.getcwd()
     program_source(root)
     refs = load_refs()
-    setup = [] if args.trace else setup_samples(args.workload)
+    # three cold starts, spread over the run so that they see the machine at
+    # different moments: before the warm-up, halfway and at the end
+    setup = []
+
+    def probe_setup():
+        setup.append(setup_sample(args.workload))
+
+    if not args.trace:
+        probe_setup()
     program = import_program(root)
     ops = workloads.build(args.workload, program, refs)
     runner = Runner(ops, args.seed)
@@ -264,7 +274,8 @@ def run(args) -> dict:
             p["layers"]["trace.overhead"] = p["wall_s"] / statistics.median(q["wall_s"] for q in untraced)
         metrics = per_layer(traced)
     else:
-        timed = runner.timed(args.seconds, 1)
+        timed = runner.timed(args.seconds, 1, halfway=probe_setup)
+        probe_setup()
         metrics = {
             "setup_s": {"value": statistics.median(setup), "unit": "s"},
             "pass_s": {"value": statistics.median(p["wall_s"] for p in timed), "unit": "s"},
