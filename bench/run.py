@@ -1,4 +1,4 @@
-"""Benchmark of breatherlab: four workloads, timed end to end and per module.
+"""Benchmark of breatherlab: three workloads, timed end to end and per module.
 
 Run from the root of a checkout:
 
@@ -6,7 +6,7 @@ Run from the root of a checkout:
 
 Workloads: spectra, stability-sweep, identity-checks
 (see bench/README.md and bench/workloads.py).  The program is imported from
-./src of the checkout, in-process.  A run
+./src of the checkout, in-process, on one CPU with one BLAS thread.  A run
 
 1. times the set-up (import plus the first operation, cold) in a fresh
    interpreter (``--trace 0`` only); this is repeated halfway through the
@@ -15,9 +15,14 @@ Workloads: spectra, stability-sweep, identity-checks
    from ``--seed``; it is checked and counted but not timed;
 3. runs timed passes, each in a new seeded order, for about ``--seconds``
    (it stops when another pass would end further from that mark than
-   stopping now; at least one pass);
+   stopping now; at least one pass), timing a fixed reference loop after
+   every operation for 2% of the operation's time;
 4. checks every output and prints one JSON line:
    ``{"correct", "attempted", "failed", "metrics"}``.
+
+Times are reported in seconds at the machine's full speed: each is divided
+by the mean slowdown of the reference loop run beside it (see
+reference_loop).  The run record keeps the raw times and the slowdowns too.
 
 With ``--trace 1`` the first half of the time runs untraced and the second
 half traced (bench/tracing.py); the metrics are then the per-layer figures,
@@ -47,6 +52,12 @@ sys.path.insert(0, HERE)
 import workloads  # noqa: E402
 
 PROBE_TIMEOUT_S = 150
+# The reference loop's time at full speed (the 5th percentile of 390
+# samples) on the machine the figures in bench/README.md come from: 2-vCPU
+# KVM guest, Xeon at 2.0 GHz, one CPU, one BLAS thread.
+REF_LOOP_S = 0.0021
+REF_LOOPS_PER_PROBE = 20
+REF_SHARE = 0.02  # loop time after each operation, as a share of its time
 MODULES = ("cli", "breathers", "functionals", "galerkin", "jets", "linops",
            "quadrature", "specfun", "stability")
 
@@ -116,6 +127,38 @@ def machine_facts() -> dict:
 
 
 # ---------------------------------------------------------------------------
+# the machine's speed
+# ---------------------------------------------------------------------------
+
+
+def reference_loop() -> float:
+    """Slowdown of a fixed loop of the two kinds of work the program does
+    most, numpy ufuncs on a 5-element array and pure-Python integer
+    arithmetic: its time over REF_LOOP_S.
+
+    On a shared 2-vCPU KVM guest (Xeon, 2.0 GHz) the same code runs up to 2x
+    slower in slow phases seconds long, and the share of time they take
+    drifts over tens of minutes; wall and CPU time both rise.  The loop is
+    timed after every operation, and every time metric is divided by its
+    mean slowdown over the same stretch of the run."""
+    import numpy as np
+
+    y, s = np.ones(5), 0
+    t0 = time.perf_counter()
+    for _ in range(600):
+        y = np.sin(y) * 0.5 + np.cos(y)
+    for i in range(12000):
+        s += i * i % 7
+    return (time.perf_counter() - t0) / REF_LOOP_S
+
+
+def speed_factor(slowdowns) -> float:
+    """How much slower than full speed the machine ran: the mean slowdown of
+    the reference loop, each loop weighing alike."""
+    return statistics.fmean(slowdowns)
+
+
+# ---------------------------------------------------------------------------
 # set-up probe: import plus the first operation, in a fresh interpreter
 # ---------------------------------------------------------------------------
 
@@ -131,7 +174,11 @@ def probe(workload: str) -> int:
     return 0
 
 
-def setup_sample(workload: str) -> float:
+def setup_sample(workload: str) -> dict:
+    """One set-up probe, scaled by reference loops run in this process just
+    before and just after it, on the same CPU, so that they bracket it."""
+    reference_loop()  # the first call loads numpy and its ufunc caches
+    before = [reference_loop() for _ in range(REF_LOOPS_PER_PROBE)]
     proc = subprocess.run(
         [sys.executable, os.path.abspath(__file__), "--probe", workload],
         capture_output=True, text=True, timeout=PROBE_TIMEOUT_S,
@@ -139,10 +186,13 @@ def setup_sample(workload: str) -> float:
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or not lines:
         raise RuntimeError(f"set-up probe failed: {proc.stderr.strip()[-500:]}")
+    after = [reference_loop() for _ in range(REF_LOOPS_PER_PROBE)]
     rec = json.loads(lines[-1])
     if not rec["ok"]:
         raise RuntimeError("set-up probe: the first operation gave a wrong result")
-    return rec["setup_s"]
+    rec["slowdown"] = before + after
+    rec["scaled_s"] = rec["setup_s"] / speed_factor(rec["slowdown"])
+    return rec
 
 
 # ---------------------------------------------------------------------------
@@ -165,19 +215,27 @@ class Runner:
         if tracer is not None:
             tracer.maxima.clear()
             before = tracer.totals()
-        results = []
-        c0, t0 = time.process_time(), time.perf_counter()
+        results, slowdown = [], []
+        wall = cpu = 0.0
         for j, i in enumerate(order):
             if tracer is not None:
                 tracer.begin_op(index * 1000 + j)
-            t_op = time.perf_counter()
+            c_op, t_op = time.process_time(), time.perf_counter()
             try:
                 out, err = self.ops[i].call(), None
             except Exception as exc:  # the op fails; the run goes on
                 out, err = None, f"{type(exc).__name__}: {exc}"
-            results.append((i, out, err, time.perf_counter() - t_op))
-        wall, cpu = time.perf_counter() - t0, time.process_time() - c0
-        rec = {"wall_s": wall, "cpu_s": cpu, "traced": tracer is not None,
+            t = time.perf_counter() - t_op
+            wall, cpu = wall + t, cpu + time.process_time() - c_op
+            results.append((i, out, err, t))
+            # loops for REF_SHARE of the operation's time, so that the
+            # slowdowns weigh each stretch of the pass by its length
+            loops = time.perf_counter()
+            while True:
+                slowdown.append(reference_loop())
+                if time.perf_counter() - loops >= REF_SHARE * t:
+                    break
+        rec = {"wall_s": wall, "cpu_s": cpu, "slowdown": slowdown, "traced": tracer is not None,
                "order": [self.ops[i].name for i, _, _, _ in results],
                "op_s": {self.ops[i].name: t for i, _, _, t in results}, "failed": {}, "digits": 16.0}
         for i, out, err, _ in results:
@@ -215,6 +273,20 @@ class Runner:
                 halfway = None
             if elapsed + typical / 2.0 > seconds:
                 return done
+
+
+def scaled(rec: dict, key: str) -> float:
+    """One pass's time in seconds at full speed."""
+    return rec[key] / speed_factor(rec["slowdown"])
+
+
+def run_scaled(passes: list[dict], key: str) -> float:
+    """Mean time per pass over the run, in seconds at full speed: the mean
+    over the run's reference loops gives the speed factor.  A mean over the
+    whole run, not a median of passes: with passes of seconds and slow
+    phases of seconds, pass times are bimodal and their median jumps."""
+    slowdown = [x for p in passes for x in p["slowdown"]]
+    return statistics.fmean(p[key] for p in passes) / speed_factor(slowdown)
 
 
 def per_layer(traced: list[dict]) -> dict:
@@ -271,15 +343,16 @@ def run(args) -> dict:
         finally:
             tracer.uninstall()
         for p in traced:
-            p["layers"]["trace.overhead"] = p["wall_s"] / statistics.median(q["wall_s"] for q in untraced)
+            p["layers"]["trace.overhead"] = scaled(p, "wall_s") / statistics.median(
+                scaled(q, "wall_s") for q in untraced)
         metrics = per_layer(traced)
     else:
         timed = runner.timed(args.seconds, 1, halfway=probe_setup)
         probe_setup()
         metrics = {
-            "setup_s": {"value": statistics.median(setup), "unit": "s"},
-            "pass_s": {"value": statistics.median(p["wall_s"] for p in timed), "unit": "s"},
-            "pass_cpu_s": {"value": statistics.median(p["cpu_s"] for p in timed), "unit": "s"},
+            "setup_s": {"value": statistics.median(p["scaled_s"] for p in setup), "unit": "s"},
+            "pass_s": {"value": run_scaled(timed, "wall_s"), "unit": "s"},
+            "pass_cpu_s": {"value": run_scaled(timed, "cpu_s"), "unit": "s"},
             "peak_rss_mb": {"value": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
                             "unit": "MB"},
             "digits": {"value": min(p["digits"] for p in runner.passes), "unit": "digits"},
@@ -307,6 +380,12 @@ def main(argv=None) -> int:
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     parser.add_argument("--probe", choices=workloads.WORKLOADS, help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
+    # One CPU and one BLAS thread, set before numpy loads (the set-up probe
+    # inherits both): the reference loop then gauges the speed of the CPU the
+    # work runs on.  With two BLAS threads on two vCPUs the work depends on
+    # both vCPUs' slow phases and the loop on one of them.
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
     try:
         if args.probe:
             return probe(args.probe)
