@@ -318,9 +318,7 @@ class KkshBreather:
     def __post_init__(self):
         if self.beta <= 0:
             raise ValueError("beta must be positive")
-        kstar = stability.find_kstar()
-        if not 0.0 < self.k < kstar:
-            raise ValueError(f"k must lie in (0, {kstar:.9f}), got {self.k}")
+        stability.check_k_range(self.k)
         object.__setattr__(self, "_pair", stability.solve_commensurability(self.k, self.beta))
 
     @property
@@ -553,6 +551,12 @@ class SgKink:
     def envelope_center(self, t: float) -> float:
         return self.v * t + self.x0
 
+    def admissible_b(self, a: float) -> float:
+        """b_v(a) = 2 v (a - (3 + v^2) / (4 (1 - v^2))): the second variational
+        constant that the kink admits with the first one set to a."""
+        v = self.v
+        return 2.0 * v * (a - (3.0 + v * v) / (4.0 * (1.0 - v * v)))
+
     def eval(self, t, x, deg: int = DEFAULT_DEG) -> PairFieldJet:
         g = self.lorentz
         x = np.asarray(x, dtype=float)
@@ -734,11 +738,11 @@ def backlund_construct(
             direct = family.eval(t, xs, deg=1).value
             via_rule = permutability_profile(family, t, xs)
             err = float(np.max(np.abs(direct - via_rule)))
-            if err > tol:
+            if not (err <= tol):
                 raise ArithmeticError(
                     f"superposition route deviates from closed form by {err:.3e}"
                 )
             seed = backlund_seed_residual(family, t, xs)
-            if seed > tol:
+            if not (seed <= tol):
                 raise ArithmeticError(f"seed-wave relation defect {seed:.3e}")
     return family

@@ -343,7 +343,8 @@ def cmd_residual(args, argv) -> int:
         x = np.linspace(lo, hi, args.grid_points)
     ab = None
     if args.family == "sg-kink":
-        ab = (args.a, args.b)
+        b = family.admissible_b(args.a) if args.b is None else args.b
+        ab = (args.a, b)
     stat = functionals.stationary_residual(family, x=x, t=args.t, ab=ab)
     pde = functionals.pde_residual(family, n_points=50)
     cfg = _family_config(family)
@@ -500,9 +501,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid-points", type=int, default=200)
     p.add_argument("--a", type=float, default=0.0,
                    help="first variational constant (kink): any value is admissible")
-    p.add_argument("--b", type=float, default=0.0,
+    p.add_argument("--b", type=float, default=None,
                    help="second variational constant (kink): admissible only at "
-                        "b = 2v(a - (3+v^2)/(4(1-v^2))), i.e. b = 0 when static")
+                        "b = 2v(a - (3+v^2)/(4(1-v^2))), the default; b = 0 when static")
     common(p)
     p.set_defaults(func=cmd_residual)
 

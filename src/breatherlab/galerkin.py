@@ -1,26 +1,34 @@
 """Galerkin projection of the linearized operators and spectral classification.
 
-The matrix entries are the basis-projected operator, assembled by literal
-application (never in pre-symmetrized form): the pre-symmetrization asymmetry
-is a genuine quality metric for the operator coefficients and the quadrature.
-Assembly runs at two node densities; the entry drift between them is reported
-and must stay below 1e-9 for a healthy run.
+The matrix is built by literal application of the operator, never in
+pre-symmetrized form: M_ij = sum over the quadrature nodes of w f_i op.apply(f_j),
+with ``op.apply`` run on the whole basis derivative stack and the sum taken
+over fixed blocks of nodes.  Each operator's formula lives only in ``linops``.
+The asymmetry of M, measured before symmetrization, is a genuine quality
+metric for the operator coefficients and the quadrature.  Assembly runs at
+two node densities; the entry drift between them is reported and must stay
+below 1e-9 for a healthy run.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .linops import ScalarOperator, SgBlockOperator
+from .linops import SgBlockOperator
 from .quadrature import LinePlan, TorusPlan
 from .specfun import FourierBasis, HermiteBasis
 
 ASYMMETRY_FLAG = 1e-6
 DRIFT_FLAG = 1e-9
+# Nodes per assembly block.  A block holds its basis stack (five (size, nodes)
+# arrays) and the operator applied to it, so the block size bounds assembly
+# memory: mKdV at n = 160 peaks at 28 MiB with 2048-node blocks and at 70 MiB
+# with the whole grid at once.
+NODE_BLOCK = 2048
 
 
 class AssemblyError(RuntimeError):
@@ -32,11 +40,6 @@ class GalerkinProblem:
     operator: object
     basis: object
     plan: object
-
-    @property
-    def dimension(self) -> int:
-        size = self.basis.size
-        return 2 * size if isinstance(self.operator, SgBlockOperator) else size
 
 
 def default_hermite_plan(operator, n_basis: int) -> LinePlan:
@@ -83,51 +86,37 @@ class AssembledMatrix:
     drift: float        # max entry change under node doubling, relative to max |entry|
 
     def require_quality(self):
-        if self.asymmetry > ASYMMETRY_FLAG:
+        if not (self.asymmetry <= ASYMMETRY_FLAG):
             raise AssemblyError(f"matrix asymmetry {self.asymmetry:.3e} flags an operator or quadrature bug")
-        if self.drift > DRIFT_FLAG:
+        if not (self.drift <= DRIFT_FLAG):
             raise AssemblyError(f"assembly drift {self.drift:.3e} under node doubling")
 
 
-def _weighted_product(rows, w_c, cols):
-    return (rows * w_c[None, :]) @ cols.T
-
-
-def _assemble_scalar(op: ScalarOperator, basis, x, w) -> np.ndarray:
-    stack = basis.stack(x, 4)
-    c0, c1, c2 = op.coefficients(x)
-    m = _weighted_product(stack[0], w, stack[4])
-    m += _weighted_product(stack[0], w * c2, stack[2])
-    m += _weighted_product(stack[0], w * c1, stack[1])
-    m += _weighted_product(stack[0], w * c0, stack[0])
+def _project(problem: GalerkinProblem, x, w) -> np.ndarray:
+    """M_ij = sum over the nodes of w f_i op.apply(f_j), block by block."""
+    op, basis = problem.operator, problem.basis
+    block = isinstance(op, SgBlockOperator)
+    size = 2 * basis.size if block else basis.size
+    m = np.zeros((size, size))
+    for lo in range(0, x.size, NODE_BLOCK):
+        xb = x[lo:lo + NODE_BLOCK]
+        stack = basis.stack(xb, 4)
+        rows = stack[0] * w[lo:lo + NODE_BLOCK]
+        if block:
+            c = op.coefficients(xb)
+            zero = (0.0,) * 5
+            z_rows = op.rows(c, stack, zero)
+            w_rows = op.rows(c, zero, stack)
+            m += np.block([[rows @ z_rows[0].T, rows @ w_rows[0].T],
+                           [rows @ z_rows[1].T, rows @ w_rows[1].T]])
+        else:
+            m += rows @ op.apply(xb, stack).T
     return m
-
-
-def _assemble_block(op: SgBlockOperator, basis, x, w) -> np.ndarray:
-    stack = basis.stack(x, 4)
-    c = op.coefficients(x)
-    a11 = _weighted_product(stack[0], w, stack[4])
-    a11 += _weighted_product(stack[0], w * c["l1_2"], stack[2])
-    a11 += _weighted_product(stack[0], w * c["l1_1"], stack[1])
-    a11 += _weighted_product(stack[0], w * c["l1_0"], stack[0])
-    a22 = -_weighted_product(stack[0], w, stack[2])
-    a22 += _weighted_product(stack[0], w * c["l2_0"], stack[0])
-    a12 = _weighted_product(stack[0], w * c["b1_0"], stack[0])
-    a12 += _weighted_product(stack[0], w * c["b1_1"], stack[1])
-    a21 = _weighted_product(stack[0], w * c["b2_0"], stack[0])
-    a21 += _weighted_product(stack[0], w * c["b2_1"], stack[1])
-    return np.block([[a11, a12], [a21, a22]])
 
 
 def assemble(problem: GalerkinProblem, check_quality: bool = True) -> AssembledMatrix:
     """Dense projected matrix, symmetrized after the asymmetry is recorded."""
-    mats = []
-    for refine in (1, 2):
-        x, w = problem.plan.nodes_weights(refine)
-        if isinstance(problem.operator, SgBlockOperator):
-            mats.append(_assemble_block(problem.operator, problem.basis, x, w))
-        else:
-            mats.append(_assemble_scalar(problem.operator, problem.basis, x, w))
+    mats = [_project(problem, *problem.plan.nodes_weights(refine)) for refine in (1, 2)]
     m = mats[1]
     scale = max(1.0, float(np.max(np.abs(m))))
     drift = float(np.max(np.abs(mats[1] - mats[0]))) / scale

@@ -313,41 +313,3 @@ def sqrt(a: Jet2) -> Jet2:
         rhs = (1.0 if k == 1 else 0.0) - s
         t[k] = rhs / (2.0 * t[0])
     return compose_univariate(t, a)
-
-
-_COMPOSE = {
-    "sin": sin,
-    "cos": cos,
-    "sinh": sinh,
-    "cosh": cosh,
-    "tanh": tanh,
-    "atan": atan,
-    "exp": exp,
-    "sqrt": sqrt,
-}
-
-
-def compose(outer: str, a: Jet2, n: int | None = None) -> Jet2:
-    """Apply a named elementary function to a jet (``powi`` takes ``n``)."""
-    if outer == "powi":
-        if n is None:
-            raise ValueError("powi requires the exponent n")
-        return powi(a, n)
-    try:
-        f = _COMPOSE[outer]
-    except KeyError:
-        raise ValueError(f"unknown outer function {outer!r}") from None
-    return f(a)
-
-
-def arith(a: Jet2, b: Jet2, op: str) -> Jet2:
-    """Pointwise combination of two jets of matching degree."""
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        return a / b
-    raise ValueError(f"unknown op {op!r}")

@@ -23,25 +23,25 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import breathers
-from .breathers import FieldJet, PairFieldJet
+from .breathers import PairFieldJet
 from .quadrature import LinePlan
 
 
-def field_derivatives(fj: FieldJet, max_order: int, n1: int = 0, n2: int = 0):
-    """x-derivative grids of a field (optionally of its shift derivative)."""
-    return tuple(fj.partial(nx=j, n1=n1, n2=n2) for j in range(max_order + 1))
+def _central_fields(make_family, h: float, t, x, max_order: int):
+    """Central finite difference of field derivative grids across a parameter.
 
+    A pair field gives one tuple of grids per slot, both from the same two
+    family evaluations.
+    """
+    out_p = make_family(+h).eval(t, x, deg=max_order)
+    out_m = make_family(-h).eval(t, x, deg=max_order)
 
-def _central_fields(make_family, h: float, t, x, max_order: int, slot=None):
-    """Central finite difference of field derivative grids across a parameter."""
-    out_p = make_family(+h).eval(t, x, deg=max(max_order, 2))
-    out_m = make_family(-h).eval(t, x, deg=max(max_order, 2))
+    def diff(p, m):
+        return tuple((p.partial(nx=j) - m.partial(nx=j)) / (2.0 * h) for j in range(max_order + 1))
+
     if isinstance(out_p, PairFieldJet):
-        out_p = getattr(out_p, slot)
-        out_m = getattr(out_m, slot)
-    return tuple(
-        (out_p.partial(nx=j) - out_m.partial(nx=j)) / (2.0 * h) for j in range(max_order + 1)
-    )
+        return diff(out_p.b, out_m.b), diff(out_p.bt, out_m.bt)
+    return diff(out_p, out_m)
 
 
 # ---------------------------------------------------------------------------
@@ -178,11 +178,15 @@ class SgBlockOperator:
 
     def apply(self, x, z, w):
         """Row values (L1 z + B1 w, B2 z + L2 w) on the grid."""
+        return self.rows(self.coefficients(x), z, w)
+
+    def rows(self, c, z, w):
+        """Row values (L1 z + B1 w, B2 z + L2 w) from the coefficient grids
+        ``c = coefficients(x)``; a slot given as scalar zeros drops out."""
         if len(z) < 5 or len(w) < 3:
             raise ValueError(
                 "insufficient jet degree: block operator needs (4, 2) derivatives"
             )
-        c = self.coefficients(x)
         row1 = (
             z[4]
             + c["l1_2"] * z[2]
@@ -248,9 +252,7 @@ def sg_scaling_direction(family, x, h: float | None = None):
     constant follows the scaling.
     """
     h = _fd_step(family.beta, h)
-    z = _central_fields(lambda s: replace(family, beta=family.beta + s), h, 0.0, x, 4, "b")
-    w = _central_fields(lambda s: replace(family, beta=family.beta + s), h, 0.0, x, 2, "bt")
-    return z, w
+    return _central_fields(lambda s: replace(family, beta=family.beta + s), h, 0.0, x, 4)
 
 
 def sg_scaling_relation_residuals(family, x=None, h: float | None = None):

@@ -91,13 +91,18 @@ class CommensuratePair:
         return self.k / (1.0 - self.m) - ellip_k(self.m) ** 4 / (16.0 * ellip_k(self.k) ** 4)
 
 
+def check_k_range(k: float) -> None:
+    """Reject k outside the open interval (0, k*) of periodic breathers."""
+    kstar = find_kstar()
+    if not 0.0 < k < kstar:
+        raise ValueError(f"k must lie in (0, {kstar!r}), got {k}")
+
+
 def solve_commensurability(k: float, beta: float = 1.0) -> CommensuratePair:
     """Solve for m given k; bisection on the monotone period mismatch."""
     if k == 0.0:
         return CommensuratePair(beta=beta, k=0.0, m=1.0)
-    kstar = find_kstar()
-    if not 0.0 < k < kstar:
-        raise ValueError(f"k must lie in (0, {kstar:.9f}), got {k}")
+    check_k_range(k)
     target = 16.0 * k * ellip_k(k) ** 4
 
     def f(m):
@@ -109,7 +114,7 @@ def solve_commensurability(k: float, beta: float = 1.0) -> CommensuratePair:
     # dominates the 1e-12 target only in the m -> 1 endpoint regime
     eps = np.finfo(float).eps
     gate = 1e-12 * max(1.0, k / (1.0 - m)) + 4.0 * eps * k / (1.0 - m) ** 2
-    if abs(pair.residual) > gate:
+    if not (abs(pair.residual) <= gate):
         raise ArithmeticError(f"commensurability solve stalled, residual {pair.residual:.2e}")
     return pair
 

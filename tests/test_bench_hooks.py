@@ -1,0 +1,41 @@
+"""The benchmark's tracer must find every program function it wraps.
+
+bench/tracing.py wraps functions of the program by name.  Installing and
+uninstalling it on the program namespace that bench/run.py builds makes a
+rename or deletion of one of those functions fail this test, not only a
+traced benchmark run.
+"""
+
+import importlib.util
+import os
+import sys
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+BENCH = os.path.join(ROOT, "bench")
+
+
+def _load(name):
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", os.path.join(BENCH, f"{name}.py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_tracer_installs_and_uninstalls(monkeypatch):
+    # bench/run.py puts bench/ and src/ on sys.path; undo that afterwards
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    run = _load("run")
+    tracing = _load("tracing")
+    program = run.import_program(ROOT)
+    sg = program.linops.SgBlockOperator
+    originals = (program.galerkin.assemble, sg.__dict__["coefficients"], program.jets._mul_coeffs)
+
+    tracer = tracing.Tracer()
+    tracing.install(tracer, program)
+    try:
+        wrapped = (program.galerkin.assemble, sg.__dict__["coefficients"], program.jets._mul_coeffs)
+        assert all(w is not o for w, o in zip(wrapped, originals))
+    finally:
+        tracer.uninstall()
+    restored = (program.galerkin.assemble, sg.__dict__["coefficients"], program.jets._mul_coeffs)
+    assert all(r is o for r, o in zip(restored, originals))

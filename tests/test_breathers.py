@@ -180,6 +180,16 @@ class TestNonzeroMean:
         assert fam.period == pytest.approx(35.7, rel=0.05)
         assert fam.period == pytest.approx(2 * math.pi * 23 / fam.s1, rel=1e-13)
 
+    @pytest.mark.parametrize("check, nan_result", [
+        ("permutability_profile", lambda family, t, x: np.full(np.shape(x), np.nan)),
+        ("backlund_seed_residual", lambda family, t, x: math.nan),
+    ], ids=["superposition", "seed"])
+    def test_construction_checks_reject_nan(self, monkeypatch, check, nan_result):
+        mu = br.solve_mean_level(1.65, 2.95, 22, 23)
+        monkeypatch.setattr(br, check, nan_result)
+        with pytest.raises(ArithmeticError):
+            br.backlund_construct(mu, 1.65, 22, 23)
+
     def test_rejects_equal_pq(self):
         with pytest.raises(ValueError):
             br.backlund_construct(math.sqrt(0.5), 0.5, 3, 3)

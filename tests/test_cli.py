@@ -1,8 +1,10 @@
 import json
+import re
 
 import pytest
 
 from breatherlab import cli
+from breatherlab import stability
 
 
 def run(args):
@@ -93,6 +95,15 @@ class TestSweepAndTable:
     def test_unknown_preset_exit_2(self):
         assert run(["table", "--preset", "fig99"]) == 2
 
+    def test_fig20_skip_line_shows_the_bound(self, tmp_path):
+        out = tmp_path / "fig20.csv"
+        assert run(["table", "--preset", "fig20", "--out", str(out)]) == 0
+        skipped = [l for l in out.read_text().split("\n") if l.startswith("# skipped")]
+        assert len(skipped) == 1
+        bound, rejected = re.search(r"k must lie in \(0, (\S+)\), got (\S+)$", skipped[0]).groups()
+        assert float(bound) == stability.find_kstar()
+        assert float(bound) < float(rejected)
+
     def test_table_determinism(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         assert run(["table", "--preset", "table-6-9", "--out", str(a)]) == 0
@@ -110,6 +121,13 @@ class TestOtherCommands:
         text = out.read_text()
         val = float([l for l in text.split("\n") if l.startswith("stationary,")][0].split(",")[1])
         assert val < 1e-8
+
+    def test_moving_kink_residual_defaults_to_admissible_b(self, tmp_path):
+        out = tmp_path / "kink.csv"
+        assert run(["residual", "--family", "sg-kink", "--v", "0.4", "--out", str(out)]) == 0
+        rows = [l.split(",") for l in out.read_text().split("\n") if l.startswith("stationary_")]
+        assert [name for name, _ in rows] == ["stationary_first", "stationary_second"]
+        assert max(float(value) for _, value in rows) <= 1e-9
 
     def test_conserved(self, tmp_path):
         out = tmp_path / "c.csv"

@@ -1,13 +1,14 @@
 import math
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from breatherlab import breathers as br
 from breatherlab import functionals as fn
 from breatherlab import jets
 from breatherlab import stability as st
-from breatherlab.quadrature import TorusPlan
+from breatherlab.quadrature import QuadratureError, TorusPlan, checked_integral
 
 
 class TestClosedFormValues:
@@ -197,3 +198,8 @@ class TestExpansion:
 def test_mean_value_requires_torus():
     with pytest.raises(ValueError):
         fn.mean_value(br.MkdvBreather(alpha=1.0, beta=1.0))
+
+
+def test_checked_integral_rejects_nan():
+    with pytest.raises(QuadratureError):
+        checked_integral(lambda x: np.full_like(x, np.nan), TorusPlan(period=1.0, n_nodes=8))

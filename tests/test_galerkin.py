@@ -71,6 +71,48 @@ class TestAssembly:
             assert assembled.asymmetry <= 1e-8
             assert assembled.drift <= 1e-9
 
+    def test_block_operator_evaluates_coefficients_once_per_node_block(self, monkeypatch):
+        prob = gk.hermite_problem(linops.sg_operator(br.SgBreather(beta=0.5, v=0.7, x1=0.1)), 24)
+        sizes = []
+        coefficients = linops.SgBlockOperator.coefficients
+
+        def counted(op, x):
+            sizes.append(np.size(x))
+            return coefficients(op, x)
+
+        monkeypatch.setattr(linops.SgBlockOperator, "coefficients", counted)
+        gk.assemble(prob)
+        nodes = [prob.plan.nodes_weights(refine)[0].size for refine in (1, 2)]
+        assert len(sizes) == sum(math.ceil(n / gk.NODE_BLOCK) for n in nodes) > 2
+        assert sum(sizes) == sum(nodes)
+
+    def test_node_blocks_do_not_change_the_matrix(self, monkeypatch):
+        prob = gk.hermite_problem(linops.mkdv_operator(br.MkdvBreather(alpha=0.5, beta=1.0, x1=0.8)), 40)
+        blocked = gk.assemble(prob).matrix
+        monkeypatch.setattr(gk, "NODE_BLOCK", 10**9)
+        whole = gk.assemble(prob).matrix
+        assert np.max(np.abs(blocked - whole)) <= 1e-14 * np.max(np.abs(whole))
+
+    def test_block_matrix_reproduces_the_applied_quadratic_form(self):
+        prob = gk.hermite_problem(linops.sg_operator(br.SgBreather(beta=0.8, v=0.3, x1=0.2)), 8)
+        matrix = gk.assemble(prob).matrix
+        size = prob.basis.size
+        x, w_quad = prob.plan.nodes_weights(2)
+        stack = prob.basis.stack(x, 4)
+        rng = np.random.default_rng(7)
+        for _ in range(3):
+            coeff = rng.standard_normal(2 * size)
+            z = [coeff[:size] @ s for s in stack]
+            w = [coeff[size:] @ s for s in stack]
+            direct = prob.operator.quadratic_form_apply(x, w_quad, z, w)
+            assert coeff @ matrix @ coeff == pytest.approx(direct, rel=1e-12)
+
+    @pytest.mark.parametrize("asymmetry, drift", [(math.nan, 0.0), (0.0, math.nan)])
+    def test_quality_gate_rejects_nan(self, asymmetry, drift):
+        assembled = gk.AssembledMatrix(matrix=np.eye(2), asymmetry=asymmetry, drift=drift)
+        with pytest.raises(gk.AssemblyError):
+            assembled.require_quality()
+
 
 class TestEigSym:
     def test_diagonal(self):

@@ -31,6 +31,11 @@ class TestCommensurability:
         with pytest.raises(ValueError):
             st.solve_commensurability(-0.01)
 
+    def test_nan_residual_rejected(self, monkeypatch):
+        monkeypatch.setattr(st.CommensuratePair, "residual", property(lambda pair: math.nan))
+        with pytest.raises(ArithmeticError):
+            st.solve_commensurability(0.03)
+
     def test_period_lock(self):
         pair = st.solve_commensurability(0.03, beta=1.2)
         left = 4 * ellip_k(pair.k) / pair.alpha
