@@ -316,8 +316,7 @@ class KkshBreather:
     domain: ClassVar[str] = "torus"
 
     def __post_init__(self):
-        if self.beta <= 0:
-            raise ValueError("beta must be positive")
+        stability.check_beta(self.beta)
         stability.check_k_range(self.k)
         object.__setattr__(self, "_pair", stability.solve_commensurability(self.k, self.beta))
 

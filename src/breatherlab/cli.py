@@ -13,9 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -91,20 +89,25 @@ def _coerce_config_value(val: str):
     return val
 
 
-def _threads() -> int:
-    env = os.environ.get("BREATHER_THREADS", "")
-    if env:
-        return max(1, int(env))
-    return min(4, os.cpu_count() or 1)
-
-
 # ---------------------------------------------------------------------------
 # family construction
 # ---------------------------------------------------------------------------
 
 
+_REQUIRED = {
+    "mkdv": ("alpha",),
+    "gardner": ("alpha", "mu"),
+    "nonzero-mean": ("mu", "c1", "p", "q"),
+    "mkdv-soliton": ("c",),
+    "gardner-soliton": ("c", "mu"),
+}
+
+
 def _family_from_args(args) -> object:
     name = args.family
+    for key in _REQUIRED.get(name, ()):
+        if getattr(args, key) is None:
+            raise ValueError(f"{name} needs --{key}")
     if name == "mkdv":
         return breathers.MkdvBreather(alpha=args.alpha, beta=args.beta, x1=args.x1, x2=args.x2)
     if name == "gardner":
@@ -379,14 +382,8 @@ def cmd_conserved(args, argv) -> int:
 
 
 def cmd_stability(args, argv) -> int:
-    ks = _parse_values(args.k)
     beta = args.beta
-
-    def one(k):
-        return stability.stability_report(beta, k)
-
-    with ThreadPoolExecutor(max_workers=_threads()) as pool:
-        reports = list(pool.map(one, ks))
+    reports = [stability.stability_report(beta, k) for k in _parse_values(args.k)]
     lines = [f"# config: beta={fmt(beta)} k_grid={args.k}"]
     lines.append("# columns: parameters, derived constants, closed-form mass, variational")
     lines.append("# coefficients, frozen-constraint discriminant D and sign function HG")

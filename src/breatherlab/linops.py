@@ -141,33 +141,23 @@ class SgBlockOperator:
     label: str = "sg"
     domain: str = "line"
 
-    def fields(self, x):
+    def coefficients(self, x):
+        """Profile fields (B, Bx, Bxx, Bt, Btx, cos, sin) and the operator's
+        coefficient grids, from one evaluation of the profile."""
         pair = self.family.eval(0.0, np.asarray(x, dtype=float), deg=2)
         B, Bt = pair.b, pair.bt
-        u = B.value
-        return {
-            "B": u,
-            "Bx": B.partial(nx=1),
-            "Bxx": B.partial(nx=2),
-            "Bt": Bt.value,
-            "Btx": Bt.partial(nx=1),
-            "cos": np.cos(u),
-            "sin": np.sin(u),
-        }
-
-    def coefficients(self, x):
-        f = self.fields(x)
+        u, Bx, Bxx, Bt, Btx = B.value, B.partial(nx=1), B.partial(nx=2), Bt.value, Bt.partial(nx=1)
+        cu, su = np.cos(u), np.sin(u)
         a, b = self.family.a, self.family.b
-        Bx, Bxx, Bt, Btx = f["Bx"], f["Bxx"], f["Bt"], f["Btx"]
-        cu, su = f["cos"], f["sin"]
         grad2 = Bx**2 + Bt**2
         return {
+            "B": u, "Bx": Bx, "Bxx": Bxx, "Bt": Bt, "Btx": Btx, "cos": cu, "sin": su,
             "l1_2": -(a - (3.0 / 8.0) * grad2 + 1.25 * cu),
             "l1_1": 0.75 * (Bx * Bxx + Bt * Btx) + 1.25 * su * Bx,
             "l1_0": a * cu
             + (5.0 / 8.0) * Bx**2 * cu
             + 1.25 * Bxx * su
-            + 0.25 * np.cos(2.0 * f["B"])
+            + 0.25 * np.cos(2.0 * u)
             - Bt**2 * cu / 8.0,
             "l2_0": a + 0.25 * cu - (3.0 / 8.0) * grad2,
             "b1_0": 0.25 * (3.0 * Btx * Bx + 3.0 * Bt * Bxx - Bt * su),
@@ -205,9 +195,8 @@ class SgBlockOperator:
     def quadratic_form(self, x, w_quad, z, w):
         """Integrated-by-parts route: only two derivatives of z, one of w."""
         c = self.coefficients(x)
-        f = self.fields(x)
-        cross = (self.family.b - 1.5 * f["Bt"] * f["Bx"]) * z[1] * w[0]
-        cross = cross - 0.5 * f["Bt"] * f["sin"] * z[0] * w[0]
+        cross = (self.family.b - 1.5 * c["Bt"] * c["Bx"]) * z[1] * w[0]
+        cross = cross - 0.5 * c["Bt"] * c["sin"] * z[0] * w[0]
         vals = (
             z[2] ** 2
             + w[1] ** 2
@@ -264,8 +253,8 @@ def sg_scaling_relation_residuals(family, x=None, h: float | None = None):
     op = sg_operator(family)
     fam = op.family
     z, w = sg_scaling_direction(fam, x, h)
-    row1, row2 = op.apply(x, z, w)
-    f = op.fields(x)
+    f = op.coefficients(x)
+    row1, row2 = op.rows(f, z, w)
     aprime = 2.0 * (1.0 + fam.v**2) * fam.beta
     bprime = -8.0 * fam.v * fam.beta
     rhs1 = aprime * (f["Bxx"] - f["sin"]) + 0.5 * bprime * f["Btx"]
@@ -286,8 +275,8 @@ def sg_variational_direction_residual(family, x=None, h: float | None = None) ->
     s = -0.5 / fam.beta
     z = tuple(s * zi for zi in z)
     w = tuple(s * wi for wi in w)
-    row1, row2 = op.apply(x, z, w)
-    f = op.fields(x)
+    f = op.coefficients(x)
+    row1, row2 = op.rows(f, z, w)
     v = fam.v
     a_row = (1.0 + v**2) * (f["sin"] - f["Bxx"]) + 2.0 * v * f["Btx"]
     at_row = (1.0 + v**2) * f["Bt"] - 2.0 * v * f["Bx"]
@@ -363,12 +352,11 @@ def kksh_inverse_direction_residual(beta: float, k: float, n_points: int = 200) 
     family = breathers.KkshBreather(beta=beta, k=k)
     x = np.linspace(0.0, family.period, n_points, endpoint=False)
     dk, db = kksh_parameter_direction(beta, k, x)
-    # the direction must follow the constrained solution family, so the
-    # coefficient partials re-solve the period lock at every displaced k
+    # the direction follows the constrained solution family, so the
+    # coefficient partials carry dm/dk along the period lock
     d, _ = stability.discriminant_and_hg(beta, k, constraint="resolved")
-    a1 = lambda b, kk: stability.coeffs_a1a2(b, kk)[0]
-    da1_dk = stability._central(lambda kk: a1(beta, kk), k, 1e-6)
-    da1_db = stability._central(lambda b: a1(b, k), beta, 1e-6)
+    _, grad_b, grad_k = stability.coefficient_gradients(beta, k, family.m, "resolved")
+    da1_db, da1_dk = grad_b[0], grad_k[0]
     b0 = tuple((da1_dk * dbj - da1_db * dkj) / d for dkj, dbj in zip(dk, db))
     op = kksh_operator(family)
     image = op.apply(x, b0)

@@ -10,15 +10,16 @@ and the right side decreasing in m, so for each admissible k there is exactly
 one m; k ranges over (0, k*) with k* the root of k K(k)^4 = (pi/2)^4 / 16.
 
 On top of the solve this module provides the closed-form mass of the periodic
-breather, the variational coefficients (a1, a2), the parameter-plane
-discriminant D, the sign function HG whose positivity is the usable stability
-condition, and the analogous (trivially positive) check for the wave-equation
-breather.
+breather, the variational coefficients (a1, a2), their exact parameter
+derivatives, the parameter-plane discriminant D, the sign function HG whose
+positivity is the usable stability condition, and the analogous (trivially
+positive) check for the wave-equation breather.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -27,11 +28,6 @@ import numpy as np
 from .specfun import ellip_e, ellip_k
 
 _PI_HALF_4 = (math.pi / 2.0) ** 4
-
-
-def _period_mismatch(k: float, m: float) -> float:
-    """16 k K(k)^4 - (1 - m) K(m)^4; zero exactly on commensurate pairs."""
-    return 16.0 * k * ellip_k(k) ** 4 - (1.0 - m) * ellip_k(m) ** 4
 
 
 def _bisect(f, lo: float, hi: float, iters: int = 200) -> float:
@@ -73,9 +69,7 @@ class CommensuratePair:
 
     @property
     def alpha(self) -> float:
-        if self.k == 0.0:
-            return 0.0
-        return self.beta * ((1.0 - self.m) / self.k) ** 0.25
+        return _alpha(self.beta, self.k, self.m)
 
     @property
     def period(self) -> float:
@@ -98,8 +92,15 @@ def check_k_range(k: float) -> None:
         raise ValueError(f"k must lie in (0, {kstar!r}), got {k}")
 
 
+def check_beta(beta: float) -> None:
+    """Reject a scaling beta that is not positive and finite."""
+    if not 0.0 < beta < math.inf:
+        raise ValueError(f"beta must be positive and finite, got {beta}")
+
+
 def solve_commensurability(k: float, beta: float = 1.0) -> CommensuratePair:
     """Solve for m given k; bisection on the monotone period mismatch."""
+    check_beta(beta)
     if k == 0.0:
         return CommensuratePair(beta=beta, k=0.0, m=1.0)
     check_k_range(k)
@@ -135,115 +136,119 @@ def solve_commensurability_from_m(m: float, beta: float = 1.0) -> CommensuratePa
 # ---------------------------------------------------------------------------
 
 
-def periodic_mass(beta: float, k: float) -> float:
-    """Mass of the periodic breather over one period, in closed form."""
-    pair = solve_commensurability(k, beta)
-    m = pair.m
+def _alpha(beta: float, k: float, m: float) -> float:
+    return beta * ((1.0 - m) / k) ** 0.25 if k > 0.0 else 0.0
+
+
+def _a1a2(beta: float, k: float, m: float) -> tuple[float, float]:
+    a = _alpha(beta, k, m)
+    a1 = 2.0 * (beta * beta * (2.0 - m) - a * a * (1.0 + k))
+    a2 = (
+        a**4 * (1.0 + k * k - 26.0 * k)
+        + 2.0 * a * a * beta * beta * (2.0 - m) * (1.0 + k)
+        + beta**4 * m * m
+    )
+    return a1, a2
+
+
+def _mass(beta: float, k: float, m: float) -> float:
     if k == 0.0:
         return 4.0 * beta
     return 4.0 * beta * (ellip_e(m) + 4.0 * (ellip_k(k) / ellip_k(m)) * (ellip_e(k) - ellip_k(k)))
 
 
+def periodic_mass(beta: float, k: float) -> float:
+    """Mass of the periodic breather over one period, in closed form."""
+    return _mass(beta, k, solve_commensurability(k, beta).m)
+
+
 def coeffs_a1a2(beta: float, k: float) -> tuple[float, float]:
     """Variational coefficients of the periodic stationary equation."""
-    pair = solve_commensurability(k, beta)
-    m, a = pair.m, pair.alpha
-    b = beta
-    a1 = 2.0 * (b * b * (2.0 - m) - a * a * (1.0 + k))
-    a2 = a**4 * (1.0 + k * k - 26.0 * k) + 2.0 * a * a * b * b * (2.0 - m) * (1.0 + k) + b**4 * m * m
-    return a1, a2
+    return _a1a2(beta, k, solve_commensurability(k, beta).m)
 
 
-def _central(f, x: float, h: float, richardson: bool = True) -> float:
-    def d(step):
-        return (f(x + step) - f(x - step)) / (2.0 * step)
-
-    if not richardson:
-        return d(h)
-    return (4.0 * d(0.5 * h) - d(h)) / 3.0
+def _elliptic_pair(m: float) -> tuple[float, float, float, float]:
+    """K(m), E(m) and their m-derivatives (DLMF 19.4.1 in the parameter form)."""
+    K, E = ellip_k(m), ellip_e(m)
+    return K, E, (E - (1.0 - m) * K) / (2.0 * m * (1.0 - m)), (E - K) / (2.0 * m)
 
 
-def _a1_of(beta: float, k: float, m: float) -> float:
-    a = beta * ((1.0 - m) / k) ** 0.25 if k > 0 else 0.0
-    return 2.0 * (beta * beta * (2.0 - m) - a * a * (1.0 + k))
+def coefficient_gradients(beta: float, k: float, m: float, constraint: str = "frozen"):
+    """Values and exact (beta, k)-partials of (a1, a2, mass) at a locked pair.
 
-
-def _a2_of(beta: float, k: float, m: float) -> float:
-    a = beta * ((1.0 - m) / k) ** 0.25 if k > 0 else 0.0
-    return (
-        a**4 * (1.0 + k * k - 26.0 * k)
-        + 2.0 * a * a * beta * beta * (2.0 - m) * (1.0 + k)
-        + beta**4 * m * m
-    )
-
-
-def _mass_of(beta: float, k: float, m: float) -> float:
-    return 4.0 * beta * (ellip_e(m) + 4.0 * (ellip_k(k) / ellip_k(m)) * (ellip_e(k) - ellip_k(k)))
+    Returns three triples ordered (a1, a2, mass): the values, the beta-partials
+    and the k-partials.  beta enters as pure powers (a1 ~ beta^2, a2 ~ beta^4,
+    mass ~ beta), and m does not depend on it.  "frozen" holds m fixed in the
+    k-partials; "resolved" adds dm/dk = -F_k / F_m along the period lock
+    F(k, m) = 16 k K(k)^4 - (1 - m) K(m)^4 = 0.
+    """
+    if constraint not in ("frozen", "resolved"):
+        raise ValueError("constraint must be 'frozen' or 'resolved'")
+    check_k_range(k)
+    (a1, a2), mass = _a1a2(beta, k, m), _mass(beta, k, m)
+    Kk, Ek, dKk, dEk = _elliptic_pair(k)
+    Km, Em, dKm, dEm = _elliptic_pair(m)
+    s = _alpha(beta, k, m) ** 2
+    s_k, s_m = -s / (2.0 * k), -s / (2.0 * (1.0 - m))
+    poly, b2 = 1.0 + k * k - 26.0 * k, beta * beta
+    # partials at fixed m, then in m at fixed k
+    a1_k = -2.0 * (s_k * (1.0 + k) + s)
+    a1_m = -2.0 * (b2 + s_m * (1.0 + k))
+    a2_k = 2.0 * s * s_k * poly + s * s * (2.0 * k - 26.0) - b2 * (2.0 - m) * a1_k
+    a2_m = 2.0 * s * s_m * poly + 2.0 * b2 * (1.0 + k) * (s_m * (2.0 - m) - s) + 2.0 * b2 * b2 * m
+    mass_k = 16.0 * beta * (dKk * (Ek - Kk) + Kk * (dEk - dKk)) / Km
+    mass_m = 4.0 * beta * (dEm - 4.0 * Kk * (Ek - Kk) * dKm / Km**2)
+    if constraint == "resolved":
+        m_k = -(16.0 * Kk**4 + 64.0 * k * Kk**3 * dKk) / (Km**4 - 4.0 * (1.0 - m) * Km**3 * dKm)
+        a1_k, a2_k, mass_k = a1_k + m_k * a1_m, a2_k + m_k * a2_m, mass_k + m_k * mass_m
+    return (a1, a2, mass), (2.0 * a1 / beta, 4.0 * a2 / beta, mass / beta), (a1_k, a2_k, mass_k)
 
 
 DEGENERACY_TOL = 1e-10
 
 
-def discriminant_and_hg(
-    beta: float,
-    k: float,
-    hb: float = 1e-6,
-    hk: float = 1e-6,
-    richardson: bool = True,
-    constraint: str = "frozen",
-) -> tuple[float, float]:
+def _discriminant(grad_b, grad_k) -> tuple[float, float]:
+    """D and HG from the gradients; HG is NaN where D vanishes to working precision."""
+    (a1_b, a2_b, mass_b), (a1_k, a2_k, mass_k) = grad_b, grad_k
+    t1, t2 = a1_k * a2_b, a2_k * a1_b
+    scale, hg_num = abs(t1) + abs(t2), a1_k * mass_b - a1_b * mass_k
+    # fails closed: NaN, overflow and subnormal terms never reach a verdict
+    if not (sys.float_info.min <= scale < math.inf and math.isfinite(hg_num)):
+        raise ArithmeticError(f"discriminant terms outside the floating-point range: {scale:.3e}")
+    d = t1 - t2
+    return d, hg_num / d if abs(d) > DEGENERACY_TOL * scale else math.nan
+
+
+def discriminant_and_hg(beta: float, k: float, constraint: str = "frozen") -> tuple[float, float]:
     """Parameter-plane discriminant D and the sign function HG.
 
     D pairs the (beta, k)-gradients of the two variational coefficients; HG
-    replaces the second coefficient by the closed-form mass.  Partials are
-    central differences with one Richardson sweep.
+    replaces the second coefficient by the closed-form mass.  The partials
+    are exact (see ``coefficient_gradients``).
 
     ``constraint`` picks the treatment of the locked parameter m inside the
     k-derivative.  "frozen" differentiates the closed formulas at the
-    constraint value of m without re-solving (this is the convention behind
-    the reference sign landscape: D(1, .) crosses zero near k = 0.0545 and
-    HG turns negative beyond it).  "resolved" re-solves the commensurability
-    relation at every displaced k; that is the derivative along the actual
-    solution family, which keeps the inverse-direction identity
-    L[B0] = -B true but turns out to produce no sign change at all.
+    constraint value of m (this is the convention behind the reference sign
+    landscape: D(1, .) crosses zero near k = 0.0545 and HG turns negative
+    beyond it).  "resolved" differentiates along the actual solution family,
+    which keeps the inverse-direction identity L[B0] = -B true but turns out
+    to produce no sign change at all.
     """
-    d, hg_num, scale = _discriminant_parts(beta, k, hb, hk, richardson, constraint)
-    if abs(d) < DEGENERACY_TOL * scale:
+    m = solve_commensurability(k, beta).m
+    d, hg = _discriminant(*coefficient_gradients(beta, k, m, constraint)[1:])
+    if math.isnan(hg):
         raise ArithmeticError("degenerate discriminant: the inverse direction is undefined")
-    return d, hg_num / d
-
-
-def _discriminant_parts(beta, k, hb, hk, richardson, constraint):
-    if constraint not in ("frozen", "resolved"):
-        raise ValueError("constraint must be 'frozen' or 'resolved'")
-    hbeta = hb * max(1.0, beta)
-    if constraint == "resolved":
-        a1 = lambda kk: coeffs_a1a2(beta, kk)[0]
-        a2 = lambda kk: coeffs_a1a2(beta, kk)[1]
-        mass_k = lambda kk: periodic_mass(beta, kk)
-    else:
-        m = solve_commensurability(k, beta).m
-        a1 = lambda kk: _a1_of(beta, kk, m)
-        a2 = lambda kk: _a2_of(beta, kk, m)
-        mass_k = lambda kk: _mass_of(beta, kk, m)
-    da1_dk = _central(a1, k, hk, richardson)
-    da2_dk = _central(a2, k, hk, richardson)
-    dm_dk = _central(mass_k, k, hk, richardson)
-    # beta enters as pure powers, so the beta-partials agree between the two
-    # conventions; finite differences keep the declared scheme uniform
-    da1_db = _central(lambda b: coeffs_a1a2(b, k)[0], beta, hbeta, richardson)
-    da2_db = _central(lambda b: coeffs_a1a2(b, k)[1], beta, hbeta, richardson)
-    dm_db = _central(lambda b: periodic_mass(b, k), beta, hbeta, richardson)
-    d = da1_dk * da2_db - da2_dk * da1_db
-    scale = max(abs(da1_dk * da2_db), abs(da2_dk * da1_db), 1e-300)
-    return d, da1_dk * dm_db - da1_db * dm_dk, scale
+    return d, hg
 
 
 def discriminant_root(beta: float = 1.0, lo: float = 0.04, hi: float = 0.058) -> float:
     """Zero crossing of the frozen-constraint discriminant in k."""
-    return _bisect(
-        lambda k: _discriminant_parts(beta, k, 1e-6, 1e-6, True, "frozen")[0], lo, hi, iters=60
-    )
+
+    def d(k):
+        m = solve_commensurability(k, beta).m
+        return _discriminant(*coefficient_gradients(beta, k, m)[1:])[0]
+
+    return _bisect(d, lo, hi, iters=60)
 
 
 @dataclass(frozen=True)
@@ -273,13 +278,12 @@ class StabilityReport:
 def stability_report(beta: float, k: float) -> StabilityReport:
     """Full periodic-breather diagnostic row for one (beta, k)."""
     pair = solve_commensurability(k, beta)
-    a1, a2 = coeffs_a1a2(beta, k)
-    mass = periodic_mass(beta, k)
-    try:
-        d, hg = discriminant_and_hg(beta, k)
+    (a1, a2, mass), grad_b, grad_k = coefficient_gradients(beta, k, pair.m)
+    d, hg = _discriminant(grad_b, grad_k)
+    if math.isnan(hg):
+        d, verdict = 0.0, "degenerate"
+    else:
         verdict = "stable-candidate" if hg > 0 else "unstable-candidate"
-    except ArithmeticError:
-        d, hg, verdict = 0.0, math.nan, "degenerate"
     return StabilityReport(
         beta=beta, k=k, m=pair.m, alpha=pair.alpha, period=pair.period,
         mass=mass, a1=a1, a2=a2, discriminant=d, hg=hg, verdict=verdict,

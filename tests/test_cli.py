@@ -1,7 +1,12 @@
+import contextlib
+import io
 import json
+import math
 import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 
 from breatherlab import cli
 from breatherlab import stability
@@ -54,6 +59,15 @@ class TestSpectrumCommand:
     def test_invalid_parameters_exit_2(self, capsys):
         assert run(["spectrum", "--family", "sg", "--beta", "2.0", "--v", "0.0"]) == 2
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv,flag", [
+        (["spectrum", "--family", "gardner", "--alpha", "0.5", "--beta", "1"], "--mu"),
+        (["residual", "--family", "gardner", "--alpha", "0.5", "--beta", "1"], "--mu"),
+        (["spectrum", "--family", "mkdv"], "--alpha"),
+    ])
+    def test_missing_family_parameter_exit_2(self, argv, flag, capsys):
+        assert run(argv) == 2
+        assert flag in capsys.readouterr().err
 
 
 class TestConfigFile:
@@ -156,6 +170,16 @@ class TestOtherCommands:
         assert run(["stability", "--beta", "1", "--k", "0.03,0.04", "--out", str(out2)]) == 0
         assert out.read_text().split("\n")[3:] == out2.read_text().split("\n")[3:]
 
+    @pytest.mark.parametrize("beta", ["nan", "-1", "inf", "0"])
+    def test_stability_bad_beta_exit_2(self, beta, capsys):
+        assert run(["stability", f"--beta={beta}", "--k", "0.03"]) == 2
+        assert "beta must be positive and finite" in capsys.readouterr().err
+
+    def test_stability_small_k(self, capsys):
+        # k lies below the former fixed difference step of 1e-6
+        assert run(["stability", "--beta", "1", "--k", "5e-7"]) == 0
+        assert capsys.readouterr().out.rstrip().endswith(",stable-candidate")
+
     def test_backlund(self, tmp_path):
         out = tmp_path / "bk.csv"
         assert run([
@@ -183,6 +207,27 @@ class TestOtherCommands:
         monkeypatch.setattr(linops, "operator_for", broken)
         assert run(["spectrum", "--family", "mkdv", "--alpha", "1.0", "--n", "10"]) == 3
         assert "numerical-quality" in capsys.readouterr().err
+
+
+_EDGE_FLOATS = hs.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0, -1.0, 1e-300, 1e300])
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    beta=hs.floats() | hs.floats(min_value=0.01, max_value=100.0) | _EDGE_FLOATS,
+    k=hs.floats() | hs.floats(min_value=0.0, max_value=0.06) | _EDGE_FLOATS,
+)
+def test_stability_exit_code_contract(beta, k):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(["stability", f"--beta={beta!r}", f"--k={k!r}"])
+    assert code in (0, 2, 3)
+    assert "Traceback" not in err.getvalue()
+    if code == 0:
+        row = out.getvalue().rstrip().split("\n")[-1].split(",")
+        # only a degenerate row carries NaN, in its HG column
+        values = row[:-2] if row[-1] == "degenerate" else row[:-1]
+        assert all(math.isfinite(float(v)) for v in values)
 
 
 def test_number_format():

@@ -63,6 +63,20 @@ class TestSgBlock:
             assert np.max(np.abs(r1)) < 1e-10
             assert np.max(np.abs(r2)) < 1e-10
 
+    @pytest.mark.parametrize("check", [
+        lambda fam: linops.sg_scaling_quadratic_form(fam),
+        lambda fam: linops.sg_variational_direction_residual(fam),
+        lambda fam: linops.sg_scaling_relation_residuals(fam),
+    ])
+    def test_profile_evaluated_once_per_check(self, check, monkeypatch):
+        # the two +-h families of the scaling direction, then one profile
+        calls = []
+        evaluate = br.SgBreather.eval
+        counted = lambda *a, **kw: calls.append(a) or evaluate(*a, **kw)
+        monkeypatch.setattr(br.SgBreather, "eval", counted)
+        check(br.SgBreather(beta=0.5, v=0.7))
+        assert len(calls) == 3
+
     def test_scaling_relation_residuals(self):
         for beta, v in ((0.5, 0.0), (0.5, 0.7), (0.8, 0.3)):
             fam = br.SgBreather(beta=beta, v=v, x1=0.1)

@@ -3,9 +3,41 @@ import math
 import numpy as np
 import pytest
 
-from breatherlab import linops
+from breatherlab import breathers, linops
 from breatherlab import stability as st
 from breatherlab.specfun import ellip_k
+
+
+def _central(f, x, h):
+    """Central difference with one Richardson sweep: the finite-difference
+    scheme the exact gradients replace, kept as their oracle."""
+
+    def d(step):
+        return (f(x + step) - f(x - step)) / (2.0 * step)
+
+    return (4.0 * d(0.5 * h) - d(h)) / 3.0
+
+
+def richardson_d_hg(beta, k, constraint, hk=1e-6, hb=1e-6):
+    """D and HG from Richardson differences: of the closed forms at the locked
+    m ("frozen"), or of ``coeffs_a1a2``/``periodic_mass``, which re-solve the
+    period lock at every displaced k ("resolved")."""
+    if constraint == "frozen":
+        m = st.solve_commensurability(k, beta).m
+        a1a2 = lambda kk: st._a1a2(beta, kk, m)
+        mass = lambda kk: st._mass(beta, kk, m)
+    else:
+        a1a2 = lambda kk: st.coeffs_a1a2(beta, kk)
+        mass = lambda kk: st.periodic_mass(beta, kk)
+    hbeta = hb * max(1.0, beta)
+    a1_k = _central(lambda kk: a1a2(kk)[0], k, hk)
+    a2_k = _central(lambda kk: a1a2(kk)[1], k, hk)
+    mass_k = _central(mass, k, hk)
+    a1_b = _central(lambda b: st.coeffs_a1a2(b, k)[0], beta, hbeta)
+    a2_b = _central(lambda b: st.coeffs_a1a2(b, k)[1], beta, hbeta)
+    mass_b = _central(lambda b: st.periodic_mass(b, k), beta, hbeta)
+    d = a1_k * a2_b - a2_k * a1_b
+    return d, (a1_k * mass_b - a1_b * mass_k) / d
 
 
 class TestCommensurability:
@@ -30,6 +62,15 @@ class TestCommensurability:
             st.solve_commensurability(0.06)
         with pytest.raises(ValueError):
             st.solve_commensurability(-0.01)
+
+    @pytest.mark.parametrize("beta", [math.nan, math.inf, -1.0, 0.0])
+    def test_bad_beta_rejected(self, beta):
+        with pytest.raises(ValueError, match="beta must be positive and finite"):
+            st.solve_commensurability(0.03, beta)
+        with pytest.raises(ValueError, match="beta must be positive and finite"):
+            st.stability_report(beta, 0.03)
+        with pytest.raises(ValueError, match="beta must be positive and finite"):
+            breathers.KkshBreather(beta=beta, k=0.03)
 
     def test_nan_residual_rejected(self, monkeypatch):
         monkeypatch.setattr(st.CommensuratePair, "residual", property(lambda pair: math.nan))
@@ -107,11 +148,41 @@ class TestDiscriminant:
         assert len(d_flips) == 1 and len(hg_flips) == 1
         assert abs(d_flips[0] - hg_flips[0]) < 0.002
 
-    def test_step_robustness(self):
-        d1, h1 = st.discriminant_and_hg(1.0, 0.045)
-        d2, h2 = st.discriminant_and_hg(1.0, 0.045, hb=0.5e-6, hk=0.5e-6)
-        assert abs(d1 - d2) / abs(d1) < 1e-5
-        assert abs(h1 - h2) / abs(h1) < 1e-5
+    @pytest.mark.parametrize("constraint", ["frozen", "resolved"])
+    def test_exact_gradients_match_richardson_oracle(self, constraint):
+        # the oracle's own error is about 1e-9 here (step and roundoff)
+        for beta in (0.5, 1.0, 2.0):
+            for k in (0.001, 0.01, 0.03, 0.045, 0.057):
+                d, hg = st.discriminant_and_hg(beta, k, constraint)
+                d0, hg0 = richardson_d_hg(beta, k, constraint)
+                assert d == pytest.approx(d0, rel=1e-8), (beta, k)
+                assert hg == pytest.approx(hg0, rel=1e-8), (beta, k)
+
+    def test_small_k_matches_oracle_with_scaled_step(self):
+        # a fixed step of 1e-6 equals k here; the oracle steps by 1e-3 k instead
+        k = 1e-6
+        d, hg = st.discriminant_and_hg(1.0, k)
+        d0, hg0 = richardson_d_hg(1.0, k, "frozen", hk=1e-3 * k)
+        assert d == pytest.approx(d0, rel=1e-8) and hg == pytest.approx(hg0, rel=1e-8)
+        # the resolved oracle re-solves m at k +- 1e-9: one ulp of m is 1.5e-8
+        # of 1 - m = 7e-9, over a step of 1e-3 k, so its D is good to about 1e-5
+        d, hg = st.discriminant_and_hg(1.0, k, "resolved")
+        d0, hg0 = richardson_d_hg(1.0, k, "resolved", hk=1e-3 * k)
+        assert d < 0 and d == pytest.approx(d0, rel=1e-5)
+        assert hg == pytest.approx(hg0, rel=1e-8)
+
+    def test_gate_fails_closed_on_nan(self):
+        grad = (1.0, 2.0, 3.0)
+        with pytest.raises(ArithmeticError):
+            st._discriminant((math.nan, 2.0, 3.0), grad)
+        with pytest.raises(ArithmeticError):
+            st._discriminant(grad, (1.0, 2.0, math.nan))
+
+    @pytest.mark.parametrize("beta", [1e-70, 1e300])
+    def test_out_of_range_terms_rejected(self, beta):
+        # D scales as beta^5: these underflow or overflow instead of giving a verdict
+        with pytest.raises(ArithmeticError):
+            st.stability_report(beta, 0.03)
 
     def test_resolved_convention_available(self):
         # the derivative along the constrained family has no sign change; it
@@ -131,6 +202,13 @@ class TestReport:
         assert st.stability_report(1.0, 0.057).verdict == "unstable-candidate"
         root = st.discriminant_root()
         assert st.stability_report(1.0, root).verdict == "degenerate"
+
+    def test_one_commensurability_solve_per_row(self, monkeypatch):
+        calls = []
+        solve = st.solve_commensurability
+        monkeypatch.setattr(st, "solve_commensurability", lambda *a: calls.append(a) or solve(*a))
+        st.stability_report(1.0, 0.03)
+        assert len(calls) == 1
 
     def test_csv_row_shape(self):
         rep = st.stability_report(1.0, 0.03)
