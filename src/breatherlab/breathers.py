@@ -14,7 +14,7 @@ which keeps every evaluation branch- and pole-free.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from math import comb
 from typing import ClassVar
 
@@ -25,6 +25,14 @@ from .jets import DEFAULT_DEG, Jet2
 
 SQRT2 = math.sqrt(2.0)
 AMP = 2.0 * SQRT2
+
+
+def check_finite(family) -> None:
+    """Reject a NaN or infinite value in any parameter field of a family."""
+    for field in fields(family):
+        value = getattr(family, field.name)
+        if not math.isfinite(value):
+            raise ValueError(f"{field.name} must be finite, got {value}")
 
 
 @dataclass(frozen=True)
@@ -121,6 +129,7 @@ class MkdvBreather:
     domain: ClassVar[str] = "line"
 
     def __post_init__(self):
+        check_finite(self)
         if self.alpha <= 0 or self.beta <= 0:
             raise ValueError("breather scalings alpha, beta must be positive")
 
@@ -174,6 +183,7 @@ class GardnerBreather:
     domain: ClassVar[str] = "line"
 
     def __post_init__(self):
+        check_finite(self)
         if self.alpha == 0 or self.beta == 0 or self.mu == 0:
             raise ValueError("gardner breather needs alpha, beta, mu all nonzero")
         if self.disc <= 0:
@@ -241,6 +251,7 @@ class SgBreather:
     domain: ClassVar[str] = "line"
 
     def __post_init__(self):
+        check_finite(self)
         if not -1.0 < self.v < 1.0:
             raise ValueError("breather velocity must satisfy |v| < 1")
         if not 0.0 < self.beta < self.lorentz:
@@ -317,6 +328,7 @@ class KkshBreather:
 
     def __post_init__(self):
         stability.check_beta(self.beta)
+        check_finite(self)
         stability.check_k_range(self.k)
         object.__setattr__(self, "_pair", stability.solve_commensurability(self.k, self.beta))
 
@@ -385,6 +397,7 @@ class NonzeroMeanBreather:
     domain: ClassVar[str] = "torus"
 
     def __post_init__(self):
+        check_finite(self)
         if self.mu <= 0:
             raise ValueError("mean level mu must be positive")
         if not 0.0 < self.c1 < 2 * self.mu**2:
@@ -469,6 +482,7 @@ class MkdvSoliton:
     domain: ClassVar[str] = "line"
 
     def __post_init__(self):
+        check_finite(self)
         if self.c <= 0:
             raise ValueError("soliton speed c must be positive")
 
@@ -501,6 +515,7 @@ class GardnerSoliton:
     domain: ClassVar[str] = "line"
 
     def __post_init__(self):
+        check_finite(self)
         if self.c <= 0:
             raise ValueError("soliton speed c must be positive")
 
@@ -532,6 +547,7 @@ class SgKink:
     domain: ClassVar[str] = "line"
 
     def __post_init__(self):
+        check_finite(self)
         if not -1.0 < self.v < 1.0:
             raise ValueError("kink velocity must satisfy |v| < 1")
 

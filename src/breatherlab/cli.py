@@ -34,10 +34,20 @@ def fmt(x) -> str:
     return f"{x:.10f}"
 
 
+# Most points an a:b:step grid may hold.
+MAX_GRID_POINTS = 10_000
+
+
 def _parse_values(spec: str) -> list[float]:
     """Value list: comma-separated, or an a:b:step range (inclusive ends)."""
     if ":" in spec:
         a, b, step = (float(s) for s in spec.split(":"))
+        if not all(math.isfinite(v) for v in (a, b, step)):
+            raise ValueError(f"grid {spec!r} needs finite a, b and step")
+        if not (step > 0.0 and a <= b):
+            raise ValueError(f"grid {spec!r} needs step > 0 and a <= b")
+        if not (b - a) / step < MAX_GRID_POINTS:
+            raise ValueError(f"grid {spec!r} holds more than {MAX_GRID_POINTS} points")
         n = int(round((b - a) / step))
         vals = [a + i * step for i in range(n + 1)]
         return [v for v in vals if v <= b + 1e-12]
@@ -347,6 +357,8 @@ def cmd_residual(args, argv) -> int:
     ab = None
     if args.family == "sg-kink":
         b = family.admissible_b(args.a) if args.b is None else args.b
+        if not (math.isfinite(args.a) and math.isfinite(b)):
+            raise ValueError(f"--a and --b must be finite, got {args.a} and {b}")
         ab = (args.a, b)
     stat = functionals.stationary_residual(family, x=x, t=args.t, ab=ab)
     pde = functionals.pde_residual(family, n_points=50)

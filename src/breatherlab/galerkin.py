@@ -1,13 +1,27 @@
 """Galerkin projection of the linearized operators and spectral classification.
 
-The matrix is built by literal application of the operator, never in
-pre-symmetrized form: M_ij = sum over the quadrature nodes of w f_i op.apply(f_j),
-with ``op.apply`` run on the whole basis derivative stack and the sum taken
-over fixed blocks of nodes.  Each operator's formula lives only in ``linops``.
+The matrix is the quadrature of the literal application of the operator,
+never a pre-symmetrized form: M_ij = sum over the nodes of w f_i op.apply(f_j).
+Each operator's formula lives only in ``linops``.
+
+On the line (Hermite basis, Gauss-Legendre panels) ``op.apply`` runs on the
+whole basis derivative stack, over fixed blocks of nodes.  On the torus the
+trapezoid rule on N uniform nodes is a discrete Fourier transform, so the
+same sum is formed from transforms: in the complex basis e^{i w_p x},
+
+    M_pq = sum over r of c^_r[(p - q) mod N] (i w_q)^r,   c^_r = fft(c_r) / N,
+
+with c_4 = 1 (so its part is w_q^4 on the diagonal, aliased where
+p - q = 0 mod N), and the real basis follows by a fixed unitary change of
+basis.  The c_r are the list ``op.coefficients`` returns, the same list
+``op.apply`` sums, so this is exactly the trapezoid sum of the literal
+application, aliasing included, without building the basis stack.
+
 The asymmetry of M, measured before symmetrization, is a genuine quality
-metric for the operator coefficients and the quadrature.  Assembly runs at
-two node densities; the entry drift between them is reported and must stay
-below 1e-9 for a healthy run.
+metric for the operator coefficients (on the torus it still tests
+c1 = c2') and the quadrature.  Assembly runs at two node densities; the
+entry drift between them is reported and must stay below 1e-9 for a healthy
+run.
 """
 
 from __future__ import annotations
@@ -114,9 +128,37 @@ def _project(problem: GalerkinProblem, x, w) -> np.ndarray:
     return m
 
 
+def _real_trig_change(count_n: int) -> np.ndarray:
+    """Unitary T with [const, cos_1, sin_1, ...] = [e_-n, ..., e_n] T, where
+    e_p = e^{i w_p x} / sqrt(L) and the rows run over p = -n..n."""
+    t = np.zeros((2 * count_n + 1, 2 * count_n + 1), dtype=complex)
+    t[count_n, 0] = 1.0
+    h = math.sqrt(0.5)
+    for k in range(1, count_n + 1):
+        t[count_n + k, 2 * k - 1] = t[count_n - k, 2 * k - 1] = h
+        t[count_n + k, 2 * k], t[count_n - k, 2 * k] = -1j * h, 1j * h
+    return t
+
+
+def _project_torus(problem: GalerkinProblem, x, w) -> np.ndarray:
+    """The trapezoid sum of ``_project`` on a TorusPlan's N uniform nodes
+    (weights w = L/N), formed from the FFTs of the coefficient grids."""
+    op, basis = problem.operator, problem.basis
+    n_nodes = x.size
+    p = np.arange(-basis.count_n, basis.count_n + 1)
+    omega = 2.0 * math.pi * p / basis.period
+    wrap = (p[:, None] - p[None, :]) % n_nodes
+    m = np.where(wrap == 0, omega**4, 0.0)
+    for r, c in enumerate(op.coefficients(x)):
+        m = m + (np.fft.fft(c) / n_nodes)[wrap] * (1j * omega) ** r
+    t = _real_trig_change(basis.count_n)
+    return (t.conj().T @ m @ t).real
+
+
 def assemble(problem: GalerkinProblem, check_quality: bool = True) -> AssembledMatrix:
     """Dense projected matrix, symmetrized after the asymmetry is recorded."""
-    mats = [_project(problem, *problem.plan.nodes_weights(refine)) for refine in (1, 2)]
+    project = _project_torus if isinstance(problem.basis, FourierBasis) else _project
+    mats = [project(problem, *problem.plan.nodes_weights(refine)) for refine in (1, 2)]
     m = mats[1]
     scale = max(1.0, float(np.max(np.abs(m))))
     drift = float(np.max(np.abs(mats[1] - mats[0]))) / scale

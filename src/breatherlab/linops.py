@@ -72,7 +72,8 @@ class ScalarOperator:
         return self.family.domain
 
     def coefficients(self, x):
-        """(c0, c1, c2) grids; the leading coefficient is identically 1."""
+        """(c0, c1, c2) grids: c_r multiplies the r-th derivative in ``apply``;
+        the leading coefficient, of z_4x, is identically 1."""
         x = np.asarray(x, dtype=float)
         if self.zero_potential:
             zero = np.zeros_like(x)
@@ -95,8 +96,10 @@ class ScalarOperator:
         """Pointwise L[z] from the derivative grids z = (z, z', ..., z'''')."""
         if len(z) < 5:
             raise ValueError("insufficient jet degree: scalar operator needs 4 derivatives")
-        c0, c1, c2 = self.coefficients(x)
-        return z[4] + c2 * z[2] + c1 * z[1] + c0 * z[0]
+        out = z[4]
+        for r, c in reversed(list(enumerate(self.coefficients(x)))):
+            out = out + c * z[r]
+        return out
 
     def quadratic_form(self, x, w_quad, z):
         """integral of z L[z] by direct application."""

@@ -260,21 +260,23 @@ class FourierBasis:
         return 2 * self.count_n + 1
 
     def stack(self, x, orders: int) -> list[np.ndarray]:
-        """[V, V', ..., V^(orders)] with V of shape (size, len(x))."""
+        """[V, V', ..., V^(orders)] with V of shape (size, len(x)).
+
+        cos and sin are evaluated once per mode; each derivative scales the
+        pair by w and rotates it, (cos, sin) -> (-sin, cos).
+        """
         x = np.atleast_1d(np.asarray(x, dtype=float))
         L = self.period
-        amp = math.sqrt(2.0 / L)
+        w = 2.0 * math.pi * np.arange(1, self.count_n + 1) / L
+        arg = w[:, None] * x[None, :]
+        c, s = math.sqrt(2.0 / L) * np.cos(arg), math.sqrt(2.0 / L) * np.sin(arg)
         out = []
         for d in range(orders + 1):
             v = np.zeros((self.size, x.size))
             if d == 0:
                 v[0] = 1.0 / math.sqrt(L)
-            for n in range(1, self.count_n + 1):
-                w = 2.0 * math.pi * n / L
-                arg = w * x
-                # d-th derivative of cos(wx) is w^d cos(wx + d pi/2); same shift for sin
-                shift = 0.5 * math.pi * d
-                v[2 * n - 1] = amp * (w**d) * np.cos(arg + shift)
-                v[2 * n] = amp * (w**d) * np.sin(arg + shift)
+            else:
+                c, s = -w[:, None] * s, w[:, None] * c
+            v[1::2], v[2::2] = c, s
             out.append(v)
         return out

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -10,7 +11,26 @@ from breatherlab import stability as st
 SQRT2 = math.sqrt(2.0)
 
 
+_FAMILIES = [
+    br.MkdvBreather(alpha=0.5, beta=1.0),
+    br.GardnerBreather(alpha=0.5, beta=1.0, mu=0.01),
+    br.SgBreather(beta=0.5, v=0.3),
+    br.KkshBreather(beta=1.0, k=0.03),
+    br.NonzeroMeanBreather(mu=1.3, c1=0.9, p=2, q=3),
+    br.MkdvSoliton(c=1.0),
+    br.GardnerSoliton(c=1.0, mu=0.5),
+    br.SgKink(v=0.3),
+]
+
+
 class TestConstructors:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("family", _FAMILIES, ids=lambda f: f.kind)
+    def test_rejects_non_finite_parameters(self, family, bad):
+        for field in dataclasses.fields(family):
+            with pytest.raises(ValueError, match=f"{field.name} must be .*finite"):
+                dataclasses.replace(family, **{field.name: bad})
+
     def test_mkdv_rejects_bad_scalings(self):
         with pytest.raises(ValueError):
             br.MkdvBreather(alpha=-1.0, beta=1.0)

@@ -209,6 +209,45 @@ class TestOtherCommands:
         assert "numerical-quality" in capsys.readouterr().err
 
 
+_FAMILY_ARGV = {
+    "mkdv": ["--alpha", "0.5", "--beta", "1", "--x1", "0", "--x2", "0"],
+    "gardner": ["--alpha", "0.5", "--beta", "1", "--mu", "0.01", "--x1", "0", "--x2", "0"],
+    "sg": ["--beta", "0.5", "--v", "0.3", "--x1", "0", "--x2", "0"],
+    "kksh": ["--beta", "1", "--k", "0.03", "--x1", "0", "--x2", "0"],
+    "nonzero-mean": ["--mu", "1.3", "--c1", "0.9", "--p", "2", "--q", "3"],
+    "mkdv-soliton": ["--c", "1"],
+    "gardner-soliton": ["--c", "1", "--mu", "0.5"],
+    "sg-kink": ["--v", "0.3", "--a", "0", "--b", "0"],
+}
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("family", sorted(_FAMILY_ARGV))
+def test_non_finite_family_parameter_exit_2(family, bad, capsys):
+    argv = _FAMILY_ARGV[family]
+    for i in range(0, len(argv), 2):
+        if argv[i] in ("--p", "--q"):  # integer flags
+            continue
+        bad_argv = argv[:i] + [f"{argv[i]}={bad}"] + argv[i + 2:]
+        assert run(["residual", "--family", family] + bad_argv) == 2, argv[i]
+        assert "finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["stability", "--k", "0.01:0.02:0"],
+    ["stability", "--k", "0.02:0.01:0.001"],
+    ["stability", "--k", "0.01:0.02:-0.001"],
+    ["stability", "--k", "0.01:nan:0.001"],
+    ["stability", "--k", "0.01:0.02:inf"],
+    ["stability", "--k", "0:0.05:1e-9"],
+    ["sweep", "--family", "mkdv", "--alpha", "0.5", "--param", "x1", "--values", "0:1:0"],
+    ["sweep", "--family", "mkdv", "--alpha", "0.5", "--param", "x1", "--values", "1:0:-0.5"],
+])
+def test_bad_value_grid_exit_2(argv, capsys):
+    assert run(argv) == 2
+    assert "grid" in capsys.readouterr().err
+
+
 _EDGE_FLOATS = hs.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0, -1.0, 1e-300, 1e300])
 
 
@@ -230,6 +269,19 @@ def test_stability_exit_code_contract(beta, k):
         assert all(math.isfinite(float(v)) for v in values)
 
 
+_GRID_FLOATS = hs.floats() | hs.floats(min_value=-0.1, max_value=0.1) | _EDGE_FLOATS
+
+
+@settings(max_examples=150, deadline=None)
+@given(a=_GRID_FLOATS, b=_GRID_FLOATS, step=_GRID_FLOATS)
+def test_value_grid_exit_code_contract(a, b, step):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(["stability", f"--k={a!r}:{b!r}:{step!r}"])
+    assert code in (0, 2, 3)
+    assert "Traceback" not in err.getvalue()
+
+
 def test_number_format():
     assert cli.fmt(0.0) == "0"
     assert cli.fmt(12.5) == "12.5000000000"
@@ -241,3 +293,5 @@ def test_value_range_parsing():
     assert cli._parse_values("1,2,3") == [1.0, 2.0, 3.0]
     vals = cli._parse_values("0.0:1.0:0.25")
     assert vals == pytest.approx([0.0, 0.25, 0.5, 0.75, 1.0])
+    # the stability sweep's grid: a + i step, unchanged by the validation
+    assert cli._parse_values("0.001:0.058:0.0005") == [0.001 + i * 0.0005 for i in range(115)]

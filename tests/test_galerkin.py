@@ -1,4 +1,5 @@
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from breatherlab import breathers as br
 from breatherlab import galerkin as gk
 from breatherlab import linops
+from breatherlab import stability as st
 from breatherlab.quadrature import TorusPlan
 from breatherlab.specfun import FourierBasis
 
@@ -112,6 +114,79 @@ class TestAssembly:
         assembled = gk.AssembledMatrix(matrix=np.eye(2), asymmetry=asymmetry, drift=drift)
         with pytest.raises(gk.AssemblyError):
             assembled.require_quality()
+
+
+def _kksh_problem(n, plan=None, **params):
+    return gk.fourier_problem(linops.kksh_operator(br.KkshBreather(**params)), n, plan)
+
+
+class TestTorusProjection:
+    """The FFT projection against the basis-stack sum ``_project``."""
+
+    @pytest.mark.parametrize("n, params", [
+        (40, dict(beta=1.0, k=0.058836240, x1=0.1)),  # fig20's first k
+        (50, dict(beta=1.0, k=0.0005, x1=0.1)),
+        (50, dict(beta=1.0, k=0.03, x1=0.1)),
+        (50, dict(beta=1.0, k=0.05, x1=0.1)),
+        (40, dict(beta=1.0, k=st.solve_commensurability_from_m(0.5).k)),  # table-6-9
+    ])
+    def test_matches_the_stack_sum(self, n, params):
+        prob = _kksh_problem(n, **params)
+        for refine in (1, 2):
+            x, w = prob.plan.nodes_weights(refine)
+            stack = gk._project(prob, x, w)
+            fft = gk._project_torus(prob, x, w)
+            assert np.max(np.abs(fft - stack)) <= 1e-14 * np.max(np.abs(stack))
+
+    def test_aliased_sum_matches_and_fails_the_drift_gate(self, monkeypatch):
+        # 64 nodes carry modes up to 32 only: (p - q) mod N wraps for n = 40
+        period = br.KkshBreather(beta=1.0, k=0.03).period
+        prob = _kksh_problem(40, TorusPlan(period=period, n_nodes=64), beta=1.0, k=0.03, x1=0.1)
+        for refine in (1, 2):
+            x, w = prob.plan.nodes_weights(refine)
+            stack = gk._project(prob, x, w)
+            fft = gk._project_torus(prob, x, w)
+            # 1e-13: at 64 nodes the stack sum itself is 1.7e-14 of max|M| from
+            # a long-double sum of the same terms
+            assert np.max(np.abs(fft - stack)) <= 1e-13 * np.max(np.abs(stack))
+        with pytest.raises(gk.AssemblyError, match="drift"):
+            gk.assemble(prob)
+        monkeypatch.setattr(gk, "_project_torus", gk._project)
+        with pytest.raises(gk.AssemblyError, match="drift"):
+            gk.assemble(prob)
+
+    def test_asymmetry_flags_c1_off_c2_prime(self):
+        @dataclass(frozen=True)
+        class SkewOperator(linops.ScalarOperator):
+            def coefficients(self, x):
+                c0, c1, c2 = super().coefficients(x)
+                return c0, c1 + np.cos(2 * math.pi * x / self.family.period), c2
+
+        fam = br.KkshBreather(beta=1.0, k=0.03, x1=0.1)
+        sound = linops.kksh_operator(fam)
+        skew = SkewOperator(fam, a1=sound.a1, a2=sound.a2)
+        prob = gk.fourier_problem(skew, 40)
+        assembled = gk.assemble(prob, check_quality=False)
+        assert assembled.asymmetry > gk.ASYMMETRY_FLAG
+        with pytest.raises(gk.AssemblyError, match="asymmetry"):
+            assembled.require_quality()
+        x, w = prob.plan.nodes_weights(2)
+        stack = gk._project(prob, x, w)
+        stack_asymmetry = np.max(np.abs(stack - stack.T)) / np.max(np.abs(stack))
+        assert assembled.asymmetry == pytest.approx(stack_asymmetry, rel=1e-6)
+
+    def test_coefficients_evaluated_once_per_level(self, monkeypatch):
+        prob = _kksh_problem(40, beta=1.0, k=0.03, x1=0.1)
+        sizes = []
+        coefficients = linops.ScalarOperator.coefficients
+
+        def counted(op, x):
+            sizes.append(np.size(x))
+            return coefficients(op, x)
+
+        monkeypatch.setattr(linops.ScalarOperator, "coefficients", counted)
+        gk.assemble(prob)
+        assert sizes == [prob.plan.nodes_weights(refine)[0].size for refine in (1, 2)]
 
 
 class TestEigSym:

@@ -184,3 +184,20 @@ class TestFourierBasis:
         w = 2 * math.pi * 2 / L
         # row of cos_2 differentiates to -w sin_2
         assert np.allclose(V1[3], -w * math.sqrt(2 / L) * np.sin(w * x), atol=1e-12)
+
+    def test_derivative_stack_matches_closed_form_through_order_4(self):
+        L = 5.3
+        basis = sf.FourierBasis(period=L, count_n=50)
+        x = np.arange(512) * L / 512
+        stack = basis.stack(x, 4)
+        amp = math.sqrt(2 / L)
+        for d, v in enumerate(stack):
+            for n in range(1, 51):
+                w = 2 * math.pi * n / L
+                # d-th derivative of cos(wx) is w^d cos(wx + d pi/2), of sin likewise
+                exact_cos = amp * w**d * np.cos(w * x + 0.5 * math.pi * d)
+                exact_sin = amp * w**d * np.sin(w * x + 0.5 * math.pi * d)
+                assert np.max(np.abs(v[2 * n - 1] - exact_cos)) <= 1e-12 * amp * w**d
+                assert np.max(np.abs(v[2 * n] - exact_sin)) <= 1e-12 * amp * w**d
+        assert np.all(stack[0][0] == 1 / math.sqrt(L))
+        assert not np.any(stack[4][0])
