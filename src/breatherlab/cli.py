@@ -5,12 +5,14 @@ constants) into '#'-prefixed header lines, making output files
 self-describing and byte-reproducible.
 
 Exit codes: 0 success, 2 parameter/validation failure, 3 numerical-quality
-failure (quadrature drift, matrix asymmetry or eigensolver diagnostics).
+failure (quadrature drift, matrix asymmetry, eigensolver diagnostics, or a
+NaN or infinite residual or diagnostic about to be printed).
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -52,6 +54,18 @@ def _parse_values(spec: str) -> list[float]:
         vals = [a + i * step for i in range(n + 1)]
         return [v for v in vals if v <= b + 1e-12]
     return [float(s) for s in spec.split(",")]
+
+
+def _check_n_eigs(n_eigs: int) -> None:
+    if n_eigs < 1:
+        raise ValueError(f"--n-eigs must be at least 1, got {n_eigs}")
+
+
+def _check_finite_values(pairs) -> None:
+    """Fail closed on a non-finite number about to be printed."""
+    for name, value in pairs:
+        if not math.isfinite(value):
+            raise ArithmeticError(f"{name} is {value}")
 
 
 def _load_config(path: str) -> dict:
@@ -212,6 +226,7 @@ _EIG_HEADER = [
 
 
 def cmd_spectrum(args, argv) -> int:
+    _check_n_eigs(args.n_eigs)
     family = _family_from_args(args)
     n = args.dim_total // 2 if (args.family == "sg" and args.dim_total) else args.n
     problem, assembled, spectrum, cls = _spectral_run(family, n, args.kernel_tol, args.t)
@@ -259,10 +274,15 @@ def _sweep_csv(param, rows, cfg, n_eigs) -> str:
 
 
 def cmd_sweep(args, argv) -> int:
+    _check_n_eigs(args.n_eigs)
     values = _parse_values(args.values)
+    family = _family_from_args(args)
+    # a field the CLI does not pass to the constructor would sweep nothing
+    params = [f.name for f in dataclasses.fields(family) if hasattr(args, f.name)]
+    if args.param not in params:
+        raise ValueError(f"--param must be one of {params} for {args.family}, got {args.param!r}")
     n = args.dim_total // 2 if (args.family == "sg" and args.dim_total) else args.n
     rows = _sweep_rows(args, args.param, values, n, args.kernel_tol, args.n_eigs)
-    family = _family_from_args(args)
     cfg = _family_config(family)
     cfg.update({"n": n, "sweep": args.param})
     _write_text(args.out, _sweep_csv(args.param, rows, cfg, args.n_eigs))
@@ -309,6 +329,7 @@ def cmd_table(args, argv) -> int:
     )
     n = spec["n"]
     n_eigs = args.n_eigs
+    _check_n_eigs(n_eigs)
     if spec["param"] is None:
         if ns.k is None and ns.m is not None:
             ns.k = stability.solve_commensurability_from_m(ns.m).k
@@ -349,6 +370,18 @@ def cmd_table(args, argv) -> int:
 
 def cmd_residual(args, argv) -> int:
     family = _family_from_args(args)
+    if not math.isfinite(args.t):
+        raise ValueError(f"--t must be finite, got {args.t}")
+    if not (math.isfinite(args.grid_lo) and math.isfinite(args.grid_hi)):
+        raise ValueError(
+            f"--grid-lo and --grid-hi must be finite, got {args.grid_lo} and {args.grid_hi}"
+        )
+    if not args.grid_lo < args.grid_hi:
+        raise ValueError(
+            f"--grid-lo must lie below --grid-hi, got {args.grid_lo} and {args.grid_hi}"
+        )
+    if args.grid_points < 2:
+        raise ValueError(f"--grid-points must be at least 2, got {args.grid_points}")
     if family.domain == "torus":
         x = np.linspace(0.0, family.period, args.grid_points, endpoint=False)
     else:
@@ -367,11 +400,12 @@ def cmd_residual(args, argv) -> int:
     lines.append("# stationary: max |equation| / max-term, over the grid; pde: max absolute defect")
     lines.append("check,value")
     if isinstance(stat, tuple):
-        lines.append(f"stationary_first,{fmt(stat[0])}")
-        lines.append(f"stationary_second,{fmt(stat[1])}")
+        rows = [("stationary_first", stat[0]), ("stationary_second", stat[1])]
     else:
-        lines.append(f"stationary,{fmt(stat)}")
-    lines.append(f"pde,{fmt(pde)}")
+        rows = [("stationary", stat)]
+    rows.append(("pde", pde))
+    _check_finite_values(rows)
+    lines += [f"{name},{fmt(value)}" for name, value in rows]
     _write_text(args.out, "\n".join(lines) + "\n")
     return 0
 
@@ -379,6 +413,8 @@ def cmd_residual(args, argv) -> int:
 def cmd_conserved(args, argv) -> int:
     family = _family_from_args(args)
     times = [float(s) for s in args.times.split(",")]
+    if not all(math.isfinite(t) for t in times):
+        raise ValueError(f"--times must be finite, got {args.times!r}")
     values = [functionals.evaluate_functional(args.kind, family, t=t) for t in times]
     drift = max(abs(v - values[0]) for v in values[1:]) if len(values) > 1 else 0.0
     cfg = _family_config(family)
@@ -425,13 +461,17 @@ def cmd_backlund(args, argv) -> int:
     lines = _config_lines(cfg)
     lines.append("# superposition construction diagnostics")
     lines.append("quantity,value")
-    lines.append(f"mu,{fmt(mu)}")
-    lines.append(f"c2,{fmt(family.c2)}")
-    lines.append(f"L,{fmt(family.period)}")
-    lines.append(f"superposition_vs_closed_form,{fmt(perm)}")
-    lines.append(f"seed_relation_residual,{fmt(seed)}")
-    lines.append(f"spatial_mean,{fmt(mean)}")
-    lines.append(f"periodicity_defect,{fmt(breathers.periodicity_check(family))}")
+    rows = [
+        ("mu", mu),
+        ("c2", family.c2),
+        ("L", family.period),
+        ("superposition_vs_closed_form", perm),
+        ("seed_relation_residual", seed),
+        ("spatial_mean", mean),
+        ("periodicity_defect", breathers.periodicity_check(family)),
+    ]
+    _check_finite_values(rows)
+    lines += [f"{name},{fmt(value)}" for name, value in rows]
     _write_text(args.out, "\n".join(lines) + "\n")
     return 0
 

@@ -341,30 +341,31 @@ def stationary_residual(family, x=None, t: float = 0.0, ab=None):
 
 
 def pde_residual(family, n_points: int = 100, seed: int = 0, t_span: float = 2.0) -> float:
-    """Max absolute defect of the evolution equation at random (t, x) points."""
+    """Max absolute defect of the evolution equation at random (t, x) points.
+
+    All points go through one family evaluation; a NaN at any of them makes
+    the result NaN.
+    """
     rng = np.random.default_rng(seed)
     ts = rng.uniform(-t_span, t_span, size=n_points)
     if family.domain == "torus":
         xs = rng.uniform(0.0, family.period, size=n_points)
     else:
         xs = rng.uniform(-8.0, 8.0, size=n_points)
-    worst = 0.0
-    for t, x in zip(ts, xs):
-        out = family.eval(t, np.asarray([x]), deg=4)
-        if isinstance(out, PairFieldJet):
-            B = out.b
-            r = B.partial(nt=2) - B.partial(nx=2) + np.sin(B.value)
-        else:
-            u = out.value
-            mu = family.mu if family.kind in ("gardner", "gardner-soliton") else 0.0
-            r = (
-                out.partial(nt=1)
-                + out.partial(nx=3)
-                + 2.0 * mu * u * out.partial(nx=1)
-                + 3.0 * u**2 * out.partial(nx=1)
-            )
-        worst = max(worst, float(np.max(np.abs(r))))
-    return worst
+    out = family.eval(ts, xs, deg=4)
+    if isinstance(out, PairFieldJet):
+        B = out.b
+        r = B.partial(nt=2) - B.partial(nx=2) + np.sin(B.value)
+    else:
+        u = out.value
+        mu = family.mu if family.kind in ("gardner", "gardner-soliton") else 0.0
+        r = (
+            out.partial(nt=1)
+            + out.partial(nx=3)
+            + 2.0 * mu * u * out.partial(nx=1)
+            + 3.0 * u**2 * out.partial(nx=1)
+        )
+    return float(np.max(np.abs(r)))
 
 
 def mean_value(family, t: float = 0.0, n_nodes: int = 8192) -> float:

@@ -8,6 +8,8 @@ from breatherlab import breathers as br
 from breatherlab import functionals as fn
 from breatherlab import stability as st
 
+import loop_oracles
+
 SQRT2 = math.sqrt(2.0)
 
 
@@ -87,20 +89,7 @@ class TestProfileValues:
 
 
 class TestPdeResiduals:
-    @pytest.mark.parametrize(
-        "family",
-        [
-            br.MkdvBreather(alpha=2.5, beta=1.0, x1=0.2, x2=-0.1),
-            br.GardnerBreather(alpha=0.5, beta=1.0, mu=0.1, x1=0.1),
-            br.SgBreather(beta=0.5, v=0.7, x1=0.3, x2=0.2),
-            br.KkshBreather(beta=1.0, k=0.03, x1=0.1),
-            br.NonzeroMeanBreather(mu=1.3, c1=0.9, p=2, q=3),
-            br.MkdvSoliton(c=1.2, x0=0.4),
-            br.GardnerSoliton(c=0.8, mu=0.5),
-            br.SgKink(v=0.4, x0=-0.3),
-        ],
-        ids=lambda f: f.kind,
-    )
+    @pytest.mark.parametrize("family", loop_oracles.PDE_FAMILIES, ids=lambda f: f.kind)
     def test_solution_of_its_equation(self, family):
         assert fn.pde_residual(family, n_points=100) < 1e-9
 
@@ -125,6 +114,42 @@ class TestPeriodicity:
     def test_rejects_solitons(self):
         with pytest.raises(ValueError):
             br.periodicity_check(br.MkdvSoliton(c=1.0))
+
+
+_PERIODIC_FAMILIES = [
+    br.MkdvBreather(alpha=2.5, beta=1.0, x1=0.3),
+    br.GardnerBreather(alpha=0.5, beta=1.0, mu=0.1, x1=0.1),
+    br.SgBreather(beta=0.5, v=0.7),
+    br.KkshBreather(beta=1.0, k=0.02, x1=0.1),
+    br.NonzeroMeanBreather(mu=1.3, c1=0.9, p=2, q=3),
+    br.NonzeroMeanBreather(mu=2.9096582464459835, c1=1.65, p=22, q=23),
+]
+
+
+class TestBatchedPeriodicity:
+    @pytest.mark.parametrize("family", _PERIODIC_FAMILIES, ids=lambda f: f.kind)
+    def test_equals_the_per_time_loop(self, family):
+        for seed in (0, 1):
+            expected = loop_oracles.periodicity_check_loop(family, seed=seed)
+            assert br.periodicity_check(family, seed=seed) == expected
+
+    @pytest.mark.parametrize("family", _PERIODIC_FAMILIES, ids=lambda f: f.kind)
+    def test_one_eval_per_side(self, family, monkeypatch):
+        calls = loop_oracles.count_evals(monkeypatch, type(family))
+        br.periodicity_check(family)
+        line = [(40, 40)] * 2
+        assert calls == (line + [(8, 40)] * 2 if family.domain == "torus" else line)
+
+    @pytest.mark.parametrize("family", [_PERIODIC_FAMILIES[2], _PERIODIC_FAMILIES[4]],
+                             ids=lambda f: f.kind)
+    def test_nan_at_one_point_propagates(self, family, monkeypatch):
+        # on the torus, plant it where only the x + period side samples
+        shift = family.period if family.domain == "torus" else 0.0
+        x_bad = loop_oracles.sample_xs(40, 0)[5] + shift
+        loop_oracles.plant_nan(monkeypatch, type(family), x_bad)
+        # the per-time loop folds with Python max, which drops the NaN
+        assert math.isfinite(loop_oracles.periodicity_check_loop(family))
+        assert math.isnan(br.periodicity_check(family))
 
 
 class TestSgIdentities:

@@ -8,8 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hs
 
+from breatherlab import breathers as br
 from breatherlab import cli
 from breatherlab import stability
+
+import loop_oracles
 
 
 def run(args):
@@ -248,6 +251,50 @@ def test_bad_value_grid_exit_2(argv, capsys):
     assert "grid" in capsys.readouterr().err
 
 
+_MKDV = ["--family", "mkdv", "--alpha", "0.5"]
+
+
+@pytest.mark.parametrize("argv,flag", [
+    (["residual", *_MKDV, "--t=nan"], "--t"),
+    (["residual", *_MKDV, "--t=-inf"], "--t"),
+    (["residual", *_MKDV, "--grid-lo=nan"], "--grid-lo"),
+    (["residual", *_MKDV, "--grid-hi=inf"], "--grid-hi"),
+    (["residual", *_MKDV, "--grid-lo=1", "--grid-hi=1"], "--grid-lo"),
+    (["residual", *_MKDV, "--grid-lo=2", "--grid-hi=-2"], "--grid-lo"),
+    (["residual", *_MKDV, "--grid-points=0"], "--grid-points"),
+    (["residual", *_MKDV, "--grid-points=1"], "--grid-points"),
+    (["conserved", *_MKDV, "--kind", "f", "--times=nan"], "--times"),
+    (["conserved", *_MKDV, "--kind", "f", "--times=0,inf,2"], "--times"),
+    (["spectrum", *_MKDV, "--n", "10", "--n-eigs=-2"], "--n-eigs"),
+    (["spectrum", *_MKDV, "--n", "10", "--n-eigs=0"], "--n-eigs"),
+    (["sweep", *_MKDV, "--n", "10", "--n-eigs=0", "--param", "x1", "--values", "0"], "--n-eigs"),
+    (["table", "--preset", "fig2", "--n-eigs=0"], "--n-eigs"),
+    (["sweep", *_MKDV, "--n", "20", "--param", "n", "--values", "1,2"], "--param"),
+    (["sweep", *_MKDV, "--n", "20", "--param", "family", "--values", "1,2"], "--param"),
+    (["sweep", "--family", "sg-kink", "--n", "20", "--param", "x0", "--values", "1,2"], "--param"),
+    (["sweep", "--family", "nonzero-mean", "--mu", "1.3", "--c1", "0.9", "--p", "2", "--q", "3",
+      "--n", "20", "--param", "x1", "--values", "1,2"], "--param"),
+])
+def test_bad_run_flag_exit_2(argv, flag, capsys):
+    assert run(argv) == 2
+    assert flag in capsys.readouterr().err
+
+
+def test_residual_nan_at_a_sampled_point_exit_3(monkeypatch, capsys):
+    family = br.MkdvBreather(alpha=0.5, beta=1.0)
+    loop_oracles.plant_nan(monkeypatch, br.MkdvBreather, loop_oracles.sample_xs(50, 0)[17])
+    # the per-point loop dropped the NaN, and the run printed a finite pde value
+    assert math.isfinite(loop_oracles.pde_residual_loop(family, n_points=50))
+    assert run(["residual", *_MKDV]) == 3
+    assert "pde is nan" in capsys.readouterr().err
+
+
+def test_backlund_nan_periodicity_defect_exit_3(monkeypatch, capsys):
+    loop_oracles.plant_nan(monkeypatch, br.NonzeroMeanBreather, loop_oracles.sample_xs(40, 0)[5])
+    assert run(["backlund", "--c1", "1.65", "--c2", "2.95", "--p", "22", "--q", "23"]) == 3
+    assert "periodicity_defect is nan" in capsys.readouterr().err
+
+
 _EDGE_FLOATS = hs.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0, -1.0, 1e-300, 1e300])
 
 
@@ -280,6 +327,18 @@ def test_value_grid_exit_code_contract(a, b, step):
         code = run(["stability", f"--k={a!r}:{b!r}:{step!r}"])
     assert code in (0, 2, 3)
     assert "Traceback" not in err.getvalue()
+
+
+@settings(max_examples=100, deadline=None)
+@given(t=_GRID_FLOATS, lo=_GRID_FLOATS, hi=_GRID_FLOATS)
+def test_residual_exit_code_contract(t, lo, hi):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(["residual", *_MKDV, f"--t={t!r}", f"--grid-lo={lo!r}", f"--grid-hi={hi!r}"])
+    assert code in (0, 2, 3)
+    assert "Traceback" not in err.getvalue()
+    if code == 0:
+        assert "nan" not in out.getvalue()
 
 
 def test_number_format():

@@ -10,6 +10,8 @@ from breatherlab import jets
 from breatherlab import stability as st
 from breatherlab.quadrature import QuadratureError, TorusPlan, checked_integral
 
+import loop_oracles
+
 
 class TestClosedFormValues:
     def test_sg_energy_is_sixteen_beta(self):
@@ -203,3 +205,26 @@ def test_mean_value_requires_torus():
 def test_checked_integral_rejects_nan():
     with pytest.raises(QuadratureError):
         checked_integral(lambda x: np.full_like(x, np.nan), TorusPlan(period=1.0, n_nodes=8))
+
+
+class TestBatchedPdeResidual:
+    @pytest.mark.parametrize("n_points", [1, 7, 50, 100])
+    @pytest.mark.parametrize("family", loop_oracles.PDE_FAMILIES, ids=lambda f: f.kind)
+    def test_equals_the_per_point_loop(self, family, n_points):
+        for seed in (0, 1, 2):
+            expected = loop_oracles.pde_residual_loop(family, n_points, seed)
+            assert fn.pde_residual(family, n_points, seed) == expected
+
+    @pytest.mark.parametrize("family", loop_oracles.PDE_FAMILIES, ids=lambda f: f.kind)
+    def test_one_eval_over_all_points(self, family, monkeypatch):
+        calls = loop_oracles.count_evals(monkeypatch, type(family))
+        fn.pde_residual(family, n_points=50)
+        assert calls == [(50,)]
+
+    def test_nan_at_one_point_propagates(self, monkeypatch):
+        family = br.MkdvBreather(alpha=0.5, beta=1.0)
+        x_bad = loop_oracles.sample_xs(50, 0)[17]
+        loop_oracles.plant_nan(monkeypatch, br.MkdvBreather, x_bad)
+        # the per-point loop folds with Python max, which drops the NaN
+        assert math.isfinite(loop_oracles.pde_residual_loop(family, n_points=50))
+        assert math.isnan(fn.pde_residual(family, n_points=50))
