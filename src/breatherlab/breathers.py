@@ -113,25 +113,28 @@ def _phase_jets(y1, y2, deg):
     )
 
 
+class _ScalarFamily:
+    """Variational data of a scalar family, read by the functionals and the
+    linearized operators.
+
+    The profile minus ``level`` solves, up to a Galilean drift, the Gardner
+    equation w_t + w_xxx + 2 q w w_x + 3 w^2 w_x = 0 with q = ``quadratic``
+    (q = 0 is mKdV).  The breathers add ``a1a2``: the multipliers of energy and
+    mass in the Lyapunov functional H = F + a1 E + a2 M.
+    """
+
+    level = 0.0
+    quadratic = 0.0
+
+
 # ---------------------------------------------------------------------------
 # line breathers
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class MkdvBreather:
-    alpha: float
-    beta: float
-    x1: float = 0.0
-    x2: float = 0.0
-
-    kind: ClassVar[str] = "mkdv"
-    domain: ClassVar[str] = "line"
-
-    def __post_init__(self):
-        check_finite(self)
-        if self.alpha <= 0 or self.beta <= 0:
-            raise ValueError("breather scalings alpha, beta must be positive")
+class _LineBreather(_ScalarFamily):
+    """Phases, periods and Lyapunov multipliers of the mKdV and Gardner
+    breathers; a subclass holds alpha, beta, x1 and x2."""
 
     @property
     def delta(self) -> float:
@@ -142,64 +145,8 @@ class MkdvBreather:
         return 3 * self.alpha**2 - self.beta**2
 
     @property
-    def time_period(self) -> float:
-        return 2 * math.pi / (self.alpha * (self.gamma - self.delta))
-
-    @property
-    def space_shift(self) -> float:
-        return -self.gamma * self.time_period
-
-    @property
-    def decay_rate(self) -> float:
-        return self.beta
-
-    @property
-    def osc_frequency(self) -> float:
-        return self.alpha
-
-    def envelope_center(self, t: float) -> float:
-        return -(self.gamma * t + self.x2)
-
-    def eval(self, t, x, deg: int = DEFAULT_DEG) -> FieldJet:
-        a, b = self.alpha, self.beta
-        x = np.asarray(x, dtype=float)
-        Y1, Y2 = _phase_jets(x + self.delta * t + self.x1, x + self.gamma * t + self.x2, deg)
-        sin1, cos1 = jets.sin(a * Y1), jets.cos(a * Y1)
-        cosh2, sinh2 = jets.cosh(b * Y2), jets.sinh(b * Y2)
-        num = _Pair(b * sin1, a * b * cos1)
-        den = _Pair(a * cosh2, a * b * sinh2)
-        return FieldJet(AMP * _dx_arctan(num, den), dt=(self.delta, self.gamma), dx=(1.0, 1.0))
-
-
-@dataclass(frozen=True)
-class GardnerBreather:
-    alpha: float
-    beta: float
-    mu: float
-    x1: float = 0.0
-    x2: float = 0.0
-
-    kind: ClassVar[str] = "gardner"
-    domain: ClassVar[str] = "line"
-
-    def __post_init__(self):
-        check_finite(self)
-        if self.alpha == 0 or self.beta == 0 or self.mu == 0:
-            raise ValueError("gardner breather needs alpha, beta, mu all nonzero")
-        if self.disc <= 0:
-            raise ValueError("gardner breather needs alpha^2 + beta^2 - 2 mu^2 / 9 > 0")
-
-    @property
-    def disc(self) -> float:
-        return self.alpha**2 + self.beta**2 - 2 * self.mu**2 / 9
-
-    @property
-    def delta(self) -> float:
-        return self.alpha**2 - 3 * self.beta**2
-
-    @property
-    def gamma(self) -> float:
-        return 3 * self.alpha**2 - self.beta**2
+    def a1a2(self) -> tuple[float, float]:
+        return 2.0 * (self.beta**2 - self.alpha**2), (self.alpha**2 + self.beta**2) ** 2
 
     @property
     def time_period(self) -> float:
@@ -219,6 +166,59 @@ class GardnerBreather:
 
     def envelope_center(self, t: float) -> float:
         return -(self.gamma * t + self.x2)
+
+
+@dataclass(frozen=True)
+class MkdvBreather(_LineBreather):
+    alpha: float
+    beta: float
+    x1: float = 0.0
+    x2: float = 0.0
+
+    kind: ClassVar[str] = "mkdv"
+    domain: ClassVar[str] = "line"
+
+    def __post_init__(self):
+        check_finite(self)
+        if self.alpha <= 0 or self.beta <= 0:
+            raise ValueError("breather scalings alpha, beta must be positive")
+
+    def eval(self, t, x, deg: int = DEFAULT_DEG) -> FieldJet:
+        a, b = self.alpha, self.beta
+        x = np.asarray(x, dtype=float)
+        Y1, Y2 = _phase_jets(x + self.delta * t + self.x1, x + self.gamma * t + self.x2, deg)
+        sin1, cos1 = jets.sin(a * Y1), jets.cos(a * Y1)
+        cosh2, sinh2 = jets.cosh(b * Y2), jets.sinh(b * Y2)
+        num = _Pair(b * sin1, a * b * cos1)
+        den = _Pair(a * cosh2, a * b * sinh2)
+        return FieldJet(AMP * _dx_arctan(num, den), dt=(self.delta, self.gamma), dx=(1.0, 1.0))
+
+
+@dataclass(frozen=True)
+class GardnerBreather(_LineBreather):
+    alpha: float
+    beta: float
+    mu: float
+    x1: float = 0.0
+    x2: float = 0.0
+
+    kind: ClassVar[str] = "gardner"
+    domain: ClassVar[str] = "line"
+
+    def __post_init__(self):
+        check_finite(self)
+        if self.alpha == 0 or self.beta == 0 or self.mu == 0:
+            raise ValueError("gardner breather needs alpha, beta, mu all nonzero")
+        if self.disc <= 0:
+            raise ValueError("gardner breather needs alpha^2 + beta^2 - 2 mu^2 / 9 > 0")
+
+    @property
+    def quadratic(self) -> float:
+        return self.mu
+
+    @property
+    def disc(self) -> float:
+        return self.alpha**2 + self.beta**2 - 2 * self.mu**2 / 9
 
     def eval(self, t, x, deg: int = DEFAULT_DEG) -> FieldJet:
         a, b, mu = self.alpha, self.beta, self.mu
@@ -315,7 +315,7 @@ class SgBreather:
 
 
 @dataclass(frozen=True)
-class KkshBreather:
+class KkshBreather(_ScalarFamily):
     """Spatially periodic breather: elliptic phases locked to a common period."""
 
     beta: float
@@ -349,6 +349,10 @@ class KkshBreather:
         return self._pair.period
 
     @property
+    def a1a2(self) -> tuple[float, float]:
+        return stability._a1a2(self.beta, self.k, self.m)
+
+    @property
     def delta(self) -> float:
         return self.alpha**2 * (1 + self.k) + 3 * self.beta**2 * (self.m - 2)
 
@@ -380,12 +384,13 @@ def _coprime(p: int, q: int) -> bool:
 
 
 @dataclass(frozen=True)
-class NonzeroMeanBreather:
+class NonzeroMeanBreather(_ScalarFamily):
     """Periodic breather sitting on a nonzero constant background.
 
     The two trig phases share the spatial period L = 2 pi q / sqrt(2 mu^2 - c1),
     which requires (2 mu^2 - c1) / (2 mu^2 - c2) = q^2 / p^2 with p, q coprime.
-    Given (mu, c1, p, q) the partner level c2 is determined.
+    Given (mu, c1, p, q) the partner level c2 is determined.  The profile
+    solves mKdV, so w = u - mu solves Gardner with quadratic coefficient 3 mu.
     """
 
     mu: float
@@ -412,6 +417,19 @@ class NonzeroMeanBreather:
     @property
     def c2(self) -> float:
         return 2 * self.mu**2 - (self.p / self.q) ** 2 * (2 * self.mu**2 - self.c1)
+
+    @property
+    def level(self) -> float:
+        return self.mu
+
+    @property
+    def quadratic(self) -> float:
+        return 3.0 * self.mu
+
+    @property
+    def a1a2(self) -> tuple[float, float]:
+        c1, c2, mu = self.c1, self.c2, self.mu
+        return c1 + c2 - 4.0 * mu**2, (c1 - 2.0 * mu**2) * (c2 - 2.0 * mu**2)
 
     @property
     def rho(self) -> float:
@@ -474,7 +492,7 @@ class NonzeroMeanBreather:
 
 
 @dataclass(frozen=True)
-class MkdvSoliton:
+class MkdvSoliton(_ScalarFamily):
     c: float
     x0: float = 0.0
 
@@ -506,7 +524,7 @@ class MkdvSoliton:
 
 
 @dataclass(frozen=True)
-class GardnerSoliton:
+class GardnerSoliton(_ScalarFamily):
     c: float
     mu: float
     x0: float = 0.0
@@ -518,6 +536,10 @@ class GardnerSoliton:
         check_finite(self)
         if self.c <= 0:
             raise ValueError("soliton speed c must be positive")
+
+    @property
+    def quadratic(self) -> float:
+        return self.mu
 
     @property
     def decay_rate(self) -> float:
@@ -736,28 +758,22 @@ def _pole_free_points(family: NonzeroMeanBreather, t, rng, n):
     return np.asarray(xs)
 
 
-def backlund_construct(
-    mu: float, c1: float, p: int, q: int, check: bool = True, tol: float = 1e-10
-) -> NonzeroMeanBreather:
+def backlund_construct(mu: float, c1: float, p: int, q: int) -> NonzeroMeanBreather:
     """Build the nonzero-mean breather from its superposition data.
 
-    With ``check`` enabled the constructor verifies, on a random sample grid,
-    that the two-step superposition route reproduces the closed-form profile
-    and that the first-step seed relation holds.
+    The constructor verifies, on a random sample grid, that the two-step
+    superposition route reproduces the closed-form profile and that the
+    first-step seed relation holds, both to 1e-10.
     """
     family = NonzeroMeanBreather(mu=mu, c1=c1, p=p, q=q)
-    if check:
-        rng = np.random.default_rng(2024)
-        for t in (0.0, 0.37):
-            xs = _pole_free_points(family, t, rng, 50)
-            direct = family.eval(t, xs, deg=1).value
-            via_rule = permutability_profile(family, t, xs)
-            err = float(np.max(np.abs(direct - via_rule)))
-            if not (err <= tol):
-                raise ArithmeticError(
-                    f"superposition route deviates from closed form by {err:.3e}"
-                )
-            seed = backlund_seed_residual(family, t, xs)
-            if not (seed <= tol):
-                raise ArithmeticError(f"seed-wave relation defect {seed:.3e}")
+    rng = np.random.default_rng(2024)
+    for t in (0.0, 0.37):
+        xs = _pole_free_points(family, t, rng, 50)
+        direct = family.eval(t, xs, deg=1).value
+        err = float(np.max(np.abs(direct - permutability_profile(family, t, xs))))
+        if not (err <= 1e-10):
+            raise ArithmeticError(f"superposition route deviates from closed form by {err:.3e}")
+        seed = backlund_seed_residual(family, t, xs)
+        if not (seed <= 1e-10):
+            raise ArithmeticError(f"seed-wave relation defect {seed:.3e}")
     return family

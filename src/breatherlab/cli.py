@@ -295,7 +295,7 @@ def cmd_sweep(args, argv) -> int:
 
 
 def _preset_fig20_ks():
-    return [0.058836240 + 2e-9 * i for i in range(8)]
+    return [0.058836240 + 2e-9 * i for i in range(7)]
 
 
 PRESETS = {
@@ -331,8 +331,6 @@ def cmd_table(args, argv) -> int:
     n_eigs = args.n_eigs
     _check_n_eigs(n_eigs)
     if spec["param"] is None:
-        if ns.k is None and ns.m is not None:
-            ns.k = stability.solve_commensurability_from_m(ns.m).k
         family = _family_from_args(ns)
         _, assembled, spectrum, cls = _spectral_run(family, n)
         cfg = _family_config(family)
@@ -343,23 +341,9 @@ def cmd_table(args, argv) -> int:
             lines.append(f"{i + 1},{fmt(v)}")
         _write_text(args.out, "\n".join(lines) + "\n")
         return 0
-    rows = []
-    skipped = []
-    for val in spec["values"]:
-        local = argparse.Namespace(**vars(ns))
-        setattr(local, spec["param"], val)
-        try:
-            family = _family_from_args(local)
-        except ValueError as err:
-            skipped.append(f"# skipped {spec['param']}={fmt(val)}: {err}")
-            continue
-        _, assembled, spectrum, cls = _spectral_run(family, n)
-        rows.append((val, spectrum.values[:n_eigs], cls, assembled))
+    rows = _sweep_rows(ns, spec["param"], spec["values"], n, None, n_eigs)
     cfg = {"preset": args.preset, "family": spec["family"], "n": n}
-    text = _sweep_csv(spec["param"], rows, cfg, n_eigs)
-    if skipped:
-        text += "\n".join(skipped) + "\n"
-    _write_text(args.out, text)
+    _write_text(args.out, _sweep_csv(spec["param"], rows, cfg, n_eigs))
     return 0
 
 

@@ -18,6 +18,8 @@ from .breathers import FieldJet, PairFieldJet
 from .quadrature import LinePlan, TorusPlan, checked_integral
 
 SQRT2 = math.sqrt(2.0)
+# the breathers whose Lyapunov multipliers are (a1, a2) of energy and mass
+_SCALAR_BREATHERS = ("mkdv", "gardner", "kksh", "nonzero-mean")
 
 
 def family_plan(family, t: float = 0.0, nodes_per_unit: float = 8.0):
@@ -56,19 +58,22 @@ def field_arrays(family, t, x, deg: int = 2) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _mkdv_integrands(mu: float = 0.0):
+def _mkdv_integrands(mu: float = 0.0, level: float = 0.0):
+    """Mass, energy and F of the Gardner equation with quadratic coefficient
+    mu (mKdV at mu = 0), in the field minus its background level."""
+
     def mass(f):
-        return 0.5 * f["u"] ** 2
+        return 0.5 * (f["u"] - level) ** 2
 
     def energy(f):
-        u, ux = f["u"], f["ux"]
+        u, ux = f["u"] - level, f["ux"]
         out = 0.5 * ux**2 - 0.25 * u**4
         if mu:
             out = out - (mu / 3.0) * u**3
         return out
 
     def third(f):
-        u, ux, uxx = f["u"], f["ux"], f["uxx"]
+        u, ux, uxx = f["u"] - level, f["ux"], f["uxx"]
         out = 0.5 * uxx**2 - 2.5 * u**2 * ux**2 + 0.25 * u**6
         if mu:
             out = out + (
@@ -102,64 +107,20 @@ def _sg_integrands():
     return {"energy": energy, "momentum": momentum, "f": third}
 
 
-def _shifted_mkdv_integrands(mu: float):
-    """Background-level forms: powers of (u - mu) except in the gradient terms."""
-
-    def mass(f):
-        return 0.5 * (f["u"] - mu) ** 2
-
-    def energy(f):
-        w, ux = f["u"] - mu, f["ux"]
-        return 0.5 * ux**2 - mu * w**3 - 0.25 * w**4
-
-    def third(f):
-        w, ux, uxx = f["u"] - mu, f["ux"], f["uxx"]
-        return (
-            0.5 * uxx**2
-            - 5.0 * mu * w * ux**2
-            + 2.5 * mu**2 * w**4
-            - 2.5 * w**2 * ux**2
-            + 1.5 * mu * w**5
-            + 0.25 * w**6
-        )
-
-    return {"mass": mass, "energy": energy, "f": third}
-
-
 def _lyapunov_coefficients(family) -> dict:
-    kind = family.kind
-    if kind in ("mkdv", "gardner"):
-        c_e = 2.0 * (family.beta**2 - family.alpha**2)
-        c_m = (family.alpha**2 + family.beta**2) ** 2
-        return {"f": 1.0, "energy": c_e, "mass": c_m}
-    if kind == "kksh":
-        from . import stability
-
-        a1, a2 = stability.coeffs_a1a2(family.beta, family.k)
-        return {"f": 1.0, "energy": a1, "mass": a2}
-    if kind == "nonzero-mean":
-        c1, c2, mu = family.c1, family.c2, family.mu
-        return {
-            "f": 1.0,
-            "energy": c1 + c2 - 4.0 * mu**2,
-            "mass": (c1 - 2.0 * mu**2) * (c2 - 2.0 * mu**2),
-        }
-    if kind in ("sg", "sg-kink"):
+    if family.kind == "sg":
         return {"f": 1.0, "energy": family.a, "momentum": family.b}
-    raise ValueError(f"no Lyapunov combination for family kind {kind!r}")
+    if family.kind in _SCALAR_BREATHERS:
+        a1, a2 = family.a1a2
+        return {"f": 1.0, "energy": a1, "mass": a2}
+    # the kink admits a whole line of (a, b), so it fixes no combination
+    raise ValueError(f"no Lyapunov combination for family kind {family.kind!r}")
 
 
 def _integrand_table(family) -> dict:
-    kind = family.kind
-    if kind in ("mkdv", "mkdv-soliton", "kksh"):
-        return _mkdv_integrands()
-    if kind in ("gardner", "gardner-soliton"):
-        return _mkdv_integrands(mu=family.mu)
-    if kind == "nonzero-mean":
-        return _shifted_mkdv_integrands(family.mu)
-    if kind in ("sg", "sg-kink"):
+    if family.kind in ("sg", "sg-kink"):
         return _sg_integrands()
-    raise ValueError(f"unknown family kind {kind!r}")
+    return _mkdv_integrands(family.quadratic, family.level)
 
 
 def evaluate_functional(kind: str, family, t: float = 0.0, plan=None) -> float:
@@ -229,8 +190,9 @@ def _default_grid(family, t):
     return family.envelope_center(t) + np.linspace(-10.0, 10.0, 200)
 
 
-def _mkdv_terms(f: FieldJet, c_e: float, c_m: float, mu: float = 0.0) -> list:
-    B = f.value
+def _mkdv_terms(f: FieldJet, c_e: float, c_m: float, mu: float = 0.0, level: float = 0.0) -> list:
+    """Terms of the Gardner stationary equation for the field minus its level."""
+    B = f.value - level
     Bx, Bxx, B4 = f.partial(nx=1), f.partial(nx=2), f.partial(nx=4)
     terms = [
         B4,
@@ -291,37 +253,9 @@ def stationary_residual(family, x=None, t: float = 0.0, ab=None):
     if x is None:
         x = _default_grid(family, t)
     kind = family.kind
-    if kind in ("mkdv", "gardner"):
+    if kind in _SCALAR_BREATHERS:
         f = family.eval(t, x, deg=4)
-        c_e = 2.0 * (family.beta**2 - family.alpha**2)
-        c_m = (family.alpha**2 + family.beta**2) ** 2
-        mu = family.mu if kind == "gardner" else 0.0
-        return _relative_residual(_mkdv_terms(f, c_e, c_m, mu))
-    if kind == "kksh":
-        from . import stability
-
-        a1, a2 = stability.coeffs_a1a2(family.beta, family.k)
-        f = family.eval(t, x, deg=4)
-        return _relative_residual(_mkdv_terms(f, a1, a2))
-    if kind == "nonzero-mean":
-        f = family.eval(t, x, deg=4)
-        mu, c1, c2 = family.mu, family.c1, family.c2
-        B = f.value
-        Bx, Bxx, B4 = f.partial(nx=1), f.partial(nx=2), f.partial(nx=4)
-        W = B - mu
-        terms = [
-            B4,
-            -(c1 + c2 - 4 * mu**2) * (Bxx + 3 * mu * W**2 + W**3),
-            (c1 - 2 * mu**2) * (c2 - 2 * mu**2) * W,
-            5.0 * W * Bx**2,
-            5.0 * W**2 * Bxx,
-            1.5 * W**5,
-            5.0 * mu * Bx**2,
-            7.5 * mu * W**4,
-            10.0 * mu * W * Bxx,
-            10.0 * mu**2 * W**3,
-        ]
-        return _relative_residual(terms)
+        return _relative_residual(_mkdv_terms(f, *family.a1a2, family.quadratic, family.level))
     if kind in ("mkdv-soliton", "gardner-soliton"):
         f = family.eval(t, x, deg=2)
         Q, Qxx = f.value, f.partial(nx=2)

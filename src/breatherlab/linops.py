@@ -106,28 +106,16 @@ class ScalarOperator:
         return float(np.dot(w_quad, z[0] * self.apply(x, z)))
 
 
-def mkdv_operator(family, t: float = 0.0, zero_potential: bool = False) -> ScalarOperator:
+def scalar_operator(family, t: float = 0.0, zero_potential: bool = False) -> ScalarOperator:
+    """Linearization of a scalar breather's stationary equation about its
+    normal form at time t, with the family's own Lyapunov multipliers."""
+    if family.kind not in ("mkdv", "gardner", "kksh"):
+        raise ValueError(f"no linearized operator for family kind {family.kind!r}")
     fam = breathers.normal_form(family, t)
-    a1 = 2.0 * (fam.beta**2 - fam.alpha**2)
-    a2 = (fam.alpha**2 + fam.beta**2) ** 2
-    return ScalarOperator(fam, a1=a1, a2=a2, zero_potential=zero_potential, label="mkdv")
-
-
-def gardner_operator(family, t: float = 0.0, mu=None, zero_potential: bool = False) -> ScalarOperator:
-    fam = breathers.normal_form(family, t)
-    a1 = 2.0 * (fam.beta**2 - fam.alpha**2)
-    a2 = (fam.alpha**2 + fam.beta**2) ** 2
-    mu = fam.mu if mu is None else mu
-    return ScalarOperator(fam, a1=a1, a2=a2, mu=mu, zero_potential=zero_potential, label="gardner")
-
-
-def kksh_operator(family, t: float = 0.0, a1a2=None) -> ScalarOperator:
-    from . import stability
-
-    fam = breathers.normal_form(family, t)
-    if a1a2 is None:
-        a1a2 = stability.coeffs_a1a2(fam.beta, fam.k)
-    return ScalarOperator(fam, a1=a1a2[0], a2=a1a2[1], label="kksh")
+    a1, a2 = fam.a1a2
+    return ScalarOperator(
+        fam, a1=a1, a2=a2, mu=fam.quadratic, zero_potential=zero_potential, label=fam.kind
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -216,16 +204,9 @@ def sg_operator(family, t: float = 0.0) -> SgBlockOperator:
 
 
 def operator_for(family, t: float = 0.0):
-    kind = family.kind
-    if kind == "mkdv":
-        return mkdv_operator(family, t)
-    if kind == "gardner":
-        return gardner_operator(family, t)
-    if kind == "kksh":
-        return kksh_operator(family, t)
-    if kind == "sg":
+    if family.kind == "sg":
         return sg_operator(family, t)
-    raise ValueError(f"no linearized operator for family kind {kind!r}")
+    return scalar_operator(family, t)
 
 
 # ---------------------------------------------------------------------------
@@ -233,21 +214,18 @@ def operator_for(family, t: float = 0.0):
 # ---------------------------------------------------------------------------
 
 
-def _fd_step(beta: float, h: float | None) -> float:
-    return h if h is not None else 1e-5 * max(1.0, beta)
-
-
-def sg_scaling_direction(family, x, h: float | None = None):
-    """(dB/dbeta, dB_t/dbeta) derivative grids by central differences.
+def sg_scaling_direction(family, x):
+    """(dB/dbeta, dB_t/dbeta) derivative grids by central differences of step
+    1e-5 max(1, beta).
 
     The shift and velocity parameters stay fixed while every derived
     constant follows the scaling.
     """
-    h = _fd_step(family.beta, h)
+    h = 1e-5 * max(1.0, family.beta)
     return _central_fields(lambda s: replace(family, beta=family.beta + s), h, 0.0, x, 4)
 
 
-def sg_scaling_relation_residuals(family, x=None, h: float | None = None):
+def sg_scaling_relation_residuals(family, x=None):
     """Residuals of the two operator identities satisfied by the scaling
     direction: row1 = a'(B_xx - sin B) + b'/2 B_tx, row2 = -a' B_t - b'/2 B_x.
     """
@@ -255,7 +233,7 @@ def sg_scaling_relation_residuals(family, x=None, h: float | None = None):
         x = np.linspace(-25.0 / family.beta, 25.0 / family.beta, 301)
     op = sg_operator(family)
     fam = op.family
-    z, w = sg_scaling_direction(fam, x, h)
+    z, w = sg_scaling_direction(fam, x)
     f = op.coefficients(x)
     row1, row2 = op.rows(f, z, w)
     aprime = 2.0 * (1.0 + fam.v**2) * fam.beta
@@ -265,7 +243,7 @@ def sg_scaling_relation_residuals(family, x=None, h: float | None = None):
     return float(np.max(np.abs(row1 - rhs1))), float(np.max(np.abs(row2 - rhs2)))
 
 
-def sg_variational_direction_residual(family, x=None, h: float | None = None) -> float:
+def sg_variational_direction_residual(family, x=None) -> float:
     """Componentwise defect of L[(B0, B0t)] = (A, At) for the scaled scaling
     direction (B0, B0t) = -(1/2 beta)(dB/dbeta, dB_t/dbeta), with
     A = (1+v^2)(sin B - B_xx) + 2 v B_tx and At = (1+v^2) B_t - 2 v B_x.
@@ -274,7 +252,7 @@ def sg_variational_direction_residual(family, x=None, h: float | None = None) ->
         x = np.linspace(-25.0 / family.beta, 25.0 / family.beta, 301)
     op = sg_operator(family)
     fam = op.family
-    z, w = sg_scaling_direction(fam, x, h)
+    z, w = sg_scaling_direction(fam, x)
     s = -0.5 / fam.beta
     z = tuple(s * zi for zi in z)
     w = tuple(s * wi for wi in w)
@@ -290,24 +268,24 @@ def _sg_line_plan(family) -> LinePlan:
     return LinePlan(center=0.0, half_width=30.0 / family.beta + 10.0, nodes_per_unit=8.0)
 
 
-def sg_scaling_quadratic_form(family, h: float | None = None) -> float:
+def sg_scaling_quadratic_form(family) -> float:
     """Q[dB/dbeta, dB_t/dbeta]; equals -32 (1 + 3 v^2) beta for every breather."""
     op = sg_operator(family)
     fam = op.family
     plan = _sg_line_plan(fam)
     x, w_quad = plan.nodes_weights(2)
-    z, w = sg_scaling_direction(fam, x, h)
+    z, w = sg_scaling_direction(fam, x)
     return op.quadratic_form(x, w_quad, z, w)
 
 
-def sg_scaled_direction_pairing(beta: float, v: float, h: float | None = None) -> float:
+def sg_scaled_direction_pairing(beta: float, v: float) -> float:
     """-(integral of (B0, B0t) . L[(B0, B0t)]); equals (8/beta)(1 + 3 v^2) > 0."""
     family = breathers.SgBreather(beta=beta, v=v)
     op = sg_operator(family)
     fam = op.family
     plan = _sg_line_plan(fam)
     x, w_quad = plan.nodes_weights(2)
-    z, w = sg_scaling_direction(fam, x, h)
+    z, w = sg_scaling_direction(fam, x)
     s = -0.5 / fam.beta
     z = tuple(s * zi for zi in z)
     w = tuple(s * wi for wi in w)
@@ -333,8 +311,9 @@ def sg_quadratic_form_of_callables(family, z_fun, w_fun, plan=None) -> float:
 # ---------------------------------------------------------------------------
 
 
-def kksh_parameter_direction(beta: float, k: float, x, hk: float = 1e-6, hb: float = 1e-6):
-    """Derivative grids of the periodic profile along k and along beta.
+def kksh_parameter_direction(beta: float, k: float, x):
+    """Derivative grids of the periodic profile along k and along beta, by
+    central differences of step 1e-6.
 
     The commensurability constraint is re-solved at every displaced k, so the
     k-direction follows the constrained family.
@@ -342,8 +321,8 @@ def kksh_parameter_direction(beta: float, k: float, x, hk: float = 1e-6, hb: flo
     def fam(b, kk):
         return breathers.KkshBreather(beta=b, k=kk)
 
-    dk = _central_fields(lambda s: fam(beta, k + s), hk, 0.0, x, 4)
-    db = _central_fields(lambda s: fam(beta + s, k), hb, 0.0, x, 4)
+    dk = _central_fields(lambda s: fam(beta, k + s), 1e-6, 0.0, x, 4)
+    db = _central_fields(lambda s: fam(beta + s, k), 1e-6, 0.0, x, 4)
     return dk, db
 
 
@@ -361,7 +340,7 @@ def kksh_inverse_direction_residual(beta: float, k: float, n_points: int = 200) 
     _, grad_b, grad_k = stability.coefficient_gradients(beta, k, family.m, "resolved")
     da1_db, da1_dk = grad_b[0], grad_k[0]
     b0 = tuple((da1_dk * dbj - da1_db * dkj) / d for dkj, dbj in zip(dk, db))
-    op = kksh_operator(family)
+    op = scalar_operator(family)
     image = op.apply(x, b0)
     B = family.eval(0.0, x, deg=0).value
     return float(np.max(np.abs(image + B)))

@@ -112,12 +112,17 @@ class TestSweepAndTable:
     def test_unknown_preset_exit_2(self):
         assert run(["table", "--preset", "fig99"]) == 2
 
-    def test_fig20_skip_line_shows_the_bound(self, tmp_path):
+    def test_fig20_rows_all_lie_below_kstar(self, tmp_path):
         out = tmp_path / "fig20.csv"
         assert run(["table", "--preset", "fig20", "--out", str(out)]) == 0
-        skipped = [l for l in out.read_text().split("\n") if l.startswith("# skipped")]
-        assert len(skipped) == 1
-        bound, rejected = re.search(r"k must lie in \(0, (\S+)\), got (\S+)$", skipped[0]).groups()
+        lines = out.read_text().split("\n")
+        assert len([l for l in lines if l[:1].isdigit()]) == 7
+        assert not any(l.startswith("# skipped") for l in lines)
+
+    def test_k_above_kstar_exit_2_shows_the_bound(self, capsys):
+        assert run(["spectrum", "--family", "kksh", "--k", "0.058836254"]) == 2
+        err = capsys.readouterr().err.strip()
+        bound, rejected = re.search(r"k must lie in \(0, (\S+)\), got (\S+)$", err).groups()
         assert float(bound) == stability.find_kstar()
         assert float(bound) < float(rejected)
 
@@ -222,6 +227,18 @@ _FAMILY_ARGV = {
     "gardner-soliton": ["--c", "1", "--mu", "0.5"],
     "sg-kink": ["--v", "0.3", "--a", "0", "--b", "0"],
 }
+
+
+# conserved takes no --a/--b: the kink has no single (a, b)
+_CONSERVED_ARGV = {**_FAMILY_ARGV, "sg-kink": ["--v", "0.4"]}
+
+
+@pytest.mark.parametrize("kind", ["mass", "energy", "momentum", "f", "lyapunov"])
+@pytest.mark.parametrize("family", sorted(_CONSERVED_ARGV))
+def test_conserved_exit_code_contract(family, kind, capsys):
+    code = run(["conserved", "--family", family, "--kind", kind] + _CONSERVED_ARGV[family])
+    assert code in (0, 2, 3)
+    assert "Traceback" not in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])

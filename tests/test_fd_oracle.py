@@ -9,7 +9,7 @@ from breatherlab import linops
 
 def test_zero_potential_box_approaches_edge_from_above():
     alpha, beta = 0.5, 1.0
-    op = linops.mkdv_operator(br.MkdvBreather(alpha=alpha, beta=beta), zero_potential=True)
+    op = linops.scalar_operator(br.MkdvBreather(alpha=alpha, beta=beta), zero_potential=True)
     edge = fd_oracle.continuum_edge(alpha, beta)  # (alpha^2 + beta^2)^2 for alpha < beta
 
     # the hinged stencil is diagonal in the sine basis: exact box eigenvalues

@@ -10,6 +10,7 @@ from breatherlab import jets
 from breatherlab import stability as st
 from breatherlab.quadrature import QuadratureError, TorusPlan, checked_integral
 
+import gardner_form_oracles
 import loop_oracles
 
 
@@ -228,3 +229,41 @@ class TestBatchedPdeResidual:
         # the per-point loop folds with Python max, which drops the NaN
         assert math.isfinite(loop_oracles.pde_residual_loop(family, n_points=50))
         assert math.isnan(fn.pde_residual(family, n_points=50))
+
+
+class TestNonzeroMeanIsGardnerInTheShiftedField:
+    """The nonzero-mean functionals and stationary equation are Gardner's with
+    quadratic coefficient 3 mu in w = u - mu; the earlier mKdV-about-mu forms
+    must give the same numbers to roundoff."""
+
+    family = br.NonzeroMeanBreather(**gardner_form_oracles.NONZERO_MEAN_CASE)
+
+    @pytest.mark.parametrize("t", [0.0, 0.7])
+    def test_integrands(self, t):
+        x, _ = fn.family_plan(self.family, t).nodes_weights(2)
+        f = fn.field_arrays(self.family, t, x)
+        shifted = gardner_form_oracles.shifted_mkdv_integrands(self.family.mu)
+        table = fn._integrand_table(self.family)
+        assert sorted(table) == sorted(shifted)
+        for name, integrand in shifted.items():
+            expected = integrand(f)
+            assert np.max(np.abs(table[name](f) - expected)) <= 1e-14 * np.max(np.abs(expected))
+
+    @pytest.mark.parametrize("t", [0.0, 0.7])
+    def test_stationary_equation(self, t):
+        fam = self.family
+        f = fam.eval(t, np.linspace(0.0, fam.period, 200, endpoint=False), deg=4)
+        shifted = gardner_form_oracles.shifted_stationary_terms(fam, f)
+        terms = fn._mkdv_terms(f, *fam.a1a2, fam.quadratic, fam.level)
+        scale = max(np.max(np.abs(term)) for term in shifted)
+        assert np.max(np.abs(sum(terms) - sum(shifted))) <= 1e-14 * scale
+
+
+@pytest.mark.parametrize("beta,k", [(1.0, 0.03), (0.5, 0.001), (2.0, 0.05), (1.0, 1e-5)])
+def test_kksh_multipliers_equal_the_period_lock_oracle(beta, k):
+    assert br.KkshBreather(beta=beta, k=k).a1a2 == st.coeffs_a1a2(beta, k)
+
+
+def test_kink_has_no_lyapunov_combination():
+    with pytest.raises(ValueError, match="no Lyapunov combination"):
+        fn.evaluate_functional("lyapunov", br.SgKink(v=0.4))

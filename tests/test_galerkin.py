@@ -28,7 +28,7 @@ class TestAssembly:
         # z'''' + c2 z'' + c0 z in the Hermite basis has entries given exactly
         # by the derivative ladder recurrences
         fam = br.MkdvBreather(alpha=1.5, beta=1.0)
-        op = linops.mkdv_operator(fam, zero_potential=True)
+        op = linops.scalar_operator(fam, zero_potential=True)
         n_max = 30
         prob = gk.hermite_problem(op, n_max)
         assembled = gk.assemble(prob)
@@ -43,7 +43,7 @@ class TestAssembly:
     def test_free_operator_spectrum_bounded_by_symbol(self):
         alpha = 1.5
         fam = br.MkdvBreather(alpha=alpha, beta=1.0)
-        op = linops.mkdv_operator(fam, zero_potential=True)
+        op = linops.scalar_operator(fam, zero_potential=True)
         assembled, spec, _ = gk.solve_problem(gk.hermite_problem(op, 120))
         # symbol s(xi) = xi^4 + 2(1-a^2) xi^2 + (1+a^2)^2, minimised in xi
         c2 = 2 * (1.0 - alpha**2)
@@ -64,9 +64,9 @@ class TestAssembly:
 
     def test_self_adjointness_of_breather_assemblies(self):
         cases = [
-            gk.hermite_problem(linops.mkdv_operator(br.MkdvBreather(alpha=0.5, beta=1.0, x1=0.8)), 60),
+            gk.hermite_problem(linops.scalar_operator(br.MkdvBreather(alpha=0.5, beta=1.0, x1=0.8)), 60),
             gk.hermite_problem(linops.sg_operator(br.SgBreather(beta=0.5, v=0.7, x1=0.1)), 24),
-            gk.fourier_problem(linops.kksh_operator(br.KkshBreather(beta=1.0, k=0.03, x1=0.1)), 40),
+            gk.fourier_problem(linops.scalar_operator(br.KkshBreather(beta=1.0, k=0.03, x1=0.1)), 40),
         ]
         for prob in cases:
             assembled = gk.assemble(prob)
@@ -89,7 +89,7 @@ class TestAssembly:
         assert sum(sizes) == sum(nodes)
 
     def test_node_blocks_do_not_change_the_matrix(self, monkeypatch):
-        prob = gk.hermite_problem(linops.mkdv_operator(br.MkdvBreather(alpha=0.5, beta=1.0, x1=0.8)), 40)
+        prob = gk.hermite_problem(linops.scalar_operator(br.MkdvBreather(alpha=0.5, beta=1.0, x1=0.8)), 40)
         blocked = gk.assemble(prob).matrix
         monkeypatch.setattr(gk, "NODE_BLOCK", 10**9)
         whole = gk.assemble(prob).matrix
@@ -117,7 +117,7 @@ class TestAssembly:
 
 
 def _kksh_problem(n, plan=None, **params):
-    return gk.fourier_problem(linops.kksh_operator(br.KkshBreather(**params)), n, plan)
+    return gk.fourier_problem(linops.scalar_operator(br.KkshBreather(**params)), n, plan)
 
 
 class TestTorusProjection:
@@ -163,7 +163,7 @@ class TestTorusProjection:
                 return c0, c1 + np.cos(2 * math.pi * x / self.family.period), c2
 
         fam = br.KkshBreather(beta=1.0, k=0.03, x1=0.1)
-        sound = linops.kksh_operator(fam)
+        sound = linops.scalar_operator(fam)
         skew = SkewOperator(fam, a1=sound.a1, a2=sound.a2)
         prob = gk.fourier_problem(skew, 40)
         assembled = gk.assemble(prob, check_quality=False)
@@ -231,7 +231,7 @@ class TestClassify:
 @pytest.fixture(scope="module")
 def mkdv_160():
     fam = br.MkdvBreather(alpha=0.5, beta=1.0, x1=0.09)
-    op = linops.mkdv_operator(fam)
+    op = linops.scalar_operator(fam)
     prob = gk.hermite_problem(op, 160)
     return fam, op, prob, gk.assemble(prob)
 
@@ -256,7 +256,7 @@ class TestSpectralInvariants:
 
     def test_kernel_capture_fourier(self):
         fam = br.KkshBreather(beta=1.0, k=0.03, x1=0.1)
-        op = linops.kksh_operator(fam)
+        op = linops.scalar_operator(fam)
         prob = gk.fourier_problem(op, 40)
         assembled = gk.assemble(prob)
         x, _ = prob.plan.nodes_weights(2)
@@ -271,7 +271,7 @@ class TestSpectralInvariants:
         spectra = []
         for x1 in (0.7, 0.7 + period):
             fam = br.MkdvBreather(alpha=alpha, beta=1.0, x1=x1)
-            _, spec, _ = gk.solve_problem(gk.hermite_problem(linops.mkdv_operator(fam), 60))
+            _, spec, _ = gk.solve_problem(gk.hermite_problem(linops.scalar_operator(fam), 60))
             spectra.append(spec.values)
         assert np.max(np.abs(spectra[0] - spectra[1])) < 1e-8
 

@@ -15,7 +15,7 @@ class TestScalarKernels:
     @pytest.mark.parametrize("n1,n2", [(1, 0), (0, 1)])
     def test_mkdv_translation_kernel(self, n1, n2):
         fam = br.MkdvBreather(alpha=0.5, beta=1.0, x1=0.09)
-        op = linops.mkdv_operator(fam)
+        op = linops.scalar_operator(fam)
         x = np.linspace(-30, 30, 200)
         f = op.family.eval(0.0, x, deg=6)
         z = kernel_derivs(f, 4, n1=n1, n2=n2)
@@ -25,7 +25,7 @@ class TestScalarKernels:
 
     def test_gardner_translation_kernel(self):
         fam = br.GardnerBreather(alpha=0.5, beta=1.0, mu=0.1, x1=0.2)
-        op = linops.gardner_operator(fam)
+        op = linops.scalar_operator(fam)
         x = np.linspace(-30, 30, 150)
         f = op.family.eval(0.0, x, deg=6)
         for sel in ((1, 0), (0, 1)):
@@ -34,7 +34,7 @@ class TestScalarKernels:
 
     def test_kksh_translation_kernel(self):
         fam = br.KkshBreather(beta=1.0, k=0.03, x1=0.1)
-        op = linops.kksh_operator(fam)
+        op = linops.scalar_operator(fam)
         x = np.linspace(0.0, fam.period, 120, endpoint=False)
         f = op.family.eval(0.0, x, deg=6)
         for sel in ((1, 0), (0, 1)):
@@ -43,7 +43,7 @@ class TestScalarKernels:
 
     def test_apply_needs_four_derivatives(self):
         fam = br.MkdvBreather(alpha=1.0, beta=1.0)
-        op = linops.mkdv_operator(fam)
+        op = linops.scalar_operator(fam)
         x = np.linspace(-1, 1, 5)
         f = op.family.eval(0.0, x, deg=3)
         with pytest.raises(ValueError, match="insufficient"):
@@ -140,7 +140,7 @@ class TestSgBlock:
 class TestReductions:
     def test_gardner_reduces_to_mkdv_at_zero_mu(self):
         fam = br.MkdvBreather(alpha=0.8, beta=1.1, x1=0.3)
-        op_m = linops.mkdv_operator(fam)
+        op_m = linops.scalar_operator(fam)
         op_g = linops.ScalarOperator(op_m.family, a1=op_m.a1, a2=op_m.a2, mu=0.0, label="gardner")
         x = np.linspace(-20, 20, 100)
         cm = op_m.coefficients(x)
@@ -162,7 +162,7 @@ class TestReductions:
         fam = br.MkdvBreather(alpha=0.9, beta=1.0, x1=0.4)
         a1 = 2 * (fam.beta**2 - fam.alpha**2)
         a2 = (fam.alpha**2 + fam.beta**2) ** 2
-        op_m = linops.mkdv_operator(fam)
+        op_m = linops.scalar_operator(fam)
         op_k = linops.ScalarOperator(op_m.family, a1=a1, a2=a2, label="kksh")
         x = np.linspace(-15, 15, 90)
         for a, b in zip(op_m.coefficients(x), op_k.coefficients(x)):
@@ -181,7 +181,7 @@ class TestInverseDirection:
 
     def test_free_operator_variant(self):
         fam = br.MkdvBreather(alpha=1.5, beta=1.0)
-        op = linops.mkdv_operator(fam, zero_potential=True)
+        op = linops.scalar_operator(fam, zero_potential=True)
         x = np.linspace(-5, 5, 11)
         c0, c1, c2 = op.coefficients(x)
         assert np.allclose(c0, (1 + 1.5**2) ** 2)
