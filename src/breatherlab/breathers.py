@@ -604,6 +604,13 @@ class SgKink:
         return PairFieldJet(FieldJet(b_jet, dt, dx), FieldJet(bt_jet, dt, dx))
 
 
+# every family by its ``kind``, the name ``--family`` takes on the command line
+FAMILIES = {cls.kind: cls for cls in (
+    MkdvBreather, GardnerBreather, SgBreather, KkshBreather, NonzeroMeanBreather,
+    MkdvSoliton, GardnerSoliton, SgKink,
+)}
+
+
 # ---------------------------------------------------------------------------
 # checks and transformations
 # ---------------------------------------------------------------------------

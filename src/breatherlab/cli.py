@@ -68,8 +68,9 @@ def _check_finite_values(pairs) -> None:
             raise ArithmeticError(f"{name} is {value}")
 
 
-def _load_config(path: str) -> dict:
-    out = {}
+def _config_tokens(path: str) -> list[str]:
+    """The key=value lines of a config file as '--key=value' flags."""
+    tokens = []
     with open(path) as fh:
         for line in fh:
             line = line.strip()
@@ -78,39 +79,8 @@ def _load_config(path: str) -> dict:
             if "=" not in line:
                 raise ValueError(f"config line without '=': {line!r}")
             key, val = line.split("=", 1)
-            out[key.strip().replace("-", "_")] = val.strip()
-    return out
-
-
-def _apply_config(args: argparse.Namespace, argv: list[str]):
-    if not getattr(args, "config", None):
-        return args
-    given = set()
-    for tok in argv:
-        if tok.startswith("--"):
-            given.add(tok[2:].split("=", 1)[0].replace("-", "_"))
-    for key, val in _load_config(args.config).items():
-        if key in given or not hasattr(args, key):
-            continue
-        current = getattr(args, key)
-        if isinstance(current, bool):
-            setattr(args, key, val.lower() in ("1", "true", "yes"))
-        elif isinstance(current, int):
-            setattr(args, key, int(val))
-        elif isinstance(current, float):
-            setattr(args, key, float(val))
-        else:
-            setattr(args, key, _coerce_config_value(val))
-    return args
-
-
-def _coerce_config_value(val: str):
-    for cast in (int, float):
-        try:
-            return cast(val)
-        except ValueError:
-            continue
-    return val
+            tokens.append(f"--{key.strip().replace('_', '-')}={val.strip()}")
+    return tokens
 
 
 # ---------------------------------------------------------------------------
@@ -118,44 +88,32 @@ def _coerce_config_value(val: str):
 # ---------------------------------------------------------------------------
 
 
-_REQUIRED = {
-    "mkdv": ("alpha",),
-    "gardner": ("alpha", "mu"),
-    "nonzero-mean": ("mu", "c1", "p", "q"),
-    "mkdv-soliton": ("c",),
-    "gardner-soliton": ("c", "mu"),
-}
-
-
 def _family_from_args(args) -> object:
-    name = args.family
-    for key in _REQUIRED.get(name, ()):
-        if getattr(args, key) is None:
-            raise ValueError(f"{name} needs --{key}")
-    if name == "mkdv":
-        return breathers.MkdvBreather(alpha=args.alpha, beta=args.beta, x1=args.x1, x2=args.x2)
-    if name == "gardner":
-        return breathers.GardnerBreather(
-            alpha=args.alpha, beta=args.beta, mu=args.mu, x1=args.x1, x2=args.x2
-        )
-    if name == "sg":
-        return breathers.SgBreather(beta=args.beta, v=args.v, x1=args.x1, x2=args.x2)
-    if name == "kksh":
-        k = args.k
-        if k is None:
-            if args.m is None:
-                raise ValueError("kksh needs --k or --m")
-            k = stability.solve_commensurability_from_m(args.m).k
-        return breathers.KkshBreather(beta=args.beta, k=k, x1=args.x1, x2=args.x2)
-    if name == "nonzero-mean":
-        return breathers.NonzeroMeanBreather(mu=args.mu, c1=args.c1, p=args.p, q=args.q)
-    if name == "mkdv-soliton":
-        return breathers.MkdvSoliton(c=args.c)
-    if name == "gardner-soliton":
-        return breathers.GardnerSoliton(c=args.c, mu=args.mu)
-    if name == "sg-kink":
-        return breathers.SgKink(v=args.v)
-    raise ValueError(f"unknown family {name!r}")
+    """The family named by ``args.family``, built from the attributes of
+    ``args`` that name its dataclass fields; a None attribute is not given."""
+    cls = breathers.FAMILIES[args.family]
+    fields = dataclasses.fields(cls)
+    kwargs = {f.name: getattr(args, f.name) for f in fields
+              if getattr(args, f.name, None) is not None}
+    if cls is breathers.KkshBreather and "k" not in kwargs:
+        if getattr(args, "m", None) is None:
+            raise ValueError("kksh needs --k or --m")
+        kwargs["k"] = stability.solve_commensurability_from_m(args.m).k
+    for f in fields:
+        if f.name not in kwargs and f.default is dataclasses.MISSING:
+            raise ValueError(f"{args.family} needs --{f.name}")
+    return cls(**kwargs)
+
+
+def _basis_size(args) -> int:
+    """--n, or half of --dim-total, the size of sg's two-block matrix."""
+    if args.dim_total is None:
+        return args.n
+    if args.family != "sg":
+        raise ValueError(f"--dim-total applies to the sg family only, got --family {args.family}")
+    if args.dim_total < 2 or args.dim_total % 2:
+        raise ValueError(f"--dim-total must be even and at least 2, got {args.dim_total}")
+    return args.dim_total // 2
 
 
 def _family_config(family) -> dict:
@@ -225,10 +183,10 @@ _EIG_HEADER = [
 ]
 
 
-def cmd_spectrum(args, argv) -> int:
+def cmd_spectrum(args) -> int:
     _check_n_eigs(args.n_eigs)
     family = _family_from_args(args)
-    n = args.dim_total // 2 if (args.family == "sg" and args.dim_total) else args.n
+    n = _basis_size(args)
     problem, assembled, spectrum, cls = _spectral_run(family, n, args.kernel_tol, args.t)
     payload = _spectrum_payload(family, n, assembled, spectrum, cls, args.n_eigs)
     if args.dump_matrix:
@@ -273,7 +231,7 @@ def _sweep_csv(param, rows, cfg, n_eigs) -> str:
     return "\n".join(lines) + "\n"
 
 
-def cmd_sweep(args, argv) -> int:
+def cmd_sweep(args) -> int:
     _check_n_eigs(args.n_eigs)
     values = _parse_values(args.values)
     family = _family_from_args(args)
@@ -281,7 +239,7 @@ def cmd_sweep(args, argv) -> int:
     params = [f.name for f in dataclasses.fields(family) if hasattr(args, f.name)]
     if args.param not in params:
         raise ValueError(f"--param must be one of {params} for {args.family}, got {args.param!r}")
-    n = args.dim_total // 2 if (args.family == "sg" and args.dim_total) else args.n
+    n = _basis_size(args)
     rows = _sweep_rows(args, args.param, values, n, args.kernel_tol, args.n_eigs)
     cfg = _family_config(family)
     cfg.update({"n": n, "sweep": args.param})
@@ -318,32 +276,26 @@ PRESETS = {
 }
 
 
-def cmd_table(args, argv) -> int:
+def cmd_table(args) -> int:
     if args.preset not in PRESETS:
         raise ValueError(f"unknown preset {args.preset!r}; choose from {sorted(PRESETS)}")
-    spec = dict(PRESETS[args.preset])
-    ns = argparse.Namespace(
-        family=spec["family"], beta=spec.get("beta", 1.0), alpha=spec.get("alpha"),
-        mu=spec.get("mu"), v=spec.get("v", 0.0), k=spec.get("k"), m=spec.get("m"),
-        x1=spec.get("x1", 0.0), x2=0.0, c=None, c1=None, p=None, q=None,
-    )
-    n = spec["n"]
+    spec = argparse.Namespace(**PRESETS[args.preset])
     n_eigs = args.n_eigs
     _check_n_eigs(n_eigs)
-    if spec["param"] is None:
-        family = _family_from_args(ns)
-        _, assembled, spectrum, cls = _spectral_run(family, n)
+    if spec.param is None:
+        family = _family_from_args(spec)
+        _, assembled, spectrum, cls = _spectral_run(family, spec.n)
         cfg = _family_config(family)
-        cfg.update({"n": n, "preset": args.preset})
+        cfg.update({"n": spec.n, "preset": args.preset})
         lines = _config_lines(cfg) + _EIG_HEADER
         lines.append("eig_index,eigenvalue")
         for i, v in enumerate(spectrum.values[:n_eigs]):
             lines.append(f"{i + 1},{fmt(v)}")
         _write_text(args.out, "\n".join(lines) + "\n")
         return 0
-    rows = _sweep_rows(ns, spec["param"], spec["values"], n, None, n_eigs)
-    cfg = {"preset": args.preset, "family": spec["family"], "n": n}
-    _write_text(args.out, _sweep_csv(spec["param"], rows, cfg, n_eigs))
+    rows = _sweep_rows(spec, spec.param, spec.values, spec.n, None, n_eigs)
+    cfg = {"preset": args.preset, "family": spec.family, "n": spec.n}
+    _write_text(args.out, _sweep_csv(spec.param, rows, cfg, n_eigs))
     return 0
 
 
@@ -352,7 +304,7 @@ def cmd_table(args, argv) -> int:
 # ---------------------------------------------------------------------------
 
 
-def cmd_residual(args, argv) -> int:
+def cmd_residual(args) -> int:
     family = _family_from_args(args)
     if not math.isfinite(args.t):
         raise ValueError(f"--t must be finite, got {args.t}")
@@ -394,7 +346,7 @@ def cmd_residual(args, argv) -> int:
     return 0
 
 
-def cmd_conserved(args, argv) -> int:
+def cmd_conserved(args) -> int:
     family = _family_from_args(args)
     times = [float(s) for s in args.times.split(",")]
     if not all(math.isfinite(t) for t in times):
@@ -413,7 +365,7 @@ def cmd_conserved(args, argv) -> int:
     return 0
 
 
-def cmd_stability(args, argv) -> int:
+def cmd_stability(args) -> int:
     beta = args.beta
     reports = [stability.stability_report(beta, k) for k in _parse_values(args.k)]
     lines = [f"# config: beta={fmt(beta)} k_grid={args.k}"]
@@ -426,7 +378,7 @@ def cmd_stability(args, argv) -> int:
     return 0
 
 
-def cmd_backlund(args, argv) -> int:
+def cmd_backlund(args) -> int:
     if args.mu is None:
         if args.c2 is None:
             raise ValueError("backlund needs --mu or --c2")
@@ -466,9 +418,7 @@ def cmd_backlund(args, argv) -> int:
 
 
 def _add_family_options(p: argparse.ArgumentParser):
-    p.add_argument("--family", required=True,
-                   choices=["mkdv", "gardner", "sg", "kksh", "nonzero-mean",
-                            "mkdv-soliton", "gardner-soliton", "sg-kink"])
+    p.add_argument("--family", required=True, choices=list(breathers.FAMILIES))
     p.add_argument("--beta", type=float, default=1.0)
     p.add_argument("--alpha", type=float, default=None)
     p.add_argument("--mu", type=float, default=None)
@@ -570,10 +520,12 @@ def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     args = parser.parse_args(argv)
-    args = _apply_config(args, argv)
     try:
-        return args.func(args, argv)
-    except (ValueError, FileNotFoundError) as err:
+        if args.config:
+            # argparse keeps the last value of a flag, so the command line wins
+            args = parser.parse_args(argv[:1] + _config_tokens(args.config) + argv[1:])
+        return args.func(args)
+    except (ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     except (QuadratureError, AssemblyError, ArithmeticError) as err:

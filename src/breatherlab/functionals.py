@@ -14,7 +14,9 @@ from dataclasses import replace
 
 import numpy as np
 
+from . import linops
 from .breathers import FieldJet, PairFieldJet
+from .jets import Jet2
 from .quadrature import LinePlan, TorusPlan, checked_integral
 
 SQRT2 = math.sqrt(2.0)
@@ -123,6 +125,12 @@ def _integrand_table(family) -> dict:
     return _mkdv_integrands(family.quadratic, family.level)
 
 
+def _lyapunov_density(family, f: dict) -> np.ndarray:
+    """Integrand of the family's Lyapunov functional on the field grids f."""
+    table = _integrand_table(family)
+    return sum(c * table[name](f) for name, c in _lyapunov_coefficients(family).items())
+
+
 def evaluate_functional(kind: str, family, t: float = 0.0, plan=None) -> float:
     """Quadrature value of a conserved functional on the family at time t.
 
@@ -130,15 +138,13 @@ def evaluate_functional(kind: str, family, t: float = 0.0, plan=None) -> float:
     depends on the family).  The quadrature is verified by node doubling.
     """
     plan = plan or family_plan(family, t)
-    table = _integrand_table(family)
     if kind == "lyapunov":
-        coeff = _lyapunov_coefficients(family)
 
         def integrand(x):
-            f = field_arrays(family, t, x)
-            return sum(c * table[name](f) for name, c in coeff.items())
+            return _lyapunov_density(family, field_arrays(family, t, x))
 
     else:
+        table = _integrand_table(family)
         if kind not in table:
             raise ValueError(f"functional {kind!r} not defined for family {family.kind!r}")
 
@@ -315,12 +321,6 @@ def mean_value(family, t: float = 0.0, n_nodes: int = 8192) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _sg_h_from_arrays(f: dict, a: float, b: float, w_quad: np.ndarray) -> float:
-    table = _sg_integrands()
-    vals = table["f"](f) + a * table["energy"](f) + b * table["momentum"](f)
-    return float(np.dot(w_quad, vals))
-
-
 def sg_lyapunov_of_perturbed(family, z_fun, w_fun, eps: float, plan=None) -> float:
     """H evaluated on (B + eps z, B_t + eps w) by direct quadrature."""
     plan = plan or family_plan(family, 0.0)
@@ -335,15 +335,21 @@ def sg_lyapunov_of_perturbed(family, z_fun, w_fun, eps: float, plan=None) -> flo
         "ut": pair.bt.value + eps * w0,
         "utx": pair.bt.partial(nx=1) + eps * w1,
     }
-    return _sg_h_from_arrays(f, family.a, family.b, w_quad)
+    return float(np.dot(w_quad, _lyapunov_density(family, f)))
 
 
 def _eval_perturbation(fun, x, orders: int):
     """Evaluate a jet-callable perturbation and its x-derivatives on a grid."""
-    from .jets import Jet2
-
     jet = fun(Jet2.variable(np.asarray(x, dtype=float), 0, deg=orders))
     return tuple(jet.partial(i, 0) for i in range(orders + 1))
+
+
+def sg_quadratic_form_of_callables(family, z_fun, w_fun, plan) -> float:
+    """Q on perturbations given as jet callables (position jet in, jet out)."""
+    x, w_quad = plan.nodes_weights(2)
+    z = _eval_perturbation(z_fun, x, 2)
+    w = _eval_perturbation(w_fun, x, 2)
+    return linops.sg_operator(family).quadratic_form(x, w_quad, z, w)
 
 
 def expansion_remainder(family, z_fun, w_fun, eps: float, plan=None) -> float:
@@ -394,11 +400,9 @@ def expansion_check(family, z_fun, w_fun, eps: float, plan=None) -> tuple[float,
     equations killing the linear term and on the quadratic-form
     normalisation, while the explicit remainder contains neither.
     """
-    from . import linops
-
     plan = plan or family_plan(family, 0.0)
     h0 = sg_lyapunov_of_perturbed(family, z_fun, w_fun, 0.0, plan)
     h1 = sg_lyapunov_of_perturbed(family, z_fun, w_fun, eps, plan)
-    q = linops.sg_quadratic_form_of_callables(family, z_fun, w_fun, plan)
+    q = sg_quadratic_form_of_callables(family, z_fun, w_fun, plan)
     lhs = h1 - h0 - 0.5 * eps * eps * q
     return lhs, expansion_remainder(family, z_fun, w_fun, eps, plan)

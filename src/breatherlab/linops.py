@@ -65,8 +65,6 @@ class ScalarOperator:
     mu: float = 0.0
     zero_potential: bool = False
 
-    label: str = "scalar"
-
     @property
     def domain(self) -> str:
         return self.family.domain
@@ -113,9 +111,7 @@ def scalar_operator(family, t: float = 0.0, zero_potential: bool = False) -> Sca
         raise ValueError(f"no linearized operator for family kind {family.kind!r}")
     fam = breathers.normal_form(family, t)
     a1, a2 = fam.a1a2
-    return ScalarOperator(
-        fam, a1=a1, a2=a2, mu=fam.quadratic, zero_potential=zero_potential, label=fam.kind
-    )
+    return ScalarOperator(fam, a1=a1, a2=a2, mu=fam.quadratic, zero_potential=zero_potential)
 
 
 # ---------------------------------------------------------------------------
@@ -129,7 +125,6 @@ class SgBlockOperator:
 
     family: object
 
-    label: str = "sg"
     domain: str = "line"
 
     def coefficients(self, x):
@@ -290,20 +285,6 @@ def sg_scaled_direction_pairing(beta: float, v: float) -> float:
     z = tuple(s * zi for zi in z)
     w = tuple(s * wi for wi in w)
     return -op.quadratic_form_apply(x, w_quad, z, w)
-
-
-def sg_quadratic_form_of_callables(family, z_fun, w_fun, plan=None) -> float:
-    """Q on perturbations given as jet callables (position jet in, jet out)."""
-    from .jets import Jet2
-
-    op = sg_operator(family)
-    plan = plan or _sg_line_plan(op.family)
-    x, w_quad = plan.nodes_weights(2)
-    zj = z_fun(Jet2.variable(np.asarray(x, dtype=float), 0, deg=2))
-    wj = w_fun(Jet2.variable(np.asarray(x, dtype=float), 0, deg=2))
-    z = tuple(zj.partial(i, 0) for i in range(3))
-    w = tuple(wj.partial(i, 0) for i in range(2))
-    return op.quadratic_form(x, w_quad, z, w)
 
 
 # ---------------------------------------------------------------------------

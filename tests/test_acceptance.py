@@ -275,23 +275,22 @@ def gardner_table_spectra():
     out = {}
     for mu in (0.01, 0.1):
         fam = br.GardnerBreather(alpha=0.5, beta=1.0, mu=mu)
-        out[mu] = spectrum_for(fam, 50)
+        out[mu] = spectrum_for(fam, 160)
     return out
 
 
 def test_criterion4_unique_negative_direction(gardner_table_spectra):
     ok = True
-    for mu, (_, spec, _) in gardner_table_spectra.items():
-        ok = ok and int(np.sum(spec.values < -0.05)) == 1
+    for mu, (_, spec, cls) in gardner_table_spectra.items():
+        ok = ok and int(np.sum(spec.values < -0.05)) == 1 and cls.kernel_dim == 2
     report(4, "unique negative eigenvalue", ok)
     assert ok
 
 
-def test_criterion4_reference_eigenvalue_tables():
+def test_criterion4_reference_eigenvalue_tables(gardner_table_spectra):
     """Gardner eigenvalue tables against the oracle and the mu -> 0 limit.
 
-    With a converged basis (n = 160; the n = 50 fixture is not converged):
-    lambda_1 matches the finite-difference oracle to 1e-3 relative, the two
+    With a converged basis (n = 160): lambda_1 matches the finite-difference oracle to 1e-3 relative, the two
     kernel eigenvalues stay within 0.05 of zero (measured 2e-4), lambda_4
     lies in [edge, edge + BASIS_MARGIN], and lambda_1 stays within 3 mu of
     the mKdV value from the oracle.  Every mu-dependent term of the Gardner
@@ -310,7 +309,7 @@ def test_criterion4_reference_eigenvalue_tables():
     checks, detail = [], []
     for mu, (l1_ref, _) in GARDNER_REFS.items():
         fam = br.GardnerBreather(alpha=0.5, beta=1.0, mu=mu)
-        _, spec, _ = spectrum_for(fam, 160)
+        _, spec, _ = gardner_table_spectra[mu]
         l1 = spec.values[0]
         l1_fd = oracle_lambda1(fam)
         kernel_pair = np.sort(np.abs(spec.values))[:2]

@@ -1,8 +1,11 @@
+import argparse
 import contextlib
 import io
 import json
 import math
+import os
 import re
+import tempfile
 
 import pytest
 from hypothesis import given, settings
@@ -17,6 +20,17 @@ import loop_oracles
 
 def run(args):
     return cli.main(args)
+
+
+def _exit_code(argv):
+    """cli.main's return value, or the code argparse exits with."""
+    try:
+        return run(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+_SMALL_MKDV = ["--family", "mkdv", "--alpha", "0.5", "--n", "10"]
 
 
 class TestSpectrumCommand:
@@ -72,6 +86,24 @@ class TestSpectrumCommand:
         assert run(argv) == 2
         assert flag in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["spectrum", *_SMALL_MKDV, "--dim-total", "50"],
+        ["sweep", *_SMALL_MKDV, "--dim-total", "50", "--param", "x1", "--values", "0"],
+        ["spectrum", "--family", "sg", "--beta", "0.5", "--v", "0.7", "--dim-total", "21"],
+        ["spectrum", "--family", "sg", "--beta", "0.5", "--v", "0.7", "--dim-total", "0"],
+    ])
+    def test_bad_dim_total_exit_2(self, argv, capsys):
+        assert run(argv) == 2
+        assert "--dim-total" in capsys.readouterr().err
+
+    def test_dim_total_is_the_sg_matrix_size(self, tmp_path):
+        dump = tmp_path / "m.csv"
+        assert run([
+            "spectrum", "--family", "sg", "--beta", "0.5", "--v", "0.7", "--dim-total", "20",
+            "--dump-matrix", str(dump), "--out", str(tmp_path / "s.csv"),
+        ]) == 0
+        assert len(dump.read_text().strip().split("\n")) == 1 + 20
+
 
 class TestConfigFile:
     def test_config_supplies_and_flags_override(self, tmp_path):
@@ -86,6 +118,37 @@ class TestConfigFile:
             "--alpha", "0.7", "--out", str(out2),
         ]) == 0
         assert "alpha=0.7" in out2.read_text().split("\n")[0]
+
+    def test_config_value_prints_the_same_header_as_the_flag(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("alpha = 1\nx1 = 0\n")
+        base = ["residual", "--family", "mkdv"]
+        assert run(base + ["--config", str(cfg)]) == 0
+        from_file = capsys.readouterr().out
+        assert run(base + ["--alpha", "1", "--x1", "0"]) == 0
+        assert from_file == capsys.readouterr().out
+
+    @pytest.mark.parametrize("argv,text", [
+        (["spectrum", *_SMALL_MKDV], "n = abc\n"),
+        (["residual", "--family", "nonzero-mean", "--mu", "1.3", "--c1", "0.9", "--q", "3"],
+         "p = 22.5\n"),
+        (["spectrum", "--family", "mkdv", "--n", "10"], "alpha =\n"),
+        (["spectrum", *_SMALL_MKDV], "func = x\n"),
+        (["spectrum", *_SMALL_MKDV], "beta 1\n"),
+        (["spectrum", *_SMALL_MKDV], "format = xml\n"),
+        (["spectrum", *_SMALL_MKDV], "colour = red\n"),
+    ])
+    def test_bad_config_file_exit_2(self, tmp_path, argv, text, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(text)
+        assert _exit_code(argv + ["--config", str(cfg)]) == 2
+        assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", ["missing.cfg", "."])
+    def test_unreadable_config_file_exit_2(self, tmp_path, name, capsys):
+        argv = ["spectrum", *_SMALL_MKDV, "--config", str(tmp_path / name)]
+        assert _exit_code(argv) == 2
+        assert "error" in capsys.readouterr().err
 
 
 class TestSweepAndTable:
@@ -356,6 +419,56 @@ def test_residual_exit_code_contract(t, lo, hi):
     assert "Traceback" not in err.getvalue()
     if code == 0:
         assert "nan" not in out.getvalue()
+
+
+# cheap runs: the command line fixes the basis size and the family
+_CONFIG_BASE = {
+    "spectrum": ["spectrum", *_SMALL_MKDV],
+    "residual": ["residual", *_MKDV],
+    "stability": ["stability", "--k", "0.03"],
+}
+# paths the run would write to
+_PATH_KEYS = {"help", "out", "dump_matrix"}
+# an unbounded basis or grid size can allocate many GB
+_SIZE_KEYS = {"n", "grid_points", "dim_total", "n_eigs"}
+# no flag begins with any of these, so argparse cannot take one as an abbreviation
+_UNKNOWN_KEYS = ["func", "colour", "nodes", "x_3", "Beta", ""]
+_CONFIG_VALUES = (
+    hs.text(hs.characters(exclude_categories=("Cs",), exclude_characters="\r\n"), max_size=10)
+    | hs.floats().map(repr)
+    | hs.integers(-5, 100).map(str)
+    | hs.sampled_from(["", "nan", "-inf", "1e300", "csv", "json", "mkdv", "0:1:0.5"])
+)
+
+
+def _config_keys(command):
+    parser = cli.build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    flags = [o for a in sub.choices[command]._actions for o in a.option_strings]
+    keys = {o[2:].replace("-", "_") for o in flags if o.startswith("--")}
+    return sorted(keys - _PATH_KEYS) + _UNKNOWN_KEYS
+
+
+def _config_line(key):
+    values = hs.integers(-2, 64).map(str) if key in _SIZE_KEYS else _CONFIG_VALUES
+    return values.map(lambda value: f"{key} = {value}")
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=hs.data())
+def test_config_file_exit_code_contract(data):
+    command = data.draw(hs.sampled_from(sorted(_CONFIG_BASE)))
+    keys = _config_keys(command)
+    lines = data.draw(hs.lists(hs.sampled_from(keys).flatmap(_config_line), max_size=4))
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "run.cfg")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write("\n".join(lines) + "\n")
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = _exit_code([*_CONFIG_BASE[command], "--config", path])
+    assert code in (0, 2, 3)
+    assert "Traceback" not in err.getvalue()
 
 
 def test_number_format():

@@ -141,7 +141,7 @@ class TestReductions:
     def test_gardner_reduces_to_mkdv_at_zero_mu(self):
         fam = br.MkdvBreather(alpha=0.8, beta=1.1, x1=0.3)
         op_m = linops.scalar_operator(fam)
-        op_g = linops.ScalarOperator(op_m.family, a1=op_m.a1, a2=op_m.a2, mu=0.0, label="gardner")
+        op_g = linops.ScalarOperator(op_m.family, a1=op_m.a1, a2=op_m.a2, mu=0.0)
         x = np.linspace(-20, 20, 100)
         cm = op_m.coefficients(x)
         cg = op_g.coefficients(x)
@@ -163,7 +163,7 @@ class TestReductions:
         a1 = 2 * (fam.beta**2 - fam.alpha**2)
         a2 = (fam.alpha**2 + fam.beta**2) ** 2
         op_m = linops.scalar_operator(fam)
-        op_k = linops.ScalarOperator(op_m.family, a1=a1, a2=a2, label="kksh")
+        op_k = linops.ScalarOperator(op_m.family, a1=a1, a2=a2)
         x = np.linspace(-15, 15, 90)
         for a, b in zip(op_m.coefficients(x), op_k.coefficients(x)):
             assert np.max(np.abs(a - b)) < 1e-12
