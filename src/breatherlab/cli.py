@@ -88,17 +88,31 @@ def _config_tokens(path: str) -> list[str]:
 # ---------------------------------------------------------------------------
 
 
+# family parameters with no CLI default, and their types: a given one must
+# name a field of the chosen family (kksh also takes m, to find its k)
+_FAMILY_PARAMS = {"alpha": float, "mu": float, "k": float, "m": float, "c": float,
+                  "c1": float, "c2": float, "p": int, "q": int}
+
+
 def _family_from_args(args) -> object:
     """The family named by ``args.family``, built from the attributes of
     ``args`` that name its dataclass fields; a None attribute is not given."""
     cls = breathers.FAMILIES[args.family]
     fields = dataclasses.fields(cls)
+    takes = {f.name for f in fields} | ({"m"} if cls is breathers.KkshBreather else set())
+    for name in _FAMILY_PARAMS:
+        if getattr(args, name, None) is not None and name not in takes:
+            raise ValueError(f"--{name} does not apply to --family {args.family}")
     kwargs = {f.name: getattr(args, f.name) for f in fields
               if getattr(args, f.name, None) is not None}
-    if cls is breathers.KkshBreather and "k" not in kwargs:
-        if getattr(args, "m", None) is None:
-            raise ValueError("kksh needs --k or --m")
-        kwargs["k"] = stability.solve_commensurability_from_m(args.m).k
+    if cls is breathers.KkshBreather:
+        m = getattr(args, "m", None)
+        if "k" in kwargs and m is not None:
+            raise ValueError("kksh takes --k or --m, not both")
+        if "k" not in kwargs:
+            if m is None:
+                raise ValueError("kksh needs --k or --m")
+            kwargs["k"] = stability.solve_commensurability_from_m(m).k
     for f in fields:
         if f.name not in kwargs and f.default is dataclasses.MISSING:
             raise ValueError(f"{args.family} needs --{f.name}")
@@ -420,16 +434,9 @@ def cmd_backlund(args) -> int:
 def _add_family_options(p: argparse.ArgumentParser):
     p.add_argument("--family", required=True, choices=list(breathers.FAMILIES))
     p.add_argument("--beta", type=float, default=1.0)
-    p.add_argument("--alpha", type=float, default=None)
-    p.add_argument("--mu", type=float, default=None)
     p.add_argument("--v", type=float, default=0.0)
-    p.add_argument("--k", type=float, default=None)
-    p.add_argument("--m", type=float, default=None)
-    p.add_argument("--c", type=float, default=None)
-    p.add_argument("--c1", type=float, default=None)
-    p.add_argument("--c2", type=float, default=None)
-    p.add_argument("--p", type=int, default=None)
-    p.add_argument("--q", type=int, default=None)
+    for name, kind in _FAMILY_PARAMS.items():
+        p.add_argument(f"--{name}", type=kind, default=None)
     p.add_argument("--x1", type=float, default=0.0)
     p.add_argument("--x2", type=float, default=0.0)
 

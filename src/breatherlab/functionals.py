@@ -62,28 +62,21 @@ def field_arrays(family, t, x, deg: int = 2) -> dict:
 
 def _mkdv_integrands(mu: float = 0.0, level: float = 0.0):
     """Mass, energy and F of the Gardner equation with quadratic coefficient
-    mu (mKdV at mu = 0), in the field minus its background level."""
+    mu (mKdV at mu = 0, where each mu-term adds an exact zero), in the field
+    minus its background level."""
 
     def mass(f):
         return 0.5 * (f["u"] - level) ** 2
 
     def energy(f):
         u, ux = f["u"] - level, f["ux"]
-        out = 0.5 * ux**2 - 0.25 * u**4
-        if mu:
-            out = out - (mu / 3.0) * u**3
-        return out
+        return 0.5 * ux**2 - 0.25 * u**4 - (mu / 3.0) * u**3
 
     def third(f):
         u, ux, uxx = f["u"] - level, f["ux"], f["uxx"]
-        out = 0.5 * uxx**2 - 2.5 * u**2 * ux**2 + 0.25 * u**6
-        if mu:
-            out = out + (
-                -(5.0 / 3.0) * mu * u * ux**2
-                + (5.0 / 18.0) * mu**2 * u**4
-                + 0.5 * mu * u**5
-            )
-        return out
+        return 0.5 * uxx**2 - 2.5 * u**2 * ux**2 + 0.25 * u**6 + (
+            -(5.0 / 3.0) * mu * u * ux**2 + (5.0 / 18.0) * mu**2 * u**4 + 0.5 * mu * u**5
+        )
 
     return {"mass": mass, "energy": energy, "f": third}
 
@@ -197,25 +190,22 @@ def _default_grid(family, t):
 
 
 def _mkdv_terms(f: FieldJet, c_e: float, c_m: float, mu: float = 0.0, level: float = 0.0) -> list:
-    """Terms of the Gardner stationary equation for the field minus its level."""
+    """Terms of the Gardner stationary equation for the field minus its level;
+    at mu = 0 (mKdV) the last four are exact zeros."""
     B = f.value - level
     Bx, Bxx, B4 = f.partial(nx=1), f.partial(nx=2), f.partial(nx=4)
-    terms = [
+    return [
         B4,
         -c_e * (Bxx + mu * B**2 + B**3),
         c_m * B,
         5.0 * B * Bx**2,
         5.0 * B**2 * Bxx,
         1.5 * B**5,
+        (5.0 / 3.0) * mu * Bx**2,
+        (10.0 / 3.0) * mu * B * Bxx,
+        (10.0 / 9.0) * mu**2 * B**3,
+        2.5 * mu * B**4,
     ]
-    if mu:
-        terms += [
-            (5.0 / 3.0) * mu * Bx**2,
-            (10.0 / 3.0) * mu * B * Bxx,
-            (10.0 / 9.0) * mu**2 * B**3,
-            2.5 * mu * B**4,
-        ]
-    return terms
 
 
 def _sg_terms(pair: PairFieldJet, a: float, b: float):

@@ -32,7 +32,7 @@ _FACT = [math.factorial(n) for n in range(32)]
 
 
 class JetSingularity(ArithmeticError):
-    """An operation hit a singular point (zero constant term, sqrt at <= 0)."""
+    """An operation hit a singular point (a zero constant term)."""
 
 
 def _as_coeff_array(c):
@@ -266,19 +266,6 @@ def exp(a: Jet2) -> Jet2:
     return compose_univariate(t, a)
 
 
-def tanh(a: Jet2) -> Jet2:
-    # t' = 1 - t^2 drives the coefficient recurrence.
-    x0 = np.asarray(a.value)
-    deg = a.deg
-    t = np.zeros((deg + 1,) + x0.shape)
-    t[0] = np.tanh(x0)
-    for k in range(deg):
-        conv = sum(t[j] * t[k - j] for j in range(k + 1))
-        src = 1.0 - conv if k == 0 else -conv
-        t[k + 1] = src / (k + 1)
-    return compose_univariate(t, a)
-
-
 def atan(a: Jet2) -> Jet2:
     # Integrate the series of 1/(1 + (x0+h)^2) term by term.
     x0 = np.asarray(a.value)
@@ -296,20 +283,4 @@ def atan(a: Jet2) -> Jet2:
     t[0] = np.arctan(x0)
     for k in range(deg):
         t[k + 1] = u[k] / (k + 1)
-    return compose_univariate(t, a)
-
-
-def sqrt(a: Jet2) -> Jet2:
-    x0 = np.asarray(a.value)
-    if np.any(x0 <= 0.0):
-        raise JetSingularity("sqrt requires positive constant term")
-    deg = a.deg
-    t = np.zeros((deg + 1,) + x0.shape)
-    t[0] = np.sqrt(x0)
-    for k in range(1, deg + 1):
-        s = np.zeros(x0.shape)
-        for j in range(1, k):
-            s = s + t[j] * t[k - j]
-        rhs = (1.0 if k == 1 else 0.0) - s
-        t[k] = rhs / (2.0 * t[0])
     return compose_univariate(t, a)

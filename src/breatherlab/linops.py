@@ -51,18 +51,16 @@ def _central_fields(make_family, h: float, t, x, max_order: int):
 
 @dataclass(frozen=True)
 class ScalarOperator:
-    """Fourth-order linearization of the scalar stationary equations.
+    """Fourth-order linearization of a scalar family's stationary equation,
+    the second variation of H = F + a1 E + a2 M.
 
-    ``a1`` multiplies the (z_xx + 3 B^2 z) block, ``a2`` is the constant
-    zeroth-order coefficient, ``mu`` switches on the quadratic-nonlinearity
-    terms.  ``zero_potential`` drops the profile, leaving the constant-
-    coefficient operator (useful as a continuum-spectrum reference).
+    The multipliers (a1, a2) are the family's ``a1a2`` and the Gardner
+    coefficient q is its ``quadratic`` (q = 0 for mKdV).  ``zero_potential``
+    drops the profile, leaving the constant-coefficient operator (useful as a
+    continuum-spectrum reference).
     """
 
     family: object
-    a1: float
-    a2: float
-    mu: float = 0.0
     zero_potential: bool = False
 
     @property
@@ -73,21 +71,19 @@ class ScalarOperator:
         """(c0, c1, c2) grids: c_r multiplies the r-th derivative in ``apply``;
         the leading coefficient, of z_4x, is identically 1."""
         x = np.asarray(x, dtype=float)
+        a1, a2 = self.family.a1a2
         if self.zero_potential:
             zero = np.zeros_like(x)
-            return self.a2 + zero, zero.copy(), -self.a1 + zero
+            return a2 + zero, zero.copy(), -a1 + zero
+        q = self.family.quadratic
         f = self.family.eval(0.0, x, deg=2)
         B, Bx, Bxx = f.value, f.partial(nx=1), f.partial(nx=2)
-        c2 = -self.a1 + 5.0 * B**2
-        c1 = 10.0 * B * Bx
-        c0 = self.a2 + 5.0 * Bx**2 + 10.0 * B * Bxx + 7.5 * B**4 - 3.0 * self.a1 * B**2
-        if self.mu:
-            mu = self.mu
-            c2 = c2 + (10.0 / 3.0) * mu * B
-            c1 = c1 + (10.0 / 3.0) * mu * Bx
-            c0 = c0 + mu * (
-                10.0 * B**3 - 2.0 * self.a1 * B + (10.0 / 3.0) * Bxx + (10.0 / 3.0) * mu * B**2
-            )
+        # at q = 0 (mKdV) each q-term adds an exact zero
+        c2 = -a1 + 5.0 * B**2 + (10.0 / 3.0) * q * B
+        c1 = 10.0 * B * Bx + (10.0 / 3.0) * q * Bx
+        c0 = a2 + 5.0 * Bx**2 + 10.0 * B * Bxx + 7.5 * B**4 - 3.0 * a1 * B**2 + q * (
+            10.0 * B**3 - 2.0 * a1 * B + (10.0 / 3.0) * Bxx + (10.0 / 3.0) * q * B**2
+        )
         return c0, c1, c2
 
     def apply(self, x, z):
@@ -106,12 +102,10 @@ class ScalarOperator:
 
 def scalar_operator(family, t: float = 0.0, zero_potential: bool = False) -> ScalarOperator:
     """Linearization of a scalar breather's stationary equation about its
-    normal form at time t, with the family's own Lyapunov multipliers."""
+    normal form at time t."""
     if family.kind not in ("mkdv", "gardner", "kksh"):
         raise ValueError(f"no linearized operator for family kind {family.kind!r}")
-    fam = breathers.normal_form(family, t)
-    a1, a2 = fam.a1a2
-    return ScalarOperator(fam, a1=a1, a2=a2, mu=fam.quadratic, zero_potential=zero_potential)
+    return ScalarOperator(breathers.normal_form(family, t), zero_potential)
 
 
 # ---------------------------------------------------------------------------
@@ -220,24 +214,6 @@ def sg_scaling_direction(family, x):
     return _central_fields(lambda s: replace(family, beta=family.beta + s), h, 0.0, x, 4)
 
 
-def sg_scaling_relation_residuals(family, x=None):
-    """Residuals of the two operator identities satisfied by the scaling
-    direction: row1 = a'(B_xx - sin B) + b'/2 B_tx, row2 = -a' B_t - b'/2 B_x.
-    """
-    if x is None:
-        x = np.linspace(-25.0 / family.beta, 25.0 / family.beta, 301)
-    op = sg_operator(family)
-    fam = op.family
-    z, w = sg_scaling_direction(fam, x)
-    f = op.coefficients(x)
-    row1, row2 = op.rows(f, z, w)
-    aprime = 2.0 * (1.0 + fam.v**2) * fam.beta
-    bprime = -8.0 * fam.v * fam.beta
-    rhs1 = aprime * (f["Bxx"] - f["sin"]) + 0.5 * bprime * f["Btx"]
-    rhs2 = -aprime * f["Bt"] - 0.5 * bprime * f["Bx"]
-    return float(np.max(np.abs(row1 - rhs1))), float(np.max(np.abs(row2 - rhs2)))
-
-
 def sg_variational_direction_residual(family, x=None) -> float:
     """Componentwise defect of L[(B0, B0t)] = (A, At) for the scaled scaling
     direction (B0, B0t) = -(1/2 beta)(dB/dbeta, dB_t/dbeta), with
@@ -259,32 +235,15 @@ def sg_variational_direction_residual(family, x=None) -> float:
     return float(max(np.max(np.abs(row1 - a_row)), np.max(np.abs(row2 - at_row))))
 
 
-def _sg_line_plan(family) -> LinePlan:
-    return LinePlan(center=0.0, half_width=30.0 / family.beta + 10.0, nodes_per_unit=8.0)
-
-
 def sg_scaling_quadratic_form(family) -> float:
-    """Q[dB/dbeta, dB_t/dbeta]; equals -32 (1 + 3 v^2) beta for every breather."""
+    """Q[dB/dbeta, dB_t/dbeta] by the integrated-by-parts route; equals
+    -32 (1 + 3 v^2) beta for every breather."""
     op = sg_operator(family)
     fam = op.family
-    plan = _sg_line_plan(fam)
+    plan = LinePlan(center=0.0, half_width=30.0 / fam.beta + 10.0, nodes_per_unit=8.0)
     x, w_quad = plan.nodes_weights(2)
     z, w = sg_scaling_direction(fam, x)
     return op.quadratic_form(x, w_quad, z, w)
-
-
-def sg_scaled_direction_pairing(beta: float, v: float) -> float:
-    """-(integral of (B0, B0t) . L[(B0, B0t)]); equals (8/beta)(1 + 3 v^2) > 0."""
-    family = breathers.SgBreather(beta=beta, v=v)
-    op = sg_operator(family)
-    fam = op.family
-    plan = _sg_line_plan(fam)
-    x, w_quad = plan.nodes_weights(2)
-    z, w = sg_scaling_direction(fam, x)
-    s = -0.5 / fam.beta
-    z = tuple(s * zi for zi in z)
-    w = tuple(s * wi for wi in w)
-    return -op.quadratic_form_apply(x, w_quad, z, w)
 
 
 # ---------------------------------------------------------------------------

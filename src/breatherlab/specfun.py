@@ -208,18 +208,6 @@ def hermite_stack(nmax: int, x, orders: int) -> list[np.ndarray]:
     return [arr[: nmax + 1] for arr in stack]
 
 
-def hermite_f(n: int, x):
-    """Value and first derivative of the orthonormal Hermite function f_n."""
-    if n < 0:
-        raise ValueError("Hermite index must be nonnegative")
-    v = hermite_values(n + 1, x)
-    d = math.sqrt(n / 2.0) * v[n - 1] if n >= 1 else np.zeros_like(v[0])
-    d = d - math.sqrt((n + 1) / 2.0) * v[n + 1]
-    if np.ndim(x) == 0:
-        return float(v[n][0]), float(d[0])
-    return v[n], d
-
-
 @dataclass(frozen=True)
 class HermiteBasis:
     """Orthonormal Hermite functions f_0..f_{count-1} on the line."""

@@ -268,11 +268,13 @@ class StabilityReport:
     CSV_COLUMNS = "beta,k,m,alpha,L,mass,a1,a2,D,HG,verdict"
 
     def csv_row(self, fmt=repr) -> str:
+        """The row with ``fmt`` applied to every number but m, which is printed
+        in full so that the row can be checked against the period lock."""
         vals = [
-            self.beta, self.k, self.m, self.alpha, self.period,
-            self.mass, self.a1, self.a2, self.discriminant, self.hg,
+            self.alpha, self.period, self.mass, self.a1, self.a2, self.discriminant, self.hg,
         ]
-        return ",".join([fmt(v) for v in vals] + [self.verdict])
+        head = [fmt(self.beta), fmt(self.k), repr(self.m)]
+        return ",".join(head + [fmt(v) for v in vals] + [self.verdict])
 
 
 def stability_report(beta: float, k: float) -> StabilityReport:
@@ -291,9 +293,10 @@ def stability_report(beta: float, k: float) -> StabilityReport:
 
 
 def sg_weinstein_check(beta: float, v: float) -> float:
-    """Quadratic pairing of the scaled variational direction for the
-    wave-equation breather; equals (8 / beta)(1 + 3 v^2) and is positive
-    for every admissible (beta, v)."""
-    from . import linops  # local import: linops depends on breathers
+    """Quadratic pairing -<B0, L B0> of the scaled variational direction
+    B0 = -(1/2 beta) dB/dbeta of the wave-equation breather, that is
+    -Q / (4 beta^2) with Q = ``linops.sg_scaling_quadratic_form``; equals
+    (8 / beta)(1 + 3 v^2) and is positive for every admissible (beta, v)."""
+    from . import breathers, linops  # local import: breathers imports this module
 
-    return linops.sg_scaled_direction_pairing(beta, v)
+    return -linops.sg_scaling_quadratic_form(breathers.SgBreather(beta=beta, v=v)) / (4.0 * beta**2)

@@ -168,7 +168,7 @@ def test_criterion2_closed_form_functionals():
             )
             q = linops.sg_scaling_quadratic_form(fam)
             q_ref = -32 * (1 + 3 * v * v) * beta
-            pairing = linops.sg_scaled_direction_pairing(beta, v)
+            pairing = st.sg_weinstein_check(beta, v)
             pairing_ref = (8.0 / beta) * (1 + 3 * v * v)
             worst["exact"] = max(
                 worst["exact"], abs(q - q_ref) / abs(q_ref),

@@ -86,6 +86,16 @@ class TestSpectrumCommand:
         assert run(argv) == 2
         assert flag in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv,flag", [
+        (["residual", "--family", "mkdv", "--alpha", "0.5", "--mu", "0.3"], "--mu"),
+        (["residual", "--family", "mkdv", "--alpha", "0.5", "--c", "2"], "--c"),
+        (["spectrum", "--family", "sg", "--beta", "0.5", "--alpha", "0.5"], "--alpha"),
+        (["residual", "--family", "kksh", "--k", "0.03", "--m", "0.2"], "--m"),
+    ])
+    def test_flag_the_family_does_not_take_exit_2(self, argv, flag, capsys):
+        assert run(argv) == 2
+        assert flag in capsys.readouterr().err
+
     @pytest.mark.parametrize("argv", [
         ["spectrum", *_SMALL_MKDV, "--dim-total", "50"],
         ["sweep", *_SMALL_MKDV, "--dim-total", "50", "--param", "x1", "--values", "0"],
@@ -231,6 +241,13 @@ class TestOtherCommands:
         assert lines[0] == "beta,k,m,alpha,L,mass,a1,a2,D,HG,verdict"
         assert lines[1].endswith("stable-candidate")
         assert lines[2].endswith("unstable-candidate")
+
+    def test_stability_prints_m_in_full(self, capsys):
+        assert run(["stability", "--beta", "1", "--k", "0.001,2e-12"]) == 0
+        rows = [l.split(",") for l in capsys.readouterr().out.split("\n") if l and l[0].isdigit()]
+        assert [float(r[1]) for r in rows] == [0.001, 2e-12]
+        for r in rows:
+            assert float(r[2]) == stability.solve_commensurability(float(r[1]), 1.0).m
 
     def test_stability_threads_env(self, tmp_path, monkeypatch):
         monkeypatch.setenv("BREATHER_THREADS", "1")

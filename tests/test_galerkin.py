@@ -164,7 +164,7 @@ class TestTorusProjection:
 
         fam = br.KkshBreather(beta=1.0, k=0.03, x1=0.1)
         sound = linops.scalar_operator(fam)
-        skew = SkewOperator(fam, a1=sound.a1, a2=sound.a2)
+        skew = SkewOperator(sound.family)
         prob = gk.fourier_problem(skew, 40)
         assembled = gk.assemble(prob, check_quality=False)
         assert assembled.asymmetry > gk.ASYMMETRY_FLAG

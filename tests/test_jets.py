@@ -91,12 +91,6 @@ def test_cosh_offset_second_coefficient():
     assert c.c[2, 0] == pytest.approx(0.5638, abs=1e-4)
 
 
-def test_sqrt_requires_positive_constant():
-    y1 = Jet2.variable(-1.0, 0, deg=3)
-    with pytest.raises(jets.JetSingularity):
-        jets.sqrt(y1)
-
-
 def test_degree_mismatch_rejected():
     a = Jet2.variable(0.0, 0, deg=3)
     b = Jet2.variable(0.0, 0, deg=4)
@@ -169,14 +163,6 @@ def test_sin_cos_pythagorean_identity():
         rest = one.c.copy()
         rest[0, 0] = 0.0
         assert np.max(np.abs(rest)) < 1e-12
-
-
-def test_tanh_consistency_with_sinh_cosh():
-    rng = np.random.default_rng(9)
-    a = random_jet(rng, amp=0.8, base=0.3)
-    direct = jets.tanh(a)
-    ratio = jets.sinh(a) / jets.cosh(a)
-    assert np.allclose(direct.c, ratio.c, atol=1e-13)
 
 
 def test_grid_vectorised_jets_match_scalar():

@@ -125,14 +125,13 @@ class TestAmplitude:
 
 class TestHermite:
     def test_f0_at_origin(self):
-        v, d = sf.hermite_f(0, 0.0)
-        assert v == pytest.approx(math.pi ** -0.25, rel=1e-14)
-        assert v == pytest.approx(0.751126, abs=5e-7)
-        assert d == pytest.approx(0.0, abs=1e-15)
+        v = sf.hermite_values(1, 0.0)
+        assert v[0, 0] == pytest.approx(math.pi ** -0.25, rel=1e-14)
+        assert v[0, 0] == pytest.approx(0.751126, abs=5e-7)
+        assert sf.hermite_derivative_ladder(v)[0, 0] == pytest.approx(0.0, abs=1e-15)
 
     def test_f1_odd(self):
-        v, _ = sf.hermite_f(1, 0.0)
-        assert v == 0.0
+        assert sf.hermite_values(1, 0.0)[1, 0] == 0.0
 
     def test_parity(self):
         xs = np.linspace(0.3, 4.0, 11)
