@@ -77,14 +77,17 @@ class TestSgBlock:
         check(br.SgBreather(beta=0.5, v=0.7))
         assert len(calls) == 3
 
+    def test_scaling_relation_residuals(self):
+        # the image of dB/dbeta is -2 beta times that of the scaled direction
+        # (B0, B0t) = -(1/2 beta) dB/dbeta, so its defect is 2 beta times the
+        # variational residual
+        for beta, v in ((0.5, 0.0), (0.5, 0.7), (0.8, 0.3)):
+            fam = br.SgBreather(beta=beta, v=v, x1=0.1)
+            assert 2 * beta * linops.sg_variational_direction_residual(fam) < 1e-5
+
     def test_variational_direction_image(self):
         fam = br.SgBreather(beta=0.5, v=0.7)
         assert linops.sg_variational_direction_residual(fam) < 1e-6
-        # the scaled direction is -(1/2 beta) dB/dbeta, so a defect of 1e-5
-        # in the image of dB/dbeta is 1e-5 / (2 beta) here
-        for beta, v in ((0.5, 0.0), (0.5, 0.7), (0.8, 0.3)):
-            fam = br.SgBreather(beta=beta, v=v, x1=0.1)
-            assert linops.sg_variational_direction_residual(fam) < 1e-5 / (2 * beta)
 
     def test_scaling_quadratic_form_closed_value(self):
         fam = br.SgBreather(beta=0.7, v=0.3)
