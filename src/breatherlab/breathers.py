@@ -294,19 +294,38 @@ class SgBreather:
     def envelope_center(self, t: float) -> float:
         return self.v * t - self.x2
 
-    def eval(self, t, x, deg: int = DEFAULT_DEG) -> PairFieldJet:
-        a, b, v = self.alpha, self.beta, self.v
+    def _phases(self, t, x, deg):
+        """Phase jets Y1, Y2 and (sin, cos)(alpha Y1), (cosh, sinh)(beta Y2)."""
+        v = self.v
         x = np.asarray(x, dtype=float)
         Y1, Y2 = _phase_jets(t - v * x + self.x1, x - v * t + self.x2, deg)
-        sin1, cos1 = jets.sin(a * Y1), jets.cos(a * Y1)
-        cosh2, sinh2 = jets.cosh(b * Y2), jets.sinh(b * Y2)
+        a1, b2 = self.alpha * Y1, self.beta * Y2
+        return Y1, Y2, jets.sin(a1), jets.cos(a1), jets.cosh(b2), jets.sinh(b2)
+
+    def _field(self, jet) -> FieldJet:
+        return FieldJet(jet, dt=(1.0, -self.v), dx=(-self.v, 1.0))
+
+    def eval(self, t, x, deg: int = DEFAULT_DEG) -> PairFieldJet:
+        a, b, v = self.alpha, self.beta, self.v
+        _, _, sin1, cos1, cosh2, sinh2 = self._phases(t, x, deg)
         num = b * cos1
         den = a * cosh2
         b_jet = 4.0 * jets.atan(num / den)
         g = den * den + num * num
         bt_jet = (-4 * a * b) * (a * sin1 * cosh2 - (b * v) * cos1 * sinh2) / g
-        dt, dx = (1.0, -v), (-v, 1.0)
-        return PairFieldJet(FieldJet(b_jet, dt, dx), FieldJet(bt_jet, dt, dx))
+        return PairFieldJet(self._field(b_jet), self._field(bt_jet))
+
+    def beta_partial(self, t, x, deg: int = DEFAULT_DEG) -> FieldJet:
+        """dB/dbeta at fixed (v, x1, x2), by the quotient rule on
+        B = 4 arctan(N / D), N = beta cos(alpha Y1), D = alpha cosh(beta Y2),
+        with dalpha/dbeta = -beta/alpha.  The phases do not move with beta, so
+        dB_t/dbeta is this field's ``partial(nt=1)``."""
+        a, b = self.alpha, self.beta
+        Y1, Y2, sin1, cos1, cosh2, sinh2 = self._phases(t, x, deg)
+        num, den = b * cos1, a * cosh2
+        num_b = cos1 + (b * b / a) * Y1 * sin1
+        den_b = (-b / a) * cosh2 + a * Y2 * sinh2
+        return self._field(4.0 * (num_b * den - num * den_b) / (num * num + den * den))
 
 
 # ---------------------------------------------------------------------------
@@ -368,15 +387,46 @@ class KkshBreather(_ScalarFamily):
     def space_shift(self) -> float:
         return -self.delta * self.time_period
 
-    def eval(self, t, x, deg: int = DEFAULT_DEG) -> FieldJet:
-        a, b, k, m = self.alpha, self.beta, self.k, self.m
+    def _phases(self, t, x, deg):
+        """Phase jets Y1, Y2 and (sn, cn, dn)(alpha Y1 | k), (sn, cn, dn)(beta Y2 | m)."""
         x = np.asarray(x, dtype=float)
         Y1, Y2 = _phase_jets(x + self.delta * t + self.x1, x + self.gamma * t + self.x2, deg)
-        sn1, cn1, dn1 = specfun.jacobi_sncndn_jet(a * Y1, k)
-        sn2, cn2, dn2 = specfun.jacobi_sncndn_jet(b * Y2, m)
+        return (Y1, Y2, specfun.jacobi_sncndn_jet(self.alpha * Y1, self.k),
+                specfun.jacobi_sncndn_jet(self.beta * Y2, self.m))
+
+    def eval(self, t, x, deg: int = DEFAULT_DEG) -> FieldJet:
+        a, b, m = self.alpha, self.beta, self.m
+        _, _, (sn1, cn1, dn1), (sn2, cn2, dn2) = self._phases(t, x, deg)
         u = _Pair(sn1 * dn2, (a * cn1) * dn1 * dn2 - (b * m) * sn1 * sn2 * cn2)
         b_jet = (AMP * a * b) * u.fx / (a * a + (b * b) * u.f * u.f)
         return FieldJet(b_jet, dt=(self.delta, self.gamma), dx=(1.0, 1.0))
+
+    def parameter_partials(self, x, deg: int = DEFAULT_DEG) -> tuple[FieldJet, FieldJet]:
+        """Partials along k and along beta of the potential AMP arctan(b U / a),
+        U = sn(a Y1 | k) dn(b Y2 | m), at t = 0; the profile is its d/dx, so
+        ``partial(nx=j + 1)`` is the j-th x-derivative of dB/dk or dB/dbeta.
+
+        Each is AMP (a b_p U + a b U_p - a_p b U) / (a^2 + b^2 U^2).  Along k,
+        m follows the period lock and a = beta ((1 - m) / k)^(1/4) with it;
+        along beta, k and m stay fixed and a and b scale.  The phases' time
+        coefficients move with the parameters, so the time chain map is NaN.
+        """
+        a, b, k, m = self.alpha, self.beta, self.k, self.m
+        Y1, Y2, (sn1, cn1, dn1), (sn2, cn2, dn2) = self._phases(0.0, x, deg)
+        U = sn1 * dn2
+        U_a = Y1 * cn1 * dn1 * dn2
+        U_b = (-m) * Y2 * sn1 * sn2 * cn2
+        m_k = stability.lock_slope(k, m)
+        a_k = 0.25 * a * (-m_k / (1.0 - m) - 1.0 / k)
+        U_k = (a_k * U_a + specfun.jacobi_dm_jet(a * Y1, k)[0] * dn2
+               + m_k * sn1 * specfun.jacobi_dm_jet(b * Y2, m)[2])
+        den = a * a + (b * b) * U * U
+
+        def potential_partial(a_p, b_p, U_p):
+            field = (AMP * a) * (b_p * U + b * U_p - (a_p * b / a) * U) / den
+            return FieldJet(field, dt=(math.nan, math.nan), dx=(1.0, 1.0))
+
+        return potential_partial(a_k, 0.0, U_k), potential_partial(a / b, 1.0, (a / b) * U_a + U_b)
 
 
 def _coprime(p: int, q: int) -> bool:

@@ -5,8 +5,9 @@ constants) into '#'-prefixed header lines, making output files
 self-describing and byte-reproducible.
 
 Exit codes: 0 success, 2 parameter/validation failure, 3 numerical-quality
-failure (quadrature drift, matrix asymmetry, eigensolver diagnostics, or a
-NaN or infinite residual or diagnostic about to be printed).
+failure (quadrature drift, matrix asymmetry, eigensolver diagnostics, a
+floating-point overflow or invalid operation anywhere in the run, or a NaN or
+infinite residual or diagnostic about to be printed).
 """
 
 from __future__ import annotations
@@ -92,6 +93,8 @@ def _config_tokens(path: str) -> list[str]:
 # name a field of the chosen family (kksh also takes m, to find its k)
 _FAMILY_PARAMS = {"alpha": float, "mu": float, "k": float, "m": float, "c": float,
                   "c1": float, "c2": float, "p": int, "q": int}
+# the scaling a family takes when --beta is not given
+DEFAULT_BETA = 1.0
 
 
 def _family_from_args(args) -> object:
@@ -105,6 +108,9 @@ def _family_from_args(args) -> object:
             raise ValueError(f"--{name} does not apply to --family {args.family}")
     kwargs = {f.name: getattr(args, f.name) for f in fields
               if getattr(args, f.name, None) is not None}
+    beta_defaulted = "beta" in takes and "beta" not in kwargs
+    if beta_defaulted:
+        kwargs["beta"] = DEFAULT_BETA
     if cls is breathers.KkshBreather:
         m = getattr(args, "m", None)
         if "k" in kwargs and m is not None:
@@ -116,7 +122,13 @@ def _family_from_args(args) -> object:
     for f in fields:
         if f.name not in kwargs and f.default is dataclasses.MISSING:
             raise ValueError(f"{args.family} needs --{f.name}")
-    return cls(**kwargs)
+    try:
+        return cls(**kwargs)
+    except ValueError as err:
+        # a message that names beta says where its value came from
+        if beta_defaulted and "beta" in str(err):
+            raise ValueError(f"{err} (--beta was not given and took its default {DEFAULT_BETA})") from None
+        raise
 
 
 def _basis_size(args) -> int:
@@ -159,7 +171,9 @@ def _write_text(path, text: str):
 # ---------------------------------------------------------------------------
 
 
-def _spectral_run(family, n: int, kernel_tol=None, t: float = 0.0):
+def _spectral_run(family, n: int, kernel_tol=None, t: float = 0.0, n_eigs=None):
+    """Assemble, solve and classify; ``n_eigs``, when given, must not exceed
+    the matrix dimension, so that every CSV row holds all its columns."""
     op = linops.operator_for(family, t)
     if family.kind == "sg":
         problem = galerkin.hermite_problem(op, n - 1)
@@ -167,6 +181,8 @@ def _spectral_run(family, n: int, kernel_tol=None, t: float = 0.0):
         problem = galerkin.fourier_problem(op, n)
     else:
         problem = galerkin.hermite_problem(op, n)
+    if n_eigs is not None and n_eigs > problem.dim:
+        raise ValueError(f"--n-eigs {n_eigs} exceeds the matrix dimension {problem.dim}")
     assembled, spectrum, cls = galerkin.solve_problem(problem, kernel_tol=kernel_tol)
     return problem, assembled, spectrum, cls
 
@@ -227,7 +243,7 @@ def _sweep_rows(base_args, param, values, n, kernel_tol, n_eigs):
         args = argparse.Namespace(**vars(base_args))
         setattr(args, param, val)
         family = _family_from_args(args)
-        _, assembled, spectrum, cls = _spectral_run(family, n, kernel_tol)
+        _, assembled, spectrum, cls = _spectral_run(family, n, kernel_tol, n_eigs=n_eigs)
         rows.append((val, spectrum.values[:n_eigs], cls, assembled))
     return rows
 
@@ -433,7 +449,7 @@ def cmd_backlund(args) -> int:
 
 def _add_family_options(p: argparse.ArgumentParser):
     p.add_argument("--family", required=True, choices=list(breathers.FAMILIES))
-    p.add_argument("--beta", type=float, default=1.0)
+    p.add_argument("--beta", type=float, default=None, help=f"default {DEFAULT_BETA}")
     p.add_argument("--v", type=float, default=0.0)
     for name, kind in _FAMILY_PARAMS.items():
         p.add_argument(f"--{name}", type=kind, default=None)
@@ -528,10 +544,13 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.config:
-            # argparse keeps the last value of a flag, so the command line wins
-            args = parser.parse_args(argv[:1] + _config_tokens(args.config) + argv[1:])
-        return args.func(args)
+        # an overflow or invalid operation raises FloatingPointError, an
+        # ArithmeticError, instead of printing a warning and going on
+        with np.errstate(over="raise", invalid="raise"):
+            if args.config:
+                # argparse keeps the last value of a flag, so the command line wins
+                args = parser.parse_args(argv[:1] + _config_tokens(args.config) + argv[1:])
+            return args.func(args)
     except (ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

@@ -55,6 +55,11 @@ class GalerkinProblem:
     basis: object
     plan: object
 
+    @property
+    def dim(self) -> int:
+        """Matrix dimension: the basis size, once per slot of the operator."""
+        return (2 if isinstance(self.operator, SgBlockOperator) else 1) * self.basis.size
+
 
 def default_hermite_plan(operator, n_basis: int) -> LinePlan:
     """Truncation and density adapted to both the basis and the potential.
@@ -110,8 +115,7 @@ def _project(problem: GalerkinProblem, x, w) -> np.ndarray:
     """M_ij = sum over the nodes of w f_i op.apply(f_j), block by block."""
     op, basis = problem.operator, problem.basis
     block = isinstance(op, SgBlockOperator)
-    size = 2 * basis.size if block else basis.size
-    m = np.zeros((size, size))
+    m = np.zeros((problem.dim, problem.dim))
     for lo in range(0, x.size, NODE_BLOCK):
         xb = x[lo:lo + NODE_BLOCK]
         stack = basis.stack(xb, 4)

@@ -18,30 +18,12 @@ fields, which is one of the module's self-checks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import breathers
-from .breathers import PairFieldJet
 from .quadrature import LinePlan
-
-
-def _central_fields(make_family, h: float, t, x, max_order: int):
-    """Central finite difference of field derivative grids across a parameter.
-
-    A pair field gives one tuple of grids per slot, both from the same two
-    family evaluations.
-    """
-    out_p = make_family(+h).eval(t, x, deg=max_order)
-    out_m = make_family(-h).eval(t, x, deg=max_order)
-
-    def diff(p, m):
-        return tuple((p.partial(nx=j) - m.partial(nx=j)) / (2.0 * h) for j in range(max_order + 1))
-
-    if isinstance(out_p, PairFieldJet):
-        return diff(out_p.b, out_m.b), diff(out_p.bt, out_m.bt)
-    return diff(out_p, out_m)
 
 
 # ---------------------------------------------------------------------------
@@ -204,14 +186,14 @@ def operator_for(family, t: float = 0.0):
 
 
 def sg_scaling_direction(family, x):
-    """(dB/dbeta, dB_t/dbeta) derivative grids by central differences of step
-    1e-5 max(1, beta).
+    """(dB/dbeta, dB_t/dbeta) derivative grids: x-derivatives of orders 0..4
+    and 0..3, from the jet of the family's closed-form beta-partial.
 
     The shift and velocity parameters stay fixed while every derived
     constant follows the scaling.
     """
-    h = 1e-5 * max(1.0, family.beta)
-    return _central_fields(lambda s: replace(family, beta=family.beta + s), h, 0.0, x, 4)
+    d = family.beta_partial(0.0, x, deg=4)
+    return tuple(d.partial(nx=j) for j in range(5)), tuple(d.partial(nt=1, nx=j) for j in range(4))
 
 
 def sg_variational_direction_residual(family, x=None) -> float:
@@ -252,18 +234,14 @@ def sg_scaling_quadratic_form(family) -> float:
 
 
 def kksh_parameter_direction(beta: float, k: float, x):
-    """Derivative grids of the periodic profile along k and along beta, by
-    central differences of step 1e-6.
+    """Derivative grids (orders 0..4) of the periodic profile along k and
+    along beta, from the jets of the family's closed-form partials.
 
-    The commensurability constraint is re-solved at every displaced k, so the
-    k-direction follows the constrained family.
+    The k-direction follows the constrained family: m moves with k along the
+    period lock.
     """
-    def fam(b, kk):
-        return breathers.KkshBreather(beta=b, k=kk)
-
-    dk = _central_fields(lambda s: fam(beta, k + s), 1e-6, 0.0, x, 4)
-    db = _central_fields(lambda s: fam(beta + s, k), 1e-6, 0.0, x, 4)
-    return dk, db
+    dk, db = breathers.KkshBreather(beta=beta, k=k).parameter_partials(x, deg=5)
+    return tuple(dk.partial(nx=j + 1) for j in range(5)), tuple(db.partial(nx=j + 1) for j in range(5))
 
 
 def kksh_inverse_direction_residual(beta: float, k: float, n_points: int = 200) -> float:

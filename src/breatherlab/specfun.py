@@ -6,9 +6,11 @@ identities read ``sn'^2 = 1 - (1+m) sn^2 + m sn^4`` and
 ``nd'^2 = -1 + (2-m) nd^2 + (m-1) nd^4``.
 
 Elliptic integrals are computed by the arithmetic-geometric mean, the Jacobi
-functions by the descending-Landen phase recursion, and the Hermite functions
-by the stable normalised recurrence; none of these lose accuracy over the
-parameter ranges used by the breather families.
+functions and Jacobi's epsilon by the descending-Landen phase recursion, and
+the Hermite functions by the stable normalised recurrence; none of these lose
+accuracy over the parameter ranges used by the breather families.  The jets of
+sn, cn and dn, and of their partials in m, come from Taylor tables built by
+the derivative relations.
 """
 
 from __future__ import annotations
@@ -71,6 +73,22 @@ def _agm_ladder(m: float):
     return a_list, c_list
 
 
+def _landen(u, m: float, zeta: bool = False):
+    """Amplitude phi_0 of u down the descending Landen phases phi_n (A&S 16.4),
+    for 0 < m < 1, and with ``zeta`` the Jacobi zeta sum  sum_n c_n sin(phi_n)
+    (A&S 17.6.8), else 0."""
+    a_list, c_list = _agm_ladder(m)
+    n = len(a_list) - 1
+    phi = (2.0**n) * a_list[n] * u
+    total = 0.0
+    for i in range(n, 0, -1):
+        s = np.sin(phi)
+        if zeta:
+            total = total + c_list[i] * s
+        phi = 0.5 * (phi + np.arcsin(np.clip(c_list[i] / a_list[i] * s, -1.0, 1.0)))
+    return phi, total
+
+
 def jacobi_amplitude(u, m: float):
     """Jacobi amplitude: the antiderivative of dn starting at zero."""
     u = np.asarray(u, dtype=float)
@@ -81,12 +99,18 @@ def jacobi_amplitude(u, m: float):
     elif m == 1.0:
         out = 2.0 * np.arctan(np.exp(u)) - 0.5 * math.pi
     else:
-        a_list, c_list = _agm_ladder(m)
-        n = len(a_list) - 1
-        phi = (2.0**n) * a_list[n] * u
-        for i in range(n, 0, -1):
-            phi = 0.5 * (phi + np.arcsin(np.clip(c_list[i] / a_list[i] * np.sin(phi), -1.0, 1.0)))
-        out = phi
+        out = _landen(u, m)[0]
+    return out if out.ndim else float(out)
+
+
+def jacobi_epsilon(u, m: float):
+    """Jacobi's epsilon function, the antiderivative of dn^2 starting at zero
+    (DLMF 22.16.14), for 0 < m < 1: (E/K) u plus the Jacobi zeta sum over the
+    Landen phases."""
+    if not 0.0 < m < 1.0:
+        raise ValueError(f"epsilon and the parameter partials need 0 < m < 1, got {m}")
+    u = np.asarray(u, dtype=float)
+    out = ellip_e(m) / ellip_k(m) * u + _landen(u, m, zeta=True)[1]
     return out if out.ndim else float(out)
 
 
@@ -121,16 +145,10 @@ def jacobi(u, m: float, which: str):
     return out if np.ndim(out) else float(out)
 
 
-def jacobi_sncndn_jet(a: Jet2, m: float):
-    """Jet lift of (sn, cn, dn) via the coupled derivative relations.
-
-    The univariate Taylor tables at the constant term follow from
-    sn' = cn dn, cn' = -sn dn, dn' = -m sn cn; composition with the
-    nilpotent part is plain polynomial evaluation.
-    """
-    u0 = np.asarray(a.value)
-    deg = a.deg
-    s = np.zeros((deg + 1,) + u0.shape)
+def _sncndn_tables(u0, m: float, deg: int):
+    """Univariate Taylor tables of (sn, cn, dn) at u0, from the coupled
+    derivative relations sn' = cn dn, cn' = -sn dn, dn' = -m sn cn."""
+    s = np.zeros((deg + 1,) + np.shape(u0))
     c = np.zeros_like(s)
     d = np.zeros_like(s)
     s[0], c[0], d[0] = _sncndn(u0, m)
@@ -141,11 +159,32 @@ def jacobi_sncndn_jet(a: Jet2, m: float):
         s[k + 1] = conv_cd / (k + 1)
         c[k + 1] = -conv_sd / (k + 1)
         d[k + 1] = -m * conv_sc / (k + 1)
-    return (
-        jets.compose_univariate(s, a),
-        jets.compose_univariate(c, a),
-        jets.compose_univariate(d, a),
-    )
+    return s, c, d
+
+
+def jacobi_sncndn_jet(a: Jet2, m: float):
+    """Jet lift of (sn, cn, dn): their Taylor tables at the constant term,
+    composed with the nilpotent part by plain polynomial evaluation."""
+    return tuple(jets.compose_univariate(t, a) for t in _sncndn_tables(a.value, m, a.deg))
+
+
+def jacobi_dm_jet(a: Jet2, m: float):
+    """Jets of the parameter partials (d_m sn, d_m cn, d_m dn) at a fixed
+    argument, for 0 < m < 1 (Byrd & Friedman 710.00-710.02).
+
+    All three follow from the partial of the amplitude,
+    d_m am = sn cn / (2 (1-m)) - dn (eps - (1-m) u) / (2 m (1-m)), with eps
+    Jacobi's epsilon; the Taylor table of eps is eps(u0) followed by that of
+    its derivative dn^2, each coefficient divided by its order.
+    """
+    s, c, d = _sncndn_tables(a.value, m, a.deg)
+    e = np.empty_like(d)
+    e[0] = jacobi_epsilon(a.value, m)
+    for k in range(a.deg):
+        e[k + 1] = sum(d[j] * d[k - j] for j in range(k + 1)) / (k + 1)
+    sn, cn, dn, eps = (jets.compose_univariate(t, a) for t in (s, c, d, e))
+    am_m = (0.5 / (1.0 - m)) * sn * cn - (0.5 / (m * (1.0 - m))) * dn * (eps - (1.0 - m) * a)
+    return cn * am_m, -sn * am_m, -sn * (sn + (2.0 * m) * cn * am_m) / (2.0 * dn)
 
 
 def jacobi_jet(a: Jet2, m: float, which: str) -> Jet2:

@@ -173,6 +173,13 @@ def _elliptic_pair(m: float) -> tuple[float, float, float, float]:
     return K, E, (E - (1.0 - m) * K) / (2.0 * m * (1.0 - m)), (E - K) / (2.0 * m)
 
 
+def lock_slope(k: float, m: float) -> float:
+    """dm/dk = -F_k / F_m along the period lock F(k, m) = 16 k K(k)^4 - (1 - m) K(m)^4 = 0."""
+    Kk, _, dKk, _ = _elliptic_pair(k)
+    Km, _, dKm, _ = _elliptic_pair(m)
+    return -(16.0 * Kk**4 + 64.0 * k * Kk**3 * dKk) / (Km**4 - 4.0 * (1.0 - m) * Km**3 * dKm)
+
+
 def coefficient_gradients(beta: float, k: float, m: float, constraint: str = "frozen"):
     """Values and exact (beta, k)-partials of (a1, a2, mass) at a locked pair.
 
@@ -180,7 +187,7 @@ def coefficient_gradients(beta: float, k: float, m: float, constraint: str = "fr
     and the k-partials.  beta enters as pure powers (a1 ~ beta^2, a2 ~ beta^4,
     mass ~ beta), and m does not depend on it.  "frozen" holds m fixed in the
     k-partials; "resolved" adds dm/dk = -F_k / F_m along the period lock
-    F(k, m) = 16 k K(k)^4 - (1 - m) K(m)^4 = 0.
+    (``lock_slope``).
     """
     if constraint not in ("frozen", "resolved"):
         raise ValueError("constraint must be 'frozen' or 'resolved'")
@@ -199,7 +206,7 @@ def coefficient_gradients(beta: float, k: float, m: float, constraint: str = "fr
     mass_k = 16.0 * beta * (dKk * (Ek - Kk) + Kk * (dEk - dKk)) / Km
     mass_m = 4.0 * beta * (dEm - 4.0 * Kk * (Ek - Kk) * dKm / Km**2)
     if constraint == "resolved":
-        m_k = -(16.0 * Kk**4 + 64.0 * k * Kk**3 * dKk) / (Km**4 - 4.0 * (1.0 - m) * Km**3 * dKm)
+        m_k = lock_slope(k, m)
         a1_k, a2_k, mass_k = a1_k + m_k * a1_m, a2_k + m_k * a2_m, mass_k + m_k * mass_m
     return (a1, a2, mass), (2.0 * a1 / beta, 4.0 * a2 / beta, mass / beta), (a1_k, a2_k, mass_k)
 

@@ -8,7 +8,7 @@ import re
 import tempfile
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as hs
 
 from breatherlab import breathers as br
@@ -199,6 +199,18 @@ class TestSweepAndTable:
         assert float(bound) == stability.find_kstar()
         assert float(bound) < float(rejected)
 
+    @pytest.mark.parametrize("argv,dim", [
+        (["sweep", "--family", "sg", "--beta", "0.5", "--n", "3", "--n-eigs", "10",
+          "--param", "x1", "--values", "0.1"], 6),
+        (["table", "--preset", "fig14-left", "--n-eigs", "60"], 50),
+    ])
+    def test_more_eigenvalues_than_the_matrix_dimension_exit_2(self, argv, dim, capsys):
+        # the header would name more eig columns than each row holds
+        assert run(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"matrix dimension {dim}" in captured.err
+
     def test_table_determinism(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         assert run(["table", "--preset", "table-6-9", "--out", str(a)]) == 0
@@ -377,6 +389,30 @@ def test_bad_run_flag_exit_2(argv, flag, capsys):
     assert flag in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["residual", "spectrum", "conserved"])
+def test_sg_default_beta_is_named(command, capsys):
+    # the default beta = 1 lies outside sg's range at v = 0
+    extra = ["--kind", "mass"] if command == "conserved" else []
+    assert run([command, "--family", "sg", *extra]) == 2
+    assert "--beta was not given and took its default 1.0" in capsys.readouterr().err
+    assert run([command, "--family", "sg", "--beta", "1.0", *extra]) == 2
+    assert "--beta" not in capsys.readouterr().err
+
+
+def test_default_beta_prints_the_same_as_the_flag(capsys):
+    assert run(["residual", *_MKDV]) == 0
+    implicit = capsys.readouterr()
+    assert run(["residual", *_MKDV, "--beta", "1.0"]) == 0
+    assert capsys.readouterr() == implicit
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_overflow_exit_3_without_warnings(capsys):
+    assert run(["residual", *_MKDV, "--t", "1e300"]) == 3
+    err = capsys.readouterr().err
+    assert err == "numerical-quality failure: overflow encountered in cosh\n"
+
+
 def test_residual_nan_at_a_sampled_point_exit_3(monkeypatch, capsys):
     family = br.MkdvBreather(alpha=0.5, beta=1.0)
     loop_oracles.plant_nan(monkeypatch, br.MkdvBreather, loop_oracles.sample_xs(50, 0)[17])
@@ -486,6 +522,64 @@ def test_config_file_exit_code_contract(data):
             code = _exit_code([*_CONFIG_BASE[command], "--config", path])
     assert code in (0, 2, 3)
     assert "Traceback" not in err.getvalue()
+
+
+# every subcommand on cheap inputs: the run's fixed flags, then the flags a
+# run may add, each with the values it may take
+_FAMILY_VALUES = ["-1", "0", "0.03", "0.3", "0.5", "0.9", "1", "2", "nan", "inf"]
+_ARGV_FLAGS = {
+    "family": list(br.FAMILIES),
+    "beta": _FAMILY_VALUES, "v": _FAMILY_VALUES, "alpha": _FAMILY_VALUES, "mu": _FAMILY_VALUES,
+    "k": _FAMILY_VALUES, "m": _FAMILY_VALUES, "c": _FAMILY_VALUES, "c1": _FAMILY_VALUES,
+    "c2": _FAMILY_VALUES, "p": ["-1", "1", "2", "3"], "q": ["-1", "1", "2", "3"],
+    "x1": ["0", "0.4", "nan"], "n": ["1", "2", "5"], "n_eigs": ["0", "1", "4", "12"],
+    "t": ["0", "1", "1e300", "nan"], "grid_points": ["1", "2", "20"], "kind": ["mass", "energy"],
+    "param": ["x1", "v", "beta"], "values": ["0", "0.1,0.3", "0:0.2:0.1", "a"],
+    "preset": ["fig14-left", "fig14-right", "table-6-9", "fig0"],
+}
+_ARGV_COMMANDS = {
+    "spectrum": (["spectrum", "--family", "mkdv", "--n", "4"],
+                 ["family", "beta", "v", "alpha", "mu", "k", "m", "c", "c1", "p", "q", "x1", "n",
+                  "n_eigs", "t"]),
+    "sweep": (["sweep", "--family", "mkdv", "--alpha", "0.5", "--n", "4", "--param", "x1",
+               "--values", "0,0.5"],
+              ["family", "beta", "v", "alpha", "mu", "k", "x1", "n", "n_eigs", "param", "values"]),
+    "table": (["table", "--preset", "fig0"], ["preset", "n_eigs"]),
+    "residual": (["residual", "--family", "mkdv", "--alpha", "0.5", "--grid-points", "20"],
+                 ["family", "beta", "v", "alpha", "mu", "k", "m", "c", "c1", "c2", "p", "q",
+                  "x1", "t", "grid_points"]),
+    "conserved": (["conserved", "--family", "mkdv", "--alpha", "0.5", "--kind", "mass",
+                   "--times", "0,1"],
+                  ["family", "beta", "v", "alpha", "mu", "k", "c", "c1", "p", "q", "kind"]),
+    "stability": (["stability", "--k", "0.03"], ["beta", "k"]),
+    "backlund": (["backlund", "--c1", "1.65", "--p", "2", "--q", "3"], ["mu", "c1", "c2", "p", "q"]),
+}
+
+
+def _argv(command):
+    base, keys = _ARGV_COMMANDS[command]
+
+    def flag(key):
+        return hs.sampled_from(_ARGV_FLAGS[key]).map(lambda v: f"--{key.replace('_', '-')}={v}")
+
+    return hs.lists(hs.sampled_from(keys).flatmap(flag), max_size=3).map(lambda extra: base + extra)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(max_examples=60, deadline=None)
+@given(argv=hs.sampled_from(sorted(_ARGV_COMMANDS)).flatmap(_argv))
+# four eig columns in the header over a three-dimensional matrix
+@example(argv=_ARGV_COMMANDS["sweep"][0] + ["--n=2"])
+def test_every_subcommand_exit_code_contract(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = _exit_code(argv)
+    assert code in (0, 2, 3)
+    assert "Traceback" not in err.getvalue()
+    if code == 0:
+        lines = [ln for ln in out.getvalue().splitlines() if not ln.startswith("#")]
+        width = lines[0].count(",")
+        assert all(ln.count(",") == width for ln in lines[1:])
 
 
 def test_number_format():

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -69,13 +71,13 @@ class TestSgBlock:
         lambda fam: st.sg_weinstein_check(fam.beta, fam.v),
     ])
     def test_profile_evaluated_once_per_check(self, check, monkeypatch):
-        # the two +-h families of the scaling direction, then one profile
+        # the scaling direction is the family's beta-partial, not an eval
         calls = []
         evaluate = br.SgBreather.eval
         counted = lambda *a, **kw: calls.append(a) or evaluate(*a, **kw)
         monkeypatch.setattr(br.SgBreather, "eval", counted)
         check(br.SgBreather(beta=0.5, v=0.7))
-        assert len(calls) == 3
+        assert len(calls) == 1
 
     def test_scaling_relation_residuals(self):
         # the image of dB/dbeta is -2 beta times that of the scaled direction
@@ -135,6 +137,58 @@ class TestSgBlock:
         pair = op.family.eval(0.0, x, deg=4)
         with pytest.raises(ValueError, match="insufficient"):
             op.apply(x, kernel_derivs(pair.b, 3), kernel_derivs(pair.bt, 2))
+
+
+class TestParameterDirections:
+    @pytest.mark.parametrize("beta,v", [(b, v) for b in (0.1, 0.5, 0.9) for v in (0.0, 0.99)])
+    def test_scaling_quadratic_form_closed_value_tight(self, beta, v):
+        q = linops.sg_scaling_quadratic_form(br.SgBreather(beta=beta, v=v))
+        assert q == pytest.approx(-32 * (1 + 3 * v * v) * beta, rel=1e-10)
+
+    @pytest.mark.parametrize("beta,v,x1", [(0.5, 0.0, 0.1), (0.5, 0.7, 0.1), (0.8, 0.3, 0.1),
+                                           (0.9, 0.99, 0.0)])
+    def test_variational_direction_residual_tight(self, beta, v, x1):
+        fam = br.SgBreather(beta=beta, v=v, x1=x1)
+        assert linops.sg_variational_direction_residual(fam) <= 1e-9
+
+    @pytest.mark.parametrize("k", [0.002, 0.01, 0.03, 0.05, 0.058])
+    def test_periodic_inverse_identity_tight(self, k):
+        assert linops.kksh_inverse_direction_residual(1.0, k) <= 1e-9
+
+    @pytest.mark.parametrize("beta,v", [(0.5, 0.7), (0.9, 0.3)])
+    def test_sg_direction_matches_central_difference(self, beta, v):
+        fam = br.SgBreather(beta=beta, v=v, x1=0.1)
+        x = np.linspace(-30.0, 30.0, 301)
+        z, w = linops.sg_scaling_direction(fam, x)
+        h = 1e-5
+        plus, minus = (dataclasses.replace(fam, beta=beta + s).eval(0.0, x, deg=4) for s in (h, -h))
+        for grids, p, m in ((z, plus.b, minus.b), (w, plus.bt, minus.bt)):
+            for j, got in enumerate(grids):
+                fd = (p.partial(nx=j) - m.partial(nx=j)) / (2.0 * h)
+                assert np.max(np.abs(got - fd)) <= 1e-6 * np.max(np.abs(fd))
+
+    def test_kksh_beta_direction_is_the_dilation(self):
+        # a and b scale with beta at fixed (k, m), so B(x) = beta G(beta Y1, beta Y2)
+        fam = br.KkshBreather(beta=1.3, k=0.03, x1=0.2, x2=-0.1)
+        x = np.linspace(0.0, fam.period, 150, endpoint=False)
+        _, db = fam.parameter_partials(x, deg=2)
+        f = fam.eval(0.0, x, deg=1)
+        y1, y2 = x + fam.x1, x + fam.x2
+        dilation = (f.value + y1 * f.partial(n1=1) + y2 * f.partial(n2=1)) / fam.beta
+        assert np.max(np.abs(db.partial(nx=1) - dilation)) <= 1e-12 * np.max(np.abs(dilation))
+
+    def test_kksh_k_direction_matches_central_difference(self):
+        x = np.linspace(0.0, 10.0, 50)
+        dk, _ = linops.kksh_parameter_direction(1.0, 0.03, x)
+        h = 1e-6
+        plus, minus = (br.KkshBreather(beta=1.0, k=0.03 + s).eval(0.0, x, deg=0).value for s in (h, -h))
+        fd = (plus - minus) / (2.0 * h)
+        assert np.max(np.abs(dk[0] - fd)) <= 1e-6 * np.max(np.abs(fd))
+
+    def test_kksh_partials_have_no_time_derivative(self):
+        # the phases' time coefficients move with (beta, k): a t-partial is NaN
+        dk, db = br.KkshBreather(beta=1.0, k=0.03).parameter_partials(np.zeros(3), deg=2)
+        assert np.all(np.isnan(dk.partial(nt=1))) and np.all(np.isnan(db.partial(nt=1)))
 
 
 class TestReductions:

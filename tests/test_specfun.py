@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad, solve_ivp
+from scipy.special import ellipeinc
 
 from breatherlab import specfun as sf
 from breatherlab.jets import Jet2
@@ -121,6 +122,36 @@ class TestAmplitude:
     def test_against_dn_quadrature(self):
         oracle = quad(lambda s: sf.jacobi(s, 0.5, "dn"), 0, 1.0, epsabs=1e-13)[0]
         assert sf.jacobi_amplitude(1.0, 0.5) == pytest.approx(oracle, abs=1e-12)
+
+
+class TestParameterPartials:
+    def test_epsilon_against_scipy(self):
+        u = np.linspace(-20.0, 20.0, 401)
+        for m in (0.002, 0.3, 0.9, 0.999999):
+            ref = ellipeinc(sf.jacobi_amplitude(u, m), m)
+            assert np.max(np.abs(sf.jacobi_epsilon(u, m) - ref)) < 1e-13
+
+    @pytest.mark.parametrize("m", [0.002, 0.3, 0.8, 0.99])
+    def test_dm_partials_match_central_differences(self, m):
+        # values, and u-derivatives through d_u d_m sn = d_m (cn dn) etc.
+        u = np.linspace(-6.0, 6.0, 61)
+        h = 1e-4 * min(m, 1.0 - m)
+        jet = sf.jacobi_dm_jet(Jet2.variable(u, 0, deg=2), m)
+
+        def fields(mm):
+            sn, cn, dn = (sf.jacobi(u, mm, w) for w in ("sn", "cn", "dn"))
+            return (sn, cn, dn), (cn * dn, -sn * dn, -mm * sn * cn)
+
+        (plus, plus_u), (minus, minus_u) = fields(m + h), fields(m - h)
+        for j, jm in enumerate(jet):
+            for got, p, q in ((jm.value, plus[j], minus[j]), (jm.partial(1, 0), plus_u[j], minus_u[j])):
+                fd = (p - q) / (2.0 * h)
+                assert np.max(np.abs(got - fd)) <= 1e-6 * np.max(np.abs(fd))
+
+    def test_dm_partials_need_interior_parameter(self):
+        for m in (0.0, 1.0):
+            with pytest.raises(ValueError, match="0 < m < 1"):
+                sf.jacobi_dm_jet(Jet2.variable(0.5, 0, deg=1), m)
 
 
 class TestHermite:
