@@ -243,7 +243,7 @@ class GardnerBreather(_LineBreather):
 @dataclass(frozen=True)
 class SgBreather:
     beta: float
-    v: float
+    v: float = 0.0
     x1: float = 0.0
     x2: float = 0.0
 
@@ -520,10 +520,9 @@ class NonzeroMeanBreather(_ScalarFamily):
         x = np.asarray(x, dtype=float)
         sig1, sig2 = 0.5 * self.s1, 0.5 * self.s2
         Y1, Y2 = _phase_jets(sig1 * (x - self.delta * t), sig2 * (x - self.gamma * t), deg)
-        S1 = _Pair(jets.sin(Y1), sig1 * jets.cos(Y1))
-        C1 = _Pair(jets.cos(Y1), -sig1 * jets.sin(Y1))
-        S2 = _Pair(jets.sin(Y2), sig2 * jets.cos(Y2))
-        C2 = _Pair(jets.cos(Y2), -sig2 * jets.sin(Y2))
+        s1, c1, s2, c2 = jets.sin(Y1), jets.cos(Y1), jets.sin(Y2), jets.cos(Y2)
+        S1, C1 = _Pair(s1, sig1 * c1), _Pair(c1, -sig1 * s1)
+        S2, C2 = _Pair(s2, sig2 * c2), _Pair(c2, -sig2 * s2)
         r1, r2 = math.sqrt(self.c1), math.sqrt(self.c2)
         # numerator and denominator of the arctan argument, cleared of tan poles
         num = (-SQRT2 * mu * self.rho) * (

@@ -89,10 +89,10 @@ def _config_tokens(path: str) -> list[str]:
 # ---------------------------------------------------------------------------
 
 
-# family parameters with no CLI default, and their types: a given one must
-# name a field of the chosen family (kksh also takes m, to find its k)
-_FAMILY_PARAMS = {"alpha": float, "mu": float, "k": float, "m": float, "c": float,
-                  "c1": float, "c2": float, "p": int, "q": int}
+# the family parameters, none with a CLI default, and their types: a given one
+# must name a field of the chosen family (kksh also takes m, to find its k)
+_FAMILY_PARAMS = {"beta": float, "v": float, "alpha": float, "mu": float, "k": float, "m": float,
+                  "c": float, "c1": float, "c2": float, "p": int, "q": int, "x1": float, "x2": float}
 # the scaling a family takes when --beta is not given
 DEFAULT_BETA = 1.0
 
@@ -144,10 +144,7 @@ def _basis_size(args) -> int:
 
 def _family_config(family) -> dict:
     cfg = {"family": family.kind}
-    for key in ("alpha", "beta", "mu", "v", "k", "m", "c", "c1", "c2", "p", "q", "x1", "x2"):
-        if hasattr(family, key):
-            val = getattr(family, key)
-            cfg[key] = val
+    cfg.update({key: getattr(family, key) for key in _FAMILY_PARAMS if hasattr(family, key)})
     if family.domain == "torus":
         cfg["L"] = family.period
     return cfg
@@ -187,16 +184,18 @@ def _spectral_run(family, n: int, kernel_tol=None, t: float = 0.0, n_eigs=None):
     return problem, assembled, spectrum, cls
 
 
-def _spectrum_payload(family, n, assembled, spectrum, cls, n_eigs=None):
-    vals = spectrum.values if n_eigs is None else spectrum.values[:n_eigs]
+def _gap_text(cls) -> str:
+    return "inf" if math.isinf(cls.gap) else fmt(cls.gap)
+
+
+def _spectrum_payload(family, n, t, problem, assembled, spectrum, cls, n_eigs):
+    """The run's configuration, with the phase of the operator's normal form
+    at time t, and its leading eigenvalues, classification and diagnostics."""
     cfg = _family_config(family)
-    cfg["n"] = n
-    nf = breathers.normal_form(family)
-    cfg["x1_normal"] = nf.x1
+    cfg.update({"n": n, "t": t, "x1_normal": problem.operator.family.x1})
     return {
-        "config": {k: (float(v) if isinstance(v, (int, float, np.floating)) and k not in ("family",)
-                       else v) for k, v in cfg.items()},
-        "eigenvalues": [float(v) for v in vals],
+        "config": cfg,
+        "eigenvalues": [float(v) for v in spectrum.values[:n_eigs]],
         "classification": {
             "n_neg": cls.n_neg,
             "kernel_dim": cls.kernel_dim,
@@ -218,10 +217,9 @@ def cmd_spectrum(args) -> int:
     family = _family_from_args(args)
     n = _basis_size(args)
     problem, assembled, spectrum, cls = _spectral_run(family, n, args.kernel_tol, args.t)
-    payload = _spectrum_payload(family, n, assembled, spectrum, cls, args.n_eigs)
+    payload = _spectrum_payload(family, n, args.t, problem, assembled, spectrum, cls, args.n_eigs)
     if args.dump_matrix:
-        tag = family.kind
-        _write_text(args.dump_matrix, galerkin.matrix_csv(assembled, n, tag))
+        _write_text(args.dump_matrix, galerkin.matrix_csv(assembled, n, family.kind))
     if args.format == "json":
         _write_text(args.out, json.dumps(payload, sort_keys=True, indent=2) + "\n")
         return 0
@@ -229,51 +227,35 @@ def cmd_spectrum(args) -> int:
     lines.append("eig_index,eigenvalue")
     for i, v in enumerate(payload["eigenvalues"]):
         lines.append(f"{i + 1},{fmt(v)}")
-    c = payload["classification"]
-    lines.append(f"# classification: n_neg={c['n_neg']} kernel_dim={c['kernel_dim']} gap={fmt(c['gap']) if c['gap'] is not None else 'inf'}")
-    d = payload["diagnostics"]
-    lines.append(f"# diagnostics: asymmetry={d['asymmetry']:.3e} quadrature_drift={d['quadrature_drift']:.3e}")
+    lines.append(f"# classification: n_neg={cls.n_neg} kernel_dim={cls.kernel_dim} gap={_gap_text(cls)}")
+    lines.append(f"# diagnostics: asymmetry={assembled.asymmetry:.3e} quadrature_drift={assembled.drift:.3e}")
     _write_text(args.out, "\n".join(lines) + "\n")
     return 0
-
-
-def _sweep_rows(base_args, param, values, n, kernel_tol, n_eigs):
-    rows = []
-    for val in values:
-        args = argparse.Namespace(**vars(base_args))
-        setattr(args, param, val)
-        family = _family_from_args(args)
-        _, assembled, spectrum, cls = _spectral_run(family, n, kernel_tol, n_eigs=n_eigs)
-        rows.append((val, spectrum.values[:n_eigs], cls, assembled))
-    return rows
-
-
-def _sweep_csv(param, rows, cfg, n_eigs) -> str:
-    lines = _config_lines(cfg) + _EIG_HEADER
-    lines.append(param + "," + ",".join(f"eig{i + 1}" for i in range(n_eigs))
-                 + ",n_neg,kernel_dim,gap,asymmetry,drift")
-    for val, vals, cls, assembled in rows:
-        gap = fmt(cls.gap) if not math.isinf(cls.gap) else "inf"
-        lines.append(
-            ",".join([fmt(val)] + [fmt(v) for v in vals])
-            + f",{cls.n_neg},{cls.kernel_dim},{gap},{assembled.asymmetry:.3e},{assembled.drift:.3e}"
-        )
-    return "\n".join(lines) + "\n"
 
 
 def cmd_sweep(args) -> int:
     _check_n_eigs(args.n_eigs)
     values = _parse_values(args.values)
-    family = _family_from_args(args)
     # a field the CLI does not pass to the constructor would sweep nothing
-    params = [f.name for f in dataclasses.fields(family) if hasattr(args, f.name)]
+    params = [f.name for f in dataclasses.fields(breathers.FAMILIES[args.family])
+              if f.name in _FAMILY_PARAMS]
     if args.param not in params:
         raise ValueError(f"--param must be one of {params} for {args.family}, got {args.param!r}")
     n = _basis_size(args)
-    rows = _sweep_rows(args, args.param, values, n, args.kernel_tol, args.n_eigs)
-    cfg = _family_config(family)
+    families = [_family_from_args(argparse.Namespace(**{**vars(args), args.param: val}))
+                for val in values]
+    cfg = _family_config(families[0])
     cfg.update({"n": n, "sweep": args.param})
-    _write_text(args.out, _sweep_csv(args.param, rows, cfg, args.n_eigs))
+    lines = _config_lines(cfg) + _EIG_HEADER
+    lines.append(args.param + "," + ",".join(f"eig{i + 1}" for i in range(args.n_eigs))
+                 + ",n_neg,kernel_dim,gap,asymmetry,drift")
+    for val, family in zip(values, families):
+        _, assembled, spectrum, cls = _spectral_run(family, n, args.kernel_tol, n_eigs=args.n_eigs)
+        lines.append(
+            ",".join([fmt(val)] + [fmt(v) for v in spectrum.values[:args.n_eigs]])
+            + f",{cls.n_neg},{cls.kernel_dim},{_gap_text(cls)},{assembled.asymmetry:.3e},{assembled.drift:.3e}"
+        )
+    _write_text(args.out, "\n".join(lines) + "\n")
     return 0
 
 
@@ -282,51 +264,36 @@ def cmd_sweep(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _preset_fig20_ks():
-    return [0.058836240 + 2e-9 * i for i in range(7)]
-
-
+# each preset is the command line of the sweep or spectrum it runs; a value
+# list that starts with '-' joins its flag with '=', so that it is not read
+# as a flag
 PRESETS = {
-    "fig2": dict(family="mkdv", beta=1.0, alpha=0.5, n=160, param="x1",
-                 values=[0.09, 0.81, 1.53, 2.15, 3.14]),
-    "fig4": dict(family="mkdv", beta=1.0, alpha=1.5, n=164, param="x1",
-                 values=[0.0, 0.99, 1.57, 2.51, 3.14]),
-    "fig8": dict(family="gardner", beta=1.0, alpha=0.5, mu=0.01, n=50, param="x1",
-                 values=[round(-0.04 + 0.01 * i, 2) for i in range(9)]),
-    "fig14-left": dict(family="sg", beta=0.5, x1=0.1, n=25, param="v",
-                       values=[round(0.1 * i, 1) for i in range(8)]),
-    "fig14-right": dict(family="sg", beta=0.8, v=0.7, n=25, param="x1",
-                        values=[round(-0.4 + 0.1 * i, 1) for i in range(8)]),
-    "fig20": dict(family="kksh", beta=1.0, x1=0.1, n=40, param="k", values=_preset_fig20_ks()),
-    "fig22": dict(family="kksh", beta=1.0, x1=0.1, n=50, param="k",
-                  values=[0.01, 0.02, 0.03, 0.04, 0.05]),
-    "fig24": dict(family="kksh", beta=1.0, x1=0.1, n=50, param="k",
-                  values=[0.0005 + 0.001 * i for i in range(10)]),
-    "table-6-9": dict(family="kksh", beta=1.0, m=0.5, n=40, param=None, values=None),
+    "fig2": "sweep --family mkdv --beta 1 --alpha 0.5 --n 160 --param x1"
+            " --values 0.09,0.81,1.53,2.15,3.14",
+    "fig4": "sweep --family mkdv --beta 1 --alpha 1.5 --n 164 --param x1"
+            " --values 0,0.99,1.57,2.51,3.14",
+    "fig8": "sweep --family gardner --beta 1 --alpha 0.5 --mu 0.01 --n 50 --param x1"
+            " --values=-0.04,-0.03,-0.02,-0.01,0,0.01,0.02,0.03,0.04",
+    "fig14-left": "sweep --family sg --beta 0.5 --x1 0.1 --n 25 --param v"
+                  " --values 0,0.1,0.2,0.3,0.4,0.5,0.6,0.7",
+    "fig14-right": "sweep --family sg --beta 0.8 --v 0.7 --n 25 --param x1"
+                   " --values=-0.4,-0.3,-0.2,-0.1,0,0.1,0.2,0.3",
+    "fig20": "sweep --family kksh --beta 1 --x1 0.1 --n 40 --param k"
+             " --values 0.05883624:0.058836252:2e-9",
+    "fig22": "sweep --family kksh --beta 1 --x1 0.1 --n 50 --param k"
+             " --values 0.01,0.02,0.03,0.04,0.05",
+    "fig24": "sweep --family kksh --beta 1 --x1 0.1 --n 50 --param k"
+             " --values 0.0005:0.0095:0.001",
+    "table-6-9": "spectrum --family kksh --beta 1 --m 0.5 --n 40",
 }
 
 
 def cmd_table(args) -> int:
     if args.preset not in PRESETS:
         raise ValueError(f"unknown preset {args.preset!r}; choose from {sorted(PRESETS)}")
-    spec = argparse.Namespace(**PRESETS[args.preset])
-    n_eigs = args.n_eigs
-    _check_n_eigs(n_eigs)
-    if spec.param is None:
-        family = _family_from_args(spec)
-        _, assembled, spectrum, cls = _spectral_run(family, spec.n)
-        cfg = _family_config(family)
-        cfg.update({"n": spec.n, "preset": args.preset})
-        lines = _config_lines(cfg) + _EIG_HEADER
-        lines.append("eig_index,eigenvalue")
-        for i, v in enumerate(spectrum.values[:n_eigs]):
-            lines.append(f"{i + 1},{fmt(v)}")
-        _write_text(args.out, "\n".join(lines) + "\n")
-        return 0
-    rows = _sweep_rows(spec, spec.param, spec.values, spec.n, None, n_eigs)
-    cfg = {"preset": args.preset, "family": spec.family, "n": spec.n}
-    _write_text(args.out, _sweep_csv(spec.param, rows, cfg, n_eigs))
-    return 0
+    run = build_parser().parse_args(
+        PRESETS[args.preset].split() + [f"--n-eigs={args.n_eigs}", f"--out={args.out}"])
+    return run.func(run)
 
 
 # ---------------------------------------------------------------------------
@@ -449,12 +416,9 @@ def cmd_backlund(args) -> int:
 
 def _add_family_options(p: argparse.ArgumentParser):
     p.add_argument("--family", required=True, choices=list(breathers.FAMILIES))
-    p.add_argument("--beta", type=float, default=None, help=f"default {DEFAULT_BETA}")
-    p.add_argument("--v", type=float, default=0.0)
     for name, kind in _FAMILY_PARAMS.items():
-        p.add_argument(f"--{name}", type=kind, default=None)
-    p.add_argument("--x1", type=float, default=0.0)
-    p.add_argument("--x2", type=float, default=0.0)
+        p.add_argument(f"--{name}", type=kind, default=None,
+                       help=f"default {DEFAULT_BETA}" if name == "beta" else None)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -522,7 +486,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_conserved)
 
     p = sub.add_parser("stability", help="periodic-breather stability diagnostics over k")
-    p.add_argument("--beta", type=float, default=1.0)
+    p.add_argument("--beta", type=float, default=DEFAULT_BETA)
     p.add_argument("--k", required=True, help="k values: v1,v2,... or a:b:step")
     common(p)
     p.set_defaults(func=cmd_stability)

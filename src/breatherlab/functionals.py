@@ -30,7 +30,7 @@ def family_plan(family, t: float = 0.0, nodes_per_unit: float = 8.0):
     the family's oscillation frequency."""
     if family.domain == "torus":
         return TorusPlan(period=family.period)
-    freq = getattr(family, "osc_frequency", 1.0)
+    freq = family.osc_frequency
     # sixth-power integrands carry harmonics of the profile frequency, so the
     # panel order grows with it
     return LinePlan(

@@ -69,9 +69,8 @@ def default_hermite_plan(operator, n_basis: int) -> LinePlan:
     basis-product oscillation with superexponential margin.
     """
     fam = operator.family
-    beta_eff = getattr(fam, "decay_rate", 1.0)
-    freq = getattr(fam, "osc_frequency", 1.0)
-    half_width = math.sqrt(2.0 * (n_basis + 5)) + 40.0 / beta_eff
+    freq = fam.osc_frequency
+    half_width = math.sqrt(2.0 * (n_basis + 5)) + 40.0 / fam.decay_rate
     peak = 2.0 * math.sqrt(2.0 * (n_basis + 5)) + freq
     order = max(10, math.ceil(0.36 * 0.5 * peak) + 8)
     return LinePlan(
@@ -235,11 +234,10 @@ def classify(spectrum: Spectrum, kernel_tol: float) -> Classification:
     return Classification(n_neg=n_neg, kernel_dim=kernel, gap=gap, kernel_tol=kernel_tol)
 
 
-def solve_problem(problem: GalerkinProblem, kernel_tol: Optional[float] = None,
-                  vectors: bool = False):
+def solve_problem(problem: GalerkinProblem, kernel_tol: Optional[float] = None):
     """Assemble, diagonalize and classify in one step."""
     assembled = assemble(problem)
-    spectrum = eig_sym(assembled.matrix, vectors=vectors)
+    spectrum = eig_sym(assembled.matrix)
     if kernel_tol is None:
         key = "fourier" if isinstance(problem.basis, FourierBasis) else "hermite"
         kernel_tol = DEFAULT_KERNEL_TOL[key]

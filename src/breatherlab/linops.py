@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import breathers
+from . import breathers, stability
 from .quadrature import LinePlan
 
 
@@ -44,10 +44,6 @@ class ScalarOperator:
 
     family: object
     zero_potential: bool = False
-
-    @property
-    def domain(self) -> str:
-        return self.family.domain
 
     def coefficients(self, x):
         """(c0, c1, c2) grids: c_r multiplies the r-th derivative in ``apply``;
@@ -77,10 +73,6 @@ class ScalarOperator:
             out = out + c * z[r]
         return out
 
-    def quadratic_form(self, x, w_quad, z):
-        """integral of z L[z] by direct application."""
-        return float(np.dot(w_quad, z[0] * self.apply(x, z)))
-
 
 def scalar_operator(family, t: float = 0.0, zero_potential: bool = False) -> ScalarOperator:
     """Linearization of a scalar breather's stationary equation about its
@@ -100,8 +92,6 @@ class SgBlockOperator:
     """2x2 block operator: fourth order on z, second order on w, coupled."""
 
     family: object
-
-    domain: str = "line"
 
     def coefficients(self, x):
         """Profile fields (B, Bx, Bxx, Bt, Btx, cos, sin) and the operator's
@@ -247,8 +237,6 @@ def kksh_parameter_direction(beta: float, k: float, x):
 def kksh_inverse_direction_residual(beta: float, k: float, n_points: int = 200) -> float:
     """Max defect of L[B0] = -B for the discriminant-normalised direction
     built from the two parameter derivatives of the periodic profile."""
-    from . import stability
-
     family = breathers.KkshBreather(beta=beta, k=k)
     x = np.linspace(0.0, family.period, n_points, endpoint=False)
     dk, db = kksh_parameter_direction(beta, k, x)

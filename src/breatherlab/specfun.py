@@ -229,12 +229,9 @@ def hermite_derivative_ladder(values: np.ndarray) -> np.ndarray:
     The output has one row fewer than the input (the top index lacks its
     upper neighbour).
     """
-    nmax = values.shape[0] - 1
-    out = np.zeros((nmax, values.shape[1]))
-    for n in range(nmax):
-        out[n] = -math.sqrt((n + 1) / 2.0) * values[n + 1]
-        if n >= 1:
-            out[n] += math.sqrt(n / 2.0) * values[n - 1]
+    n = np.arange(values.shape[0] - 1)[:, None]
+    out = -np.sqrt((n + 1) / 2.0) * values[1:]
+    out[1:] += np.sqrt(n[1:] / 2.0) * values[:-2]
     return out
 
 

@@ -1,6 +1,6 @@
 """Per-point reference loops for the batched residual and periodicity checks,
-the families they are checked on, and eval patches that count calls or plant
-a NaN.
+the families they are checked on, eval patches that count calls or plant a
+NaN, and the per-row loop of the Hermite derivative ladder.
 
 ``functionals.pde_residual`` and ``breathers.periodicity_check`` evaluate the
 family once over all their sample points.  The loops below are the earlier
@@ -9,6 +9,8 @@ the same generator draws; the batched results must equal them bit for bit.
 The loops fold with Python ``max``, which drops a NaN, so they also show the
 fault the batched forms close.
 """
+
+import math
 
 import numpy as np
 
@@ -109,3 +111,14 @@ def sample_xs(n_points, seed, lo=-8.0, hi=8.0):
     rng = np.random.default_rng(seed)
     rng.uniform(-2.0, 2.0, size=n_points)
     return rng.uniform(lo, hi, size=n_points)
+
+
+def hermite_derivative_ladder_loop(values):
+    """``specfun.hermite_derivative_ladder`` one output row at a time."""
+    nmax = values.shape[0] - 1
+    out = np.zeros((nmax, values.shape[1]))
+    for n in range(nmax):
+        out[n] = -math.sqrt((n + 1) / 2.0) * values[n + 1]
+        if n >= 1:
+            out[n] += math.sqrt(n / 2.0) * values[n - 1]
+    return out

@@ -61,6 +61,16 @@ class TestSpectrumCommand:
         assert set(payload["diagnostics"]) == {"asymmetry", "quadrature_drift"}
         assert payload["config"]["family"] == "kksh"
         assert "L" in payload["config"]
+        assert payload["config"]["n"] == 24 and isinstance(payload["config"]["n"], int)
+
+    def test_header_reports_the_time_and_its_normal_form(self, capsys):
+        assert run(["spectrum", "--family", "mkdv", "--alpha", "0.5", "--t", "0.7", "--n", "10"]) == 0
+        header = capsys.readouterr().out.split("\n")[0]
+        x1 = br.normal_form(br.MkdvBreather(alpha=0.5, beta=1.0), 0.7).x1
+        assert x1 > 10.0
+        assert f" t={cli.fmt(0.7)} " in header
+        assert f" x1_normal={cli.fmt(x1)} " in header
+        assert " n=10 " in header
 
     def test_matrix_dump(self, tmp_path):
         dump = tmp_path / "m.csv"
@@ -91,6 +101,12 @@ class TestSpectrumCommand:
         (["residual", "--family", "mkdv", "--alpha", "0.5", "--c", "2"], "--c"),
         (["spectrum", "--family", "sg", "--beta", "0.5", "--alpha", "0.5"], "--alpha"),
         (["residual", "--family", "kksh", "--k", "0.03", "--m", "0.2"], "--m"),
+        (["residual", "--family", "sg-kink", "--beta", "2", "--x2", "4"], "--beta"),
+        (["residual", "--family", "sg-kink", "--x2", "4"], "--x2"),
+        (["residual", "--family", "mkdv-soliton", "--c", "1.5", "--v", "0.5"], "--v"),
+        (["spectrum", "--family", "mkdv", "--alpha", "0.5", "--v", "0.3"], "--v"),
+        (["residual", "--family", "nonzero-mean", "--mu", "1.3", "--c1", "0.9", "--p", "2",
+          "--q", "3", "--x1", "0.2"], "--x1"),
     ])
     def test_flag_the_family_does_not_take_exit_2(self, argv, flag, capsys):
         assert run(argv) == 2
@@ -172,6 +188,14 @@ class TestSweepAndTable:
         assert rows[0].startswith("x1,eig1")
         assert len(rows) == 3
 
+    def test_sweep_sets_the_swept_field_and_echoes_the_first_row(self, capsys):
+        # kksh needs --k or --m: the swept k supplies it in each row
+        assert run(["sweep", "--family", "kksh", "--beta", "1", "--n", "10",
+                    "--param", "k", "--values", "0.01,0.02"]) == 0
+        lines = capsys.readouterr().out.split("\n")
+        assert " k=0.0100000000 " in lines[0] and " sweep=k " in lines[0]
+        assert [l.split(",")[0] for l in lines if l[:1].isdigit()] == ["0.0100000000", "0.0200000000"]
+
     def test_table_preset_6_9(self, tmp_path):
         out = tmp_path / "t.csv"
         assert run(["table", "--preset", "table-6-9", "--out", str(out)]) == 0
@@ -181,6 +205,16 @@ class TestSweepAndTable:
         assert vals[0] == pytest.approx(-4.86, abs=0.1)
         assert abs(vals[1]) <= 1e-5 and abs(vals[2]) <= 1e-5
         assert vals[3] == pytest.approx(35.35, abs=0.5)
+        # the header announces n_neg, kernel_dim, gap and the two diagnostics
+        assert "# classification: n_neg=1 kernel_dim=2 gap=35.35" in text
+        assert re.search(r"^# diagnostics: asymmetry=\S+ quadrature_drift=\S+$", text, re.M)
+
+    @pytest.mark.parametrize("preset", sorted(cli.PRESETS))
+    def test_table_writes_what_its_command_writes(self, preset, tmp_path):
+        table, command = tmp_path / "table.csv", tmp_path / "command.csv"
+        assert run(["table", "--preset", preset, "--n-eigs", "3", "--out", str(table)]) == 0
+        assert run(cli.PRESETS[preset].split() + ["--n-eigs", "3", "--out", str(command)]) == 0
+        assert table.read_bytes() == command.read_bytes()
 
     def test_unknown_preset_exit_2(self):
         assert run(["table", "--preset", "fig99"]) == 2

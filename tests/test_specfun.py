@@ -8,6 +8,8 @@ from scipy.special import ellipeinc
 from breatherlab import specfun as sf
 from breatherlab.jets import Jet2
 
+import loop_oracles
+
 
 def k_integral_oracle(m):
     return quad(lambda s: (1 - m * np.sin(s) ** 2) ** -0.5, 0, np.pi / 2, epsabs=1e-14)[0]
@@ -160,6 +162,12 @@ class TestHermite:
         assert v[0, 0] == pytest.approx(math.pi ** -0.25, rel=1e-14)
         assert v[0, 0] == pytest.approx(0.751126, abs=5e-7)
         assert sf.hermite_derivative_ladder(v)[0, 0] == pytest.approx(0.0, abs=1e-15)
+
+    @pytest.mark.parametrize("nmax", [0, 1, 2, 168])
+    def test_ladder_equals_the_per_row_loop(self, nmax):
+        v = sf.hermite_values(nmax, np.linspace(-12.0, 12.0, 257))
+        assert np.array_equal(sf.hermite_derivative_ladder(v),
+                              loop_oracles.hermite_derivative_ladder_loop(v))
 
     def test_f1_odd(self):
         assert sf.hermite_values(1, 0.0)[1, 0] == 0.0
