@@ -9,6 +9,10 @@ y1, y2 that are affine in (t, x).  ``eval`` builds the profile as a
 The oscillatory families are evaluated through rational derivative forms
 amp * (N_x D - N D_x) / (D^2 + N^2) instead of differentiating an arctan,
 which keeps every evaluation branch- and pole-free.
+
+The wave-equation families (``WAVE_KINDS``) are one field jet as well: the
+phase-space partner B_t of their field B, and its x-derivatives, are read as
+``partial(nt=1, nx=j)``.
 """
 
 from __future__ import annotations
@@ -69,14 +73,6 @@ class FieldJet:
     @property
     def value(self):
         return self.jet.value
-
-
-@dataclass(frozen=True)
-class PairFieldJet:
-    """Field pair (B, B_t) for the wave-equation families."""
-
-    b: FieldJet
-    bt: FieldJet
 
 
 class _Pair:
@@ -295,25 +291,18 @@ class SgBreather:
         return self.v * t - self.x2
 
     def _phases(self, t, x, deg):
-        """Phase jets Y1, Y2 and (sin, cos)(alpha Y1), (cosh, sinh)(beta Y2)."""
+        """Phase jets Y1 = t - v x + x1 and Y2 = x - v t + x2."""
         v = self.v
         x = np.asarray(x, dtype=float)
-        Y1, Y2 = _phase_jets(t - v * x + self.x1, x - v * t + self.x2, deg)
-        a1, b2 = self.alpha * Y1, self.beta * Y2
-        return Y1, Y2, jets.sin(a1), jets.cos(a1), jets.cosh(b2), jets.sinh(b2)
+        return _phase_jets(t - v * x + self.x1, x - v * t + self.x2, deg)
 
     def _field(self, jet) -> FieldJet:
         return FieldJet(jet, dt=(1.0, -self.v), dx=(-self.v, 1.0))
 
-    def eval(self, t, x, deg: int = DEFAULT_DEG) -> PairFieldJet:
-        a, b, v = self.alpha, self.beta, self.v
-        _, _, sin1, cos1, cosh2, sinh2 = self._phases(t, x, deg)
-        num = b * cos1
-        den = a * cosh2
-        b_jet = 4.0 * jets.atan(num / den)
-        g = den * den + num * num
-        bt_jet = (-4 * a * b) * (a * sin1 * cosh2 - (b * v) * cos1 * sinh2) / g
-        return PairFieldJet(self._field(b_jet), self._field(bt_jet))
+    def eval(self, t, x, deg: int = DEFAULT_DEG) -> FieldJet:
+        Y1, Y2 = self._phases(t, x, deg)
+        num, den = self.beta * jets.cos(self.alpha * Y1), self.alpha * jets.cosh(self.beta * Y2)
+        return self._field(4.0 * jets.atan(num / den))
 
     def beta_partial(self, t, x, deg: int = DEFAULT_DEG) -> FieldJet:
         """dB/dbeta at fixed (v, x1, x2), by the quotient rule on
@@ -321,7 +310,9 @@ class SgBreather:
         with dalpha/dbeta = -beta/alpha.  The phases do not move with beta, so
         dB_t/dbeta is this field's ``partial(nt=1)``."""
         a, b = self.alpha, self.beta
-        Y1, Y2, sin1, cos1, cosh2, sinh2 = self._phases(t, x, deg)
+        Y1, Y2 = self._phases(t, x, deg)
+        sin1, cos1 = jets.sin(a * Y1), jets.cos(a * Y1)
+        cosh2, sinh2 = jets.cosh(b * Y2), jets.sinh(b * Y2)
         num, den = b * cos1, a * cosh2
         num_b = cos1 + (b * b / a) * Y1 * sin1
         den_b = (-b / a) * cosh2 + a * Y2 * sinh2
@@ -515,11 +506,19 @@ class NonzeroMeanBreather(_ScalarFamily):
         sign = 1.0 if self.c2 > self.c1 else -1.0
         return self.delta * self.time_period * sign
 
+    def _phases(self, t, x):
+        """Phase values y_i = sigma_i (x - c_i t) with sigma_i = s_i / 2 and
+        (c_1, c_2) = (delta, gamma), and their chain maps (dt, dx)."""
+        sig1, sig2 = 0.5 * self.s1, 0.5 * self.s2
+        x = np.asarray(x, dtype=float)
+        y = (sig1 * (x - self.delta * t), sig2 * (x - self.gamma * t))
+        return y, (-sig1 * self.delta, -sig2 * self.gamma), (sig1, sig2)
+
     def eval(self, t, x, deg: int = DEFAULT_DEG) -> FieldJet:
         mu = self.mu
-        x = np.asarray(x, dtype=float)
-        sig1, sig2 = 0.5 * self.s1, 0.5 * self.s2
-        Y1, Y2 = _phase_jets(sig1 * (x - self.delta * t), sig2 * (x - self.gamma * t), deg)
+        y, dt, dx = self._phases(t, x)
+        sig1, sig2 = dx
+        Y1, Y2 = _phase_jets(*y, deg)
         s1, c1, s2, c2 = jets.sin(Y1), jets.cos(Y1), jets.sin(Y2), jets.cos(Y2)
         S1, C1 = _Pair(s1, sig1 * c1), _Pair(c1, -sig1 * s1)
         S2, C2 = _Pair(s2, sig2 * c2), _Pair(c2, -sig2 * s2)
@@ -529,10 +528,7 @@ class NonzeroMeanBreather(_ScalarFamily):
             (r1 - r2) * (C1 * C2) + self.s2 * (S2 * C1) - self.s1 * (S1 * C2)
         )
         den = (2 * mu * mu) * (C1 * C2) + (self.s1 * S1 - r1 * C1) * (self.s2 * S2 - r2 * C2)
-        b_jet = mu + AMP * _dx_arctan(num, den)
-        return FieldJet(
-            b_jet, dt=(-sig1 * self.delta, -sig2 * self.gamma), dx=(sig1, sig2)
-        )
+        return FieldJet(mu + AMP * _dx_arctan(num, den), dt, dx)
 
 
 # ---------------------------------------------------------------------------
@@ -643,14 +639,11 @@ class SgKink:
         v = self.v
         return 2.0 * v * (a - (3.0 + v * v) / (4.0 * (1.0 - v * v)))
 
-    def eval(self, t, x, deg: int = DEFAULT_DEG) -> PairFieldJet:
+    def eval(self, t, x, deg: int = DEFAULT_DEG) -> FieldJet:
         g = self.lorentz
         x = np.asarray(x, dtype=float)
         S = Jet2.variable(g * (x - self.v * t - self.x0), 0, deg)
-        b_jet = 4.0 * jets.atan(jets.exp(S))
-        bt_jet = (-2.0 * self.v * g) / jets.cosh(S)
-        dt, dx = (-self.v * g, 0.0), (g, 0.0)
-        return PairFieldJet(FieldJet(b_jet, dt, dx), FieldJet(bt_jet, dt, dx))
+        return FieldJet(4.0 * jets.atan(jets.exp(S)), dt=(-self.v * g, 0.0), dx=(g, 0.0))
 
 
 # every family by its ``kind``, the name ``--family`` takes on the command line
@@ -665,14 +658,18 @@ FAMILIES = {cls.kind: cls for cls in (
 # ---------------------------------------------------------------------------
 
 _BREATHER_KINDS = ("mkdv", "gardner", "sg", "kksh", "nonzero-mean")
+# the families that solve the sine-Gordon wave equation B_tt - B_xx + sin B = 0,
+# whose phase space holds the pair (B, B_t)
+WAVE_KINDS = ("sg", "sg-kink")
 
 
 def periodicity_check(family, n_points: int = 40, seed: int = 0) -> float:
     """Max defect of the breather recurrence B(t+T, x) = B(t, x - L).
 
-    For the spatially periodic families the defect additionally covers
-    |B(t, x + period) - B(t, x)|.  Each side is one family evaluation over
-    the whole (t, x) grid; a NaN anywhere makes the result NaN.
+    For the wave-equation breather the defect covers B_t as well, and for the
+    spatially periodic families also |B(t, x + period) - B(t, x)|.  Each side
+    is one family evaluation over the whole (t, x) grid; a NaN anywhere makes
+    the result NaN.
     """
     if family.kind not in _BREATHER_KINDS:
         raise ValueError("periodicity check applies to breather families only")
@@ -683,8 +680,8 @@ def periodicity_check(family, n_points: int = 40, seed: int = 0) -> float:
 
     def values(t, x):
         out = family.eval(t, x, deg=2)
-        if isinstance(out, PairFieldJet):
-            return np.stack([out.b.value, out.bt.value])
+        if family.kind in WAVE_KINDS:
+            return np.stack([out.value, out.partial(nt=1)])
         return out.value
 
     t, x = ts[:, None], xs[None, :]
@@ -713,8 +710,7 @@ def normal_form(family, t: float = 0.0):
     if family.kind == "kksh":
         s1 = family.delta * t + family.x1
         s2 = family.gamma * t + family.x2
-        period = 4 * specfun.ellip_k(family.k) / family.alpha
-        return KkshBreather(family.beta, family.k, x1=(s1 - s2) % period, x2=0.0)
+        return KkshBreather(family.beta, family.k, x1=(s1 - s2) % family.period, x2=0.0)
     if family.kind == "sg":
         s1 = t + family.x1
         s2 = -family.v * t + family.x2
@@ -723,8 +719,10 @@ def normal_form(family, t: float = 0.0):
     raise ValueError(f"no spectral normal form for family kind {family.kind!r}")
 
 
-def shift_direction_callable(family, slot: str = "b", n1: int = 0, n2: int = 0, t: float = 0.0):
-    """Shift derivative of a field as a jet-callable perturbation x -> jet.
+def shift_direction_callable(family, nt: int = 0, n1: int = 0, n2: int = 0, t: float = 0.0):
+    """Shift derivative d_t^nt d_{x1}^n1 d_{x2}^n2 of the field as a
+    jet-callable perturbation x -> jet; nt = 1 gives the B_t slot of a
+    wave-equation family.
 
     Useful for feeding kernel directions into the quadratic-form and
     expansion machinery, which accept perturbations as univariate jets.
@@ -732,11 +730,10 @@ def shift_direction_callable(family, slot: str = "b", n1: int = 0, n2: int = 0, 
     from math import factorial
 
     def fun(X: Jet2) -> Jet2:
-        out = family.eval(t, X.value, deg=X.deg + n1 + n2)
-        fj = getattr(out, slot) if isinstance(out, PairFieldJet) else out
+        fj = family.eval(t, X.value, deg=X.deg + nt + n1 + n2)
         c = np.zeros((X.deg + 1, X.deg + 1) + np.shape(X.value))
         for i in range(X.deg + 1):
-            c[i, 0] = fj.partial(nx=i, n1=n1, n2=n2) / factorial(i)
+            c[i, 0] = fj.partial(nt=nt, nx=i, n1=n1, n2=n2) / factorial(i)
         return Jet2(c, X.deg)
 
     return fun
@@ -760,13 +757,9 @@ def solve_mean_level(c1: float, c2: float, p: int, q: int) -> float:
 def _seed_wave_jets(family: NonzeroMeanBreather, t, x, deg):
     """The two single-phase waves feeding the superposition rule."""
     mu = family.mu
-    x = np.asarray(x, dtype=float)
-    sig1, sig2 = 0.5 * family.s1, 0.5 * family.s2
-    Y1 = Jet2.variable(sig1 * (x - family.delta * t), 0, deg)
-    Y2 = Jet2.variable(sig2 * (x - family.gamma * t), 1, deg)
-    X = [Y1 * (1.0 / sig1) + family.delta * t, Y2 * (1.0 / sig2) + family.gamma * t]
-    dt = (-sig1 * family.delta, -sig2 * family.gamma)
-    dx = (sig1, sig2)
+    y, dt, dx = family._phases(t, x)
+    Y1, Y2 = _phase_jets(*y, deg)
+    X = [Y1 * (1.0 / dx[0]) + family.delta * t, Y2 * (1.0 / dx[1]) + family.gamma * t]
     out = []
     for i, (Y, c) in enumerate(((Y1, family.c1), (Y2, family.c2))):
         tan_y = jets.sin(Y) / jets.cos(Y)
@@ -807,8 +800,7 @@ def _pole_free_points(family: NonzeroMeanBreather, t, rng, n):
     xs = []
     while len(xs) < n:
         x = rng.uniform(0.0, family.period)
-        y1 = 0.5 * family.s1 * (x - family.delta * t)
-        y2 = 0.5 * family.s2 * (x - family.gamma * t)
+        (y1, y2), _, _ = family._phases(t, x)
         if min(abs(math.cos(y1)), abs(math.cos(y2))) > 0.15:
             xs.append(x)
     return np.asarray(xs)

@@ -214,6 +214,8 @@ _EIG_HEADER = [
 
 def cmd_spectrum(args) -> int:
     _check_n_eigs(args.n_eigs)
+    if not math.isfinite(args.t):
+        raise ValueError(f"--t must be finite, got {args.t}")
     family = _family_from_args(args)
     n = _basis_size(args)
     problem, assembled, spectrum, cls = _spectral_run(family, n, args.kernel_tol, args.t)

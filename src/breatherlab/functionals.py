@@ -15,7 +15,7 @@ from dataclasses import replace
 import numpy as np
 
 from . import linops
-from .breathers import FieldJet, PairFieldJet
+from .breathers import WAVE_KINDS, FieldJet
 from .jets import Jet2
 from .quadrature import LinePlan, TorusPlan, checked_integral
 
@@ -24,35 +24,27 @@ SQRT2 = math.sqrt(2.0)
 _SCALAR_BREATHERS = ("mkdv", "gardner", "kksh", "nonzero-mean")
 
 
-def family_plan(family, t: float = 0.0, nodes_per_unit: float = 8.0):
+def family_plan(family, t: float = 0.0):
     """Default quadrature plan: torus trapezoid or a line window that tracks
-    the envelope centre at the evaluation time.  The node density scales with
-    the family's oscillation frequency."""
+    the envelope centre at the evaluation time."""
     if family.domain == "torus":
         return TorusPlan(period=family.period)
-    freq = family.osc_frequency
     # sixth-power integrands carry harmonics of the profile frequency, so the
     # panel order grows with it
     return LinePlan(
         center=family.envelope_center(t),
         half_width=30.0 / family.decay_rate + 10.0,
-        nodes_per_unit=max(nodes_per_unit, 4.0 * freq),
-        order=max(10, math.ceil(4.0 * freq) + 8),
+        order=max(10, math.ceil(4.0 * family.osc_frequency) + 8),
     )
 
 
 def field_arrays(family, t, x, deg: int = 2) -> dict:
-    """Grids of the field (and, for wave families, its time derivative)."""
-    out = family.eval(t, x, deg=deg)
-    if isinstance(out, PairFieldJet):
-        return {
-            "u": out.b.value,
-            "ux": out.b.partial(nx=1),
-            "uxx": out.b.partial(nx=2),
-            "ut": out.bt.value,
-            "utx": out.bt.partial(nx=1),
-        }
-    return {"u": out.value, "ux": out.partial(nx=1), "uxx": out.partial(nx=2)}
+    """Grids of the field and, for wave families, of its time derivative."""
+    f = family.eval(t, x, deg=deg)
+    out = {"u": f.value, "ux": f.partial(nx=1), "uxx": f.partial(nx=2)}
+    if family.kind in WAVE_KINDS:
+        out.update(ut=f.partial(nt=1), utx=f.partial(nt=1, nx=1))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -113,7 +105,7 @@ def _lyapunov_coefficients(family) -> dict:
 
 
 def _integrand_table(family) -> dict:
-    if family.kind in ("sg", "sg-kink"):
+    if family.kind in WAVE_KINDS:
         return _sg_integrands()
     return _mkdv_integrands(family.quadratic, family.level)
 
@@ -124,13 +116,13 @@ def _lyapunov_density(family, f: dict) -> np.ndarray:
     return sum(c * table[name](f) for name, c in _lyapunov_coefficients(family).items())
 
 
-def evaluate_functional(kind: str, family, t: float = 0.0, plan=None) -> float:
+def evaluate_functional(kind: str, family, t: float = 0.0) -> float:
     """Quadrature value of a conserved functional on the family at time t.
 
     kind is one of mass / energy / momentum / f / lyapunov (availability
-    depends on the family).  The quadrature is verified by node doubling.
+    depends on the family).  The quadrature on ``family_plan`` is verified by
+    node doubling.
     """
-    plan = plan or family_plan(family, t)
     if kind == "lyapunov":
 
         def integrand(x):
@@ -144,11 +136,11 @@ def evaluate_functional(kind: str, family, t: float = 0.0, plan=None) -> float:
         def integrand(x):
             return table[kind](field_arrays(family, t, x))
 
-    value, _ = checked_integral(integrand, plan)
+    value, _ = checked_integral(integrand, family_plan(family, t))
     return value
 
 
-def conservation_in_time(kind: str, family, times, shifts=None, plan=None) -> float:
+def conservation_in_time(kind: str, family, times, shifts=None) -> float:
     """Max drift of a functional across the given times.
 
     ``shifts`` may provide time-dependent translation parameters (t -> (x1,
@@ -164,7 +156,7 @@ def conservation_in_time(kind: str, family, times, shifts=None, plan=None) -> fl
         if shifts is not None:
             x1, x2 = shifts(t)
             fam = replace(family, x1=x1, x2=x2)
-        values.append(evaluate_functional(kind, fam, t=t, plan=plan))
+        values.append(evaluate_functional(kind, fam, t=t))
     return max(abs(v - values[0]) for v in values[1:])
 
 
@@ -208,11 +200,10 @@ def _mkdv_terms(f: FieldJet, c_e: float, c_m: float, mu: float = 0.0, level: flo
     ]
 
 
-def _sg_terms(pair: PairFieldJet, a: float, b: float):
-    B, Bt = pair.b, pair.bt
-    u = B.value
-    ux, uxx, u4 = B.partial(nx=1), B.partial(nx=2), B.partial(nx=4)
-    ut, utx, utxx = Bt.value, Bt.partial(nx=1), Bt.partial(nx=2)
+def _sg_terms(f: FieldJet, a: float, b: float):
+    u = f.value
+    ux, uxx, u4 = f.partial(nx=1), f.partial(nx=2), f.partial(nx=4)
+    ut, utx, utxx = f.partial(nt=1), f.partial(nt=1, nx=1), f.partial(nt=1, nx=2)
     cu, su = np.cos(u), np.sin(u)
     first = [
         utxx,
@@ -259,33 +250,32 @@ def stationary_residual(family, x=None, t: float = 0.0, ab=None):
         if kind == "gardner-soliton":
             terms.insert(2, family.mu * Q**2)
         return _relative_residual(terms)
-    if kind in ("sg", "sg-kink"):
+    if kind in WAVE_KINDS:
         if ab is None:
             if kind == "sg-kink":
                 raise ValueError("the kink carries no (a, b); pass ab explicitly")
             ab = (family.a, family.b)
-        pair = family.eval(t, x, deg=4)
-        first, second = _sg_terms(pair, *ab)
+        first, second = _sg_terms(family.eval(t, x, deg=4), *ab)
         return _relative_residual(first), _relative_residual(second)
     raise ValueError(f"no stationary equation for family kind {kind!r}")
 
 
-def pde_residual(family, n_points: int = 100, seed: int = 0, t_span: float = 2.0) -> float:
-    """Max absolute defect of the evolution equation at random (t, x) points.
+def pde_residual(family, n_points: int = 100) -> float:
+    """Max absolute defect of the evolution equation at random (t, x) points,
+    t in (-2, 2), drawn with seed 0.
 
     All points go through one family evaluation; a NaN at any of them makes
     the result NaN.
     """
-    rng = np.random.default_rng(seed)
-    ts = rng.uniform(-t_span, t_span, size=n_points)
+    rng = np.random.default_rng(0)
+    ts = rng.uniform(-2.0, 2.0, size=n_points)
     if family.domain == "torus":
         xs = rng.uniform(0.0, family.period, size=n_points)
     else:
         xs = rng.uniform(-8.0, 8.0, size=n_points)
     out = family.eval(ts, xs, deg=4)
-    if isinstance(out, PairFieldJet):
-        B = out.b
-        r = B.partial(nt=2) - B.partial(nx=2) + np.sin(B.value)
+    if family.kind in WAVE_KINDS:
+        r = out.partial(nt=2) - out.partial(nx=2) + np.sin(out.value)
     else:
         u = out.value
         mu = family.mu if family.kind in ("gardner", "gardner-soliton") else 0.0
@@ -298,12 +288,13 @@ def pde_residual(family, n_points: int = 100, seed: int = 0, t_span: float = 2.0
     return float(np.max(np.abs(r)))
 
 
-def mean_value(family, t: float = 0.0, n_nodes: int = 8192) -> float:
-    """Spatial mean of a periodic family over one period."""
+def mean_value(family) -> float:
+    """Spatial mean of a periodic family over one period at t = 0, on the
+    doubled nodes of its torus plan."""
     if family.domain != "torus":
         raise ValueError("mean value is defined for periodic families")
-    x = np.arange(n_nodes) * (family.period / n_nodes)
-    return float(np.mean(family.eval(t, x, deg=0).value))
+    x, _ = TorusPlan(period=family.period).nodes_weights(2)
+    return float(np.mean(family.eval(0.0, x, deg=0).value))
 
 
 # ---------------------------------------------------------------------------
@@ -315,16 +306,11 @@ def sg_lyapunov_of_perturbed(family, z_fun, w_fun, eps: float, plan=None) -> flo
     """H evaluated on (B + eps z, B_t + eps w) by direct quadrature."""
     plan = plan or family_plan(family, 0.0)
     x, w_quad = plan.nodes_weights(2)
-    pair = family.eval(0.0, x, deg=2)
+    f = field_arrays(family, 0.0, x)
     z0, z1, z2 = _eval_perturbation(z_fun, x, 2)
     w0, w1, _ = _eval_perturbation(w_fun, x, 2)
-    f = {
-        "u": pair.b.value + eps * z0,
-        "ux": pair.b.partial(nx=1) + eps * z1,
-        "uxx": pair.b.partial(nx=2) + eps * z2,
-        "ut": pair.bt.value + eps * w0,
-        "utx": pair.bt.partial(nx=1) + eps * w1,
-    }
+    for key, d in zip(("u", "ux", "uxx", "ut", "utx"), (z0, z1, z2, w0, w1)):
+        f[key] = f[key] + eps * d
     return float(np.dot(w_quad, _lyapunov_density(family, f)))
 
 
@@ -351,10 +337,8 @@ def expansion_remainder(family, z_fun, w_fun, eps: float, plan=None) -> float:
     """
     plan = plan or family_plan(family, 0.0)
     x, w_quad = plan.nodes_weights(2)
-    pair = family.eval(0.0, x, deg=2)
-    B = pair.b.value
-    Bx = pair.b.partial(nx=1)
-    Bt = pair.bt.value
+    f = family.eval(0.0, x, deg=2)
+    B, Bx, Bt = f.value, f.partial(nx=1), f.partial(nt=1)
     z0, z1, _ = _eval_perturbation(z_fun, x, 2)
     w0, w1, _ = _eval_perturbation(w_fun, x, 2)
     z, zx, w = eps * z0, eps * z1, eps * w0

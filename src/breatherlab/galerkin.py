@@ -62,24 +62,19 @@ class GalerkinProblem:
 
 
 def default_hermite_plan(operator, n_basis: int) -> LinePlan:
-    """Truncation and density adapted to both the basis and the potential.
+    """Truncation and panel order adapted to both the basis and the potential.
 
     The half width covers the outer Hermite turning point plus the slow
-    exponential reach of the potential; the density resolves the fastest
-    basis-product oscillation with superexponential margin.
+    exponential reach of the potential; the panel order resolves the fastest
+    basis-product oscillation with superexponential margin, and puts at
+    least 4 freq nodes on each unit of length.
     """
     fam = operator.family
     freq = fam.osc_frequency
     half_width = math.sqrt(2.0 * (n_basis + 5)) + 40.0 / fam.decay_rate
     peak = 2.0 * math.sqrt(2.0 * (n_basis + 5)) + freq
-    order = max(10, math.ceil(0.36 * 0.5 * peak) + 8)
-    return LinePlan(
-        center=0.0,
-        half_width=half_width,
-        nodes_per_unit=max(8.0, 4.0 * freq),
-        panel_width=0.5,
-        order=order,
-    )
+    order = max(10, math.ceil(0.36 * 0.5 * peak) + 8, math.ceil(2.0 * freq))
+    return LinePlan(center=0.0, half_width=half_width, order=order)
 
 
 def hermite_problem(operator, n_max: int, plan: Optional[LinePlan] = None) -> GalerkinProblem:
@@ -224,8 +219,8 @@ DEFAULT_KERNEL_TOL = {"hermite": 0.1, "fourier": 1e-5}
 
 def classify(spectrum: Spectrum, kernel_tol: float) -> Classification:
     """Split the spectrum into negative part, numerical kernel and gap."""
-    if kernel_tol <= 0:
-        raise ValueError("kernel tolerance must be positive")
+    if not 0.0 < kernel_tol < math.inf:
+        raise ValueError(f"kernel tolerance must be positive and finite, got {kernel_tol}")
     vals = spectrum.values
     n_neg = int(np.sum(vals < -kernel_tol))
     kernel = int(np.sum(np.abs(vals) <= kernel_tol))

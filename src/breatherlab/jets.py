@@ -56,10 +56,9 @@ class Jet2:
     # -- constructors -----------------------------------------------------
 
     @classmethod
-    def constant(cls, value, deg=DEFAULT_DEG, shape=None):
+    def constant(cls, value, deg=DEFAULT_DEG):
         value = np.asarray(value, dtype=float)
-        shp = value.shape if shape is None else shape
-        c = np.zeros((deg + 1, deg + 1) + shp)
+        c = np.zeros((deg + 1, deg + 1) + value.shape)
         c[0, 0] = value
         return cls(c, deg)
 

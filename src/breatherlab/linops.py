@@ -96,9 +96,9 @@ class SgBlockOperator:
     def coefficients(self, x):
         """Profile fields (B, Bx, Bxx, Bt, Btx, cos, sin) and the operator's
         coefficient grids, from one evaluation of the profile."""
-        pair = self.family.eval(0.0, np.asarray(x, dtype=float), deg=2)
-        B, Bt = pair.b, pair.bt
-        u, Bx, Bxx, Bt, Btx = B.value, B.partial(nx=1), B.partial(nx=2), Bt.value, Bt.partial(nx=1)
+        f = self.family.eval(0.0, np.asarray(x, dtype=float), deg=2)
+        u, Bx, Bxx = f.value, f.partial(nx=1), f.partial(nx=2)
+        Bt, Btx = f.partial(nt=1), f.partial(nt=1, nx=1)
         cu, su = np.cos(u), np.sin(u)
         a, b = self.family.a, self.family.b
         grad2 = Bx**2 + Bt**2
@@ -186,13 +186,13 @@ def sg_scaling_direction(family, x):
     return tuple(d.partial(nx=j) for j in range(5)), tuple(d.partial(nt=1, nx=j) for j in range(4))
 
 
-def sg_variational_direction_residual(family, x=None) -> float:
+def sg_variational_direction_residual(family) -> float:
     """Componentwise defect of L[(B0, B0t)] = (A, At) for the scaled scaling
     direction (B0, B0t) = -(1/2 beta)(dB/dbeta, dB_t/dbeta), with
-    A = (1+v^2)(sin B - B_xx) + 2 v B_tx and At = (1+v^2) B_t - 2 v B_x.
+    A = (1+v^2)(sin B - B_xx) + 2 v B_tx and At = (1+v^2) B_t - 2 v B_x,
+    on 301 points of |x| <= 25 / beta.
     """
-    if x is None:
-        x = np.linspace(-25.0 / family.beta, 25.0 / family.beta, 301)
+    x = np.linspace(-25.0 / family.beta, 25.0 / family.beta, 301)
     op = sg_operator(family)
     fam = op.family
     z, w = sg_scaling_direction(fam, x)
@@ -212,7 +212,7 @@ def sg_scaling_quadratic_form(family) -> float:
     -32 (1 + 3 v^2) beta for every breather."""
     op = sg_operator(family)
     fam = op.family
-    plan = LinePlan(center=0.0, half_width=30.0 / fam.beta + 10.0, nodes_per_unit=8.0)
+    plan = LinePlan(center=0.0, half_width=30.0 / fam.beta + 10.0)
     x, w_quad = plan.nodes_weights(2)
     z, w = sg_scaling_direction(fam, x)
     return op.quadratic_form(x, w_quad, z, w)
@@ -234,11 +234,12 @@ def kksh_parameter_direction(beta: float, k: float, x):
     return tuple(dk.partial(nx=j + 1) for j in range(5)), tuple(db.partial(nx=j + 1) for j in range(5))
 
 
-def kksh_inverse_direction_residual(beta: float, k: float, n_points: int = 200) -> float:
-    """Max defect of L[B0] = -B for the discriminant-normalised direction
-    built from the two parameter derivatives of the periodic profile."""
+def kksh_inverse_direction_residual(beta: float, k: float) -> float:
+    """Max defect of L[B0] = -B, on 200 points of one period, for the
+    discriminant-normalised direction built from the two parameter
+    derivatives of the periodic profile."""
     family = breathers.KkshBreather(beta=beta, k=k)
-    x = np.linspace(0.0, family.period, n_points, endpoint=False)
+    x = np.linspace(0.0, family.period, 200, endpoint=False)
     dk, db = kksh_parameter_direction(beta, k, x)
     # the direction follows the constrained solution family, so the
     # coefficient partials carry dm/dk along the period lock

@@ -16,6 +16,8 @@ from functools import lru_cache
 import numpy as np
 
 DRIFT_TOL = 1e-9
+# width of a Gauss-Legendre panel of a line plan at refine = 1
+PANEL_WIDTH = 0.5
 
 
 class QuadratureError(RuntimeError):
@@ -41,12 +43,11 @@ def gauss_panels(a: float, b: float, n_panels: int, order: int):
 
 @dataclass(frozen=True)
 class LinePlan:
-    """Truncated-line quadrature: Gauss-Legendre panels on [c-X, c+X]."""
+    """Truncated-line quadrature: Gauss-Legendre panels of ``order`` nodes
+    and width PANEL_WIDTH / refine on [c-X, c+X]."""
 
     center: float
     half_width: float
-    nodes_per_unit: float = 8.0
-    panel_width: float = 0.5
     order: int = 10
 
     def __post_init__(self):
@@ -56,10 +57,8 @@ class LinePlan:
     def nodes_weights(self, refine: int = 1):
         a = self.center - self.half_width
         b = self.center + self.half_width
-        width = self.panel_width / refine
-        n_panels = max(2, math.ceil((b - a) / width))
-        order = max(self.order, math.ceil(self.nodes_per_unit * self.panel_width))
-        return gauss_panels(a, b, n_panels, order)
+        n_panels = max(2, math.ceil((b - a) / (PANEL_WIDTH / refine)))
+        return gauss_panels(a, b, n_panels, self.order)
 
 
 @dataclass(frozen=True)
@@ -82,11 +81,11 @@ class TorusPlan:
         return x, w
 
 
-def checked_integral(f, plan, tol: float = DRIFT_TOL):
+def checked_integral(f, plan):
     """Integrate f(x) with the plan and verify stability under node doubling.
 
     Returns ``(value, drift)`` where drift is the relative change when the
-    node count doubles.  Raises QuadratureError if the drift exceeds tol.
+    node count doubles.  Raises QuadratureError if the drift exceeds DRIFT_TOL.
     """
     x1, w1 = plan.nodes_weights(1)
     x2, w2 = plan.nodes_weights(2)
@@ -94,7 +93,7 @@ def checked_integral(f, plan, tol: float = DRIFT_TOL):
     v2 = float(np.dot(w2, f(x2)))
     scale = max(abs(v1), abs(v2), 1.0)
     drift = abs(v2 - v1) / scale
-    if not (drift <= tol):
+    if not (drift <= DRIFT_TOL):
         raise QuadratureError(
             f"quadrature not converged: node doubling moved the integral by {drift:.3e}"
         )

@@ -248,14 +248,16 @@ def discriminant_and_hg(beta: float, k: float, constraint: str = "frozen") -> tu
     return d, hg
 
 
-def discriminant_root(beta: float = 1.0, lo: float = 0.04, hi: float = 0.058) -> float:
-    """Zero crossing of the frozen-constraint discriminant in k."""
+def discriminant_root() -> float:
+    """Zero crossing of the frozen-constraint discriminant in k, bracketed by
+    (0.04, 0.058).  The frozen D is beta^5 times a function of k, so the root
+    does not depend on beta; it is found at beta = 1."""
 
     def d(k):
-        m = solve_commensurability(k, beta).m
-        return _discriminant(*coefficient_gradients(beta, k, m)[1:])[0]
+        m = solve_commensurability(k).m
+        return _discriminant(*coefficient_gradients(1.0, k, m)[1:])[0]
 
-    return _bisect(d, lo, hi, iters=60)
+    return _bisect(d, 0.04, 0.058, iters=60)
 
 
 @dataclass(frozen=True)

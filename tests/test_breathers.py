@@ -85,7 +85,7 @@ class TestProfileValues:
     def test_sg_origin_value(self):
         fam = br.SgBreather(beta=0.5, v=0.7)
         out = fam.eval(0.0, 0.0)
-        assert out.b.value == pytest.approx(4 * math.atan2(fam.beta, fam.alpha), rel=1e-13)
+        assert out.value == pytest.approx(4 * math.atan2(fam.beta, fam.alpha), rel=1e-13)
 
 
 class TestPdeResiduals:
@@ -160,23 +160,53 @@ class TestSgIdentities:
         self.xs = rng.uniform(-8, 8, 100)
 
     def test_explicit_time_derivative_matches_jet(self):
+        # oracle: the rational B_t = -4 a b (a sin1 cosh2 - b v cos1 sinh2) / g,
+        # g = a^2 cosh2^2 + b^2 cos1^2, of (sin1, cos1) = (sin, cos)(a Y1) and
+        # (sinh2, cosh2) = (sinh, cosh)(b Y2)
         worst = 0.0
-        for t in self.ts:
-            pair = self.fam.eval(t, self.xs, deg=2)
-            worst = max(worst, np.max(np.abs(pair.bt.value - pair.b.partial(nt=1))))
+        for v in (0.0, 0.7, 0.99):
+            fam = dataclasses.replace(self.fam, v=v)
+            a, b = fam.alpha, fam.beta
+            for t in self.ts:
+                y1 = t - v * self.xs + fam.x1
+                y2 = self.xs - v * t + fam.x2
+                sin1, cos1 = np.sin(a * y1), np.cos(a * y1)
+                sinh2, cosh2 = np.sinh(b * y2), np.cosh(b * y2)
+                g = a**2 * cosh2**2 + b**2 * cos1**2
+                rational = -4 * a * b * (a * sin1 * cosh2 - b * v * cos1 * sinh2) / g
+                got = fam.eval(t, self.xs, deg=1).partial(nt=1)
+                worst = max(worst, np.max(np.abs(got - rational)))
         assert worst < 1e-11
+
+    @pytest.mark.parametrize("v", [0.0, 0.4, -0.9])
+    def test_kink_time_derivative_matches_jet(self, v):
+        # oracle: B = 4 arctan(e^S), S = g (x - v t - x0), so B_t = -2 v g sech(S)
+        kink = br.SgKink(v=v, x0=0.3)
+        g = kink.lorentz
+        for t in self.ts:
+            S = g * (self.xs - v * t - kink.x0)
+            got = kink.eval(t, self.xs, deg=1).partial(nt=1)
+            assert np.max(np.abs(got - (-2.0 * v * g) / np.cosh(S))) < 1e-11
+
+    @pytest.mark.parametrize("family", [br.SgBreather(beta=0.5, v=0.7), br.SgKink(v=0.4)],
+                             ids=lambda f: f.kind)
+    @pytest.mark.parametrize("deg", [0, 2, 4])
+    def test_time_derivative_needs_one_more_degree(self, family, deg):
+        f = family.eval(0.3, self.xs, deg=deg)
+        with pytest.raises(ValueError, match="insufficient jet degree"):
+            f.partial(nt=1, nx=deg)
 
     def test_cosine_closed_form(self):
         a, b, v = self.fam.alpha, self.fam.beta, self.fam.v
         worst = 0.0
         for t in self.ts:
-            pair = self.fam.eval(t, self.xs, deg=0)
+            f = self.fam.eval(t, self.xs, deg=0)
             y1 = t - v * self.xs + self.fam.x1
             y2 = self.xs - v * t + self.fam.x2
             ch, cs = np.cosh(b * y2), np.cos(a * y1)
             g = a**2 * ch**2 + b**2 * cs**2
             rational = (b**4 * cs**4 - 6 * a**2 * b**2 * ch**2 * cs**2 + a**4 * ch**4) / g**2
-            worst = max(worst, np.max(np.abs(np.cos(pair.b.value) - rational)))
+            worst = max(worst, np.max(np.abs(np.cos(f.value) - rational)))
         assert worst < 1e-11
 
     def test_shift_derivative_identities(self):
@@ -184,13 +214,13 @@ class TestSgIdentities:
         v = self.fam.v
         worst = 0.0
         for t in self.ts:
-            pair = self.fam.eval(t, self.xs, deg=2)
-            b1 = pair.b.partial(n1=1)
-            b2 = pair.b.partial(n2=1)
+            f = self.fam.eval(t, self.xs, deg=2)
+            b1 = f.partial(n1=1)
+            b2 = f.partial(n2=1)
             worst = max(
                 worst,
-                np.max(np.abs(pair.bt.value - (b1 - v * b2))),
-                np.max(np.abs(pair.b.partial(nx=1) - (-v * b1 + b2))),
+                np.max(np.abs(f.partial(nt=1) - (b1 - v * b2))),
+                np.max(np.abs(f.partial(nx=1) - (-v * b1 + b2))),
             )
         assert worst < 1e-11
 
@@ -201,8 +231,8 @@ class TestSgIdentities:
         fam_0 = br.SgBreather(beta=0.5 / g, v=0.0, x1=g * 0.4, x2=g * 0.1)
         worst = 0.0
         for t in self.ts[:6]:
-            bv = fam_v.eval(t, self.xs, deg=0).b.value
-            b0 = fam_0.eval(g * (t - v * self.xs), g * (self.xs - v * t), deg=0).b.value
+            bv = fam_v.eval(t, self.xs, deg=0).value
+            b0 = fam_0.eval(g * (t - v * self.xs), g * (self.xs - v * t), deg=0).value
             worst = max(worst, np.max(np.abs(bv - b0)))
         assert worst < 1e-10
 
@@ -286,8 +316,8 @@ class TestNormalForm:
         nf = br.normal_form(fam, t)
         xs = np.linspace(-5, 5, 41)
         shift = -fam.v * t + fam.x2
-        orig = fam.eval(t, xs, deg=0).b.value
-        normal = nf.eval(0.0, xs + shift, deg=0).b.value
+        orig = fam.eval(t, xs, deg=0).value
+        normal = nf.eval(0.0, xs + shift, deg=0).value
         assert np.max(np.abs(orig - normal)) < 1e-12
 
 

@@ -417,6 +417,11 @@ _MKDV = ["--family", "mkdv", "--alpha", "0.5"]
     (["sweep", "--family", "sg-kink", "--n", "20", "--param", "x0", "--values", "1,2"], "--param"),
     (["sweep", "--family", "nonzero-mean", "--mu", "1.3", "--c1", "0.9", "--p", "2", "--q", "3",
       "--n", "20", "--param", "x1", "--values", "1,2"], "--param"),
+    (["spectrum", *_MKDV, "--n", "10", "--kernel-tol=nan"], "kernel tolerance"),
+    (["spectrum", *_MKDV, "--n", "10", "--kernel-tol=inf"], "kernel tolerance"),
+    (["sweep", *_MKDV, "--n", "10", "--kernel-tol=nan", "--param", "x1", "--values", "0"],
+     "kernel tolerance"),
+    (["spectrum", *_MKDV, "--n", "10", "--t=nan"], "--t"),
 ])
 def test_bad_run_flag_exit_2(argv, flag, capsys):
     assert run(argv) == 2

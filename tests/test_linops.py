@@ -9,8 +9,8 @@ from breatherlab import stability as st
 from breatherlab.quadrature import LinePlan
 
 
-def kernel_derivs(fieldjet, orders, n1=0, n2=0):
-    return tuple(fieldjet.partial(nx=j, n1=n1, n2=n2) for j in range(orders + 1))
+def kernel_derivs(fieldjet, orders, n1=0, n2=0, nt=0):
+    return tuple(fieldjet.partial(nt=nt, nx=j, n1=n1, n2=n2) for j in range(orders + 1))
 
 
 class TestScalarKernels:
@@ -57,10 +57,10 @@ class TestSgBlock:
         fam = br.SgBreather(beta=0.5, v=0.7, x1=0.3)
         op = linops.sg_operator(fam)
         x = np.linspace(-45, 45, 220)
-        pair = op.family.eval(0.0, x, deg=6)
+        f = op.family.eval(0.0, x, deg=6)
         for sel in ((1, 0), (0, 1)):
-            z = kernel_derivs(pair.b, 4, *sel)
-            w = kernel_derivs(pair.bt, 2, *sel)
+            z = kernel_derivs(f, 4, *sel)
+            w = kernel_derivs(f, 2, *sel, nt=1)
             r1, r2 = op.apply(x, z, w)
             assert np.max(np.abs(r1)) < 1e-10
             assert np.max(np.abs(r2)) < 1e-10
@@ -103,17 +103,17 @@ class TestSgBlock:
     def test_quadratic_form_on_kernel_vanishes(self):
         fam = br.SgBreather(beta=0.5, v=0.4, x1=0.2)
         op = linops.sg_operator(fam)
-        plan = LinePlan(center=0.0, half_width=70.0, nodes_per_unit=8.0)
+        plan = LinePlan(center=0.0, half_width=70.0)
         x, w_quad = plan.nodes_weights(2)
-        pair = op.family.eval(0.0, x, deg=6)
-        z = kernel_derivs(pair.b, 2, 1, 0)
-        w = kernel_derivs(pair.bt, 1, 1, 0)
+        f = op.family.eval(0.0, x, deg=6)
+        z = kernel_derivs(f, 2, 1, 0)
+        w = kernel_derivs(f, 1, 1, 0, nt=1)
         assert abs(op.quadratic_form(x, w_quad, z, w)) < 1e-7
 
     def test_quadratic_form_routes_agree(self):
         fam = br.SgBreather(beta=0.5, v=0.3)
         op = linops.sg_operator(fam)
-        plan = LinePlan(center=0.0, half_width=70.0, nodes_per_unit=8.0)
+        plan = LinePlan(center=0.0, half_width=70.0)
         x, w_quad = plan.nodes_weights(2)
 
         def zf(X):
@@ -134,9 +134,9 @@ class TestSgBlock:
         fam = br.SgBreather(beta=0.5, v=0.1)
         op = linops.sg_operator(fam)
         x = np.linspace(-1, 1, 5)
-        pair = op.family.eval(0.0, x, deg=4)
+        f = op.family.eval(0.0, x, deg=4)
         with pytest.raises(ValueError, match="insufficient"):
-            op.apply(x, kernel_derivs(pair.b, 3), kernel_derivs(pair.bt, 2))
+            op.apply(x, kernel_derivs(f, 3), kernel_derivs(f, 2, nt=1))
 
 
 class TestParameterDirections:
@@ -162,9 +162,9 @@ class TestParameterDirections:
         z, w = linops.sg_scaling_direction(fam, x)
         h = 1e-5
         plus, minus = (dataclasses.replace(fam, beta=beta + s).eval(0.0, x, deg=4) for s in (h, -h))
-        for grids, p, m in ((z, plus.b, minus.b), (w, plus.bt, minus.bt)):
+        for grids, nt in ((z, 0), (w, 1)):
             for j, got in enumerate(grids):
-                fd = (p.partial(nx=j) - m.partial(nx=j)) / (2.0 * h)
+                fd = (plus.partial(nt=nt, nx=j) - minus.partial(nt=nt, nx=j)) / (2.0 * h)
                 assert np.max(np.abs(got - fd)) <= 1e-6 * np.max(np.abs(fd))
 
     def test_kksh_beta_direction_is_the_dilation(self):
