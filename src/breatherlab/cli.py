@@ -274,7 +274,7 @@ PRESETS = {
             " --values 0.09,0.81,1.53,2.15,3.14",
     "fig4": "sweep --family mkdv --beta 1 --alpha 1.5 --n 164 --param x1"
             " --values 0,0.99,1.57,2.51,3.14",
-    "fig8": "sweep --family gardner --beta 1 --alpha 0.5 --mu 0.01 --n 50 --param x1"
+    "fig8": "sweep --family gardner --beta 1 --alpha 0.5 --mu 0.01 --n 160 --param x1"
             " --values=-0.04,-0.03,-0.02,-0.01,0,0.01,0.02,0.03,0.04",
     "fig14-left": "sweep --family sg --beta 0.5 --x1 0.1 --n 25 --param v"
                   " --values 0,0.1,0.2,0.3,0.4,0.5,0.6,0.7",

@@ -17,7 +17,7 @@ import numpy as np
 from . import linops
 from .breathers import WAVE_KINDS, FieldJet
 from .jets import Jet2
-from .quadrature import LinePlan, TorusPlan, checked_integral
+from .quadrature import LinePlan, TorusPlan, checked_integral, panel_order
 
 SQRT2 = math.sqrt(2.0)
 # the breathers whose Lyapunov multipliers are (a1, a2) of energy and mass
@@ -29,12 +29,12 @@ def family_plan(family, t: float = 0.0):
     the envelope centre at the evaluation time."""
     if family.domain == "torus":
         return TorusPlan(period=family.period)
-    # sixth-power integrands carry harmonics of the profile frequency, so the
-    # panel order grows with it
+    # the densities are up to sixth powers of the profile, so they carry its
+    # harmonics through 6 freq; the order resolves four times that
     return LinePlan(
         center=family.envelope_center(t),
         half_width=30.0 / family.decay_rate + 10.0,
-        order=max(10, math.ceil(4.0 * family.osc_frequency) + 8),
+        order=panel_order(24.0 * family.osc_frequency, family.decay_rate),
     )
 
 
@@ -302,46 +302,31 @@ def mean_value(family) -> float:
 # ---------------------------------------------------------------------------
 
 
-def sg_lyapunov_of_perturbed(family, z_fun, w_fun, eps: float, plan=None) -> float:
-    """H evaluated on (B + eps z, B_t + eps w) by direct quadrature."""
-    plan = plan or family_plan(family, 0.0)
-    x, w_quad = plan.nodes_weights(2)
-    f = field_arrays(family, 0.0, x)
-    z0, z1, z2 = _eval_perturbation(z_fun, x, 2)
-    w0, w1, _ = _eval_perturbation(w_fun, x, 2)
-    for key, d in zip(("u", "ux", "uxx", "ut", "utx"), (z0, z1, z2, w0, w1)):
-        f[key] = f[key] + eps * d
-    return float(np.dot(w_quad, _lyapunov_density(family, f)))
-
-
 def _eval_perturbation(fun, x, orders: int):
     """Evaluate a jet-callable perturbation and its x-derivatives on a grid."""
     jet = fun(Jet2.variable(np.asarray(x, dtype=float), 0, deg=orders))
     return tuple(jet.partial(i, 0) for i in range(orders + 1))
 
 
-def sg_quadratic_form_of_callables(family, z_fun, w_fun, plan) -> float:
-    """Q on perturbations given as jet callables (position jet in, jet out)."""
-    x, w_quad = plan.nodes_weights(2)
-    z = _eval_perturbation(z_fun, x, 2)
-    w = _eval_perturbation(w_fun, x, 2)
-    return linops.sg_operator(family).quadratic_form(x, w_quad, z, w)
+def sg_lyapunov_of_perturbed(family, x, w_quad, z, w, eps: float) -> float:
+    """H evaluated on (B + eps z, B_t + eps w) by quadrature with nodes x and
+    weights w_quad, from the derivative grids z = (z, z', z'') and w."""
+    f = field_arrays(family, 0.0, x)
+    for key, d in zip(("u", "ux", "uxx", "ut", "utx"), z + w[:2]):
+        f[key] = f[key] + eps * d
+    return float(np.dot(w_quad, _lyapunov_density(family, f)))
 
 
-def expansion_remainder(family, z_fun, w_fun, eps: float, plan=None) -> float:
+def expansion_remainder(family, x, w_quad, z, w, eps: float) -> float:
     """Closed-form cubic-and-higher remainder of the Lyapunov expansion.
 
     This is the exact difference H[B+eps z, B_t+eps w] - H[B, B_t]
     - (eps^2/2) Q[z, w], written term by term so that no large quantities
     cancel; its leading order is cubic in eps.
     """
-    plan = plan or family_plan(family, 0.0)
-    x, w_quad = plan.nodes_weights(2)
     f = family.eval(0.0, x, deg=2)
     B, Bx, Bt = f.value, f.partial(nx=1), f.partial(nt=1)
-    z0, z1, _ = _eval_perturbation(z_fun, x, 2)
-    w0, w1, _ = _eval_perturbation(w_fun, x, 2)
-    z, zx, w = eps * z0, eps * z1, eps * w0
+    z, zx, w = eps * z[0], eps * z[1], eps * w[0]
 
     cb, sb = np.cos(B), np.sin(B)
     cz, sz = np.cos(z), np.sin(z)
@@ -367,16 +352,18 @@ def expansion_remainder(family, z_fun, w_fun, eps: float, plan=None) -> float:
     return float(np.dot(w_quad, t1 + t2 + t3 + t4 + t5 + t6))
 
 
-def expansion_check(family, z_fun, w_fun, eps: float, plan=None) -> tuple[float, float]:
-    """(H-difference minus half the quadratic form, explicit remainder).
+def expansion_check(family, z_fun, w_fun, eps: float) -> tuple[float, float]:
+    """(H-difference minus half the quadratic form, explicit remainder), for
+    perturbations given as jet callables (position jet in, jet out).
 
     The two must agree: the difference route relies on the stationary
     equations killing the linear term and on the quadratic-form
     normalisation, while the explicit remainder contains neither.
     """
-    plan = plan or family_plan(family, 0.0)
-    h0 = sg_lyapunov_of_perturbed(family, z_fun, w_fun, 0.0, plan)
-    h1 = sg_lyapunov_of_perturbed(family, z_fun, w_fun, eps, plan)
-    q = sg_quadratic_form_of_callables(family, z_fun, w_fun, plan)
+    x, w_quad = family_plan(family, 0.0).nodes_weights(2)
+    z, w = _eval_perturbation(z_fun, x, 2), _eval_perturbation(w_fun, x, 2)
+    h0 = sg_lyapunov_of_perturbed(family, x, w_quad, z, w, 0.0)
+    h1 = sg_lyapunov_of_perturbed(family, x, w_quad, z, w, eps)
+    q = linops.sg_operator(family).quadratic_form(x, w_quad, z, w)
     lhs = h1 - h0 - 0.5 * eps * eps * q
-    return lhs, expansion_remainder(family, z_fun, w_fun, eps, plan)
+    return lhs, expansion_remainder(family, x, w_quad, z, w, eps)

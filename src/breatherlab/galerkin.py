@@ -33,15 +33,15 @@ from typing import Optional
 import numpy as np
 
 from .linops import SgBlockOperator
-from .quadrature import LinePlan, TorusPlan
+from .quadrature import LinePlan, TorusPlan, panel_order
 from .specfun import FourierBasis, HermiteBasis
 
 ASYMMETRY_FLAG = 1e-6
 DRIFT_FLAG = 1e-9
 # Nodes per assembly block.  A block holds its basis stack (five (size, nodes)
 # arrays) and the operator applied to it, so the block size bounds assembly
-# memory: mKdV at n = 160 peaks at 28 MiB with 2048-node blocks and at 70 MiB
-# with the whole grid at once.
+# memory: mKdV at n = 160 (3150 nodes at the finer level) peaks at 23 MiB with
+# 2048-node blocks and at 32 MiB with the whole grid at once.
 NODE_BLOCK = 2048
 
 
@@ -62,34 +62,30 @@ class GalerkinProblem:
 
 
 def default_hermite_plan(operator, n_basis: int) -> LinePlan:
-    """Truncation and panel order adapted to both the basis and the potential.
+    """Window from the basis alone, panel order from both scales of w f_i L[f_j].
 
-    The half width covers the outer Hermite turning point plus the slow
-    exponential reach of the potential; the panel order resolves the fastest
-    basis-product oscillation with superexponential margin, and puts at
-    least 4 freq nodes on each unit of length.
+    Every term carries a basis function, so the half width is the turning
+    point x_t = sqrt(2(n + 5)) of the stacked indices plus a Gaussian-tail
+    margin of 8; there every stacked |f_k^(r)| is below 6e-24 for n <= 300.
+    The wavenumber is the basis pair's 2 x_t plus the profile's 2 freq, or
+    the potential's 6 freq where that is larger.
     """
     fam = operator.family
     freq = fam.osc_frequency
-    half_width = math.sqrt(2.0 * (n_basis + 5)) + 40.0 / fam.decay_rate
-    peak = 2.0 * math.sqrt(2.0 * (n_basis + 5)) + freq
-    order = max(10, math.ceil(0.36 * 0.5 * peak) + 8, math.ceil(2.0 * freq))
-    return LinePlan(center=0.0, half_width=half_width, order=order)
+    turning = math.sqrt(2.0 * (n_basis + 5))
+    wavenumber = max(2.0 * turning + 2.0 * freq, 6.0 * freq)
+    return LinePlan(center=0.0, half_width=turning + 8.0, order=panel_order(wavenumber, fam.decay_rate))
 
 
-def hermite_problem(operator, n_max: int, plan: Optional[LinePlan] = None) -> GalerkinProblem:
+def hermite_problem(operator, n_max: int) -> GalerkinProblem:
     """Problem over Hermite functions f_0..f_{n_max}."""
-    basis = HermiteBasis(count=n_max + 1)
-    plan = plan or default_hermite_plan(operator, n_max)
-    return GalerkinProblem(operator, basis, plan)
+    return GalerkinProblem(operator, HermiteBasis(count=n_max + 1), default_hermite_plan(operator, n_max))
 
 
-def fourier_problem(operator, n_max: int, plan: Optional[TorusPlan] = None) -> GalerkinProblem:
+def fourier_problem(operator, n_max: int) -> GalerkinProblem:
     """Problem over the 2 n_max + 1 trig functions on the operator's period."""
     period = operator.family.period
-    basis = FourierBasis(period=period, count_n=n_max)
-    plan = plan or TorusPlan(period=period)
-    return GalerkinProblem(operator, basis, plan)
+    return GalerkinProblem(operator, FourierBasis(period=period, count_n=n_max), TorusPlan(period=period))
 
 
 @dataclass(frozen=True)

@@ -41,6 +41,18 @@ def gauss_panels(a: float, b: float, n_panels: int, order: int):
     return x, w
 
 
+def panel_order(wavenumber: float, decay_rate: float) -> int:
+    """Nodes per Gauss-Legendre panel for an integrand that oscillates at
+    ``wavenumber`` and decays like exp(-decay_rate |x|): about a third of the
+    phase a panel spans, plus 8 margin nodes once for each half decay length
+    the panel spans (at least once), and at least 10 in all.  The Gauss error
+    on e^{ikx} falls once p passes e k h / 8 on a panel of width h, and the
+    profile's complex singularities lie pi / (2 decay_rate) off the line."""
+    oscillation = math.ceil(PANEL_WIDTH * wavenumber / 3.0)
+    margin = math.ceil(8.0 * max(1.0, 2.0 * PANEL_WIDTH * decay_rate))
+    return max(10, oscillation + margin)
+
+
 @dataclass(frozen=True)
 class LinePlan:
     """Truncated-line quadrature: Gauss-Legendre panels of ``order`` nodes

@@ -227,11 +227,14 @@ def hermite_derivative_ladder(values: np.ndarray) -> np.ndarray:
     """First derivatives from f_n' = sqrt(n/2) f_{n-1} - sqrt((n+1)/2) f_{n+1}.
 
     The output has one row fewer than the input (the top index lacks its
-    upper neighbour).
+    upper neighbour).  The lower neighbours go in 32 rows at a time, which
+    keeps their temporary small.
     """
     n = np.arange(values.shape[0] - 1)[:, None]
     out = -np.sqrt((n + 1) / 2.0) * values[1:]
-    out[1:] += np.sqrt(n[1:] / 2.0) * values[:-2]
+    for lo in range(1, out.shape[0], 32):
+        hi = min(lo + 32, out.shape[0])
+        out[lo:hi] += np.sqrt(n[lo:hi] / 2.0) * values[lo - 1:hi - 1]
     return out
 
 

@@ -63,6 +63,16 @@ class TestSpectrumCommand:
         assert "L" in payload["config"]
         assert payload["config"]["n"] == 24 and isinstance(payload["config"]["n"], int)
 
+    def test_narrow_profile_passes_the_drift_gate(self, tmp_path):
+        # beta = 3: the profile's complex singularities lie pi/6 off the line,
+        # closer than a panel's width of 0.5
+        out = tmp_path / "s.json"
+        assert run([
+            "spectrum", "--family", "mkdv", "--alpha", "0.2", "--beta", "3", "--n", "40",
+            "--format", "json", "--out", str(out),
+        ]) == 0
+        assert json.loads(out.read_text())["diagnostics"]["quadrature_drift"] <= 1e-9
+
     def test_header_reports_the_time_and_its_normal_form(self, capsys):
         assert run(["spectrum", "--family", "mkdv", "--alpha", "0.5", "--t", "0.7", "--n", "10"]) == 0
         header = capsys.readouterr().out.split("\n")[0]

@@ -25,9 +25,9 @@ class TestClosedFormValues:
         assert fn.evaluate_functional("momentum", fam) == pytest.approx(-2.8, rel=1e-8)
 
     def test_mkdv_mass_is_four_beta(self):
-        for alpha in (0.5, 1.5, 2.5):
-            fam = br.MkdvBreather(alpha=alpha, beta=1.0, x1=0.7)
-            assert fn.evaluate_functional("mass", fam) == pytest.approx(4.0, rel=1e-9)
+        for alpha, beta in ((0.5, 1.0), (1.5, 1.0), (2.5, 1.0), (0.2, 3.0)):
+            fam = br.MkdvBreather(alpha=alpha, beta=beta, x1=0.7)
+            assert fn.evaluate_functional("mass", fam) == pytest.approx(4.0 * beta, rel=1e-9)
 
     def test_beta_derivatives_of_energy_and_momentum(self):
         h = 1e-5

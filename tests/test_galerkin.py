@@ -9,7 +9,7 @@ from breatherlab import galerkin as gk
 from breatherlab import linops
 from breatherlab import stability as st
 from breatherlab.quadrature import TorusPlan
-from breatherlab.specfun import FourierBasis
+from breatherlab.specfun import FourierBasis, HermiteBasis, hermite_values
 
 
 def ladder_matrix(n_total):
@@ -83,6 +83,8 @@ class TestAssembly:
             return coefficients(op, x)
 
         monkeypatch.setattr(linops.SgBlockOperator, "coefficients", counted)
+        # the basis window fits each level in one 2048-node block
+        monkeypatch.setattr(gk, "NODE_BLOCK", 512)
         gk.assemble(prob)
         nodes = [prob.plan.nodes_weights(refine)[0].size for refine in (1, 2)]
         assert len(sizes) == sum(math.ceil(n / gk.NODE_BLOCK) for n in nodes) > 2
@@ -90,7 +92,9 @@ class TestAssembly:
 
     def test_node_blocks_do_not_change_the_matrix(self, monkeypatch):
         prob = gk.hermite_problem(linops.scalar_operator(br.MkdvBreather(alpha=0.5, beta=1.0, x1=0.8)), 40)
+        monkeypatch.setattr(gk, "NODE_BLOCK", 512)
         blocked = gk.assemble(prob).matrix
+        assert prob.plan.nodes_weights(2)[0].size > 2 * gk.NODE_BLOCK
         monkeypatch.setattr(gk, "NODE_BLOCK", 10**9)
         whole = gk.assemble(prob).matrix
         assert np.max(np.abs(blocked - whole)) <= 1e-14 * np.max(np.abs(whole))
@@ -116,8 +120,27 @@ class TestAssembly:
             assembled.require_quality()
 
 
-def _kksh_problem(n, plan=None, **params):
-    return gk.fourier_problem(linops.scalar_operator(br.KkshBreather(**params)), n, plan)
+class TestHermitePlan:
+    """The window comes from the basis, the panel order from both scales."""
+
+    @pytest.mark.parametrize("n", [1, 50, 160, 300])
+    def test_window_edge_is_below_the_tail_bound(self, n):
+        edges = {gk.default_hermite_plan(linops.scalar_operator(br.MkdvBreather(alpha=0.5, beta=beta)), n).half_width
+                 for beta in (0.05, 1.0, 3.0)}
+        assert len(edges) == 1
+        edge = edges.pop()
+        x = np.array([-edge, edge])
+        stacked = HermiteBasis(count=n + 1).stack(x, 4) + [hermite_values(n + 4, x)]
+        assert max(np.max(np.abs(v)) for v in stacked) < 6e-24
+
+    @pytest.mark.parametrize("alpha, beta, n", [(0.2, 10.0, 20), (24.0, 1.0, 10), (12.0, 1.0, 160)])
+    def test_narrow_and_fast_profiles_pass_the_drift_gate(self, alpha, beta, n):
+        assembled = gk.assemble(gk.hermite_problem(linops.scalar_operator(br.MkdvBreather(alpha=alpha, beta=beta)), n))
+        assert assembled.drift <= 1e-10
+
+
+def _kksh_problem(n, **params):
+    return gk.fourier_problem(linops.scalar_operator(br.KkshBreather(**params)), n)
 
 
 class TestTorusProjection:
@@ -140,8 +163,9 @@ class TestTorusProjection:
 
     def test_aliased_sum_matches_and_fails_the_drift_gate(self, monkeypatch):
         # 64 nodes carry modes up to 32 only: (p - q) mod N wraps for n = 40
-        period = br.KkshBreather(beta=1.0, k=0.03).period
-        prob = _kksh_problem(40, TorusPlan(period=period, n_nodes=64), beta=1.0, k=0.03, x1=0.1)
+        op = linops.scalar_operator(br.KkshBreather(beta=1.0, k=0.03, x1=0.1))
+        period = op.family.period
+        prob = gk.GalerkinProblem(op, FourierBasis(period=period, count_n=40), TorusPlan(period=period, n_nodes=64))
         for refine in (1, 2):
             x, w = prob.plan.nodes_weights(refine)
             stack = gk._project(prob, x, w)
