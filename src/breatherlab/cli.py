@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import sys
@@ -168,20 +169,16 @@ def _write_text(path, text: str):
 # ---------------------------------------------------------------------------
 
 
-def _spectral_run(family, n: int, kernel_tol=None, t: float = 0.0, n_eigs=None):
-    """Assemble, solve and classify; ``n_eigs``, when given, must not exceed
-    the matrix dimension, so that every CSV row holds all its columns."""
+def _problem(family, n: int, t: float = 0.0):
+    """The Galerkin problem of the family's operator at time t: n Hermite
+    functions per slot for sg, n + 1 for the other line families, and
+    2n + 1 trig functions on the torus."""
     op = linops.operator_for(family, t)
     if family.kind == "sg":
-        problem = galerkin.hermite_problem(op, n - 1)
-    elif family.kind == "kksh":
-        problem = galerkin.fourier_problem(op, n)
-    else:
-        problem = galerkin.hermite_problem(op, n)
-    if n_eigs is not None and n_eigs > problem.dim:
-        raise ValueError(f"--n-eigs {n_eigs} exceeds the matrix dimension {problem.dim}")
-    assembled, spectrum, cls = galerkin.solve_problem(problem, kernel_tol=kernel_tol)
-    return problem, assembled, spectrum, cls
+        return galerkin.hermite_problem(op, n - 1)
+    if family.kind == "kksh":
+        return galerkin.fourier_problem(op, n)
+    return galerkin.hermite_problem(op, n)
 
 
 def _gap_text(cls) -> str:
@@ -218,7 +215,8 @@ def cmd_spectrum(args) -> int:
         raise ValueError(f"--t must be finite, got {args.t}")
     family = _family_from_args(args)
     n = _basis_size(args)
-    problem, assembled, spectrum, cls = _spectral_run(family, n, args.kernel_tol, args.t)
+    problem = _problem(family, n, args.t)
+    assembled, spectrum, cls = galerkin.solve_problem(problem, args.kernel_tol)
     payload = _spectrum_payload(family, n, args.t, problem, assembled, spectrum, cls, args.n_eigs)
     if args.dump_matrix:
         _write_text(args.dump_matrix, galerkin.matrix_csv(assembled, n, family.kind))
@@ -251,8 +249,11 @@ def cmd_sweep(args) -> int:
     lines = _config_lines(cfg) + _EIG_HEADER
     lines.append(args.param + "," + ",".join(f"eig{i + 1}" for i in range(args.n_eigs))
                  + ",n_neg,kernel_dim,gap,asymmetry,drift")
-    for val, family in zip(values, families):
-        _, assembled, spectrum, cls = _spectral_run(family, n, args.kernel_tol, n_eigs=args.n_eigs)
+    problems = [_problem(family, n) for family in families]
+    # every row has the dimension of the first, and each row holds all its columns
+    if args.n_eigs > problems[0].dim:
+        raise ValueError(f"--n-eigs {args.n_eigs} exceeds the matrix dimension {problems[0].dim}")
+    for val, (assembled, spectrum, cls) in zip(values, galerkin.solve_problems(problems, args.kernel_tol)):
         lines.append(
             ",".join([fmt(val)] + [fmt(v) for v in spectrum.values[:args.n_eigs]])
             + f",{cls.n_neg},{cls.kernel_dim},{_gap_text(cls)},{assembled.asymmetry:.3e},{assembled.drift:.3e}"
@@ -423,7 +424,9 @@ def _add_family_options(p: argparse.ArgumentParser):
                        help=f"default {DEFAULT_BETA}" if name == "beta" else None)
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process (nothing mutates it)."""
     parser = argparse.ArgumentParser(
         prog="breatherlab",
         description="Numerical laboratory for breather solutions: elliptic "

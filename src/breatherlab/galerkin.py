@@ -5,7 +5,10 @@ never a pre-symmetrized form: M_ij = sum over the nodes of w f_i op.apply(f_j).
 Each operator's formula lives only in ``linops``.
 
 On the line (Hermite basis, Gauss-Legendre panels) ``op.apply`` runs on the
-whole basis derivative stack, over fixed blocks of nodes.  On the torus the
+whole basis derivative stack, over fixed blocks of nodes.  Problems that
+share a basis and a plan (the rows of a sweep) share each block's stack:
+``assemble_all`` builds it once and adds each problem's block sum to its
+own matrix, in the order that problem alone would add it.  On the torus the
 trapezoid rule on N uniform nodes is a discrete Fourier transform, so the
 same sum is formed from transforms: in the complex basis e^{i w_p x},
 
@@ -21,7 +24,9 @@ The asymmetry of M, measured before symmetrization, is a genuine quality
 metric for the operator coefficients (on the torus it still tests
 c1 = c2') and the quadrature.  Assembly runs at two node densities; the
 entry drift between them is reported and must stay below 1e-9 for a healthy
-run.
+run.  The trapezoid levels are nested (the N nodes are every other one of
+the 2N, bitwise), so the coefficients are evaluated once, on the 2N nodes,
+and the N-node sum reads every other value.
 """
 
 from __future__ import annotations
@@ -101,25 +106,28 @@ class AssembledMatrix:
             raise AssemblyError(f"assembly drift {self.drift:.3e} under node doubling")
 
 
-def _project(problem: GalerkinProblem, x, w) -> np.ndarray:
-    """M_ij = sum over the nodes of w f_i op.apply(f_j), block by block."""
-    op, basis = problem.operator, problem.basis
-    block = isinstance(op, SgBlockOperator)
-    m = np.zeros((problem.dim, problem.dim))
+def _project(problems, x, w) -> list[np.ndarray]:
+    """M_ij = sum over the nodes of w f_i op.apply(f_j), block by block, for
+    problems that share one basis: each block's stack is built once, and each
+    matrix gets the same sum, in the same order, as it would alone."""
+    basis = problems[0].basis
+    mats = [np.zeros((p.dim, p.dim)) for p in problems]
     for lo in range(0, x.size, NODE_BLOCK):
         xb = x[lo:lo + NODE_BLOCK]
         stack = basis.stack(xb, 4)
         rows = stack[0] * w[lo:lo + NODE_BLOCK]
-        if block:
-            c = op.coefficients(xb)
-            zero = (0.0,) * 5
-            z_rows = op.rows(c, stack, zero)
-            w_rows = op.rows(c, zero, stack)
-            m += np.block([[rows @ z_rows[0].T, rows @ w_rows[0].T],
-                           [rows @ z_rows[1].T, rows @ w_rows[1].T]])
-        else:
-            m += rows @ op.apply(xb, stack).T
-    return m
+        for problem, m in zip(problems, mats):
+            op = problem.operator
+            if isinstance(op, SgBlockOperator):
+                c = op.coefficients(xb)
+                zero = (0.0,) * 5
+                z_rows = op.rows(c, stack, zero)
+                w_rows = op.rows(c, zero, stack)
+                m += np.block([[rows @ z_rows[0].T, rows @ w_rows[0].T],
+                               [rows @ z_rows[1].T, rows @ w_rows[1].T]])
+            else:
+                m += rows @ op.apply(xb, stack).T
+    return mats
 
 
 def _real_trig_change(count_n: int) -> np.ndarray:
@@ -134,33 +142,65 @@ def _real_trig_change(count_n: int) -> np.ndarray:
     return t
 
 
-def _project_torus(problem: GalerkinProblem, x, w) -> np.ndarray:
-    """The trapezoid sum of ``_project`` on a TorusPlan's N uniform nodes
-    (weights w = L/N), formed from the FFTs of the coefficient grids."""
-    op, basis = problem.operator, problem.basis
-    n_nodes = x.size
+def _project_torus(basis: FourierBasis, coeffs) -> np.ndarray:
+    """The trapezoid sum of ``_project`` on N uniform nodes, formed from the
+    FFTs of the coefficient grids ``coeffs = op.coefficients(x)`` there."""
+    n_nodes = coeffs[0].size
     p = np.arange(-basis.count_n, basis.count_n + 1)
     omega = 2.0 * math.pi * p / basis.period
     wrap = (p[:, None] - p[None, :]) % n_nodes
     m = np.where(wrap == 0, omega**4, 0.0)
-    for r, c in enumerate(op.coefficients(x)):
+    for r, c in enumerate(coeffs):
         m = m + (np.fft.fft(c) / n_nodes)[wrap] * (1j * omega) ** r
     t = _real_trig_change(basis.count_n)
     return (t.conj().T @ m @ t).real
 
 
+def _levels(problems) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(coarse, fine) matrices of problems that share one basis and one plan."""
+    basis, plan = problems[0].basis, problems[0].plan
+    if isinstance(basis, FourierBasis):
+        # the N trapezoid nodes are every other one of the 2N, bitwise, and
+        # so are the coefficient grids on them
+        x, _ = plan.nodes_weights(2)
+        levels = []
+        for problem in problems:
+            coeffs = problem.operator.coefficients(x)
+            levels.append((_project_torus(basis, [c[::2] for c in coeffs]), _project_torus(basis, coeffs)))
+        return levels
+    return list(zip(*(_project(problems, *plan.nodes_weights(refine)) for refine in (1, 2))))
+
+
+def _assembled(coarse: np.ndarray, fine: np.ndarray) -> AssembledMatrix:
+    """The fine matrix symmetrized, with its asymmetry and the drift from the coarse one."""
+    scale = max(1.0, float(np.max(np.abs(fine))))
+    drift = float(np.max(np.abs(fine - coarse))) / scale
+    asymmetry = float(np.max(np.abs(fine - fine.T))) / scale
+    return AssembledMatrix(matrix=0.5 * (fine + fine.T), asymmetry=asymmetry, drift=drift)
+
+
+def assemble_all(problems, check_quality: bool = True) -> list[AssembledMatrix]:
+    """Dense projected matrices, in the order of ``problems``.
+
+    Problems that share a basis and a plan (the rows of a line sweep) are
+    assembled together, sharing each node block's basis stack; each group
+    is finished before the next one starts.
+    """
+    groups: dict = {}
+    for i, problem in enumerate(problems):
+        groups.setdefault((problem.basis, problem.plan), []).append(i)
+    out = [None] * len(problems)
+    for members in groups.values():
+        for i, (coarse, fine) in zip(members, _levels([problems[i] for i in members])):
+            out[i] = _assembled(coarse, fine)
+            if check_quality:
+                out[i].require_quality()
+    return out
+
+
 def assemble(problem: GalerkinProblem, check_quality: bool = True) -> AssembledMatrix:
     """Dense projected matrix, symmetrized after the asymmetry is recorded."""
-    project = _project_torus if isinstance(problem.basis, FourierBasis) else _project
-    mats = [project(problem, *problem.plan.nodes_weights(refine)) for refine in (1, 2)]
-    m = mats[1]
-    scale = max(1.0, float(np.max(np.abs(m))))
-    drift = float(np.max(np.abs(mats[1] - mats[0]))) / scale
-    asymmetry = float(np.max(np.abs(m - m.T))) / scale
-    out = AssembledMatrix(matrix=0.5 * (m + m.T), asymmetry=asymmetry, drift=drift)
-    if check_quality:
-        out.require_quality()
-    return out
+    return assemble_all([problem], check_quality)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -184,11 +224,14 @@ def eig_sym(matrix: np.ndarray, vectors: bool = False) -> Spectrum:
     """Eigen-decomposition of a symmetric matrix, values ascending.
 
     Backed by the LAPACK symmetric solver; when vectors are requested the
-    max residual ||M v - lambda v|| is verified against 1e-9 ||M||.
+    max residual ||M v - lambda v|| is verified against 1e-9 ||M||.  A NaN
+    or infinite entry raises ArithmeticError: LAPACK would return numbers.
     """
     m = np.asarray(matrix, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError("matrix must be square")
+    if not np.all(np.isfinite(m)):
+        raise ArithmeticError("matrix has non-finite entries")
     if float(np.max(np.abs(m - m.T))) > 1e-12 * max(1.0, float(np.max(np.abs(m)))):
         raise ValueError("matrix must be symmetric; symmetrize before solving")
     if not vectors:
@@ -213,11 +256,17 @@ class Classification:
 DEFAULT_KERNEL_TOL = {"hermite": 0.1, "fourier": 1e-5}
 
 
-def classify(spectrum: Spectrum, kernel_tol: float) -> Classification:
-    """Split the spectrum into negative part, numerical kernel and gap."""
+def _check_kernel_tol(kernel_tol: float) -> None:
     if not 0.0 < kernel_tol < math.inf:
         raise ValueError(f"kernel tolerance must be positive and finite, got {kernel_tol}")
+
+
+def classify(spectrum: Spectrum, kernel_tol: float) -> Classification:
+    """Split the spectrum into negative part, numerical kernel and gap."""
+    _check_kernel_tol(kernel_tol)
     vals = spectrum.values
+    if not np.all(np.isfinite(vals)):
+        raise ArithmeticError("spectrum has non-finite values")
     n_neg = int(np.sum(vals < -kernel_tol))
     kernel = int(np.sum(np.abs(vals) <= kernel_tol))
     above = vals[vals > kernel_tol]
@@ -225,14 +274,23 @@ def classify(spectrum: Spectrum, kernel_tol: float) -> Classification:
     return Classification(n_neg=n_neg, kernel_dim=kernel, gap=gap, kernel_tol=kernel_tol)
 
 
+def solve_problems(problems, kernel_tol: Optional[float] = None) -> list:
+    """Assemble (as ``assemble_all``), diagonalize and classify each problem."""
+    if kernel_tol is not None:
+        _check_kernel_tol(kernel_tol)  # before any assembly
+    results = []
+    for problem, assembled in zip(problems, assemble_all(problems)):
+        spectrum = eig_sym(assembled.matrix)
+        tol = kernel_tol
+        if tol is None:
+            tol = DEFAULT_KERNEL_TOL["fourier" if isinstance(problem.basis, FourierBasis) else "hermite"]
+        results.append((assembled, spectrum, classify(spectrum, tol)))
+    return results
+
+
 def solve_problem(problem: GalerkinProblem, kernel_tol: Optional[float] = None):
     """Assemble, diagonalize and classify in one step."""
-    assembled = assemble(problem)
-    spectrum = eig_sym(assembled.matrix)
-    if kernel_tol is None:
-        key = "fourier" if isinstance(problem.basis, FourierBasis) else "hermite"
-        kernel_tol = DEFAULT_KERNEL_TOL[key]
-    return assembled, spectrum, classify(spectrum, kernel_tol)
+    return solve_problems([problem], kernel_tol)[0]
 
 
 def rayleigh_quotient(problem: GalerkinProblem, matrix: np.ndarray, values: np.ndarray) -> float:

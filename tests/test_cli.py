@@ -7,6 +7,7 @@ import os
 import re
 import tempfile
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as hs
@@ -255,6 +256,24 @@ class TestSweepAndTable:
         assert captured.out == ""
         assert f"matrix dimension {dim}" in captured.err
 
+    @pytest.mark.parametrize("family_argv, param, values", [
+        (["--family", "mkdv", "--beta", "1", "--alpha", "0.5", "--n", "40"], "x1", ["0.09", "1.53"]),
+        (["--family", "kksh", "--beta", "1", "--x1", "0.1", "--n", "20"], "k", ["0.01", "0.05"]),
+    ])
+    def test_sweep_row_is_the_spectrum_run_at_its_value(self, family_argv, param, values, capsys):
+        assert run(["sweep"] + family_argv + ["--param", param, "--values", ",".join(values)]) == 0
+        rows = [l for l in capsys.readouterr().out.split("\n") if l[:1].isdigit()]
+        assert len(rows) == len(values)
+        for row, value in zip(rows, values):
+            assert run(["spectrum"] + family_argv + [f"--{param}", value, "--n-eigs", "4"]) == 0
+            out = capsys.readouterr().out
+            eigs = [l.split(",")[1] for l in out.split("\n") if l[:1].isdigit()]
+            cls = dict(kv.split("=") for kv in re.search(r"^# classification: (.*)$", out, re.M).group(1).split())
+            diag = dict(kv.split("=") for kv in re.search(r"^# diagnostics: (.*)$", out, re.M).group(1).split())
+            expected = [cli.fmt(float(value))] + eigs + [cls["n_neg"], cls["kernel_dim"], cls["gap"],
+                                                        diag["asymmetry"], diag["quadrature_drift"]]
+            assert row == ",".join(expected)
+
     def test_table_determinism(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         assert run(["table", "--preset", "table-6-9", "--out", str(a)]) == 0
@@ -351,6 +370,20 @@ class TestOtherCommands:
         monkeypatch.setattr(linops, "operator_for", broken)
         assert run(["spectrum", "--family", "mkdv", "--alpha", "1.0", "--n", "10"]) == 3
         assert "numerical-quality" in capsys.readouterr().err
+
+    def test_non_finite_matrix_exit_3(self, monkeypatch, capsys):
+        from breatherlab import galerkin
+
+        def nan_matrices(problems, check_quality=True):
+            return [galerkin.AssembledMatrix(matrix=np.full((p.dim, p.dim), math.nan), asymmetry=0.0, drift=0.0)
+                    for p in problems]
+
+        monkeypatch.setattr(galerkin, "assemble_all", nan_matrices)
+        for argv in (["spectrum"] + _SMALL_MKDV, ["sweep"] + _SMALL_MKDV + ["--param", "x1", "--values", "0,1"]):
+            assert run(argv) == 3
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert "numerical-quality failure: matrix has non-finite entries" in captured.err
 
 
 _FAMILY_ARGV = {

@@ -1,3 +1,4 @@
+import argparse
 import math
 from dataclasses import dataclass
 
@@ -5,6 +6,7 @@ import numpy as np
 import pytest
 
 from breatherlab import breathers as br
+from breatherlab import cli
 from breatherlab import galerkin as gk
 from breatherlab import linops
 from breatherlab import stability as st
@@ -120,6 +122,51 @@ class TestAssembly:
             assembled.require_quality()
 
 
+def _sweep_problems(preset):
+    """The problems of a line preset's rows, built as its sweep builds them."""
+    args = cli.build_parser().parse_args(cli.PRESETS[preset].split())
+    values = cli._parse_values(args.values)
+    return [cli._problem(cli._family_from_args(argparse.Namespace(**{**vars(args), args.param: v})), args.n)
+            for v in values]
+
+
+class TestSharedStack:
+    """Rows that share a basis and a plan share each node block's stack."""
+
+    @pytest.mark.parametrize("preset", ["fig8", "fig14-left"])
+    def test_shared_projection_equals_one_problem_calls(self, preset):
+        problems = _sweep_problems(preset)
+        assert len({(p.basis, p.plan) for p in problems}) == 1
+        for refine in (1, 2):
+            x, w = problems[0].plan.nodes_weights(refine)
+            for shared, problem in zip(gk._project(problems, x, w), problems):
+                assert np.array_equal(shared, gk._project([problem], x, w)[0])
+
+    def test_one_stack_per_node_block_per_level(self, monkeypatch, capsys):
+        calls = []
+        stack = HermiteBasis.stack
+
+        def counted(basis, x, orders):
+            calls.append(np.size(x))
+            return stack(basis, x, orders)
+
+        monkeypatch.setattr(HermiteBasis, "stack", counted)
+        assert cli.main(["table", "--preset", "fig8"]) == 0
+        nodes = [_sweep_problems("fig8")[0].plan.nodes_weights(refine)[0].size for refine in (1, 2)]
+        assert len(calls) == sum(math.ceil(n / gk.NODE_BLOCK) for n in nodes) == 3
+        assert sum(calls) == sum(nodes)
+
+    def test_assemble_all_keeps_the_order_of_mixed_problems(self):
+        mkdv = [gk.hermite_problem(linops.scalar_operator(br.MkdvBreather(alpha=0.5, beta=1.0, x1=x1)), 20)
+                for x1 in (0.1, 0.5)]
+        problems = [mkdv[0], _kksh_problem(10, beta=1.0, k=0.03, x1=0.1), mkdv[1],
+                    gk.hermite_problem(linops.sg_operator(br.SgBreather(beta=0.5, v=0.3, x1=0.1)), 8)]
+        for together, problem in zip(gk.assemble_all(problems), problems):
+            alone = gk.assemble(problem)
+            assert np.array_equal(together.matrix, alone.matrix)
+            assert (together.asymmetry, together.drift) == (alone.asymmetry, alone.drift)
+
+
 class TestHermitePlan:
     """The window comes from the basis, the panel order from both scales."""
 
@@ -157,27 +204,27 @@ class TestTorusProjection:
         prob = _kksh_problem(n, **params)
         for refine in (1, 2):
             x, w = prob.plan.nodes_weights(refine)
-            stack = gk._project(prob, x, w)
-            fft = gk._project_torus(prob, x, w)
+            stack = gk._project([prob], x, w)[0]
+            fft = gk._project_torus(prob.basis, prob.operator.coefficients(x))
             assert np.max(np.abs(fft - stack)) <= 1e-14 * np.max(np.abs(stack))
 
-    def test_aliased_sum_matches_and_fails_the_drift_gate(self, monkeypatch):
+    def test_aliased_sum_matches_and_fails_the_drift_gate(self):
         # 64 nodes carry modes up to 32 only: (p - q) mod N wraps for n = 40
         op = linops.scalar_operator(br.KkshBreather(beta=1.0, k=0.03, x1=0.1))
         period = op.family.period
         prob = gk.GalerkinProblem(op, FourierBasis(period=period, count_n=40), TorusPlan(period=period, n_nodes=64))
         for refine in (1, 2):
             x, w = prob.plan.nodes_weights(refine)
-            stack = gk._project(prob, x, w)
-            fft = gk._project_torus(prob, x, w)
+            stack = gk._project([prob], x, w)[0]
+            fft = gk._project_torus(prob.basis, prob.operator.coefficients(x))
             # 1e-13: at 64 nodes the stack sum itself is 1.7e-14 of max|M| from
             # a long-double sum of the same terms
             assert np.max(np.abs(fft - stack)) <= 1e-13 * np.max(np.abs(stack))
         with pytest.raises(gk.AssemblyError, match="drift"):
             gk.assemble(prob)
-        monkeypatch.setattr(gk, "_project_torus", gk._project)
+        levels = [gk._project([prob], *prob.plan.nodes_weights(refine))[0] for refine in (1, 2)]
         with pytest.raises(gk.AssemblyError, match="drift"):
-            gk.assemble(prob)
+            gk._assembled(*levels).require_quality()
 
     def test_asymmetry_flags_c1_off_c2_prime(self):
         @dataclass(frozen=True)
@@ -195,7 +242,7 @@ class TestTorusProjection:
         with pytest.raises(gk.AssemblyError, match="asymmetry"):
             assembled.require_quality()
         x, w = prob.plan.nodes_weights(2)
-        stack = gk._project(prob, x, w)
+        stack = gk._project([prob], x, w)[0]
         stack_asymmetry = np.max(np.abs(stack - stack.T)) / np.max(np.abs(stack))
         assert assembled.asymmetry == pytest.approx(stack_asymmetry, rel=1e-6)
 
@@ -210,7 +257,23 @@ class TestTorusProjection:
 
         monkeypatch.setattr(linops.ScalarOperator, "coefficients", counted)
         gk.assemble(prob)
-        assert sizes == [prob.plan.nodes_weights(refine)[0].size for refine in (1, 2)]
+        # once, on the 2N nodes: the N-node level reads every other value
+        assert sizes == [prob.plan.nodes_weights(2)[0].size]
+
+    @pytest.mark.parametrize("period, n_nodes", [(1.0, 8), (3.7, 4096), (math.pi, 1000), (106.7, 4096)])
+    def test_trapezoid_levels_are_nested(self, period, n_nodes):
+        plan = TorusPlan(period=period, n_nodes=n_nodes)
+        (x1, w1), (x2, w2) = plan.nodes_weights(1), plan.nodes_weights(2)
+        assert np.array_equal(x1, x2[::2])
+        assert np.array_equal(w1, 2.0 * w2[::2])
+
+    @pytest.mark.parametrize("k", [0.0005, 0.01, 0.03, 0.05, 0.058836240])
+    def test_coefficient_grids_are_nested(self, k):
+        prob = _kksh_problem(40, beta=1.0, k=k, x1=0.1)
+        coarse = prob.operator.coefficients(prob.plan.nodes_weights(1)[0])
+        fine = prob.operator.coefficients(prob.plan.nodes_weights(2)[0])
+        for c1, c2 in zip(coarse, fine):
+            assert np.array_equal(c1, c2[::2])
 
 
 class TestEigSym:
@@ -234,6 +297,13 @@ class TestEigSym:
         with pytest.raises(ValueError):
             gk.eig_sym(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("vectors", [False, True])
+    def test_non_finite_entry_raises(self, bad, vectors):
+        # LAPACK returns [0, -0] for the NaN matrix and NaNs for the inf one
+        with pytest.raises(ArithmeticError, match="non-finite"):
+            gk.eig_sym(np.array([[bad, 0.0], [0.0, 1.0]]), vectors=vectors)
+
 
 class TestClassify:
     def test_counts(self):
@@ -245,6 +315,16 @@ class TestClassify:
         spec = gk.Spectrum(values=np.array([-1.0, 0.0]))
         cls = gk.classify(spec, kernel_tol=0.5)
         assert math.isinf(cls.gap)
+
+    @pytest.mark.parametrize("values", [[math.nan, 1.0], [-1.0, math.inf], [-math.inf, 0.0]])
+    def test_non_finite_value_raises(self, values):
+        with pytest.raises(ArithmeticError, match="non-finite"):
+            gk.classify(gk.Spectrum(values=np.array(values)), kernel_tol=0.1)
+
+    def test_bad_kernel_tol_fails_before_assembly(self, monkeypatch):
+        monkeypatch.setattr(gk, "assemble_all", lambda *args, **kwargs: pytest.fail("assembled"))
+        with pytest.raises(ValueError, match="kernel tolerance"):
+            gk.solve_problems([_kksh_problem(4, beta=1.0, k=0.03)], kernel_tol=math.nan)
 
     def test_positive_tol_required(self):
         spec = gk.Spectrum(values=np.array([0.0]))
