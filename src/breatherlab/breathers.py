@@ -157,7 +157,7 @@ class _LineBreather(_ScalarFamily):
         return abs(self.beta)
 
     @property
-    def osc_frequency(self) -> float:
+    def wavenumber(self) -> float:
         return abs(self.alpha)
 
     def envelope_center(self, t: float) -> float:
@@ -284,8 +284,8 @@ class SgBreather:
         return self.beta
 
     @property
-    def osc_frequency(self) -> float:
-        return self.alpha
+    def wavenumber(self) -> float:
+        return self.alpha * abs(self.v)  # at fixed t, alpha Y1 moves with -alpha v x
 
     def envelope_center(self, t: float) -> float:
         return self.v * t - self.x2
@@ -554,7 +554,7 @@ class MkdvSoliton(_ScalarFamily):
         return math.sqrt(self.c)
 
     @property
-    def osc_frequency(self) -> float:
+    def wavenumber(self) -> float:
         return 0.0
 
     def envelope_center(self, t: float) -> float:
@@ -591,7 +591,7 @@ class GardnerSoliton(_ScalarFamily):
         return math.sqrt(self.c)
 
     @property
-    def osc_frequency(self) -> float:
+    def wavenumber(self) -> float:
         return 0.0
 
     def envelope_center(self, t: float) -> float:
@@ -627,7 +627,7 @@ class SgKink:
         return self.lorentz
 
     @property
-    def osc_frequency(self) -> float:
+    def wavenumber(self) -> float:
         return 0.0
 
     def envelope_center(self, t: float) -> float:

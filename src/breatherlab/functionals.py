@@ -17,7 +17,7 @@ import numpy as np
 from . import linops
 from .breathers import WAVE_KINDS, FieldJet
 from .jets import Jet2
-from .quadrature import LinePlan, TorusPlan, checked_integral, panel_order
+from .quadrature import TorusPlan, checked_integral, line_plan
 
 SQRT2 = math.sqrt(2.0)
 # the breathers whose Lyapunov multipliers are (a1, a2) of energy and mass
@@ -25,17 +25,15 @@ _SCALAR_BREATHERS = ("mkdv", "gardner", "kksh", "nonzero-mean")
 
 
 def family_plan(family, t: float = 0.0):
-    """Default quadrature plan: torus trapezoid or a line window that tracks
-    the envelope centre at the evaluation time."""
+    """Quadrature plan of the functional densities: a torus trapezoid, or a
+    line window that tracks the envelope centre at the evaluation time."""
     if family.domain == "torus":
-        return TorusPlan(period=family.period)
+        # 4096: the nonzero-mean breather at (mu, c1, p, q) = (2.9096582464,
+        # 1.65, 22, 23) needs 1024 (at 512 F drifts by 3.2e-6); KKSH needs 128
+        return TorusPlan(period=family.period, n_nodes=4096)
     # the densities are up to sixth powers of the profile, so they carry its
-    # harmonics through 6 freq; the order resolves four times that
-    return LinePlan(
-        center=family.envelope_center(t),
-        half_width=30.0 / family.decay_rate + 10.0,
-        order=panel_order(24.0 * family.osc_frequency, family.decay_rate),
-    )
+    # harmonics through 6 wavenumber; the order resolves four times that
+    return line_plan(family, 24.0 * family.wavenumber, t)
 
 
 def field_arrays(family, t, x, deg: int = 2) -> dict:
@@ -293,7 +291,7 @@ def mean_value(family) -> float:
     doubled nodes of its torus plan."""
     if family.domain != "torus":
         raise ValueError("mean value is defined for periodic families")
-    x, _ = TorusPlan(period=family.period).nodes_weights(2)
+    x, _ = family_plan(family).nodes_weights(2)
     return float(np.mean(family.eval(0.0, x, deg=0).value))
 
 

@@ -72,13 +72,13 @@ def default_hermite_plan(operator, n_basis: int) -> LinePlan:
     Every term carries a basis function, so the half width is the turning
     point x_t = sqrt(2(n + 5)) of the stacked indices plus a Gaussian-tail
     margin of 8; there every stacked |f_k^(r)| is below 6e-24 for n <= 300.
-    The wavenumber is the basis pair's 2 x_t plus the profile's 2 freq, or
-    the potential's 6 freq where that is larger.
+    The wavenumber is the basis pair's 2 x_t plus twice the profile's k, or
+    the potential's 6 k where that is larger.
     """
     fam = operator.family
-    freq = fam.osc_frequency
+    k = fam.wavenumber
     turning = math.sqrt(2.0 * (n_basis + 5))
-    wavenumber = max(2.0 * turning + 2.0 * freq, 6.0 * freq)
+    wavenumber = max(2.0 * turning + 2.0 * k, 6.0 * k)
     return LinePlan(center=0.0, half_width=turning + 8.0, order=panel_order(wavenumber, fam.decay_rate))
 
 
@@ -88,9 +88,12 @@ def hermite_problem(operator, n_max: int) -> GalerkinProblem:
 
 
 def fourier_problem(operator, n_max: int) -> GalerkinProblem:
-    """Problem over the 2 n_max + 1 trig functions on the operator's period."""
-    period = operator.family.period
-    return GalerkinProblem(operator, FourierBasis(period=period, count_n=n_max), TorusPlan(period=period))
+    """Problem over the 2 n_max + 1 trig functions on the operator's period,
+    on the smallest power of two N >= 4 (2 n_max + 1) trapezoid nodes (the
+    FFT sum reads the coefficients' transforms only at |p - q| <= 2 n_max),
+    and at least 512: at small n the coefficient grids alone need 128."""
+    period, n_nodes = operator.family.period, max(512, 1 << (4 * (2 * n_max + 1) - 1).bit_length())
+    return GalerkinProblem(operator, FourierBasis(period=period, count_n=n_max), TorusPlan(period, n_nodes))
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import breathers, stability
-from .quadrature import LinePlan
+from .quadrature import checked_integral, line_plan
 
 
 # ---------------------------------------------------------------------------
@@ -144,20 +144,18 @@ class SgBlockOperator:
         row1, row2 = self.apply(x, z, w)
         return float(np.dot(w_quad, z[0] * row1 + w[0] * row2))
 
-    def quadratic_form(self, x, w_quad, z, w):
-        """Integrated-by-parts route: only two derivatives of z, one of w."""
+    def quadratic_density(self, x, z, w):
+        """Integrand of the integrated-by-parts route: only two derivatives
+        of z, one of w."""
         c = self.coefficients(x)
         cross = (self.family.b - 1.5 * c["Bt"] * c["Bx"]) * z[1] * w[0]
         cross = cross - 0.5 * c["Bt"] * c["sin"] * z[0] * w[0]
-        vals = (
-            z[2] ** 2
-            + w[1] ** 2
-            - c["l1_2"] * z[1] ** 2
-            + c["l1_0"] * z[0] ** 2
-            + c["l2_0"] * w[0] ** 2
-            + cross
-        )
-        return float(np.dot(w_quad, vals))
+        return (z[2] ** 2 + w[1] ** 2 - c["l1_2"] * z[1] ** 2 + c["l1_0"] * z[0] ** 2
+                + c["l2_0"] * w[0] ** 2 + cross)
+
+    def quadratic_form(self, x, w_quad, z, w):
+        """Integrated-by-parts route: the weighted sum of ``quadratic_density``."""
+        return float(np.dot(w_quad, self.quadratic_density(x, z, w)))
 
 
 def sg_operator(family, t: float = 0.0) -> SgBlockOperator:
@@ -208,14 +206,15 @@ def sg_variational_direction_residual(family) -> float:
 
 
 def sg_scaling_quadratic_form(family) -> float:
-    """Q[dB/dbeta, dB_t/dbeta] by the integrated-by-parts route; equals
-    -32 (1 + 3 v^2) beta for every breather."""
+    """Q[dB/dbeta, dB_t/dbeta] by the integrated-by-parts route, verified by
+    node doubling; equals -32 (1 + 3 v^2) beta for every breather.  The
+    density is quadratic in the direction, so the plan resolves 4 wavenumber."""
     op = sg_operator(family)
-    fam = op.family
-    plan = LinePlan(center=0.0, half_width=30.0 / fam.beta + 10.0)
-    x, w_quad = plan.nodes_weights(2)
-    z, w = sg_scaling_direction(fam, x)
-    return op.quadratic_form(x, w_quad, z, w)
+
+    def density(x):
+        return op.quadratic_density(x, *sg_scaling_direction(op.family, x))
+
+    return checked_integral(density, line_plan(op.family, 4.0 * op.family.wavenumber))[0]
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,15 @@
 """Quadrature plans for line and torus integrals.
 
-Line integrals use composite Gauss-Legendre panels on a truncated interval
-around the envelope centre; torus integrals use the periodic trapezoid rule.
-Every plan doubles its node count at ``nodes_weights(2)``, and
-``checked_integral`` uses that to verify convergence: the drift between the
-two levels must stay below a relative 1e-9 or the result is rejected.
+No plan has a default size.  Line integrals use composite Gauss-Legendre
+panels on a window around the envelope centre; ``line_plan`` sizes it from
+the integrand's decay rate (20 decay lengths, where a quadratic density is
+down by e^-40) and its wavenumber (``panel_order``).  Torus integrals use the
+periodic trapezoid rule on the N nodes the caller states; it converges
+geometrically once N covers the bandwidth the sum reads (Trefethen and
+Weideman, SIAM Rev. 56 (2014) 385).  Every plan doubles its node count at
+``nodes_weights(2)``, and ``checked_integral`` uses that to verify
+convergence: the drift between the two levels must stay below a relative
+1e-9 or the result is rejected.
 """
 
 from __future__ import annotations
@@ -60,7 +65,7 @@ class LinePlan:
 
     center: float
     half_width: float
-    order: int = 10
+    order: int
 
     def __post_init__(self):
         if self.half_width <= 0:
@@ -73,12 +78,18 @@ class LinePlan:
         return gauss_panels(a, b, n_panels, self.order)
 
 
+def line_plan(family, wavenumber: float, t: float = 0.0) -> LinePlan:
+    """Half width 20 / decay_rate about the envelope centre at time t."""
+    b = family.decay_rate
+    return LinePlan(family.envelope_center(t), 20.0 / b, panel_order(wavenumber, b))
+
+
 @dataclass(frozen=True)
 class TorusPlan:
     """Periodic trapezoid rule on [0, L): equal weights, uniform nodes."""
 
     period: float
-    n_nodes: int = 4096
+    n_nodes: int
 
     def __post_init__(self):
         if self.period <= 0:
@@ -99,10 +110,8 @@ def checked_integral(f, plan):
     Returns ``(value, drift)`` where drift is the relative change when the
     node count doubles.  Raises QuadratureError if the drift exceeds DRIFT_TOL.
     """
-    x1, w1 = plan.nodes_weights(1)
-    x2, w2 = plan.nodes_weights(2)
-    v1 = float(np.dot(w1, f(x1)))
-    v2 = float(np.dot(w2, f(x2)))
+    (x1, w1), (x2, w2) = plan.nodes_weights(1), plan.nodes_weights(2)
+    v1, v2 = float(np.dot(w1, f(x1))), float(np.dot(w2, f(x2)))
     scale = max(abs(v1), abs(v2), 1.0)
     drift = abs(v2 - v1) / scale
     if not (drift <= DRIFT_TOL):

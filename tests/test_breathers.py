@@ -153,6 +153,13 @@ class TestBatchedPeriodicity:
 
 
 class TestSgIdentities:
+    @pytest.mark.parametrize("beta, v", [(0.5, 0.0), (0.5, 0.7), (0.9, -0.3), (0.1, 0.99)])
+    def test_wavenumber_is_spatial(self, beta, v):
+        # at fixed t the phase alpha (t - v x + x1) advances at alpha |v| in x;
+        # alpha itself is the time frequency
+        fam = br.SgBreather(beta=beta, v=v)
+        assert fam.wavenumber == fam.alpha * abs(v)
+
     def setup_method(self):
         self.fam = br.SgBreather(beta=0.5, v=0.7, x1=0.4, x2=-0.3)
         rng = np.random.default_rng(8)

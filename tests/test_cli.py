@@ -14,7 +14,9 @@ from hypothesis import strategies as hs
 
 from breatherlab import breathers as br
 from breatherlab import cli
+from breatherlab import functionals
 from breatherlab import stability
+from breatherlab.quadrature import panel_order
 
 import loop_oracles
 
@@ -308,6 +310,17 @@ class TestOtherCommands:
         text = out.read_text()
         rows = [l for l in text.split("\n") if l and not l.startswith("#") and l[0].isdigit()]
         assert float(rows[0].split(",")[1]) == pytest.approx(8.0, rel=1e-8)
+
+    def test_sg_conserved_panels_follow_the_spatial_wavenumber(self, capsys):
+        # the panel order resolves 24 times the spatial wavenumber alpha |v|;
+        # at the time frequency alpha it would take more nodes per panel
+        fam = br.SgBreather(beta=0.5, v=0.7)
+        order = functionals.family_plan(fam).order
+        assert order < panel_order(24.0 * fam.alpha, fam.decay_rate)
+        assert run(["conserved", "--family", "sg", "--beta", "0.5", "--v", "0.7",
+                    "--kind", "energy", "--times", "0,0.7,2.1"]) == 0
+        drift = re.search(r"# max drift: (\S+)", capsys.readouterr().out).group(1)
+        assert float(drift) <= 1e-10
 
     def test_stability_csv(self, tmp_path):
         out = tmp_path / "hg.csv"

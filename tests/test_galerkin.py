@@ -1,6 +1,6 @@
 import argparse
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
@@ -188,6 +188,30 @@ class TestHermitePlan:
 
 def _kksh_problem(n, **params):
     return gk.fourier_problem(linops.scalar_operator(br.KkshBreather(**params)), n)
+
+
+class TestTorusNodeRule:
+    """N is the smallest power of two >= 4 (2n + 1), and at least 512: the FFT
+    sum reads the coefficients' transforms only at |p - q| <= 2n."""
+
+    @pytest.mark.parametrize("n, n_nodes", [(0, 512), (40, 512), (50, 512), (63, 512), (64, 1024)])
+    def test_rule_values(self, n, n_nodes):
+        assert _kksh_problem(n, beta=1.0, k=0.03).plan.n_nodes == n_nodes
+
+    @pytest.mark.parametrize("n", [0, 2, 5])
+    def test_small_bases_pass_the_drift_gate(self, n):
+        # 4 (2n + 1) nodes would alias the narrow profile's own harmonics
+        assert gk.assemble(_kksh_problem(n, beta=1.0, k=0.0005, x1=0.1)).drift <= 1e-12
+
+    @pytest.mark.parametrize("n", [40, 50])
+    @pytest.mark.parametrize("k", [0.0005, 0.03, 0.058836252])
+    def test_rule_matches_4096_nodes(self, n, k):
+        prob = _kksh_problem(n, beta=1.0, k=k, x1=0.1)
+        dense = replace(prob, plan=TorusPlan(period=prob.plan.period, n_nodes=4096))
+        m, m_dense = gk.assemble(prob).matrix, gk.assemble(dense).matrix
+        assert np.max(np.abs(m - m_dense)) <= 1e-9 * np.max(np.abs(m_dense))
+        low, low_dense = (gk.eig_sym(a).values[:4] for a in (m, m_dense))
+        assert np.max(np.abs(low - low_dense)) <= 1e-8
 
 
 class TestTorusProjection:

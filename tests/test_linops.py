@@ -6,7 +6,7 @@ import pytest
 from breatherlab import breathers as br
 from breatherlab import jets, linops
 from breatherlab import stability as st
-from breatherlab.quadrature import LinePlan
+from breatherlab.quadrature import LinePlan, QuadratureError
 
 
 def kernel_derivs(fieldjet, orders, n1=0, n2=0, nt=0):
@@ -65,11 +65,15 @@ class TestSgBlock:
             assert np.max(np.abs(r1)) < 1e-10
             assert np.max(np.abs(r2)) < 1e-10
 
-    @pytest.mark.parametrize("check", [
+    _CHECKS = [
         lambda fam: linops.sg_scaling_quadratic_form(fam),
         lambda fam: linops.sg_variational_direction_residual(fam),
         lambda fam: st.sg_weinstein_check(fam.beta, fam.v),
-    ])
+    ]
+    # the pairings evaluate the profile once per quadrature level
+    _EVALS = dict(zip(_CHECKS, (2, 1, 2)))
+
+    @pytest.mark.parametrize("check", _CHECKS)
     def test_profile_evaluated_once_per_check(self, check, monkeypatch):
         # the scaling direction is the family's beta-partial, not an eval
         calls = []
@@ -77,7 +81,7 @@ class TestSgBlock:
         counted = lambda *a, **kw: calls.append(a) or evaluate(*a, **kw)
         monkeypatch.setattr(br.SgBreather, "eval", counted)
         check(br.SgBreather(beta=0.5, v=0.7))
-        assert len(calls) == 1
+        assert len(calls) == self._EVALS[check]
 
     def test_scaling_relation_residuals(self):
         # the image of dB/dbeta is -2 beta times that of the scaled direction
@@ -103,7 +107,7 @@ class TestSgBlock:
     def test_quadratic_form_on_kernel_vanishes(self):
         fam = br.SgBreather(beta=0.5, v=0.4, x1=0.2)
         op = linops.sg_operator(fam)
-        plan = LinePlan(center=0.0, half_width=70.0)
+        plan = LinePlan(center=0.0, half_width=70.0, order=10)
         x, w_quad = plan.nodes_weights(2)
         f = op.family.eval(0.0, x, deg=6)
         z = kernel_derivs(f, 2, 1, 0)
@@ -113,7 +117,7 @@ class TestSgBlock:
     def test_quadratic_form_routes_agree(self):
         fam = br.SgBreather(beta=0.5, v=0.3)
         op = linops.sg_operator(fam)
-        plan = LinePlan(center=0.0, half_width=70.0)
+        plan = LinePlan(center=0.0, half_width=70.0, order=10)
         x, w_quad = plan.nodes_weights(2)
 
         def zf(X):
@@ -144,6 +148,22 @@ class TestParameterDirections:
     def test_scaling_quadratic_form_closed_value_tight(self, beta, v):
         q = linops.sg_scaling_quadratic_form(br.SgBreather(beta=beta, v=v))
         assert q == pytest.approx(-32 * (1 + 3 * v * v) * beta, rel=1e-10)
+
+    def test_scaling_pairing_fails_closed_when_under_resolved(self, monkeypatch):
+        # a term at wavenumber 200 is far beyond the plan's panels, so node
+        # doubling moves the pairing and it raises instead of returning
+        direction = linops.sg_scaling_direction
+
+        def rough(family, x):
+            X = jets.Jet2.variable(x, 0, deg=4)
+            bump = jets.exp(-0.02 * X * X) * jets.sin(200.0 * X)
+            h = tuple(1e-3 * bump.partial(j, 0) for j in range(5))
+            z, w = direction(family, x)
+            return tuple(a + b for a, b in zip(z, h)), tuple(a + b for a, b in zip(w, h))
+
+        monkeypatch.setattr(linops, "sg_scaling_direction", rough)
+        with pytest.raises(QuadratureError, match="not converged"):
+            st.sg_weinstein_check(0.5, 0.7)
 
     @pytest.mark.parametrize("beta,v,x1", [(0.5, 0.0, 0.1), (0.5, 0.7, 0.1), (0.8, 0.3, 0.1),
                                            (0.9, 0.99, 0.0)])

@@ -184,7 +184,7 @@ class TestHermite:
         # module-level Gauss-Legendre panels; cross-checked at doubled nodes
         from breatherlab.quadrature import LinePlan
 
-        plan = LinePlan(center=0.0, half_width=12.0)
+        plan = LinePlan(center=0.0, half_width=12.0, order=10)
         for refine in (1, 2):
             x, w = plan.nodes_weights(refine)
             v = sf.hermite_values(5, x)
