@@ -717,7 +717,7 @@ def normal_form(family, t: float = 0.0):
         s2 = -family.v * t + family.x2
         period = 2 * math.pi / family.alpha
         return SgBreather(family.beta, family.v, x1=(s1 + family.v * s2) % period, x2=0.0)
-    raise ValueError(f"no spectral normal form for family kind {family.kind!r}")
+    raise ValueError(f"no linearized operator for family kind {family.kind!r}")
 
 
 def shift_direction_callable(family, nt: int = 0, n1: int = 0, n2: int = 0, t: float = 0.0):

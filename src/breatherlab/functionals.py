@@ -10,7 +10,6 @@ parameter ranges.
 from __future__ import annotations
 
 import math
-from dataclasses import replace
 
 import numpy as np
 
@@ -136,26 +135,6 @@ def evaluate_functional(kind: str, family, t: float = 0.0) -> float:
 
     value, _ = checked_integral(integrand, family_plan(family, t))
     return value
-
-
-def conservation_in_time(kind: str, family, times, shifts=None) -> float:
-    """Max drift of a functional across the given times.
-
-    ``shifts`` may provide time-dependent translation parameters (t -> (x1,
-    x2)); the functional values must stay put since every piece is invariant
-    under phase translations.
-    """
-    times = list(times)
-    if len(times) < 3:
-        raise ValueError("need at least three distinct times")
-    values = []
-    for t in times:
-        fam = family
-        if shifts is not None:
-            x1, x2 = shifts(t)
-            fam = replace(family, x1=x1, x2=x2)
-        values.append(evaluate_functional(kind, fam, t=t))
-    return max(abs(v - values[0]) for v in values[1:])
 
 
 # ---------------------------------------------------------------------------
@@ -362,6 +341,6 @@ def expansion_check(family, z_fun, w_fun, eps: float) -> tuple[float, float]:
     z, w = _eval_perturbation(z_fun, x, 2), _eval_perturbation(w_fun, x, 2)
     h0 = sg_lyapunov_of_perturbed(family, x, w_quad, z, w, 0.0)
     h1 = sg_lyapunov_of_perturbed(family, x, w_quad, z, w, eps)
-    q = linops.sg_operator(family).quadratic_form(x, w_quad, z, w)
+    q = linops.operator_for(family).quadratic_form(x, w_quad, z, w)
     lhs = h1 - h0 - 0.5 * eps * eps * q
     return lhs, expansion_remainder(family, x, w_quad, z, w, eps)

@@ -1,24 +1,21 @@
 """Galerkin projection of the linearized operators and spectral classification.
 
 The matrix is the quadrature of the literal application of the operator,
-never a pre-symmetrized form: M_ij = sum over the nodes of w f_i op.apply(f_j).
-Each operator's formula lives only in ``linops``.
+never a pre-symmetrized form: slot block (i, j) of M is the sum over the
+nodes of w f L_ij[f], where L_ij sums the terms of row slot i and column
+slot j in ``op.terms(op.coefficients(x))``, the operator's only statement.
 
-On the line (Hermite basis, Gauss-Legendre panels) ``op.apply`` runs on the
-whole basis derivative stack, over fixed blocks of nodes.  Problems that
-share a basis and a plan (the rows of a sweep) share each block's stack:
-``assemble_all`` builds it once and adds each problem's block sum to its
-own matrix, in the order that problem alone would add it.  On the torus the
-trapezoid rule on N uniform nodes is a discrete Fourier transform, so the
-same sum is formed from transforms: in the complex basis e^{i w_p x},
-
-    M_pq = sum over r of c^_r[(p - q) mod N] (i w_q)^r,   c^_r = fft(c_r) / N,
-
-with c_4 = 1 (so its part is w_q^4 on the diagonal, aliased where
-p - q = 0 mod N), and the real basis follows by a fixed unitary change of
-basis.  The c_r are the list ``op.coefficients`` returns, the same list
-``op.apply`` sums, so this is exactly the trapezoid sum of the literal
-application, aliasing included, without building the basis stack.
+On the line (Hermite basis, Gauss-Legendre panels) ``jets.apply`` sums each
+column's terms on the basis derivative stack, over fixed blocks of nodes.
+Problems that share a basis and a plan (the rows of a sweep) share each
+block's stack: ``assemble_all`` builds it once and adds each problem's block
+sum to its own matrix, in the order that problem alone would add it.  On the
+torus the trapezoid rule on N uniform nodes is a discrete Fourier transform,
+so the same sum is formed from transforms: in the complex basis e^{i w_p x}
+a term of order r adds c^[(p - q) mod N] (i w_q)^r, c^ = fft(c) / N, for a
+coefficient grid c, and c (i w_q)^r where p = q mod N for a constant c; the
+real basis follows by a fixed unitary change of basis.  So this is exactly
+the trapezoid sum of the literal application, aliasing included.
 
 The asymmetry of M, measured before symmetrization, is a genuine quality
 metric for the operator coefficients (on the torus it still tests
@@ -37,7 +34,7 @@ from typing import Optional
 
 import numpy as np
 
-from .linops import SgBlockOperator
+from .jets import apply
 from .quadrature import LinePlan, TorusPlan, panel_order
 from .specfun import FourierBasis, HermiteBasis
 
@@ -63,7 +60,7 @@ class GalerkinProblem:
     @property
     def dim(self) -> int:
         """Matrix dimension: the basis size, once per slot of the operator."""
-        return (2 if isinstance(self.operator, SgBlockOperator) else 1) * self.basis.size
+        return self.operator.slots * self.basis.size
 
 
 def default_hermite_plan(operator, n_basis: int) -> LinePlan:
@@ -110,10 +107,12 @@ class AssembledMatrix:
 
 
 def _project(problems, x, w) -> list[np.ndarray]:
-    """M_ij = sum over the nodes of w f_i op.apply(f_j), block by block, for
-    problems that share one basis: each block's stack is built once, and each
-    matrix gets the same sum, in the same order, as it would alone."""
+    """Slot block (i, j) of each M is the sum over the nodes of w f (L_ij f),
+    taken node block by node block, for problems that share one basis: each
+    node block's stack is built once, and each matrix gets the same sum, in
+    the same order, as it would alone."""
     basis = problems[0].basis
+    n = basis.size
     mats = [np.zeros((p.dim, p.dim)) for p in problems]
     for lo in range(0, x.size, NODE_BLOCK):
         xb = x[lo:lo + NODE_BLOCK]
@@ -121,15 +120,12 @@ def _project(problems, x, w) -> list[np.ndarray]:
         rows = stack[0] * w[lo:lo + NODE_BLOCK]
         for problem, m in zip(problems, mats):
             op = problem.operator
-            if isinstance(op, SgBlockOperator):
-                c = op.coefficients(xb)
-                zero = (0.0,) * 5
-                z_rows = op.rows(c, stack, zero)
-                w_rows = op.rows(c, zero, stack)
-                m += np.block([[rows @ z_rows[0].T, rows @ w_rows[0].T],
-                               [rows @ z_rows[1].T, rows @ w_rows[1].T]])
-            else:
-                m += rows @ op.apply(xb, stack).T
+            terms = op.terms(op.coefficients(xb))
+            for j in range(op.slots):
+                # column j's terms read the stack in slot j only
+                for i, image in enumerate(apply([t for t in terms if t[1] == j], *(stack,) * op.slots)):
+                    m[i * n:(i + 1) * n, j * n:(j + 1) * n] += rows @ image.T
+            del image  # the next problem's sums reuse its memory
     return mats
 
 
@@ -145,18 +141,22 @@ def _real_trig_change(count_n: int) -> np.ndarray:
     return t
 
 
-def _project_torus(basis: FourierBasis, coeffs) -> np.ndarray:
-    """The trapezoid sum of ``_project`` on N uniform nodes, formed from the
-    FFTs of the coefficient grids ``coeffs = op.coefficients(x)`` there."""
-    n_nodes = coeffs[0].size
+def _project_torus(basis: FourierBasis, terms, n_nodes: int) -> np.ndarray:
+    """The trapezoid sum of ``_project`` on ``n_nodes`` uniform nodes, formed
+    from the terms in a fixed order, constants first, then the FFTs of the
+    grids by ascending order (another order moves eigenvalues near 1e-9)."""
     p = np.arange(-basis.count_n, basis.count_n + 1)
     omega = 2.0 * math.pi * p / basis.period
     wrap = (p[:, None] - p[None, :]) % n_nodes
-    m = np.where(wrap == 0, omega**4, 0.0)
-    for r, c in enumerate(coeffs):
-        m = m + (np.fft.fft(c) / n_nodes)[wrap] * (1j * omega) ** r
+    slots = 1 + max(row for row, *_ in terms)
+    m = np.zeros((slots, slots, p.size, p.size), dtype=complex)
+    for row, col, r, c in sorted(terms, key=lambda term: (np.ndim(term[3]) > 0, term[2])):
+        if np.ndim(c):
+            m[row, col] += (np.fft.fft(c) / n_nodes)[wrap] * (1j * omega) ** r
+        else:
+            m[row, col] += np.where(wrap == 0, c * omega**r * 1j**r, 0.0)
     t = _real_trig_change(basis.count_n)
-    return (t.conj().T @ m @ t).real
+    return np.block([[(t.conj().T @ block @ t).real for block in blocks] for blocks in m])
 
 
 def _levels(problems) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -168,8 +168,10 @@ def _levels(problems) -> list[tuple[np.ndarray, np.ndarray]]:
         x, _ = plan.nodes_weights(2)
         levels = []
         for problem in problems:
-            coeffs = problem.operator.coefficients(x)
-            levels.append((_project_torus(basis, [c[::2] for c in coeffs]), _project_torus(basis, coeffs)))
+            op = problem.operator
+            fine = op.terms(op.coefficients(x))
+            coarse = [(i, j, r, c[::2] if np.ndim(c) else c) for i, j, r, c in fine]
+            levels.append((_project_torus(basis, coarse, plan.n_nodes), _project_torus(basis, fine, x.size)))
         return levels
     return list(zip(*(_project(problems, *plan.nodes_weights(refine)) for refine in (1, 2))))
 
@@ -182,7 +184,7 @@ def _assembled(coarse: np.ndarray, fine: np.ndarray) -> AssembledMatrix:
     return AssembledMatrix(matrix=0.5 * (fine + fine.T), asymmetry=asymmetry, drift=drift)
 
 
-def assemble_all(problems, check_quality: bool = True) -> list[AssembledMatrix]:
+def assemble_all(problems) -> list[AssembledMatrix]:
     """Dense projected matrices, in the order of ``problems``.
 
     Problems that share a basis and a plan (the rows of a line sweep) are
@@ -196,14 +198,13 @@ def assemble_all(problems, check_quality: bool = True) -> list[AssembledMatrix]:
     for members in groups.values():
         for i, (coarse, fine) in zip(members, _levels([problems[i] for i in members])):
             out[i] = _assembled(coarse, fine)
-            if check_quality:
-                out[i].require_quality()
+            out[i].require_quality()
     return out
 
 
-def assemble(problem: GalerkinProblem, check_quality: bool = True) -> AssembledMatrix:
+def assemble(problem: GalerkinProblem) -> AssembledMatrix:
     """Dense projected matrix, symmetrized after the asymmetry is recorded."""
-    return assemble_all([problem], check_quality)[0]
+    return assemble_all([problem])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -294,18 +295,6 @@ def solve_problems(problems, kernel_tol: Optional[float] = None) -> list:
 def solve_problem(problem: GalerkinProblem, kernel_tol: Optional[float] = None):
     """Assemble, diagonalize and classify in one step."""
     return solve_problems([problem], kernel_tol)[0]
-
-
-def rayleigh_quotient(problem: GalerkinProblem, matrix: np.ndarray, values: np.ndarray) -> float:
-    """Rayleigh quotient of a sampled field projected onto the basis."""
-    x, w = problem.plan.nodes_weights(2)
-    if len(values) != len(x):
-        raise ValueError("sample the field on plan.nodes_weights(2) nodes")
-    coeff = problem.basis.stack(x, 0)[0] @ (w * values)
-    denom = float(coeff @ coeff)
-    if isinstance(problem.operator, SgBlockOperator):
-        raise ValueError("use the block variant for pair fields")
-    return float(coeff @ matrix @ coeff) / denom
 
 
 def matrix_csv(assembled: AssembledMatrix, n_basis: int, family_tag: str) -> str:

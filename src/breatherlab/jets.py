@@ -176,6 +176,24 @@ def _mul_coeffs(a, b, deg):
     return out
 
 
+def apply(terms, *fields):
+    """Rows of a linear operator given as terms (row slot, column slot,
+    derivative order r, coefficient c): row i sums c * fields[col][r] over its
+    terms in table order, where a field is its list of x-derivative grids.  A
+    unit coefficient adds its grid as it is (a product would cost a pass)."""
+    rows = [None] * len(fields)
+    for row, col, r, c in terms:
+        if r >= len(fields[col]):
+            raise ValueError(f"insufficient jet degree: slot {col} needs derivative {r}")
+        z = fields[col][r]
+        # each product stays unnamed, so it is freed as soon as it is added
+        if np.ndim(c) == 0 and c == 1.0:
+            rows[row] = z if rows[row] is None else rows[row] + z
+        else:
+            rows[row] = c * z if rows[row] is None else rows[row] + c * z
+    return rows
+
+
 def reciprocal(a: Jet2) -> Jet2:
     """1/a via a Horner geometric series around the constant term."""
     a0 = np.asarray(a.value)

@@ -1,19 +1,23 @@
 """Linearized operators around the breather profiles and their quadratic forms.
 
+Each operator is written once, as a table of terms (row slot, column slot,
+derivative order, coefficient) that ``terms(c)`` builds from the grids
+``c = coefficients(x)`` of the frozen profile snapshot, over ``slots`` field
+slots.  ``apply`` (from ``jets``) sums a table on the fields' derivative
+grids, and the Galerkin projection builds its blocks from the same table.
 Scalar families share one fourth-order template
 
-    L[z] = z_4x + c2(x) z_xx + c1(x) z_x + c0(x) z,
+    L[z] = z_4x + c2(x) z_xx + c1(x) z_x + c0(x) z;
 
-whose coefficients come from the frozen profile snapshot; the wave-equation
-family gets the 2x2 block operator (fourth order on the first slot, second
+the wave-equation family has two slots (fourth order on the first, second
 order on the second, first-order couplers).  All operators are formally
 self-adjoint: c1 = c2' for the scalar template, and the two couplers are
 mutual adjoints.
 
-Quadratic forms are offered through two routes: applying the operator under
-the integral (needs four derivatives of the test field) and the
+Quadratic forms have two routes: the operator applied under the integral by
+``apply`` (needs four derivatives of the test field) and the
 integrated-by-parts expression (needs two).  The routes agree for decaying
-fields, which is one of the module's self-checks.
+fields, which the tests check.
 """
 
 from __future__ import annotations
@@ -23,11 +27,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import breathers, stability
+from .jets import apply
 from .quadrature import checked_integral, line_plan
 
 
 # ---------------------------------------------------------------------------
-# scalar operators
+# operators
 # ---------------------------------------------------------------------------
 
 
@@ -37,22 +42,17 @@ class ScalarOperator:
     the second variation of H = F + a1 E + a2 M.
 
     The multipliers (a1, a2) are the family's ``a1a2`` and the Gardner
-    coefficient q is its ``quadratic`` (q = 0 for mKdV).  ``zero_potential``
-    drops the profile, leaving the constant-coefficient operator (useful as a
-    continuum-spectrum reference).
+    coefficient q is its ``quadratic`` (q = 0 for mKdV).
     """
 
     family: object
-    zero_potential: bool = False
+    slots = 1
 
     def coefficients(self, x):
-        """(c0, c1, c2) grids: c_r multiplies the r-th derivative in ``apply``;
-        the leading coefficient, of z_4x, is identically 1."""
+        """(c0, c1, c2) grids: c_r multiplies the r-th derivative; the
+        leading coefficient, of z_4x, is identically 1."""
         x = np.asarray(x, dtype=float)
         a1, a2 = self.family.a1a2
-        if self.zero_potential:
-            zero = np.zeros_like(x)
-            return a2 + zero, zero.copy(), -a1 + zero
         q = self.family.quadratic
         f = self.family.eval(0.0, x, deg=2)
         B, Bx, Bxx = f.value, f.partial(nx=1), f.partial(nx=2)
@@ -64,27 +64,11 @@ class ScalarOperator:
         )
         return c0, c1, c2
 
-    def apply(self, x, z):
-        """Pointwise L[z] from the derivative grids z = (z, z', ..., z'''')."""
-        if len(z) < 5:
-            raise ValueError("insufficient jet degree: scalar operator needs 4 derivatives")
-        out = z[4]
-        for r, c in reversed(list(enumerate(self.coefficients(x)))):
-            out = out + c * z[r]
-        return out
-
-
-def scalar_operator(family, t: float = 0.0, zero_potential: bool = False) -> ScalarOperator:
-    """Linearization of a scalar breather's stationary equation about its
-    normal form at time t."""
-    if family.kind not in ("mkdv", "gardner", "kksh"):
-        raise ValueError(f"no linearized operator for family kind {family.kind!r}")
-    return ScalarOperator(breathers.normal_form(family, t), zero_potential)
-
-
-# ---------------------------------------------------------------------------
-# wave-equation block operator
-# ---------------------------------------------------------------------------
+    @staticmethod
+    def terms(c):
+        """L[z] = z_4x + c2 z_xx + c1 z_x + c0 z."""
+        c0, c1, c2 = c
+        return [(0, 0, 4, 1.0), (0, 0, 2, c2), (0, 0, 1, c1), (0, 0, 0, c0)]
 
 
 @dataclass(frozen=True)
@@ -92,6 +76,7 @@ class SgBlockOperator:
     """2x2 block operator: fourth order on z, second order on w, coupled."""
 
     family: object
+    slots = 2
 
     def coefficients(self, x):
         """Profile fields (B, Bx, Bxx, Bt, Btx, cos, sin) and the operator's
@@ -118,31 +103,12 @@ class SgBlockOperator:
             "b2_0": -0.25 * Bt * su,
         }
 
-    def apply(self, x, z, w):
-        """Row values (L1 z + B1 w, B2 z + L2 w) on the grid."""
-        return self.rows(self.coefficients(x), z, w)
-
-    def rows(self, c, z, w):
-        """Row values (L1 z + B1 w, B2 z + L2 w) from the coefficient grids
-        ``c = coefficients(x)``; a slot given as scalar zeros drops out."""
-        if len(z) < 5 or len(w) < 3:
-            raise ValueError(
-                "insufficient jet degree: block operator needs (4, 2) derivatives"
-            )
-        row1 = (
-            z[4]
-            + c["l1_2"] * z[2]
-            + c["l1_1"] * z[1]
-            + c["l1_0"] * z[0]
-            + c["b1_0"] * w[0]
-            + c["b1_1"] * w[1]
-        )
-        row2 = c["b2_1"] * z[1] + c["b2_0"] * z[0] - w[2] + c["l2_0"] * w[0]
-        return row1, row2
-
-    def quadratic_form_apply(self, x, w_quad, z, w):
-        row1, row2 = self.apply(x, z, w)
-        return float(np.dot(w_quad, z[0] * row1 + w[0] * row2))
+    @staticmethod
+    def terms(c):
+        """Rows (L1 z + B1 w, B2 z + L2 w)."""
+        return [(0, 0, 4, 1.0), (0, 0, 2, c["l1_2"]), (0, 0, 1, c["l1_1"]), (0, 0, 0, c["l1_0"]),
+                (0, 1, 0, c["b1_0"]), (0, 1, 1, c["b1_1"]),
+                (1, 0, 1, c["b2_1"]), (1, 0, 0, c["b2_0"]), (1, 1, 2, -1.0), (1, 1, 0, c["l2_0"])]
 
     def quadratic_density(self, x, z, w):
         """Integrand of the integrated-by-parts route: only two derivatives
@@ -158,14 +124,11 @@ class SgBlockOperator:
         return float(np.dot(w_quad, self.quadratic_density(x, z, w)))
 
 
-def sg_operator(family, t: float = 0.0) -> SgBlockOperator:
-    return SgBlockOperator(breathers.normal_form(family, t))
-
-
 def operator_for(family, t: float = 0.0):
-    if family.kind == "sg":
-        return sg_operator(family, t)
-    return scalar_operator(family, t)
+    """Linearization of a breather's stationary equation about its normal
+    form at time t."""
+    nf = breathers.normal_form(family, t)
+    return (SgBlockOperator if nf.kind == "sg" else ScalarOperator)(nf)
 
 
 # ---------------------------------------------------------------------------
@@ -191,14 +154,14 @@ def sg_variational_direction_residual(family) -> float:
     on 301 points of |x| <= 25 / beta.
     """
     x = np.linspace(-25.0 / family.beta, 25.0 / family.beta, 301)
-    op = sg_operator(family)
+    op = operator_for(family)
     fam = op.family
     z, w = sg_scaling_direction(fam, x)
     s = -0.5 / fam.beta
     z = tuple(s * zi for zi in z)
     w = tuple(s * wi for wi in w)
     f = op.coefficients(x)
-    row1, row2 = op.rows(f, z, w)
+    row1, row2 = apply(op.terms(f), z, w)
     v = fam.v
     a_row = (1.0 + v**2) * (f["sin"] - f["Bxx"]) + 2.0 * v * f["Btx"]
     at_row = (1.0 + v**2) * f["Bt"] - 2.0 * v * f["Bx"]
@@ -209,7 +172,7 @@ def sg_scaling_quadratic_form(family) -> float:
     """Q[dB/dbeta, dB_t/dbeta] by the integrated-by-parts route, verified by
     node doubling; equals -32 (1 + 3 v^2) beta for every breather.  The
     density is quadratic in the direction, so the plan resolves 4 wavenumber."""
-    op = sg_operator(family)
+    op = operator_for(family)
 
     def density(x):
         return op.quadratic_density(x, *sg_scaling_direction(op.family, x))
@@ -246,7 +209,7 @@ def kksh_inverse_direction_residual(beta: float, k: float) -> float:
     _, grad_b, grad_k = stability.coefficient_gradients(beta, k, family.m, "resolved")
     da1_db, da1_dk = grad_b[0], grad_k[0]
     b0 = tuple((da1_dk * dbj - da1_db * dkj) / d for dkj, dbj in zip(dk, db))
-    op = scalar_operator(family)
-    image = op.apply(x, b0)
+    op = operator_for(family)
+    (image,) = apply(op.terms(op.coefficients(x)), b0)
     B = family.eval(0.0, x, deg=0).value
     return float(np.max(np.abs(image + B)))

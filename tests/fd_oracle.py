@@ -15,17 +15,31 @@ pentadiagonal, so ``scipy.linalg.eig_banded`` returns the lowest few
 eigenvalues without forming a dense matrix.  Two grids whose spacings differ
 by a factor 2 are Richardson-extrapolated, which removes the O(h^2) error.
 
-With zero potential the stencil is diagonal in the sine basis: on N
-intervals the box eigenvalues are s^2 + a1 s + a2 with
+With zero potential (``FreeOperator``) the stencil is diagonal in the sine
+basis: on N intervals the box eigenvalues are s^2 + a1 s + a2 with
 s = 4 sin^2(k pi / 2N) / h^2, at or above the bottom of the essential
 spectrum of the line operator.
 """
 
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 
+from breatherlab import linops
+
 HALF_WIDTH = 40.0
 INTERVALS = 4000  # coarse grid of the Richardson pair; the fine one has twice as many
+
+
+@dataclass(frozen=True)
+class FreeOperator(linops.ScalarOperator):
+    """The scalar operator with the profile dropped: the constant-coefficient
+    operator z'''' - a1 z'' + a2 z, a continuum-spectrum reference."""
+
+    def coefficients(self, x):
+        a1, a2 = self.family.a1a2
+        return a2, 0.0, -a1
 
 
 def box_eigenvalues(op, count: int, half_width: float, intervals: int) -> np.ndarray:
@@ -35,7 +49,8 @@ def box_eigenvalues(op, count: int, half_width: float, intervals: int) -> np.nda
     h = 2.0 * half_width / intervals
     nodes = -half_width + h * np.arange(1, intervals)
     halves = -half_width + h * (np.arange(intervals) + 0.5)
-    c0, _, c2 = op.coefficients(np.concatenate([nodes, halves]))
+    x = np.concatenate([nodes, halves])
+    c0, _, c2 = (np.broadcast_to(c, x.shape) for c in op.coefficients(x))
     c0, c2_half = c0[:size], c2[size:]
     band = np.zeros((3, size))
     band[0] = 6.0 / h**4 - (c2_half[:-1] + c2_half[1:]) / h**2 + c0

@@ -387,7 +387,7 @@ class TestOtherCommands:
     def test_non_finite_matrix_exit_3(self, monkeypatch, capsys):
         from breatherlab import galerkin
 
-        def nan_matrices(problems, check_quality=True):
+        def nan_matrices(problems):
             return [galerkin.AssembledMatrix(matrix=np.full((p.dim, p.dim), math.nan), asymmetry=0.0, drift=0.0)
                     for p in problems]
 

@@ -4,12 +4,11 @@ import numpy as np
 
 import fd_oracle
 from breatherlab import breathers as br
-from breatherlab import linops
 
 
 def test_zero_potential_box_approaches_edge_from_above():
     alpha, beta = 0.5, 1.0
-    op = linops.scalar_operator(br.MkdvBreather(alpha=alpha, beta=beta), zero_potential=True)
+    op = fd_oracle.FreeOperator(br.MkdvBreather(alpha=alpha, beta=beta))
     edge = fd_oracle.continuum_edge(alpha, beta)  # (alpha^2 + beta^2)^2 for alpha < beta
 
     # the hinged stencil is diagonal in the sine basis: exact box eigenvalues

@@ -45,40 +45,41 @@ class TestClosedFormValues:
             assert dP == pytest.approx(-8 * v, abs=1e-5)
 
 
+def _drift(kind, fam, times):
+    """Max change of a functional from its value at the first time."""
+    values = [fn.evaluate_functional(kind, fam, t=t) for t in times]
+    return max(abs(v - values[0]) for v in values[1:])
+
+
 class TestConservation:
     def test_sg_second_order_functional_conserved(self):
         fam = br.SgBreather(beta=0.5, v=0.7)
-        assert fn.conservation_in_time("f", fam, [0.0, 0.7, 2.1]) < 1e-8
+        assert _drift("f", fam, [0.0, 0.7, 2.1]) < 1e-8
 
     def test_mkdv_mass_conserved(self):
         fam = br.MkdvBreather(alpha=1.2, beta=1.0)
-        assert fn.conservation_in_time("mass", fam, [0.0, 1.0, 5.0]) < 1e-9
+        assert _drift("mass", fam, [0.0, 1.0, 5.0]) < 1e-9
 
     def test_sg_lyapunov_with_moving_shifts(self):
+        # every piece is invariant under phase translations
         fam = br.SgBreather(beta=0.5, v=0.7)
-        drift = fn.conservation_in_time(
-            "lyapunov", fam, [0.0, 0.7, 2.1], shifts=lambda t: (math.sin(t), t * t)
-        )
-        assert drift < 1e-8
+        values = [fn.evaluate_functional("lyapunov", replace(fam, x1=math.sin(t), x2=t * t), t=t)
+                  for t in (0.0, 0.7, 2.1)]
+        assert max(abs(v - values[0]) for v in values[1:]) < 1e-8
 
     def test_gardner_third_functional_conserved(self):
         fam = br.GardnerBreather(alpha=0.5, beta=1.0, mu=0.1)
-        assert fn.conservation_in_time("f", fam, [0.0, 0.6, 1.7]) < 1e-8
+        assert _drift("f", fam, [0.0, 0.6, 1.7]) < 1e-8
 
     def test_periodic_functionals_conserved(self):
         fam = br.KkshBreather(beta=1.0, k=0.03, x1=0.1)
         for kind in ("mass", "energy", "f", "lyapunov"):
-            assert fn.conservation_in_time(kind, fam, [0.0, 0.4, 1.3]) < 1e-8
+            assert _drift(kind, fam, [0.0, 0.4, 1.3]) < 1e-8
 
     def test_nonzero_mean_functionals_conserved(self):
         fam = br.NonzeroMeanBreather(mu=1.3, c1=0.9, p=2, q=3)
         for kind in ("mass", "energy", "f", "lyapunov"):
-            assert fn.conservation_in_time(kind, fam, [0.0, 0.5, 1.1]) < 1e-8
-
-    def test_requires_three_times(self):
-        fam = br.MkdvBreather(alpha=1.0, beta=1.0)
-        with pytest.raises(ValueError):
-            fn.conservation_in_time("mass", fam, [0.0, 1.0])
+            assert _drift(kind, fam, [0.0, 0.5, 1.1]) < 1e-8
 
 
 class TestStationaryResiduals:

@@ -3,6 +3,8 @@ import dataclasses
 import numpy as np
 import pytest
 
+import fd_oracle
+import form_oracles
 from breatherlab import breathers as br
 from breatherlab import jets, linops
 from breatherlab import stability as st
@@ -17,51 +19,51 @@ class TestScalarKernels:
     @pytest.mark.parametrize("n1,n2", [(1, 0), (0, 1)])
     def test_mkdv_translation_kernel(self, n1, n2):
         fam = br.MkdvBreather(alpha=0.5, beta=1.0, x1=0.09)
-        op = linops.scalar_operator(fam)
+        op = linops.operator_for(fam)
         x = np.linspace(-30, 30, 200)
         f = op.family.eval(0.0, x, deg=6)
         z = kernel_derivs(f, 4, n1=n1, n2=n2)
-        image = op.apply(x, z)
+        (image,) = form_oracles.applied(op, x, z)
         scale = max(np.max(np.abs(z[4])), 1.0)
         assert np.max(np.abs(image)) / scale < 1e-8
 
     def test_gardner_translation_kernel(self):
         fam = br.GardnerBreather(alpha=0.5, beta=1.0, mu=0.1, x1=0.2)
-        op = linops.scalar_operator(fam)
+        op = linops.operator_for(fam)
         x = np.linspace(-30, 30, 150)
         f = op.family.eval(0.0, x, deg=6)
         for sel in ((1, 0), (0, 1)):
-            image = op.apply(x, kernel_derivs(f, 4, *sel))
+            (image,) = form_oracles.applied(op, x, kernel_derivs(f, 4, *sel))
             assert np.max(np.abs(image)) < 1e-8 * max(np.max(np.abs(f.partial(nx=4))), 1.0)
 
     def test_kksh_translation_kernel(self):
         fam = br.KkshBreather(beta=1.0, k=0.03, x1=0.1)
-        op = linops.scalar_operator(fam)
+        op = linops.operator_for(fam)
         x = np.linspace(0.0, fam.period, 120, endpoint=False)
         f = op.family.eval(0.0, x, deg=6)
         for sel in ((1, 0), (0, 1)):
-            image = op.apply(x, kernel_derivs(f, 4, *sel))
+            (image,) = form_oracles.applied(op, x, kernel_derivs(f, 4, *sel))
             assert np.max(np.abs(image)) < 1e-7 * np.max(np.abs(f.partial(nx=4, n1=1)))
 
     def test_apply_needs_four_derivatives(self):
         fam = br.MkdvBreather(alpha=1.0, beta=1.0)
-        op = linops.scalar_operator(fam)
+        op = linops.operator_for(fam)
         x = np.linspace(-1, 1, 5)
         f = op.family.eval(0.0, x, deg=3)
         with pytest.raises(ValueError, match="insufficient"):
-            op.apply(x, kernel_derivs(f, 3))
+            form_oracles.applied(op, x, kernel_derivs(f, 3))
 
 
 class TestSgBlock:
     def test_kernel_pair(self):
         fam = br.SgBreather(beta=0.5, v=0.7, x1=0.3)
-        op = linops.sg_operator(fam)
+        op = linops.operator_for(fam)
         x = np.linspace(-45, 45, 220)
         f = op.family.eval(0.0, x, deg=6)
         for sel in ((1, 0), (0, 1)):
             z = kernel_derivs(f, 4, *sel)
             w = kernel_derivs(f, 2, *sel, nt=1)
-            r1, r2 = op.apply(x, z, w)
+            r1, r2 = form_oracles.applied(op, x, z, w)
             assert np.max(np.abs(r1)) < 1e-10
             assert np.max(np.abs(r2)) < 1e-10
 
@@ -106,7 +108,7 @@ class TestSgBlock:
 
     def test_quadratic_form_on_kernel_vanishes(self):
         fam = br.SgBreather(beta=0.5, v=0.4, x1=0.2)
-        op = linops.sg_operator(fam)
+        op = linops.operator_for(fam)
         plan = LinePlan(center=0.0, half_width=70.0, order=10)
         x, w_quad = plan.nodes_weights(2)
         f = op.family.eval(0.0, x, deg=6)
@@ -116,7 +118,7 @@ class TestSgBlock:
 
     def test_quadratic_form_routes_agree(self):
         fam = br.SgBreather(beta=0.5, v=0.3)
-        op = linops.sg_operator(fam)
+        op = linops.operator_for(fam)
         plan = LinePlan(center=0.0, half_width=70.0, order=10)
         x, w_quad = plan.nodes_weights(2)
 
@@ -130,17 +132,17 @@ class TestSgBlock:
         wj = wf(jets.Jet2.variable(x, 0, deg=4))
         z = tuple(zj.partial(i, 0) for i in range(5))
         w = tuple(wj.partial(i, 0) for i in range(3))
-        q_apply = op.quadratic_form_apply(x, w_quad, z, w)
+        q_apply = form_oracles.applied_form(op, x, w_quad, z, w)
         q_parts = op.quadratic_form(x, w_quad, z, w)
         assert q_apply == pytest.approx(q_parts, rel=1e-8)
 
     def test_apply_needs_enough_derivatives(self):
         fam = br.SgBreather(beta=0.5, v=0.1)
-        op = linops.sg_operator(fam)
+        op = linops.operator_for(fam)
         x = np.linspace(-1, 1, 5)
         f = op.family.eval(0.0, x, deg=4)
         with pytest.raises(ValueError, match="insufficient"):
-            op.apply(x, kernel_derivs(f, 3), kernel_derivs(f, 2, nt=1))
+            form_oracles.applied(op, x, kernel_derivs(f, 3), kernel_derivs(f, 2, nt=1))
 
 
 class TestParameterDirections:
@@ -217,12 +219,12 @@ class TestReductions:
         # by O(mu): halving mu halves the distance to the mKdV grids
         fam = br.MkdvBreather(alpha=0.8, beta=1.1, x1=0.3)
         x = np.linspace(-20, 20, 100)
-        cm = linops.scalar_operator(fam).coefficients(x)
+        cm = linops.operator_for(fam).coefficients(x)
 
         def distance(mu):
             gardner = br.GardnerBreather(alpha=0.8, beta=1.1, mu=mu, x1=0.3)
             assert gardner.a1a2 == fam.a1a2
-            cg = linops.scalar_operator(gardner).coefficients(x)
+            cg = linops.operator_for(gardner).coefficients(x)
             return np.array([np.max(np.abs(a - b)) for a, b in zip(cg, cm)])
 
         d1, d2 = distance(1e-3), distance(5e-4)
@@ -233,7 +235,7 @@ class TestReductions:
         fam = br.MkdvBreather(alpha=0.9, beta=1.0, x1=0.4)
         a, b = fam.alpha, fam.beta
         assert fam.a1a2 == (2 * (b**2 - a**2), (a**2 + b**2) ** 2)
-        assert linops.scalar_operator(fam).family.a1a2 == fam.a1a2
+        assert linops.operator_for(fam).family.a1a2 == fam.a1a2
 
     def test_kksh_a1_a2_limits_at_small_k(self):
         a1, a2 = st.coeffs_a1a2(1.0, 1e-5)
@@ -248,7 +250,7 @@ class TestInverseDirection:
 
     def test_free_operator_variant(self):
         fam = br.MkdvBreather(alpha=1.5, beta=1.0)
-        op = linops.scalar_operator(fam, zero_potential=True)
+        op = fd_oracle.FreeOperator(fam)
         x = np.linspace(-5, 5, 11)
         c0, c1, c2 = op.coefficients(x)
         assert np.allclose(c0, (1 + 1.5**2) ** 2)
