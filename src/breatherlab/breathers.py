@@ -6,6 +6,11 @@ y1, y2 that are affine in (t, x).  ``eval`` builds the profile as a
 :class:`FieldJet` carrying the affine chain maps, so arbitrary mixed
 (t, x, x1, x2)-partials up to the jet degree come out exact to roundoff.
 
+The mKdV, Gardner, periodic and sine-Gordon breathers state their phases
+once, as ``phase_maps`` and ``phase_period``: the phase jets, the chain maps,
+the recurrence period and shift, and ``normal_form`` (the t = 0, x2 = 0
+snapshot the spectral problems read) all come from them.
+
 The oscillatory families are evaluated through rational derivative forms
 amp * (N_x D - N D_x) / (D^2 + N^2) instead of differentiating an arctan,
 which keeps every evaluation branch- and pole-free.
@@ -18,7 +23,7 @@ phase-space partner B_t of their field B, and its x-derivatives, are read as
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from math import comb
 from typing import ClassVar
 
@@ -123,13 +128,44 @@ class _ScalarFamily:
     quadratic = 0.0
 
 
+class _TwoPhaseBreather:
+    """A breather in the phases y_i = dx_i x + dt_i t + x_i, ``phase_maps`` =
+    ((dt_1, dt_2), (dx_1, dx_2)) with dx_2 = 1, of period ``phase_period`` in
+    y1; a subclass holds x1 and x2.  The defaults are ((delta, gamma), (1, 1))
+    and the period 2 pi / |alpha| of the trig profiles."""
+
+    @property
+    def phase_maps(self) -> tuple[tuple[float, float], tuple[float, float]]:
+        return (self.delta, self.gamma), (1.0, 1.0)
+
+    @property
+    def phase_period(self) -> float:
+        return 2 * math.pi / abs(self.alpha)
+
+    def phase_jets(self, t, x, deg):
+        (a, b), (c, d) = self.phase_maps
+        x = np.asarray(x, dtype=float)
+        return _phase_jets(c * x + a * t + self.x1, d * x + b * t + self.x2, deg)
+
+    @property
+    def time_period(self) -> float:
+        """T with B(t + T, x) = B(t, x - L): y2 is unchanged and y1 moves by
+        ``phase_period``."""
+        (a, b), (c, _) = self.phase_maps
+        return self.phase_period / abs(a - c * b)
+
+    @property
+    def space_shift(self) -> float:
+        return -self.phase_maps[0][1] * self.time_period
+
+
 # ---------------------------------------------------------------------------
 # line breathers
 # ---------------------------------------------------------------------------
 
 
-class _LineBreather(_ScalarFamily):
-    """Phases, periods and Lyapunov multipliers of the mKdV and Gardner
+class _LineBreather(_TwoPhaseBreather, _ScalarFamily):
+    """Phase speeds, scales and Lyapunov multipliers of the mKdV and Gardner
     breathers; a subclass holds alpha, beta, x1 and x2."""
 
     @property
@@ -143,14 +179,6 @@ class _LineBreather(_ScalarFamily):
     @property
     def a1a2(self) -> tuple[float, float]:
         return 2.0 * (self.beta**2 - self.alpha**2), (self.alpha**2 + self.beta**2) ** 2
-
-    @property
-    def time_period(self) -> float:
-        return 2 * math.pi / (abs(self.alpha) * (self.gamma - self.delta))
-
-    @property
-    def space_shift(self) -> float:
-        return -self.gamma * self.time_period
 
     @property
     def decay_rate(self) -> float:
@@ -181,13 +209,12 @@ class MkdvBreather(_LineBreather):
 
     def eval(self, t, x, deg: int = DEFAULT_DEG) -> FieldJet:
         a, b = self.alpha, self.beta
-        x = np.asarray(x, dtype=float)
-        Y1, Y2 = _phase_jets(x + self.delta * t + self.x1, x + self.gamma * t + self.x2, deg)
+        Y1, Y2 = self.phase_jets(t, x, deg)
         sin1, cos1 = jets.sin(a * Y1), jets.cos(a * Y1)
         cosh2, sinh2 = jets.cosh(b * Y2), jets.sinh(b * Y2)
         num = _Pair(b * sin1, a * b * cos1)
         den = _Pair(a * cosh2, a * b * sinh2)
-        return FieldJet(AMP * _dx_arctan(num, den), dt=(self.delta, self.gamma), dx=(1.0, 1.0))
+        return FieldJet(AMP * _dx_arctan(num, den), *self.phase_maps)
 
 
 @dataclass(frozen=True)
@@ -218,8 +245,7 @@ class GardnerBreather(_LineBreather):
 
     def eval(self, t, x, deg: int = DEFAULT_DEG) -> FieldJet:
         a, b, mu = self.alpha, self.beta, self.mu
-        x = np.asarray(x, dtype=float)
-        Y1, Y2 = _phase_jets(x + self.delta * t + self.x1, x + self.gamma * t + self.x2, deg)
+        Y1, Y2 = self.phase_jets(t, x, deg)
         sin1, cos1 = jets.sin(a * Y1), jets.cos(a * Y1)
         cosh2, sinh2 = jets.cosh(b * Y2), jets.sinh(b * Y2)
         exp2 = cosh2 + sinh2
@@ -233,11 +259,11 @@ class GardnerBreather(_LineBreather):
             cosh2 - c_den * (a * cos1 - b * sin1),
             b * sinh2 - c_den * (-a * a * sin1 - a * b * cos1),
         )
-        return FieldJet(AMP * _dx_arctan(num, den), dt=(self.delta, self.gamma), dx=(1.0, 1.0))
+        return FieldJet(AMP * _dx_arctan(num, den), *self.phase_maps)
 
 
 @dataclass(frozen=True)
-class SgBreather:
+class SgBreather(_TwoPhaseBreather):
     beta: float
     v: float = 0.0
     x1: float = 0.0
@@ -272,12 +298,9 @@ class SgBreather:
         return 4 * self.v * (g2 * g2 - self.beta**2)
 
     @property
-    def time_period(self) -> float:
-        return 2 * math.pi / (self.alpha * (1 - self.v**2))
-
-    @property
-    def space_shift(self) -> float:
-        return self.v * self.time_period
+    def phase_maps(self) -> tuple[tuple[float, float], tuple[float, float]]:
+        """Y1 = t - v x + x1 and Y2 = x - v t + x2."""
+        return (1.0, -self.v), (-self.v, 1.0)
 
     @property
     def decay_rate(self) -> float:
@@ -290,19 +313,10 @@ class SgBreather:
     def envelope_center(self, t: float) -> float:
         return self.v * t - self.x2
 
-    def _phases(self, t, x, deg):
-        """Phase jets Y1 = t - v x + x1 and Y2 = x - v t + x2."""
-        v = self.v
-        x = np.asarray(x, dtype=float)
-        return _phase_jets(t - v * x + self.x1, x - v * t + self.x2, deg)
-
-    def _field(self, jet) -> FieldJet:
-        return FieldJet(jet, dt=(1.0, -self.v), dx=(-self.v, 1.0))
-
     def eval(self, t, x, deg: int = DEFAULT_DEG) -> FieldJet:
-        Y1, Y2 = self._phases(t, x, deg)
+        Y1, Y2 = self.phase_jets(t, x, deg)
         num, den = self.beta * jets.cos(self.alpha * Y1), self.alpha * jets.cosh(self.beta * Y2)
-        return self._field(4.0 * jets.atan(num / den))
+        return FieldJet(4.0 * jets.atan(num / den), *self.phase_maps)
 
     def beta_partial(self, t, x, deg: int = DEFAULT_DEG) -> FieldJet:
         """dB/dbeta at fixed (v, x1, x2), by the quotient rule on
@@ -310,13 +324,13 @@ class SgBreather:
         with dalpha/dbeta = -beta/alpha.  The phases do not move with beta, so
         dB_t/dbeta is this field's ``partial(nt=1)``."""
         a, b = self.alpha, self.beta
-        Y1, Y2 = self._phases(t, x, deg)
+        Y1, Y2 = self.phase_jets(t, x, deg)
         sin1, cos1 = jets.sin(a * Y1), jets.cos(a * Y1)
         cosh2, sinh2 = jets.cosh(b * Y2), jets.sinh(b * Y2)
         num, den = b * cos1, a * cosh2
         num_b = cos1 + (b * b / a) * Y1 * sin1
         den_b = (-b / a) * cosh2 + a * Y2 * sinh2
-        return self._field(4.0 * (num_b * den - num * den_b) / (num * num + den * den))
+        return FieldJet(4.0 * (num_b * den - num * den_b) / (num * num + den * den), *self.phase_maps)
 
 
 # ---------------------------------------------------------------------------
@@ -325,7 +339,7 @@ class SgBreather:
 
 
 @dataclass(frozen=True)
-class KkshBreather(_ScalarFamily):
+class KkshBreather(_TwoPhaseBreather, _ScalarFamily):
     """Spatially periodic breather: elliptic phases locked to a common period."""
 
     beta: float
@@ -343,10 +357,6 @@ class KkshBreather(_ScalarFamily):
         object.__setattr__(self, "_pair", stability.solve_commensurability(self.k, self.beta))
 
     @property
-    def pair(self) -> "stability.CommensuratePair":
-        return self._pair
-
-    @property
     def m(self) -> float:
         return self._pair.m
 
@@ -357,6 +367,8 @@ class KkshBreather(_ScalarFamily):
     @property
     def period(self) -> float:
         return self._pair.period
+
+    phase_period = period
 
     @property
     def a1a2(self) -> tuple[float, float]:
@@ -370,18 +382,9 @@ class KkshBreather(_ScalarFamily):
     def gamma(self) -> float:
         return 3 * self.alpha**2 * (1 + self.k) + self.beta**2 * (self.m - 2)
 
-    @property
-    def time_period(self) -> float:
-        return self.period / (self.gamma - self.delta)
-
-    @property
-    def space_shift(self) -> float:
-        return -self.delta * self.time_period
-
     def _phases(self, t, x, deg):
         """Phase jets Y1, Y2 and (sn, cn, dn)(alpha Y1 | k), (sn, cn, dn)(beta Y2 | m)."""
-        x = np.asarray(x, dtype=float)
-        Y1, Y2 = _phase_jets(x + self.delta * t + self.x1, x + self.gamma * t + self.x2, deg)
+        Y1, Y2 = self.phase_jets(t, x, deg)
         return (Y1, Y2, specfun.jacobi_sncndn_jet(self.alpha * Y1, self.k),
                 specfun.jacobi_sncndn_jet(self.beta * Y2, self.m))
 
@@ -390,7 +393,7 @@ class KkshBreather(_ScalarFamily):
         _, _, (sn1, cn1, dn1), (sn2, cn2, dn2) = self._phases(t, x, deg)
         u = _Pair(sn1 * dn2, (a * cn1) * dn1 * dn2 - (b * m) * sn1 * sn2 * cn2)
         b_jet = (AMP * a * b) * u.fx / (a * a + (b * b) * u.f * u.f)
-        return FieldJet(b_jet, dt=(self.delta, self.gamma), dx=(1.0, 1.0))
+        return FieldJet(b_jet, *self.phase_maps)
 
     def parameter_partials(self, x, deg: int = DEFAULT_DEG) -> tuple[FieldJet, FieldJet]:
         """Partials along k and along beta of the potential AMP arctan(b U / a),
@@ -536,13 +539,12 @@ class NonzeroMeanBreather(_ScalarFamily):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class MkdvSoliton(_ScalarFamily):
-    c: float
-    x0: float = 0.0
+class _Soliton(_ScalarFamily):
+    """A soliton of speed c > 0 in the phase S = sqrt(c)(x - c t - x0); a
+    subclass holds c and x0."""
 
-    kind: ClassVar[str] = "mkdv-soliton"
     domain: ClassVar[str] = "line"
+    wavenumber = 0.0
 
     def __post_init__(self):
         check_finite(self)
@@ -553,56 +555,45 @@ class MkdvSoliton(_ScalarFamily):
     def decay_rate(self) -> float:
         return math.sqrt(self.c)
 
-    @property
-    def wavenumber(self) -> float:
-        return 0.0
-
     def envelope_center(self, t: float) -> float:
         return self.c * t + self.x0
 
-    def eval(self, t, x, deg: int = DEFAULT_DEG) -> FieldJet:
+    def phase(self, t, x, deg) -> tuple[Jet2, tuple[float, float], tuple[float, float]]:
+        """The phase jet S and its chain maps (dt, dx)."""
         rc = math.sqrt(self.c)
         x = np.asarray(x, dtype=float)
         S = Jet2.variable(rc * (x - self.c * t - self.x0), 0, deg)
-        b_jet = math.sqrt(2 * self.c) / jets.cosh(S)
-        return FieldJet(b_jet, dt=(-self.c * rc, 0.0), dx=(rc, 0.0))
+        return S, (-self.c * rc, 0.0), (rc, 0.0)
 
 
 @dataclass(frozen=True)
-class GardnerSoliton(_ScalarFamily):
+class MkdvSoliton(_Soliton):
+    c: float
+    x0: float = 0.0
+
+    kind: ClassVar[str] = "mkdv-soliton"
+
+    def eval(self, t, x, deg: int = DEFAULT_DEG) -> FieldJet:
+        S, dt, dx = self.phase(t, x, deg)
+        return FieldJet(math.sqrt(2 * self.c) / jets.cosh(S), dt, dx)
+
+
+@dataclass(frozen=True)
+class GardnerSoliton(_Soliton):
     c: float
     mu: float
     x0: float = 0.0
 
     kind: ClassVar[str] = "gardner-soliton"
-    domain: ClassVar[str] = "line"
-
-    def __post_init__(self):
-        check_finite(self)
-        if self.c <= 0:
-            raise ValueError("soliton speed c must be positive")
 
     @property
     def quadratic(self) -> float:
         return self.mu
 
-    @property
-    def decay_rate(self) -> float:
-        return math.sqrt(self.c)
-
-    @property
-    def wavenumber(self) -> float:
-        return 0.0
-
-    def envelope_center(self, t: float) -> float:
-        return self.c * t + self.x0
-
     def eval(self, t, x, deg: int = DEFAULT_DEG) -> FieldJet:
-        rc = math.sqrt(self.c)
-        x = np.asarray(x, dtype=float)
-        S = Jet2.variable(rc * (x - self.c * t - self.x0), 0, deg)
+        S, dt, dx = self.phase(t, x, deg)
         den = self.mu / 3.0 + math.sqrt(self.mu**2 / 9.0 + self.c / 2.0) * jets.cosh(S)
-        return FieldJet(self.c / den, dt=(-self.c * rc, 0.0), dx=(rc, 0.0))
+        return FieldJet(self.c / den, dt, dx)
 
 
 @dataclass(frozen=True)
@@ -700,24 +691,11 @@ def normal_form(family, t: float = 0.0):
     The spectral problems depend on the snapshot only through a single
     effective phase shift, reduced modulo the oscillatory period.
     """
-    if family.kind in ("mkdv", "gardner"):
-        s1 = family.delta * t + family.x1
-        s2 = family.gamma * t + family.x2
-        period = 2 * math.pi / abs(family.alpha)
-        x1 = (s1 - s2) % period
-        if family.kind == "mkdv":
-            return MkdvBreather(family.alpha, family.beta, x1=x1, x2=0.0)
-        return GardnerBreather(family.alpha, family.beta, family.mu, x1=x1, x2=0.0)
-    if family.kind == "kksh":
-        s1 = family.delta * t + family.x1
-        s2 = family.gamma * t + family.x2
-        return KkshBreather(family.beta, family.k, x1=(s1 - s2) % family.period, x2=0.0)
-    if family.kind == "sg":
-        s1 = t + family.x1
-        s2 = -family.v * t + family.x2
-        period = 2 * math.pi / family.alpha
-        return SgBreather(family.beta, family.v, x1=(s1 + family.v * s2) % period, x2=0.0)
-    raise ValueError(f"no linearized operator for family kind {family.kind!r}")
+    if not isinstance(family, _TwoPhaseBreather):
+        raise ValueError(f"no linearized operator for family kind {family.kind!r}")
+    (a, b), (c, _) = family.phase_maps
+    s2 = b * t + family.x2
+    return replace(family, x1=(a * t + family.x1 - c * s2) % family.phase_period, x2=0.0)
 
 
 def shift_direction_callable(family, nt: int = 0, n1: int = 0, n2: int = 0, t: float = 0.0):

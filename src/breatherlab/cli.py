@@ -174,10 +174,10 @@ def _problem(family, n: int, t: float = 0.0):
     functions per slot for sg, n + 1 for the other line families, and
     2n + 1 trig functions on the torus."""
     op = linops.operator_for(family, t)
+    if family.domain == "torus":
+        return galerkin.fourier_problem(op, n)
     if family.kind == "sg":
         return galerkin.hermite_problem(op, n - 1)
-    if family.kind == "kksh":
-        return galerkin.fourier_problem(op, n)
     return galerkin.hermite_problem(op, n)
 
 

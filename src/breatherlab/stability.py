@@ -73,15 +73,11 @@ class CommensuratePair:
 
     @property
     def period(self) -> float:
-        if self.k == 0.0:
-            return math.inf
         return 4.0 * ellip_k(self.k) / self.alpha
 
     @property
     def residual(self) -> float:
         """Defect of k/(1-m) = K(m)^4 / (16 K(k)^4)."""
-        if self.k == 0.0:
-            return 0.0
         return self.k / (1.0 - self.m) - ellip_k(self.m) ** 4 / (16.0 * ellip_k(self.k) ** 4)
 
 
@@ -101,8 +97,6 @@ def check_beta(beta: float) -> None:
 def solve_commensurability(k: float, beta: float = 1.0) -> CommensuratePair:
     """Solve for m given k; bisection on the monotone period mismatch."""
     check_beta(beta)
-    if k == 0.0:
-        return CommensuratePair(beta=beta, k=0.0, m=1.0)
     check_k_range(k)
     target = 16.0 * k * ellip_k(k) ** 4
 
@@ -122,10 +116,8 @@ def solve_commensurability(k: float, beta: float = 1.0) -> CommensuratePair:
 
 def solve_commensurability_from_m(m: float, beta: float = 1.0) -> CommensuratePair:
     """Inverse solve: k given m."""
-    if m == 1.0:
-        return CommensuratePair(beta=beta, k=0.0, m=1.0)
     if not 0.0 < m < 1.0:
-        raise ValueError("m must lie in (0, 1]")
+        raise ValueError(f"m must lie in (0, 1), got {m}")
     target = (1.0 - m) * ellip_k(m) ** 4
     k = _bisect(lambda k: 16.0 * k * ellip_k(k) ** 4 - target, 1e-18, find_kstar())
     return CommensuratePair(beta=beta, k=k, m=m)
@@ -137,7 +129,7 @@ def solve_commensurability_from_m(m: float, beta: float = 1.0) -> CommensuratePa
 
 
 def _alpha(beta: float, k: float, m: float) -> float:
-    return beta * ((1.0 - m) / k) ** 0.25 if k > 0.0 else 0.0
+    return beta * ((1.0 - m) / k) ** 0.25
 
 
 def _a1a2(beta: float, k: float, m: float) -> tuple[float, float]:
@@ -152,8 +144,6 @@ def _a1a2(beta: float, k: float, m: float) -> tuple[float, float]:
 
 
 def _mass(beta: float, k: float, m: float) -> float:
-    if k == 0.0:
-        return 4.0 * beta
     return 4.0 * beta * (ellip_e(m) + 4.0 * (ellip_k(k) / ellip_k(m)) * (ellip_e(k) - ellip_k(k)))
 
 

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -101,6 +102,14 @@ class TestPeriodicity:
 
     def test_sg(self):
         fam = br.SgBreather(beta=0.5, v=0.7)
+        assert br.periodicity_check(fam) < 1e-10
+
+    def test_left_moving_sg(self):
+        fam = br.SgBreather(beta=0.5, v=-0.3, x1=0.2, x2=-0.4)
+        assert br.periodicity_check(fam) < 1e-10
+
+    def test_gardner(self):
+        fam = br.GardnerBreather(alpha=0.5, beta=1.0, mu=0.1, x1=0.1, x2=0.3)
         assert br.periodicity_check(fam) < 1e-10
 
     def test_kksh_spatial_and_time(self):
@@ -305,27 +314,33 @@ class TestNonzeroMean:
 
 
 class TestNormalForm:
-    def test_mkdv_spectrum_invariant_data(self):
-        fam = br.MkdvBreather(alpha=0.7, beta=1.1, x1=0.4, x2=0.9)
+    # each family at t != 0 with x1, x2 != 0, and the x-translation that
+    # takes its second phase to x2 = 0: that phase is x + shift(family, t)
+    @pytest.mark.parametrize("family, shift", [
+        pytest.param(br.MkdvBreather(alpha=0.7, beta=1.1, x1=0.4, x2=0.9),
+                     lambda f, t: f.gamma * t + f.x2, id="mkdv"),
+        pytest.param(br.GardnerBreather(alpha=0.5, beta=1.0, mu=0.1, x1=0.4, x2=0.9),
+                     lambda f, t: f.gamma * t + f.x2, id="gardner"),
+        pytest.param(br.KkshBreather(beta=1.2, k=0.02, x1=0.4, x2=0.9),
+                     lambda f, t: f.gamma * t + f.x2, id="kksh"),
+        pytest.param(br.SgBreather(beta=0.6, v=0.4, x1=0.2, x2=0.5),
+                     lambda f, t: -f.v * t + f.x2, id="sg"),
+    ])
+    def test_same_field_translated_in_x(self, family, shift):
         t = 0.83
-        nf = br.normal_form(fam, t)
-        assert nf.x2 == 0.0
-        # the normal form is the same field translated in x
+        nf = br.normal_form(family, t)
+        assert nf.x2 == 0.0 and type(nf) is type(family)
         xs = np.linspace(-5, 5, 41)
-        shift = fam.gamma * t + fam.x2
-        orig = fam.eval(t, xs, deg=0).value
-        normal = nf.eval(0.0, xs + shift, deg=0).value
+        orig = family.eval(t, xs, deg=0).value
+        normal = nf.eval(0.0, xs + shift(family, t), deg=0).value
         assert np.max(np.abs(orig - normal)) < 1e-12
 
-    def test_sg_normal_form(self):
-        fam = br.SgBreather(beta=0.6, v=0.4, x1=0.2, x2=0.5)
-        t = 0.31
-        nf = br.normal_form(fam, t)
-        xs = np.linspace(-5, 5, 41)
-        shift = -fam.v * t + fam.x2
-        orig = fam.eval(t, xs, deg=0).value
-        normal = nf.eval(0.0, xs + shift, deg=0).value
-        assert np.max(np.abs(orig - normal)) < 1e-12
+    @pytest.mark.parametrize("family", [f for f in _FAMILIES if f.kind in (
+        "nonzero-mean", "mkdv-soliton", "gardner-soliton", "sg-kink")], ids=lambda f: f.kind)
+    def test_rejects_families_without_an_operator(self, family):
+        message = f"no linearized operator for family kind {family.kind!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            br.normal_form(family, 0.3)
 
 
 def test_field_jet_rejects_excessive_order():

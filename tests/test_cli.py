@@ -100,6 +100,10 @@ class TestSpectrumCommand:
         assert run(["spectrum", "--family", "sg", "--beta", "2.0", "--v", "0.0"]) == 2
         assert "error" in capsys.readouterr().err
 
+    def test_m_at_the_line_endpoint_exit_2(self, capsys):
+        assert run(["spectrum", "--family", "kksh", "--m", "1"]) == 2
+        assert "m must lie in (0, 1), got 1.0" in capsys.readouterr().err
+
     @pytest.mark.parametrize("argv,flag", [
         (["spectrum", "--family", "gardner", "--alpha", "0.5", "--beta", "1"], "--mu"),
         (["residual", "--family", "gardner", "--alpha", "0.5", "--beta", "1"], "--mu"),

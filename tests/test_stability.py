@@ -83,9 +83,11 @@ class TestCommensurability:
         right = 2 * ellip_k(pair.m) / pair.beta
         assert left == pytest.approx(right, rel=1e-10)
 
-    def test_degenerate_endpoint(self):
-        pair = st.solve_commensurability(0.0)
-        assert pair.m == 1.0 and pair.alpha == 0.0 and math.isinf(pair.period)
+    def test_degenerate_endpoint_rejected(self):
+        with pytest.raises(ValueError, match=r"k must lie in \(0, "):
+            st.solve_commensurability(0.0)
+        with pytest.raises(ValueError, match=r"^m must lie in \(0, 1\), got 1.0$"):
+            st.solve_commensurability_from_m(1.0)
 
 
 class TestPeriodicMass:
@@ -120,10 +122,11 @@ class TestVariationalCoefficients:
         assert a1 == pytest.approx(2 * (1.0 - pair.alpha**2), abs=1e-4)
         assert a2 == pytest.approx((pair.alpha**2 + 1.0) ** 2, abs=1e-3)
 
-    def test_endpoint_values(self):
-        a1, a2 = st.coeffs_a1a2(1.0, 0.0)
-        assert a1 == pytest.approx(2.0, rel=1e-14)
-        assert a2 == pytest.approx(1.0, rel=1e-14)
+    def test_endpoint_rejected(self):
+        with pytest.raises(ValueError, match=r"k must lie in \(0, "):
+            st.coeffs_a1a2(1.0, 0.0)
+        with pytest.raises(ValueError, match=r"k must lie in \(0, "):
+            st.periodic_mass(1.0, 0.0)
 
 
 class TestDiscriminant:
