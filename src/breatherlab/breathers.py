@@ -6,6 +6,10 @@ y1, y2 that are affine in (t, x).  ``eval`` builds the profile as a
 :class:`FieldJet` carrying the affine chain maps, so arbitrary mixed
 (t, x, x1, x2)-partials up to the jet degree come out exact to roundoff.
 
+A family's role is its class: the five breathers derive from :class:`Breather`
+(they recur and fix their Lyapunov multipliers), the sine-Gordon breather and
+kink from :class:`WaveFamily`, and the other families solve Gardner or mKdV.
+
 The mKdV, Gardner, periodic and sine-Gordon breathers state their phases
 once, as ``phase_maps`` and ``phase_period``: the phase jets, the chain maps,
 the recurrence period and shift, and ``normal_form`` (the t = 0, x2 = 0
@@ -15,9 +19,8 @@ The oscillatory families are evaluated through rational derivative forms
 amp * (N_x D - N D_x) / (D^2 + N^2) instead of differentiating an arctan,
 which keeps every evaluation branch- and pole-free.
 
-The wave-equation families (``WAVE_KINDS``) are one field jet as well: the
-phase-space partner B_t of their field B, and its x-derivatives, are read as
-``partial(nt=1, nx=j)``.
+A wave family is one field jet as well: the phase-space partner B_t of its
+field B, and its x-derivatives, are read as ``partial(nt=1, nx=j)``.
 """
 
 from __future__ import annotations
@@ -128,7 +131,21 @@ class _ScalarFamily:
     quadratic = 0.0
 
 
-class _TwoPhaseBreather:
+class Breather:
+    """A breather: B(t + T, x) = B(t, x - L) with T = ``time_period`` and
+    L = ``space_shift``, and its Lyapunov functional has fixed multipliers."""
+
+
+class WaveFamily:
+    """A solution of the sine-Gordon equation B_tt - B_xx + sin B = 0 moving
+    at velocity v; a subclass holds v."""
+
+    @property
+    def lorentz(self) -> float:
+        return 1.0 / math.sqrt(1.0 - self.v * self.v)
+
+
+class _TwoPhaseBreather(Breather):
     """A breather in the phases y_i = dx_i x + dt_i t + x_i, ``phase_maps`` =
     ((dt_1, dt_2), (dx_1, dx_2)) with dx_2 = 1, of period ``phase_period`` in
     y1; a subclass holds x1 and x2.  The defaults are ((delta, gamma), (1, 1))
@@ -263,7 +280,7 @@ class GardnerBreather(_LineBreather):
 
 
 @dataclass(frozen=True)
-class SgBreather(_TwoPhaseBreather):
+class SgBreather(WaveFamily, _TwoPhaseBreather):
     beta: float
     v: float = 0.0
     x1: float = 0.0
@@ -278,10 +295,6 @@ class SgBreather(_TwoPhaseBreather):
             raise ValueError("breather velocity must satisfy |v| < 1")
         if not 0.0 < self.beta < self.lorentz:
             raise ValueError("breather scaling must satisfy 0 < beta < (1 - v^2)^{-1/2}")
-
-    @property
-    def lorentz(self) -> float:
-        return 1.0 / math.sqrt(1.0 - self.v * self.v)
 
     @property
     def alpha(self) -> float:
@@ -427,8 +440,14 @@ def _coprime(p: int, q: int) -> bool:
     return math.gcd(abs(p), abs(q)) == 1
 
 
+def _check_p_q(p: int, q: int) -> None:
+    """Reject p, q that give no two distinct phase periods (c2 = c1)."""
+    if p == 0 or q == 0 or abs(p) == abs(q):
+        raise ValueError(f"p, q must be nonzero integers with |p| != |q|, got p={p}, q={q}")
+
+
 @dataclass(frozen=True)
-class NonzeroMeanBreather(_ScalarFamily):
+class NonzeroMeanBreather(Breather, _ScalarFamily):
     """Periodic breather sitting on a nonzero constant background.
 
     The two trig phases share the spatial period L = 2 pi q / sqrt(2 mu^2 - c1),
@@ -451,8 +470,7 @@ class NonzeroMeanBreather(_ScalarFamily):
             raise ValueError("mean level mu must be positive")
         if not 0.0 < self.c1 < 2 * self.mu**2:
             raise ValueError("need 0 < c1 < 2 mu^2")
-        if self.p == 0 or self.q == 0 or self.p == self.q:
-            raise ValueError("p, q must be distinct nonzero integers")
+        _check_p_q(self.p, self.q)
         if not _coprime(self.p, self.q):
             raise ValueError("p, q must be coprime")
         if not 0.0 < self.c2 < 2 * self.mu**2:
@@ -597,12 +615,13 @@ class GardnerSoliton(_Soliton):
 
 
 @dataclass(frozen=True)
-class SgKink:
+class SgKink(WaveFamily):
     v: float = 0.0
     x0: float = 0.0
 
     kind: ClassVar[str] = "sg-kink"
     domain: ClassVar[str] = "line"
+    wavenumber = 0.0
 
     def __post_init__(self):
         check_finite(self)
@@ -610,16 +629,8 @@ class SgKink:
             raise ValueError("kink velocity must satisfy |v| < 1")
 
     @property
-    def lorentz(self) -> float:
-        return 1.0 / math.sqrt(1.0 - self.v * self.v)
-
-    @property
     def decay_rate(self) -> float:
         return self.lorentz
-
-    @property
-    def wavenumber(self) -> float:
-        return 0.0
 
     def envelope_center(self, t: float) -> float:
         return self.v * t + self.x0
@@ -648,12 +659,6 @@ FAMILIES = {cls.kind: cls for cls in (
 # checks and transformations
 # ---------------------------------------------------------------------------
 
-_BREATHER_KINDS = ("mkdv", "gardner", "sg", "kksh", "nonzero-mean")
-# the families that solve the sine-Gordon wave equation B_tt - B_xx + sin B = 0,
-# whose phase space holds the pair (B, B_t)
-WAVE_KINDS = ("sg", "sg-kink")
-
-
 def periodicity_check(family, n_points: int = 40, seed: int = 0) -> float:
     """Max defect of the breather recurrence B(t+T, x) = B(t, x - L).
 
@@ -662,13 +667,13 @@ def periodicity_check(family, n_points: int = 40, seed: int = 0) -> float:
     is one family evaluation over the whole (t, x) grid; a NaN anywhere makes
     the result NaN.
     """
-    if family.kind not in _BREATHER_KINDS:
+    if not isinstance(family, Breather):
         raise ValueError("periodicity check applies to breather families only")
     rng = np.random.default_rng(seed)
     ts = rng.uniform(-2.0, 2.0, size=n_points)
     xs = rng.uniform(-8.0, 8.0, size=n_points)
     T, L = family.time_period, family.space_shift
-    deg = 1 if family.kind in WAVE_KINDS else 0  # the defect reads B, and B_t for the wave kinds
+    deg = 1 if isinstance(family, WaveFamily) else 0  # the defect reads B, and B_t for a wave family
 
     def values(t, x):
         out = family.eval(t, x, deg=deg)
@@ -725,10 +730,11 @@ def shift_direction_callable(family, nt: int = 0, n1: int = 0, n2: int = 0, t: f
 
 def solve_mean_level(c1: float, c2: float, p: int, q: int) -> float:
     """Background level mu making (c1, c2, p, q) commensurate."""
-    num = p * p * c1 - q * q * c2
-    den = 2.0 * (p * p - q * q)
-    mu2 = num / den
-    if mu2 <= max(c1, c2) / 2.0:
+    if not (math.isfinite(c1) and math.isfinite(c2)):
+        raise ValueError(f"c1 and c2 must be finite, got {c1} and {c2}")
+    _check_p_q(p, q)
+    mu2 = (p * p * c1 - q * q * c2) / (2.0 * (p * p - q * q))
+    if not mu2 > max(c1, c2) / 2.0:
         raise ValueError("no positive background level for these parameters")
     return math.sqrt(mu2)
 

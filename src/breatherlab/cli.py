@@ -45,7 +45,10 @@ MAX_GRID_POINTS = 10_000
 def _parse_values(spec: str) -> list[float]:
     """Value list: comma-separated, or an a:b:step range (inclusive ends)."""
     if ":" in spec:
-        a, b, step = (float(s) for s in spec.split(":"))
+        parts = spec.split(":")
+        if len(parts) != 3:
+            raise ValueError(f"grid {spec!r} must be a:b:step")
+        a, b, step = (float(s) for s in parts)
         if not all(math.isfinite(v) for v in (a, b, step)):
             raise ValueError(f"grid {spec!r} needs finite a, b and step")
         if not (step > 0.0 and a <= b):
@@ -171,14 +174,12 @@ def _write_text(path, text: str):
 
 def _problem(family, n: int, t: float = 0.0):
     """The Galerkin problem of the family's operator at time t: n Hermite
-    functions per slot for sg, n + 1 for the other line families, and
-    2n + 1 trig functions on the torus."""
+    functions per slot for a two-slot (wave) operator, n + 1 for a scalar one
+    on the line, and 2n + 1 trig functions on the torus."""
     op = linops.operator_for(family, t)
     if family.domain == "torus":
         return galerkin.fourier_problem(op, n)
-    if family.kind == "sg":
-        return galerkin.hermite_problem(op, n - 1)
-    return galerkin.hermite_problem(op, n)
+    return galerkin.hermite_problem(op, n - 1 if op.slots == 2 else n)
 
 
 def _gap_text(cls) -> str:
@@ -318,6 +319,8 @@ def cmd_residual(args) -> int:
         )
     if args.grid_points < 2:
         raise ValueError(f"--grid-points must be at least 2, got {args.grid_points}")
+    if args.grid_points > MAX_GRID_POINTS:
+        raise ValueError(f"--grid-points must be at most {MAX_GRID_POINTS}, got {args.grid_points}")
     if family.domain == "torus":
         x = np.linspace(0.0, family.period, args.grid_points, endpoint=False)
     else:

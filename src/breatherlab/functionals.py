@@ -14,13 +14,11 @@ import math
 import numpy as np
 
 from . import linops
-from .breathers import WAVE_KINDS, FieldJet
+from .breathers import Breather, FieldJet, WaveFamily
 from .jets import Jet2
 from .quadrature import TorusPlan, checked_integral, line_plan
 
 SQRT2 = math.sqrt(2.0)
-# the breathers whose Lyapunov multipliers are (a1, a2) of energy and mass
-_SCALAR_BREATHERS = ("mkdv", "gardner", "kksh", "nonzero-mean")
 
 
 def family_plan(family, t: float = 0.0):
@@ -35,11 +33,11 @@ def family_plan(family, t: float = 0.0):
     return line_plan(family, 24.0 * family.wavenumber, t)
 
 
-def field_arrays(family, t, x, deg: int = 2) -> dict:
+def field_arrays(family, t, x) -> dict:
     """Grids of the field and, for wave families, of its time derivative."""
-    f = family.eval(t, x, deg=deg)
+    f = family.eval(t, x, deg=2)
     out = {"u": f.value, "ux": f.partial(nx=1), "uxx": f.partial(nx=2)}
-    if family.kind in WAVE_KINDS:
+    if isinstance(family, WaveFamily):
         out.update(ut=f.partial(nt=1), utx=f.partial(nt=1, nx=1))
     return out
 
@@ -92,17 +90,17 @@ def _sg_integrands():
 
 
 def _lyapunov_coefficients(family) -> dict:
-    if family.kind == "sg":
+    # a soliton fixes no combination, nor the kink, which admits a whole line of (a, b)
+    if not isinstance(family, Breather):
+        raise ValueError(f"no Lyapunov combination for family kind {family.kind!r}")
+    if isinstance(family, WaveFamily):
         return {"f": 1.0, "energy": family.a, "momentum": family.b}
-    if family.kind in _SCALAR_BREATHERS:
-        a1, a2 = family.a1a2
-        return {"f": 1.0, "energy": a1, "mass": a2}
-    # the kink admits a whole line of (a, b), so it fixes no combination
-    raise ValueError(f"no Lyapunov combination for family kind {family.kind!r}")
+    a1, a2 = family.a1a2
+    return {"f": 1.0, "energy": a1, "mass": a2}
 
 
 def _integrand_table(family) -> dict:
-    if family.kind in WAVE_KINDS:
+    if isinstance(family, WaveFamily):
         return _sg_integrands()
     return _mkdv_integrands(family.quadratic, family.level)
 
@@ -216,25 +214,20 @@ def stationary_residual(family, x=None, t: float = 0.0, ab=None):
     """
     if x is None:
         x = _default_grid(family, t)
-    kind = family.kind
-    if kind in _SCALAR_BREATHERS:
-        f = family.eval(t, x, deg=4)
-        return _relative_residual(_mkdv_terms(f, *family.a1a2, family.quadratic, family.level))
-    if kind in ("mkdv-soliton", "gardner-soliton"):
-        f = family.eval(t, x, deg=2)
-        Q, Qxx = f.value, f.partial(nx=2)
-        terms = [Qxx, -family.c * Q, Q**3]
-        if kind == "gardner-soliton":
-            terms.insert(2, family.mu * Q**2)
-        return _relative_residual(terms)
-    if kind in WAVE_KINDS:
+    if isinstance(family, WaveFamily):
         if ab is None:
-            if kind == "sg-kink":
+            if not isinstance(family, Breather):
                 raise ValueError("the kink carries no (a, b); pass ab explicitly")
             ab = (family.a, family.b)
         first, second = _sg_terms(family.eval(t, x, deg=4), *ab)
         return _relative_residual(first), _relative_residual(second)
-    raise ValueError(f"no stationary equation for family kind {kind!r}")
+    if isinstance(family, Breather):
+        f = family.eval(t, x, deg=4)
+        return _relative_residual(_mkdv_terms(f, *family.a1a2, family.quadratic, family.level))
+    # a soliton: Q'' - c Q + q Q^2 + Q^3 = 0, where q Q^2 is an exact zero for mKdV
+    f = family.eval(t, x, deg=2)
+    Q, Qxx = f.value, f.partial(nx=2)
+    return _relative_residual([Qxx, -family.c * Q, family.quadratic * Q**2, Q**3])
 
 
 def pde_residual(family, n_points: int = 100) -> float:
@@ -251,11 +244,12 @@ def pde_residual(family, n_points: int = 100) -> float:
     else:
         xs = rng.uniform(-8.0, 8.0, size=n_points)
     out = family.eval(ts, xs, deg=4)
-    if family.kind in WAVE_KINDS:
+    if isinstance(family, WaveFamily):
         r = out.partial(nt=2) - out.partial(nx=2) + np.sin(out.value)
     else:
         u = out.value
-        mu = family.mu if family.kind in ("gardner", "gardner-soliton") else 0.0
+        # u - level solves Gardner(quadratic), so u solves Gardner(quadratic - 3 level)
+        mu = family.quadratic - 3.0 * family.level
         r = (
             out.partial(nt=1)
             + out.partial(nx=3)

@@ -128,7 +128,7 @@ def operator_for(family, t: float = 0.0):
     """Linearization of a breather's stationary equation about its normal
     form at time t."""
     nf = breathers.normal_form(family, t)
-    return (SgBlockOperator if nf.kind == "sg" else ScalarOperator)(nf)
+    return (SgBlockOperator if isinstance(nf, breathers.WaveFamily) else ScalarOperator)(nf)
 
 
 # ---------------------------------------------------------------------------

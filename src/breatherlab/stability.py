@@ -152,11 +152,6 @@ def periodic_mass(beta: float, k: float) -> float:
     return _mass(beta, k, solve_commensurability(k, beta).m)
 
 
-def coeffs_a1a2(beta: float, k: float) -> tuple[float, float]:
-    """Variational coefficients of the periodic stationary equation."""
-    return _a1a2(beta, k, solve_commensurability(k, beta).m)
-
-
 def _elliptic_pair(m: float) -> tuple[float, float, float, float]:
     """K(m), E(m) and their m-derivatives (DLMF 19.4.1 in the parameter form)."""
     K, E = ellip_k(m), ellip_e(m)

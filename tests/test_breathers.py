@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from breatherlab import breathers as br
+from breatherlab import cli, linops
 from breatherlab import functionals as fn
 from breatherlab import stability as st
 
@@ -341,6 +342,42 @@ class TestNormalForm:
         message = f"no linearized operator for family kind {family.kind!r}"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             br.normal_form(family, 0.3)
+
+
+class TestRolesFromTheClass:
+    """A family's role is read from its class, never from its ``kind`` name:
+    a subclass under a new name behaves as its parent."""
+
+    @pytest.mark.parametrize("parent", [
+        br.MkdvBreather(alpha=0.9, beta=1.0, x1=0.3, x2=-0.2),
+        br.SgBreather(beta=0.5, v=0.3, x1=0.2, x2=0.1),
+    ], ids=lambda f: f.kind)
+    def test_renamed_subclass_gives_its_parents_values(self, parent):
+        cls = type("Renamed", (type(parent),), {"kind": parent.kind + "-renamed"})
+        child = cls(**{f.name: getattr(parent, f.name) for f in dataclasses.fields(parent)})
+        assert child.kind not in br.FAMILIES
+        assert br.periodicity_check(child) == br.periodicity_check(parent)
+        assert fn.stationary_residual(child) == fn.stationary_residual(parent)
+        assert fn.pde_residual(child, n_points=20) == fn.pde_residual(parent, n_points=20)
+        assert fn.evaluate_functional("lyapunov", child) == fn.evaluate_functional("lyapunov", parent)
+        assert type(linops.operator_for(child)) is type(linops.operator_for(parent))
+        assert cli._problem(child, 10).dim == cli._problem(parent, 10).dim
+
+    @pytest.mark.parametrize("family", [f for f in _FAMILIES if not isinstance(f, br.Breather)],
+                             ids=lambda f: f.kind)
+    def test_solitons_and_kink_keep_their_messages(self, family):
+        with pytest.raises(ValueError, match="^periodicity check applies to breather families only$"):
+            br.periodicity_check(family)
+        message = f"no Lyapunov combination for family kind {family.kind!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            fn.evaluate_functional("lyapunov", family)
+        with pytest.raises(ValueError, match="^no linearized operator for family kind"):
+            linops.operator_for(family)
+        if isinstance(family, br.WaveFamily):
+            with pytest.raises(ValueError, match=re.escape("the kink carries no (a, b); pass ab explicitly")):
+                fn.stationary_residual(family)
+        else:
+            assert fn.stationary_residual(family) < 1e-10
 
 
 def test_field_jet_rejects_excessive_order():

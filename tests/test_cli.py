@@ -448,6 +448,8 @@ def test_non_finite_family_parameter_exit_2(family, bad, capsys):
     ["stability", "--k", "0:0.05:1e-9"],
     ["sweep", "--family", "mkdv", "--alpha", "0.5", "--param", "x1", "--values", "0:1:0"],
     ["sweep", "--family", "mkdv", "--alpha", "0.5", "--param", "x1", "--values", "1:0:-0.5"],
+    ["sweep", "--family", "mkdv", "--alpha", "0.5", "--param", "x1", "--values", "1:2"],
+    ["stability", "--k", "0.01:0.02"],
 ])
 def test_bad_value_grid_exit_2(argv, capsys):
     assert run(argv) == 2
@@ -486,6 +488,40 @@ _MKDV = ["--family", "mkdv", "--alpha", "0.5"]
 def test_bad_run_flag_exit_2(argv, flag, capsys):
     assert run(argv) == 2
     assert flag in capsys.readouterr().err
+
+
+def test_residual_grid_points_above_the_bound_exit_2(monkeypatch, capsys):
+    def no_grid(*args, **kwargs):
+        raise AssertionError("a grid was allocated")
+
+    monkeypatch.setattr(cli.np, "linspace", no_grid)
+    assert run(["residual", *_MKDV, "--grid-points=10001"]) == 2
+    assert capsys.readouterr().err == "error: --grid-points must be at most 10000, got 10001\n"
+
+
+_NONZERO_MEAN = ["--family", "nonzero-mean", "--mu", "1.3", "--c1", "0.9"]
+
+
+@pytest.mark.parametrize("argv,message", [
+    pytest.param(["residual", *_NONZERO_MEAN, "--p", "1", "--q", "-1"],
+                 "|p| != |q|, got p=1, q=-1", id="residual"),
+    pytest.param(["conserved", *_NONZERO_MEAN, "--p", "-1", "--q", "1", "--kind", "mass"],
+                 "|p| != |q|, got p=-1, q=1", id="conserved"),
+    pytest.param(["backlund", "--mu", "1.3", "--c1", "0.9", "--p", "1", "--q", "-1"],
+                 "|p| != |q|, got p=1, q=-1", id="backlund-mu"),
+    pytest.param(["backlund", "--c1", "1", "--c2", "0.5", "--p", "2", "--q", "2"],
+                 "|p| != |q|, got p=2, q=2", id="backlund-c2"),
+    pytest.param(["backlund", "--c1", "1", "--c2", "0.5", "--p", "2", "--q", "-2"],
+                 "|p| != |q|, got p=2, q=-2", id="backlund-c2-opposite"),
+    pytest.param(["backlund", "--c1", "1", "--p", "1", "--q", "2", "--c2", "nan"],
+                 "c1 and c2 must be finite, got 1.0 and nan", id="backlund-nan-c2"),
+    pytest.param(["backlund", "--c1", "inf", "--p", "1", "--q", "2", "--c2", "1"],
+                 "c1 and c2 must be finite, got inf and 1.0", id="backlund-inf-c1"),
+])
+def test_nonzero_mean_degenerate_parameters_exit_2(argv, message, capsys):
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and message in err
 
 
 @pytest.mark.parametrize("command", ["residual", "spectrum", "conserved"])
@@ -694,3 +730,6 @@ def test_value_range_parsing():
     assert vals == pytest.approx([0.0, 0.25, 0.5, 0.75, 1.0])
     # the stability sweep's grid: a + i step, unchanged by the validation
     assert cli._parse_values("0.001:0.058:0.0005") == [0.001 + i * 0.0005 for i in range(115)]
+    for spec in ("1:2", "0.01:0.02", "0:1:0.5:2"):
+        with pytest.raises(ValueError, match=re.escape(f"grid {spec!r} must be a:b:step")):
+            cli._parse_values(spec)

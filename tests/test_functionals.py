@@ -262,7 +262,7 @@ class TestNonzeroMeanIsGardnerInTheShiftedField:
 
 @pytest.mark.parametrize("beta,k", [(1.0, 0.03), (0.5, 0.001), (2.0, 0.05), (1.0, 1e-5)])
 def test_kksh_multipliers_equal_the_period_lock_oracle(beta, k):
-    assert br.KkshBreather(beta=beta, k=k).a1a2 == st.coeffs_a1a2(beta, k)
+    assert br.KkshBreather(beta=beta, k=k).a1a2 == st._a1a2(beta, k, st.solve_commensurability(k, beta).m)
 
 
 def test_kink_has_no_lyapunov_combination():

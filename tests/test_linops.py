@@ -238,7 +238,7 @@ class TestReductions:
         assert linops.operator_for(fam).family.a1a2 == fam.a1a2
 
     def test_kksh_a1_a2_limits_at_small_k(self):
-        a1, a2 = st.coeffs_a1a2(1.0, 1e-5)
+        a1, a2 = br.KkshBreather(beta=1.0, k=1e-5).a1a2
         pair = st.solve_commensurability(1e-5)
         assert a1 == pytest.approx(2 * (1.0 - pair.alpha**2), abs=1e-4)
         assert a2 == pytest.approx((pair.alpha**2 + 1.0) ** 2, abs=1e-3)

@@ -20,21 +20,21 @@ def _central(f, x, h):
 
 def richardson_d_hg(beta, k, constraint, hk=1e-6, hb=1e-6):
     """D and HG from Richardson differences: of the closed forms at the locked
-    m ("frozen"), or of ``coeffs_a1a2``/``periodic_mass``, which re-solve the
-    period lock at every displaced k ("resolved")."""
+    m ("frozen"), or of ``KkshBreather.a1a2``/``periodic_mass``, which re-solve
+    the period lock at every displaced k ("resolved")."""
     if constraint == "frozen":
         m = st.solve_commensurability(k, beta).m
         a1a2 = lambda kk: st._a1a2(beta, kk, m)
         mass = lambda kk: st._mass(beta, kk, m)
     else:
-        a1a2 = lambda kk: st.coeffs_a1a2(beta, kk)
+        a1a2 = lambda kk: breathers.KkshBreather(beta=beta, k=kk).a1a2
         mass = lambda kk: st.periodic_mass(beta, kk)
     hbeta = hb * max(1.0, beta)
     a1_k = _central(lambda kk: a1a2(kk)[0], k, hk)
     a2_k = _central(lambda kk: a1a2(kk)[1], k, hk)
     mass_k = _central(mass, k, hk)
-    a1_b = _central(lambda b: st.coeffs_a1a2(b, k)[0], beta, hbeta)
-    a2_b = _central(lambda b: st.coeffs_a1a2(b, k)[1], beta, hbeta)
+    a1_b = _central(lambda b: breathers.KkshBreather(beta=b, k=k).a1a2[0], beta, hbeta)
+    a2_b = _central(lambda b: breathers.KkshBreather(beta=b, k=k).a1a2[1], beta, hbeta)
     mass_b = _central(lambda b: st.periodic_mass(b, k), beta, hbeta)
     d = a1_k * a2_b - a2_k * a1_b
     return d, (a1_k * mass_b - a1_b * mass_k) / d
@@ -111,20 +111,20 @@ class TestVariationalCoefficients:
         # the first coefficient equals minus half the sum of the two phase speeds
         beta, k = 1.0, 0.02
         pair = st.solve_commensurability(k, beta)
-        a1, _ = st.coeffs_a1a2(beta, k)
+        a1, _ = breathers.KkshBreather(beta=beta, k=k).a1a2
         delta = pair.alpha**2 * (1 + k) + 3 * beta**2 * (pair.m - 2)
         gamma = 3 * pair.alpha**2 * (1 + k) + beta**2 * (pair.m - 2)
         assert a1 == pytest.approx(-(delta + gamma) / 2.0, abs=1e-12)
 
     def test_line_limits(self):
-        a1, a2 = st.coeffs_a1a2(1.0, 1e-5)
+        a1, a2 = breathers.KkshBreather(beta=1.0, k=1e-5).a1a2
         pair = st.solve_commensurability(1e-5)
         assert a1 == pytest.approx(2 * (1.0 - pair.alpha**2), abs=1e-4)
         assert a2 == pytest.approx((pair.alpha**2 + 1.0) ** 2, abs=1e-3)
 
     def test_endpoint_rejected(self):
         with pytest.raises(ValueError, match=r"k must lie in \(0, "):
-            st.coeffs_a1a2(1.0, 0.0)
+            breathers.KkshBreather(beta=1.0, k=0.0).a1a2
         with pytest.raises(ValueError, match=r"k must lie in \(0, "):
             st.periodic_mass(1.0, 0.0)
 
