@@ -5,13 +5,14 @@ never a pre-symmetrized form: slot block (i, j) of M is the sum over the
 nodes of w f L_ij[f], where L_ij sums the terms of row slot i and column
 slot j in ``op.terms(op.coefficients(x))``, the operator's only statement.
 
-On the line (Hermite basis, Gauss-Legendre panels) ``jets.apply`` sums each
-column's terms on the basis derivative stack, over fixed blocks of nodes.
-Problems that share a basis and a plan (the rows of a sweep) share each
-block's stack: ``assemble_all`` builds it once and adds each problem's block
-sum to its own matrix, in the order that problem alone would add it.  On the
-torus the trapezoid rule on N uniform nodes is a discrete Fourier transform,
-so the same sum is formed from transforms: in the complex basis e^{i w_p x}
+On the line (Hermite basis, trapezoid nodes on a window past which every
+basis function is below 6e-24) ``jets.apply`` sums each column's terms on
+the basis derivative stack, over fixed blocks of nodes.  Problems that share
+a basis and a plan (the rows of a sweep) share each block's stack:
+``assemble_all`` builds it once and adds each problem's block sum to its own
+matrix, in the order that problem alone would add it.  On the torus the
+trapezoid rule on N uniform nodes is a discrete Fourier transform, so the
+same sum is formed from transforms: in the complex basis e^{i w_p x}
 a term of order r adds c^[(p - q) mod N] (i w_q)^r, c^ = fft(c) / N, for a
 coefficient grid c, and c (i w_q)^r where p = q mod N for a constant c; the
 real basis follows by a fixed unitary change of basis.  So this is exactly
@@ -21,9 +22,11 @@ The asymmetry of M, measured before symmetrization, is a genuine quality
 metric for the operator coefficients (on the torus it still tests
 c1 = c2') and the quadrature.  Assembly runs at two node densities; the
 entry drift between them is reported and must stay below 1e-9 for a healthy
-run.  The trapezoid levels are nested (the N nodes are every other one of
-the 2N, bitwise), so the coefficients are evaluated once, on the 2N nodes,
-and the N-node sum reads every other value.
+run.  On both bases the trapezoid levels are nested (the N nodes are every
+other one of the 2N, bitwise), so each node is evaluated once, on the 2N
+nodes: on the torus the N-node sum reads every other coefficient value, and
+on the line the sum over the even nodes, at the fine weight, is half the
+N-node matrix and the even and odd sums add to the 2N-node one.
 """
 
 from __future__ import annotations
@@ -35,16 +38,19 @@ from typing import Optional
 import numpy as np
 
 from .jets import apply
-from .quadrature import LinePlan, TorusPlan, panel_order
+from .quadrature import TorusPlan
 from .specfun import FourierBasis, HermiteBasis
 
 ASYMMETRY_FLAG = 1e-6
 DRIFT_FLAG = 1e-9
 # Nodes per assembly block.  A block holds its basis stack (five (size, nodes)
 # arrays) and the operator applied to it, so the block size bounds assembly
-# memory: mKdV at n = 160 (3150 nodes at the finer level) peaks at 23 MiB with
-# 2048-node blocks and at 32 MiB with the whole grid at once.
+# memory: mKdV at n = 160 (1792 fine nodes, summed as two halves of 896, one
+# block each) peaks at 9.4 MiB of Python allocations, and at 6.8 MiB with
+# 512-node blocks.
 NODE_BLOCK = 2048
+# Hermite node counts are rounded up to a multiple of this: see default_hermite_plan
+NODE_STEP = 64
 
 
 class AssemblyError(RuntimeError):
@@ -63,20 +69,28 @@ class GalerkinProblem:
         return self.operator.slots * self.basis.size
 
 
-def default_hermite_plan(operator, n_basis: int) -> LinePlan:
-    """Window from the basis alone, panel order from both scales of w f_i L[f_j].
+def default_hermite_plan(operator, n_basis: int) -> TorusPlan:
+    """Trapezoid nodes on the window [-X, X) of the basis, at a step from the
+    three scales of w f_i L[f_j].
 
-    Every term carries a basis function, so the half width is the turning
-    point x_t = sqrt(2(n + 5)) of the stacked indices plus a Gaussian-tail
-    margin of 8; there every stacked |f_k^(r)| is below 6e-24 for n <= 300.
-    The wavenumber is the basis pair's 2 x_t plus twice the profile's k, or
-    the potential's 6 k where that is larger.
+    Every term carries a basis function, so X is the turning point
+    x_t = sqrt(2(n + 5)) of the stacked indices plus a Gaussian-tail margin
+    of 8; there every stacked |f_k^(r)| is below 6e-24 for n <= 300, so the
+    truncated rule acts as a periodic one and converges geometrically.  The
+    coarse step is H = 2 pi / K with K = 2X (the basis pair's band: Hermite
+    functions are their own Fourier transforms) + 6k (the potential's
+    harmonics) + 48 decay_rate (the profile's complex singularities lie
+    pi / (2 decay_rate) off the line; for mKdV at alpha 0.2, beta 3, n 40 a
+    strip term of 40 decay_rate leaves a drift of 1.3e-12, and 48 one of
+    6e-15).  N = 2X / H is rounded up to a multiple of NODE_STEP, so that
+    the rows of a sweep, whose scales move a little, share one plan and so
+    one stack per node block.
     """
     fam = operator.family
-    k = fam.wavenumber
-    turning = math.sqrt(2.0 * (n_basis + 5))
-    wavenumber = max(2.0 * turning + 2.0 * k, 6.0 * k)
-    return LinePlan(center=0.0, half_width=turning + 8.0, order=panel_order(wavenumber, fam.decay_rate))
+    half_width = math.sqrt(2.0 * (n_basis + 5)) + 8.0
+    band = 2.0 * half_width + 6.0 * fam.wavenumber + 48.0 * fam.decay_rate
+    n_nodes = NODE_STEP * math.ceil(half_width * band / (math.pi * NODE_STEP))
+    return TorusPlan(2.0 * half_width, n_nodes, start=-half_width)
 
 
 def hermite_problem(operator, n_max: int) -> GalerkinProblem:
@@ -160,12 +174,14 @@ def _project_torus(basis: FourierBasis, terms, n_nodes: int) -> np.ndarray:
 
 
 def _levels(problems) -> list[tuple[np.ndarray, np.ndarray]]:
-    """(coarse, fine) matrices of problems that share one basis and one plan."""
+    """(coarse, fine) matrices of problems that share one basis and one plan.
+
+    The N coarse trapezoid nodes are every other one of the 2N fine ones,
+    bitwise, so each node is evaluated once, on the 2N nodes."""
     basis, plan = problems[0].basis, problems[0].plan
+    x, w = plan.nodes_weights(2)
     if isinstance(basis, FourierBasis):
-        # the N trapezoid nodes are every other one of the 2N, bitwise, and
-        # so are the coefficient grids on them
-        x, _ = plan.nodes_weights(2)
+        # the coefficient grids on the N nodes are every other value too
         levels = []
         for problem in problems:
             op = problem.operator
@@ -173,7 +189,10 @@ def _levels(problems) -> list[tuple[np.ndarray, np.ndarray]]:
             coarse = [(i, j, r, c[::2] if np.ndim(c) else c) for i, j, r, c in fine]
             levels.append((_project_torus(basis, coarse, plan.n_nodes), _project_torus(basis, fine, x.size)))
         return levels
-    return list(zip(*(_project(problems, *plan.nodes_weights(refine)) for refine in (1, 2))))
+    # at the fine weight the even nodes sum to half the coarse matrix,
+    # bitwise: the coarse weight is twice the fine one, and scaling by 2 is exact
+    even, odd = _project(problems, x[::2], w[::2]), _project(problems, x[1::2], w[1::2])
+    return [(2.0 * e, e + o) for e, o in zip(even, odd)]
 
 
 def _assembled(coarse: np.ndarray, fine: np.ndarray) -> AssembledMatrix:

@@ -1,15 +1,17 @@
 """Quadrature plans for line and torus integrals.
 
-No plan has a default size.  Line integrals use composite Gauss-Legendre
-panels on a window around the envelope centre; ``line_plan`` sizes it from
-the integrand's decay rate (20 decay lengths, where a quadratic density is
-down by e^-40) and its wavenumber (``panel_order``).  Torus integrals use the
-periodic trapezoid rule on the N nodes the caller states; it converges
+No plan has a default size.  The functional and Weinstein line integrals use
+composite Gauss-Legendre panels on a window around the envelope centre;
+``line_plan`` sizes it from the integrand's decay rate (20 decay lengths,
+where a quadratic density is down by e^-40) and its wavenumber
+(``panel_order``).  Torus integrals, and the Galerkin line integrals on a
+window past which every integrand is negligible, use the trapezoid rule on
+N uniform nodes from the window's left end (``TorusPlan``); it converges
 geometrically once N covers the bandwidth the sum reads (Trefethen and
-Weideman, SIAM Rev. 56 (2014) 385).  Every plan doubles its node count at
-``nodes_weights(2)``, and ``checked_integral`` uses that to verify
-convergence: the drift between the two levels must stay below a relative
-1e-9 or the result is rejected.
+Weideman, SIAM Rev. 56 (2014) 385), and its N nodes are every other one of
+its 2N, bitwise.  Every plan doubles its node count at ``nodes_weights(2)``,
+and ``checked_integral`` uses that to verify convergence: the drift between
+the two levels must stay below a relative 1e-9 or the result is rejected.
 """
 
 from __future__ import annotations
@@ -86,10 +88,13 @@ def line_plan(family, wavenumber: float, t: float = 0.0) -> LinePlan:
 
 @dataclass(frozen=True)
 class TorusPlan:
-    """Periodic trapezoid rule on [0, L): equal weights, uniform nodes."""
+    """Periodic trapezoid rule on [start, start + period): equal weights,
+    uniform nodes.  The torus starts at 0; a line window whose integrands
+    vanish to rounding at both ends is a torus that starts at its left end."""
 
     period: float
     n_nodes: int
+    start: float = 0.0
 
     def __post_init__(self):
         if self.period <= 0:
@@ -99,7 +104,7 @@ class TorusPlan:
 
     def nodes_weights(self, refine: int = 1):
         n = self.n_nodes * refine
-        x = np.arange(n) * (self.period / n)
+        x = self.start + np.arange(n) * (self.period / n)
         w = np.full(n, self.period / n)
         return x, w
 

@@ -319,10 +319,18 @@ class TestOtherCommands:
         # the panel order resolves 24 times the spatial wavenumber alpha |v|;
         # at the time frequency alpha it would take more nodes per panel
         fam = br.SgBreather(beta=0.5, v=0.7)
-        order = functionals.family_plan(fam).order
+        order = functionals.family_plan(fam).order - functionals.DENSITY_MARGIN
         assert order < panel_order(24.0 * fam.alpha, fam.decay_rate)
         assert run(["conserved", "--family", "sg", "--beta", "0.5", "--v", "0.7",
                     "--kind", "energy", "--times", "0,0.7,2.1"]) == 0
+        drift = re.search(r"# max drift: (\S+)", capsys.readouterr().out).group(1)
+        assert float(drift) <= 1e-10
+
+    @pytest.mark.parametrize("mu", ["0.3", "1"])
+    def test_gardner_f_passes_the_drift_gate(self, mu, capsys):
+        # the F density cancels: its |density| integrates to 164 |F| at mu = 0.3
+        assert run(["conserved", "--family", "gardner", "--alpha", "0.5", "--beta", "1", "--mu", mu,
+                    "--kind", "f"]) == 0
         drift = re.search(r"# max drift: (\S+)", capsys.readouterr().out).group(1)
         assert float(drift) <= 1e-10
 

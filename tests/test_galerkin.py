@@ -12,7 +12,7 @@ from breatherlab import cli
 from breatherlab import galerkin as gk
 from breatherlab import linops
 from breatherlab import stability as st
-from breatherlab.quadrature import TorusPlan
+from breatherlab.quadrature import LinePlan, TorusPlan, panel_order
 from breatherlab.specfun import FourierBasis, HermiteBasis, hermite_values
 
 
@@ -85,18 +85,19 @@ class TestAssembly:
             return coefficients(op, x)
 
         monkeypatch.setattr(linops.SgBlockOperator, "coefficients", counted)
-        # the basis window fits each level in one 2048-node block
-        monkeypatch.setattr(gk, "NODE_BLOCK", 512)
+        # the basis window fits each half of the fine nodes in one 2048-node block
+        monkeypatch.setattr(gk, "NODE_BLOCK", 128)
         gk.assemble(prob)
-        nodes = [prob.plan.nodes_weights(refine)[0].size for refine in (1, 2)]
-        assert len(sizes) == sum(math.ceil(n / gk.NODE_BLOCK) for n in nodes) > 2
-        assert sum(sizes) == sum(nodes)
+        # once per fine node: the even nodes, then the odd ones, block by block
+        fine = prob.plan.nodes_weights(2)[0].size
+        assert len(sizes) == 2 * math.ceil(fine // 2 / gk.NODE_BLOCK) > 2
+        assert sum(sizes) == fine
 
     def test_node_blocks_do_not_change_the_matrix(self, monkeypatch):
         prob = gk.hermite_problem(linops.operator_for(br.MkdvBreather(alpha=0.5, beta=1.0, x1=0.8)), 40)
-        monkeypatch.setattr(gk, "NODE_BLOCK", 512)
+        monkeypatch.setattr(gk, "NODE_BLOCK", 128)
         blocked = gk.assemble(prob).matrix
-        assert prob.plan.nodes_weights(2)[0].size > 2 * gk.NODE_BLOCK
+        assert prob.plan.nodes_weights(2)[0][::2].size > 2 * gk.NODE_BLOCK
         monkeypatch.setattr(gk, "NODE_BLOCK", 10**9)
         whole = gk.assemble(prob).matrix
         assert np.max(np.abs(blocked - whole)) <= 1e-14 * np.max(np.abs(whole))
@@ -154,9 +155,10 @@ class TestSharedStack:
 
         monkeypatch.setattr(HermiteBasis, "stack", counted)
         assert cli.main(["table", "--preset", "fig8"]) == 0
-        nodes = [_sweep_problems("fig8")[0].plan.nodes_weights(refine)[0].size for refine in (1, 2)]
-        assert len(calls) == sum(math.ceil(n / gk.NODE_BLOCK) for n in nodes) == 3
-        assert sum(calls) == sum(nodes)
+        # one stack per block of the even fine nodes and one per block of the odd ones
+        fine = _sweep_problems("fig8")[0].plan.nodes_weights(2)[0].size
+        assert len(calls) == 2 * math.ceil(fine // 2 / gk.NODE_BLOCK) == 2
+        assert sum(calls) == fine
 
     def test_assemble_all_keeps_the_order_of_mixed_problems(self):
         mkdv = [gk.hermite_problem(linops.operator_for(br.MkdvBreather(alpha=0.5, beta=1.0, x1=x1)), 20)
@@ -170,14 +172,16 @@ class TestSharedStack:
 
 
 class TestHermitePlan:
-    """The window comes from the basis, the panel order from both scales."""
+    """The window comes from the basis, the step from the three scales."""
 
     @pytest.mark.parametrize("n", [1, 50, 160, 300])
     def test_window_edge_is_below_the_tail_bound(self, n):
-        edges = {gk.default_hermite_plan(linops.operator_for(br.MkdvBreather(alpha=0.5, beta=beta)), n).half_width
-                 for beta in (0.05, 1.0, 3.0)}
+        plans = [gk.default_hermite_plan(linops.operator_for(br.MkdvBreather(alpha=0.5, beta=beta)), n)
+                 for beta in (0.05, 1.0, 3.0)]
+        edges = {-plan.start for plan in plans}
         assert len(edges) == 1
         edge = edges.pop()
+        assert all(plan.period == 2.0 * edge for plan in plans)
         x = np.array([-edge, edge])
         stacked = HermiteBasis(count=n + 1).stack(x, 4) + [hermite_values(n + 4, x)]
         assert max(np.max(np.abs(v)) for v in stacked) < 6e-24
@@ -186,6 +190,65 @@ class TestHermitePlan:
     def test_narrow_and_fast_profiles_pass_the_drift_gate(self, alpha, beta, n):
         assembled = gk.assemble(gk.hermite_problem(linops.operator_for(br.MkdvBreather(alpha=alpha, beta=beta)), n))
         assert assembled.drift <= 1e-10
+
+
+def _gauss_legendre(problem):
+    """The problem on composite Gauss-Legendre panels over the same window,
+    an independent rule: the panel order resolves the basis pair's
+    wavenumber 2 x_t + 2 k, or the potential's 6 k, and the decay rate."""
+    fam = problem.operator.family
+    half_width = -problem.plan.start
+    wavenumber = max(2.0 * (half_width - 8.0) + 2.0 * fam.wavenumber, 6.0 * fam.wavenumber)
+    return replace(problem, plan=LinePlan(0.0, half_width, panel_order(wavenumber, fam.decay_rate)))
+
+
+class TestNestedLevels:
+    """The N coarse Hermite nodes are every other one of the 2N fine ones,
+    so each node is evaluated once."""
+
+    @pytest.mark.parametrize("problem", [
+        gk.hermite_problem(linops.operator_for(br.MkdvBreather(alpha=0.5, beta=1.0, x1=0.8)), 40),
+        gk.hermite_problem(linops.operator_for(br.GardnerBreather(alpha=0.5, beta=1.0, mu=0.3, x1=0.2)), 20),
+        gk.hermite_problem(linops.operator_for(br.SgBreather(beta=0.8, v=0.3, x1=0.2)), 8),
+    ], ids=["mkdv", "gardner", "sg"])
+    def test_coarse_matrix_is_twice_the_even_node_sum(self, problem):
+        (x1, w1), (x2, w2) = problem.plan.nodes_weights(1), problem.plan.nodes_weights(2)
+        assert np.array_equal(x1, x2[::2]) and np.array_equal(w1, 2.0 * w2[::2])
+        coarse, fine = gk._levels([problem])[0]
+        even, odd = (gk._project([problem], x2[half::2], w2[half::2])[0] for half in (0, 1))
+        assert np.array_equal(coarse, 2.0 * even)
+        assert np.array_equal(fine, even + odd)
+        direct = gk._project([problem], x1, w1)[0]
+        assert np.max(np.abs(coarse - direct)) <= 1e-15 * np.max(np.abs(direct))
+
+    @pytest.mark.parametrize("preset", ["fig2", "fig4", "fig8", "fig14-left", "fig14-right"])
+    def test_eigenvalues_match_a_gauss_legendre_assembly(self, preset):
+        problems = _sweep_problems(preset)
+        for problem, assembled in zip(problems, gk.assemble_all(problems)):
+            legendre = _gauss_legendre(problem)
+            m = gk._project([legendre], *legendre.plan.nodes_weights(2))[0]
+            want, got = np.linalg.eigvalsh(0.5 * (m + m.T)), np.linalg.eigvalsh(assembled.matrix)
+            # the four a table prints; the rest, up to 9e4 at n = 164, to rounding
+            assert np.max(np.abs(got[:4] - want[:4])) <= 1e-10
+            assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("n", [1, 40, 160, 300])
+    def test_drift_over_the_parameter_grid(self, n):
+        grid = (0.05, 0.2, 0.5, 1.0, 3.0)
+        families = [br.MkdvBreather(alpha=a, beta=b, x1=0.3) for a in grid for b in grid]
+        families += [br.GardnerBreather(alpha=a, beta=b, mu=mu, x1=0.3)
+                     for a, b in ((0.05, 3.0), (0.5, 1.0), (1.0, 1.0), (3.0, 0.05)) for mu in (0.01, 0.3, 0.6)]
+        families += [br.SgBreather(beta=b, v=v, x1=0.3) for b in (0.05, 0.5, 0.95) for v in (0.0, 0.5, 0.95)]
+        drifts = {fam: gk._assembled(*gk._levels([cli._problem(fam, n)])[0]).drift for fam in families}
+        assert max(drifts.values()) <= 1e-11, max(drifts, key=drifts.get)
+
+    def test_half_the_rule_fails_the_drift_gate(self):
+        # the narrow profile's strip sets the step: 48 decay_rate of its band
+        problem = gk.hermite_problem(linops.operator_for(br.MkdvBreather(alpha=0.2, beta=3.0)), 40)
+        assert gk.assemble(problem).drift <= 1e-11
+        halved = replace(problem, plan=replace(problem.plan, n_nodes=problem.plan.n_nodes // 2))
+        with pytest.raises(gk.AssemblyError, match="drift"):
+            gk.assemble(halved)
 
 
 def _kksh_problem(n, **params):
