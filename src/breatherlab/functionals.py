@@ -1,7 +1,8 @@
 """Conserved functionals, stationary residuals and the Lyapunov expansion.
 
-Functionals are evaluated by quadrature on derivative grids extracted from
-the family jets; every integral is verified by node doubling.  Stationary
+Functionals are evaluated by the trapezoid rule on derivative grids extracted
+from the family jets, over one period or over a window that tracks the
+envelope centre; every integral is verified by node doubling.  Stationary
 residuals are reported relative to the largest single term of the equation at
 each grid point, since term magnitudes vary over orders of magnitude across
 parameter ranges.
@@ -10,22 +11,15 @@ parameter ranges.
 from __future__ import annotations
 
 import math
-from dataclasses import replace
 
 import numpy as np
 
 from . import linops
 from .breathers import Breather, FieldJet, WaveFamily
 from .jets import Jet2
-from .quadrature import TorusPlan, checked_integral, line_plan
+from .quadrature import TrapezoidPlan, checked_integral, window_plan
 
 SQRT2 = math.sqrt(2.0)
-# Extra nodes per line panel for the functional densities.  Their sixth
-# powers put poles of sixth order next to the peak panels, and F cancels: for
-# Gardner at (alpha, beta, mu) = (0.5, 1, 0.3) the integral of |F density| is
-# 164 times |F|.  At the bare panel order F drifts by 1.3e-9 there (3.6e-8
-# at mu = 1); each 2 nodes cut the peak panels' error about 100-fold.
-DENSITY_MARGIN = 4
 
 
 def family_plan(family, t: float = 0.0):
@@ -34,11 +28,10 @@ def family_plan(family, t: float = 0.0):
     if family.domain == "torus":
         # 4096: the nonzero-mean breather at (mu, c1, p, q) = (2.9096582464,
         # 1.65, 22, 23) needs 1024 (at 512 F drifts by 3.2e-6); KKSH needs 128
-        return TorusPlan(period=family.period, n_nodes=4096)
+        return TrapezoidPlan(period=family.period, n_nodes=4096)
     # the densities are up to sixth powers of the profile, so they carry its
-    # harmonics through 6 wavenumber; the order resolves four times that
-    plan = line_plan(family, 24.0 * family.wavenumber, t)
-    return replace(plan, order=plan.order + DENSITY_MARGIN)
+    # harmonics through 6 wavenumber
+    return window_plan(family, 6.0 * family.wavenumber, t)
 
 
 def field_arrays(family, t, x) -> dict:

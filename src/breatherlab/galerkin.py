@@ -38,7 +38,7 @@ from typing import Optional
 import numpy as np
 
 from .jets import apply
-from .quadrature import TorusPlan
+from .quadrature import TrapezoidPlan
 from .specfun import FourierBasis, HermiteBasis
 
 ASYMMETRY_FLAG = 1e-6
@@ -69,7 +69,7 @@ class GalerkinProblem:
         return self.operator.slots * self.basis.size
 
 
-def default_hermite_plan(operator, n_basis: int) -> TorusPlan:
+def default_hermite_plan(operator, n_basis: int) -> TrapezoidPlan:
     """Trapezoid nodes on the window [-X, X) of the basis, at a step from the
     three scales of w f_i L[f_j].
 
@@ -90,7 +90,7 @@ def default_hermite_plan(operator, n_basis: int) -> TorusPlan:
     half_width = math.sqrt(2.0 * (n_basis + 5)) + 8.0
     band = 2.0 * half_width + 6.0 * fam.wavenumber + 48.0 * fam.decay_rate
     n_nodes = NODE_STEP * math.ceil(half_width * band / (math.pi * NODE_STEP))
-    return TorusPlan(2.0 * half_width, n_nodes, start=-half_width)
+    return TrapezoidPlan(2.0 * half_width, n_nodes, start=-half_width)
 
 
 def hermite_problem(operator, n_max: int) -> GalerkinProblem:
@@ -104,7 +104,7 @@ def fourier_problem(operator, n_max: int) -> GalerkinProblem:
     FFT sum reads the coefficients' transforms only at |p - q| <= 2 n_max),
     and at least 512: at small n the coefficient grids alone need 128."""
     period, n_nodes = operator.family.period, max(512, 1 << (4 * (2 * n_max + 1) - 1).bit_length())
-    return GalerkinProblem(operator, FourierBasis(period=period, count_n=n_max), TorusPlan(period, n_nodes))
+    return GalerkinProblem(operator, FourierBasis(period=period, count_n=n_max), TrapezoidPlan(period, n_nodes))
 
 
 @dataclass(frozen=True)

@@ -28,7 +28,7 @@ import numpy as np
 
 from . import breathers, stability
 from .jets import apply
-from .quadrature import checked_integral, line_plan
+from .quadrature import checked_integral, window_plan
 
 
 # ---------------------------------------------------------------------------
@@ -171,13 +171,13 @@ def sg_variational_direction_residual(family) -> float:
 def sg_scaling_quadratic_form(family) -> float:
     """Q[dB/dbeta, dB_t/dbeta] by the integrated-by-parts route, verified by
     node doubling; equals -32 (1 + 3 v^2) beta for every breather.  The
-    density is quadratic in the direction, so the plan resolves 4 wavenumber."""
+    density is quadratic in the direction, so its top harmonic is 4 wavenumber."""
     op = operator_for(family)
 
     def density(x):
         return op.quadratic_density(x, *sg_scaling_direction(op.family, x))
 
-    return checked_integral(density, line_plan(op.family, 4.0 * op.family.wavenumber))[0]
+    return checked_integral(density, window_plan(op.family, 4.0 * op.family.wavenumber))[0]
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ from breatherlab import breathers as br
 from breatherlab import cli
 from breatherlab import functionals
 from breatherlab import stability
-from breatherlab.quadrature import panel_order
+from breatherlab.quadrature import window_plan
 
 import loop_oracles
 
@@ -316,11 +316,12 @@ class TestOtherCommands:
         assert float(rows[0].split(",")[1]) == pytest.approx(8.0, rel=1e-8)
 
     def test_sg_conserved_panels_follow_the_spatial_wavenumber(self, capsys):
-        # the panel order resolves 24 times the spatial wavenumber alpha |v|;
-        # at the time frequency alpha it would take more nodes per panel
+        # the window resolves 6 times the spatial wavenumber alpha |v|; at
+        # the time frequency alpha it would take more nodes
         fam = br.SgBreather(beta=0.5, v=0.7)
-        order = functionals.family_plan(fam).order - functionals.DENSITY_MARGIN
-        assert order < panel_order(24.0 * fam.alpha, fam.decay_rate)
+        n_nodes = functionals.family_plan(fam).n_nodes
+        assert n_nodes == window_plan(fam, 6.0 * fam.alpha * abs(fam.v)).n_nodes
+        assert n_nodes < window_plan(fam, 6.0 * fam.alpha).n_nodes
         assert run(["conserved", "--family", "sg", "--beta", "0.5", "--v", "0.7",
                     "--kind", "energy", "--times", "0,0.7,2.1"]) == 0
         drift = re.search(r"# max drift: (\S+)", capsys.readouterr().out).group(1)

@@ -8,10 +8,11 @@ from breatherlab import breathers as br
 from breatherlab import functionals as fn
 from breatherlab import jets
 from breatherlab import stability as st
-from breatherlab.quadrature import QuadratureError, TorusPlan, checked_integral
+from breatherlab.quadrature import QuadratureError, TrapezoidPlan, checked_integral
 
 import gardner_form_oracles
 import loop_oracles
+from legendre_oracle import LegendrePlan, panel_order
 
 
 class TestClosedFormValues:
@@ -206,7 +207,59 @@ def test_mean_value_requires_torus():
 
 def test_checked_integral_rejects_nan():
     with pytest.raises(QuadratureError):
-        checked_integral(lambda x: np.full_like(x, np.nan), TorusPlan(period=1.0, n_nodes=8))
+        checked_integral(lambda x: np.full_like(x, np.nan), TrapezoidPlan(period=1.0, n_nodes=8))
+
+
+def test_checked_integral_evaluates_once_on_the_fine_nodes():
+    # the Gaussian's trapezoid error at step 0.6 is about 4e-12, so the drift
+    # is well above rounding and well below the gate
+    plan = TrapezoidPlan(period=12.0, n_nodes=20, start=-6.0)
+    calls = []
+    value, drift = checked_integral(lambda x: calls.append(x) or np.exp(-x * x), plan)
+    assert len(calls) == 1 and np.array_equal(calls[0], plan.nodes_weights(2)[0])
+    x1, w1 = plan.nodes_weights(1)
+    direct = float(np.dot(w1, np.exp(-x1 * x1)))
+    assert 1e-13 < drift <= 1e-9
+    assert abs(drift - abs(value - direct) / max(abs(value), abs(direct), 1.0)) <= 1e-15
+
+
+def _density(kind, family, t):
+    if kind == "lyapunov":
+        return lambda x: fn._lyapunov_density(family, fn.field_arrays(family, t, x))
+    return lambda x: fn._integrand_table(family)[kind](fn.field_arrays(family, t, x))
+
+
+class TestTrapezoidWindows:
+    """The line functionals on trapezoid windows, against an independent rule."""
+
+    @pytest.mark.parametrize("family", [
+        br.MkdvBreather(alpha=0.5, beta=1.0, x1=0.3), br.MkdvBreather(alpha=1.5, beta=0.5),
+        br.MkdvBreather(alpha=0.2, beta=3.0),
+        br.GardnerBreather(alpha=0.5, beta=1.0, mu=0.3), br.GardnerBreather(alpha=0.5, beta=1.0, mu=1.0),
+        br.SgBreather(beta=0.5, v=0.7), br.SgBreather(beta=0.8, v=0.3, x1=0.2), br.SgBreather(beta=0.3, v=0.9),
+        br.MkdvSoliton(c=1.3), br.GardnerSoliton(c=1.3, mu=0.3),
+    ], ids=lambda f: f.kind)
+    def test_functionals_match_gauss_legendre_panels(self, family):
+        # the panel order resolves 24 wavenumber, with 4 nodes to spare for
+        # the sixth powers of the profile
+        t, b = 0.7, family.decay_rate
+        plan = LegendrePlan(family.envelope_center(t), 20.0 / b, panel_order(24.0 * family.wavenumber, b) + 4)
+        x, w = plan.nodes_weights(2)
+        kinds = sorted(fn._integrand_table(family)) + (["lyapunov"] if isinstance(family, br.Breather) else [])
+        for kind in kinds:
+            want = float(np.dot(w, _density(kind, family, t)(x)))
+            assert abs(fn.evaluate_functional(kind, family, t) - want) <= 1e-12 * abs(want)
+
+    def test_a_narrower_strip_fails_the_drift_gate(self):
+        # the window rule's strip term 72 b, cut to 48 b, leaves Gardner's F
+        # at mu = 1 with a drift of 9.5e-7
+        family = br.GardnerBreather(alpha=0.5, beta=1.0, mu=1.0)
+        b = family.decay_rate
+        band = 2.0 * 6.0 * family.wavenumber + 48.0 * b
+        n_nodes = math.ceil(20.0 * band / (math.pi * b))
+        plan = TrapezoidPlan(40.0 / b, n_nodes, start=family.envelope_center(0.0) - 20.0 / b)
+        with pytest.raises(QuadratureError, match="not converged"):
+            checked_integral(_density("f", family, 0.0), plan)
 
 
 class TestBatchedPdeResidual:

@@ -7,12 +7,13 @@ import pytest
 
 import fd_oracle
 import form_oracles
+from legendre_oracle import LegendrePlan, panel_order
 from breatherlab import breathers as br
 from breatherlab import cli
 from breatherlab import galerkin as gk
 from breatherlab import linops
 from breatherlab import stability as st
-from breatherlab.quadrature import LinePlan, TorusPlan, panel_order
+from breatherlab.quadrature import TrapezoidPlan
 from breatherlab.specfun import FourierBasis, HermiteBasis, hermite_values
 
 
@@ -56,7 +57,7 @@ class TestAssembly:
     def test_fourier_laplacian_exact(self):
         L = 3.7
         basis = FourierBasis(period=L, count_n=6)
-        plan = TorusPlan(period=L, n_nodes=512)
+        plan = TrapezoidPlan(period=L, n_nodes=512)
         x, w = plan.nodes_weights()
         v0, _, v2 = basis.stack(x, 2)
         m = (v0 * w[None, :]) @ (-v2).T
@@ -199,7 +200,7 @@ def _gauss_legendre(problem):
     fam = problem.operator.family
     half_width = -problem.plan.start
     wavenumber = max(2.0 * (half_width - 8.0) + 2.0 * fam.wavenumber, 6.0 * fam.wavenumber)
-    return replace(problem, plan=LinePlan(0.0, half_width, panel_order(wavenumber, fam.decay_rate)))
+    return replace(problem, plan=LegendrePlan(0.0, half_width, panel_order(wavenumber, fam.decay_rate)))
 
 
 class TestNestedLevels:
@@ -272,7 +273,7 @@ class TestTorusNodeRule:
     @pytest.mark.parametrize("k", [0.0005, 0.03, 0.058836252])
     def test_rule_matches_4096_nodes(self, n, k):
         prob = _kksh_problem(n, beta=1.0, k=k, x1=0.1)
-        dense = replace(prob, plan=TorusPlan(period=prob.plan.period, n_nodes=4096))
+        dense = replace(prob, plan=TrapezoidPlan(period=prob.plan.period, n_nodes=4096))
         m, m_dense = gk.assemble(prob).matrix, gk.assemble(dense).matrix
         assert np.max(np.abs(m - m_dense)) <= 1e-9 * np.max(np.abs(m_dense))
         low, low_dense = (gk.eig_sym(a).values[:4] for a in (m, m_dense))
@@ -312,7 +313,7 @@ class TestTorusProjection:
         # 64 nodes carry modes up to 32 only: (p - q) mod N wraps for n = 40
         op = linops.operator_for(br.KkshBreather(beta=1.0, k=0.03, x1=0.1))
         period = op.family.period
-        prob = gk.GalerkinProblem(op, FourierBasis(period=period, count_n=40), TorusPlan(period=period, n_nodes=64))
+        prob = gk.GalerkinProblem(op, FourierBasis(period=period, count_n=40), TrapezoidPlan(period=period, n_nodes=64))
         for refine in (1, 2):
             x, w = prob.plan.nodes_weights(refine)
             stack = gk._project([prob], x, w)[0]
@@ -362,7 +363,7 @@ class TestTorusProjection:
 
     @pytest.mark.parametrize("period, n_nodes", [(1.0, 8), (3.7, 4096), (math.pi, 1000), (106.7, 4096)])
     def test_trapezoid_levels_are_nested(self, period, n_nodes):
-        plan = TorusPlan(period=period, n_nodes=n_nodes)
+        plan = TrapezoidPlan(period=period, n_nodes=n_nodes)
         (x1, w1), (x2, w2) = plan.nodes_weights(1), plan.nodes_weights(2)
         assert np.array_equal(x1, x2[::2])
         assert np.array_equal(w1, 2.0 * w2[::2])

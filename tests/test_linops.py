@@ -5,10 +5,11 @@ import pytest
 
 import fd_oracle
 import form_oracles
+from legendre_oracle import LegendrePlan
 from breatherlab import breathers as br
 from breatherlab import jets, linops
 from breatherlab import stability as st
-from breatherlab.quadrature import LinePlan, QuadratureError
+from breatherlab.quadrature import QuadratureError, window_plan
 
 
 def kernel_derivs(fieldjet, orders, n1=0, n2=0, nt=0):
@@ -72,8 +73,8 @@ class TestSgBlock:
         lambda fam: linops.sg_variational_direction_residual(fam),
         lambda fam: st.sg_weinstein_check(fam.beta, fam.v),
     ]
-    # the pairings evaluate the profile once per quadrature level
-    _EVALS = dict(zip(_CHECKS, (2, 1, 2)))
+    # the pairings evaluate the profile once, on the fine quadrature nodes
+    _EVALS = dict(zip(_CHECKS, (1, 1, 1)))
 
     @pytest.mark.parametrize("check", _CHECKS)
     def test_profile_evaluated_once_per_check(self, check, monkeypatch):
@@ -109,7 +110,7 @@ class TestSgBlock:
     def test_quadratic_form_on_kernel_vanishes(self):
         fam = br.SgBreather(beta=0.5, v=0.4, x1=0.2)
         op = linops.operator_for(fam)
-        plan = LinePlan(center=0.0, half_width=70.0, order=10)
+        plan = LegendrePlan(center=0.0, half_width=70.0, order=10)
         x, w_quad = plan.nodes_weights(2)
         f = op.family.eval(0.0, x, deg=6)
         z = kernel_derivs(f, 2, 1, 0)
@@ -119,7 +120,7 @@ class TestSgBlock:
     def test_quadratic_form_routes_agree(self):
         fam = br.SgBreather(beta=0.5, v=0.3)
         op = linops.operator_for(fam)
-        plan = LinePlan(center=0.0, half_width=70.0, order=10)
+        plan = LegendrePlan(center=0.0, half_width=70.0, order=10)
         x, w_quad = plan.nodes_weights(2)
 
         def zf(X):
@@ -152,18 +153,33 @@ class TestParameterDirections:
         assert q == pytest.approx(-32 * (1 + 3 * v * v) * beta, rel=1e-10)
 
     def test_scaling_pairing_fails_closed_when_under_resolved(self, monkeypatch):
-        # a term at wavenumber 200 is far beyond the plan's panels, so node
-        # doubling moves the pairing and it raises instead of returning
         direction = linops.sg_scaling_direction
 
-        def rough(family, x):
-            X = jets.Jet2.variable(x, 0, deg=4)
-            bump = jets.exp(-0.02 * X * X) * jets.sin(200.0 * X)
-            h = tuple(1e-3 * bump.partial(j, 0) for j in range(5))
-            z, w = direction(family, x)
-            return tuple(a + b for a, b in zip(z, h)), tuple(a + b for a, b in zip(w, h))
+        def perturbed(bump):
+            def rough(family, x):
+                X = jets.Jet2.variable(x, 0, deg=4)
+                h = tuple(1e-3 * bump(X).partial(j, 0) for j in range(5))
+                z, w = direction(family, x)
+                return tuple(a + b for a, b in zip(z, h)), tuple(a + b for a, b in zip(w, h))
 
-        monkeypatch.setattr(linops, "sg_scaling_direction", rough)
+            return rough
+
+        # a wave packet at wavenumber 200 puts the density's top term at 400,
+        # whose aliases on the coarse step lie about 10 away in frequency, where
+        # the packet's transform is below e^-1000: the rule integrates it
+        # exactly, so the pairing converges and equals a sum on 4 times the nodes
+        packet = perturbed(lambda X: jets.exp(-0.02 * X * X) * jets.sin(200.0 * X))
+        monkeypatch.setattr(linops, "sg_scaling_direction", packet)
+        value = st.sg_weinstein_check(0.5, 0.7)
+        op = linops.operator_for(br.SgBreather(beta=0.5, v=0.7))
+        plan = window_plan(op.family, 4.0 * op.family.wavenumber)
+        x, w = dataclasses.replace(plan, n_nodes=4 * plan.n_nodes).nodes_weights(2)
+        dense = -np.dot(w, op.quadratic_density(x, *packet(op.family, x))) / (4.0 * 0.5**2)
+        assert value == pytest.approx(dense, rel=1e-12)
+        # a spike narrower than the coarse step moves the pairing under node
+        # doubling, and it raises instead of returning
+        spike = perturbed(lambda X: jets.exp(-2000.0 * (X - 0.0123) * (X - 0.0123)))
+        monkeypatch.setattr(linops, "sg_scaling_direction", spike)
         with pytest.raises(QuadratureError, match="not converged"):
             st.sg_weinstein_check(0.5, 0.7)
 

@@ -9,6 +9,7 @@ from breatherlab import specfun as sf
 from breatherlab.jets import Jet2
 
 import loop_oracles
+from legendre_oracle import LegendrePlan
 
 
 def k_integral_oracle(m):
@@ -181,10 +182,8 @@ class TestHermite:
             assert np.allclose(v_minus[n], sign * v_plus[n], atol=1e-15)
 
     def test_orthogonality_by_quadrature(self):
-        # module-level Gauss-Legendre panels; cross-checked at doubled nodes
-        from breatherlab.quadrature import LinePlan
-
-        plan = LinePlan(center=0.0, half_width=12.0, order=10)
+        # composite Gauss-Legendre panels; cross-checked at doubled nodes
+        plan = LegendrePlan(center=0.0, half_width=12.0, order=10)
         for refine in (1, 2):
             x, w = plan.nodes_weights(refine)
             v = sf.hermite_values(5, x)
