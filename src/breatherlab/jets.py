@@ -18,6 +18,15 @@ arithmetic is vectorised over it.
 Coefficients are stored divided by factorials (true Taylor coefficients), so
 composition reduces to polynomial evaluation and degree-6 entries stay well
 scaled.  The degree is fixed at construction and never changes silently.
+
+Products compute only the coefficients that can reach the truncated result.
+Composition is a Horner scheme in n = a - a0, which has no constant term: the
+partial value that still has k factors of n to meet can affect the result
+only through its coefficients up to degree deg - k, so each step stops there
+(the geometric series of ``reciprocal`` likewise).  Each coefficient that is
+computed is the same float, from the same operations in the same order, as in
+the untruncated scheme (kept in ``tests/jet_oracle.py``); only the sign of an
+exact zero can differ.
 """
 
 from __future__ import annotations
@@ -104,15 +113,14 @@ class Jet2:
 
     # -- arithmetic ---------------------------------------------------------
 
-    def _coerce(self, other):
-        if isinstance(other, Jet2):
-            if other.deg != self.deg:
-                raise ValueError("jet degrees must match")
-            return other
-        return Jet2.constant(other, self.deg)
+    def _check_deg(self, other):
+        if other.deg != self.deg:
+            raise ValueError("jet degrees must match")
 
     def __add__(self, other):
-        other = self._coerce(other)
+        if not isinstance(other, Jet2):
+            return _shifted(np.positive, self.c, other, self.deg)
+        self._check_deg(other)
         a, b = _align_trailing(self.c, other.c)
         return Jet2(a + b, self.deg)
 
@@ -122,18 +130,19 @@ class Jet2:
         return Jet2(-self.c, self.deg)
 
     def __sub__(self, other):
-        other = self._coerce(other)
+        if not isinstance(other, Jet2):
+            return _shifted(np.positive, self.c, -np.asarray(other, dtype=float), self.deg)
+        self._check_deg(other)
         a, b = _align_trailing(self.c, other.c)
         return Jet2(a - b, self.deg)
 
     def __rsub__(self, other):
-        return (-self) + other
+        return _shifted(np.negative, self.c, other, self.deg)
 
     def __mul__(self, other):
         if not isinstance(other, Jet2):
             return Jet2(self.c * np.asarray(other, dtype=float), self.deg)
-        if other.deg != self.deg:
-            raise ValueError("jet degrees must match")
+        self._check_deg(other)
         return Jet2(_mul_coeffs(self.c, other.c, self.deg), self.deg)
 
     __rmul__ = __mul__
@@ -160,19 +169,34 @@ def _align_trailing(a, b):
     return a, b
 
 
-def _mul_coeffs(a, b, deg):
+def _shifted(sign, c, value, deg):
+    """Jet of sign(c) plus a non-jet value, which goes to the constant term
+    only; the grid shapes broadcast as in _align_trailing."""
+    v = np.asarray(value, dtype=float)
+    c, _ = _align_trailing(c, v.reshape((1, 1) + v.shape))
+    out = sign(c, out=np.empty(c.shape[:2] + np.broadcast_shapes(c.shape[2:], v.shape)))
+    out[0, 0] += v
+    return Jet2(out, deg)
+
+
+def _mul_coeffs(a, b, deg, *, top=None):
+    """Cauchy product of two coefficient arrays up to total degree ``top``
+    (default ``deg``); the entries above it stay zero."""
+    top = deg if top is None else top
     shp = np.broadcast_shapes(a.shape[2:], b.shape[2:])
     out = np.zeros((deg + 1, deg + 1) + shp)
-    for s in range(deg + 1):
+    tmp = np.empty(shp)
+    for s in range(top + 1):
         for i in range(s + 1):
             j = s - i
-            acc = a[0, 0] * b[i, j]
+            acc = out[i, j, ...]  # a view even on a 0-d grid
+            np.multiply(a[0, 0], b[i, j], out=acc)
             for p in range(i + 1):
                 for q in range(j + 1):
                     if p == 0 and q == 0:
                         continue
-                    acc = acc + a[p, q] * b[i - p, j - q]
-            out[i, j] = acc
+                    np.multiply(a[p, q], b[i - p, j - q], out=tmp)
+                    np.add(acc, tmp, out=acc)
     return out
 
 
@@ -195,14 +219,21 @@ def apply(terms, *fields):
 
 
 def reciprocal(a: Jet2) -> Jet2:
-    """1/a via a Horner geometric series around the constant term."""
+    """1/a via a Horner geometric series around the constant term.
+
+    With u = (a - a0)/a0 the series is r = 1 - u (1 - u (1 - ...)).  The value
+    after step s meets u another deg - s times, and u has no constant term,
+    so step s computes degrees up to s only; those coefficients are bitwise
+    the untruncated series'.
+    """
     a0 = np.asarray(a.value)
     if np.any(a0 == 0.0):
         raise JetSingularity("division by jet with zero constant term")
-    u = a.nilpotent() * (1.0 / a0)
-    r = Jet2.constant(np.ones(np.shape(a0)), a.deg)
-    for _ in range(a.deg):
-        r = 1.0 - u * r
+    deg = a.deg
+    u = a.nilpotent().c * (1.0 / a0)
+    r = Jet2.constant(np.ones(np.shape(a0)), deg)
+    for s in range(1, deg + 1):
+        r = 1.0 - Jet2(_mul_coeffs(u, r.c, deg, top=s), deg)
     return r * (1.0 / a0)
 
 
@@ -212,13 +243,15 @@ def powi(a: Jet2, n: int) -> Jet2:
         raise TypeError("powi exponent must be an integer")
     if n < 0:
         return powi(reciprocal(a), -n)
-    result = Jet2.constant(np.ones(a.shape), a.deg)
-    base = a
+    if n == 0:
+        return Jet2.constant(np.ones(a.shape), a.deg)
+    result, base = None, a
     while n:
         if n & 1:
-            result = result * base
-        base = base * base
+            result = base if result is None else result * base
         n >>= 1
+        if n:
+            base = base * base
     return result
 
 
@@ -228,13 +261,23 @@ def compose_univariate(table, a: Jet2) -> Jet2:
     ``table[k]`` must be the k-th Taylor coefficient (derivative over k!) of
     the outer function at the constant term of ``a``; trailing dimensions of
     the table broadcast against the jet's grid shape.
+
+    With n = a - a0, the Horner value r_k = r_{k+1} n + table[k] meets n
+    another k times, and n has no constant term, so the step to r_k computes
+    degrees up to deg - k only, and table[k] goes to the constant term alone.
+    The first step is a scalar times n.  The kept coefficients are bitwise
+    the untruncated scheme's.
     """
-    n = a.nilpotent()
     deg = a.deg
-    r = Jet2.constant(np.asarray(table[deg], dtype=float), deg)
+    n = a.nilpotent().c
+    c = Jet2.constant(np.asarray(table[deg], dtype=float), deg).c
     for k in range(deg - 1, -1, -1):
-        r = r * n + np.asarray(table[k], dtype=float)
-    return r
+        if k == deg - 1:
+            c = np.multiply(*_align_trailing(c[:1, :1], n))
+        else:
+            c = _mul_coeffs(c, n, deg, top=deg - k)
+        c[0, 0] += np.asarray(table[k], dtype=float)
+    return Jet2(c, deg)
 
 
 # -- univariate Taylor tables at an array-valued expansion point ------------

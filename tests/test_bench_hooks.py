@@ -39,3 +39,27 @@ def test_tracer_installs_and_uninstalls(monkeypatch):
         tracer.uninstall()
     restored = (program.galerkin.assemble, sg.__dict__["coefficients"], program.jets._mul_coeffs)
     assert all(r is o for r, o in zip(restored, originals))
+
+
+def test_tracer_counts_jet_products(monkeypatch):
+    # The tracer's jet counter unpacks (a, b, deg) from each _mul_coeffs call,
+    # so a product and a composition must pass exactly those positionally.
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    run = _load("run")
+    tracing = _load("tracing")
+    program = run.import_program(ROOT)
+    jets = program.jets
+    x = jets.Jet2.variable(0.3, 0)
+    y = jets.Jet2.variable(0.2, 1)
+
+    tracer = tracing.Tracer()
+    tracing.install(tracer, program)
+    try:
+        x * y
+        after_product = tracer.totals()["jets.calls"]
+        jets.sin(x)
+        after_sin = tracer.totals()["jets.calls"]
+    finally:
+        tracer.uninstall()
+    assert after_product == 1
+    assert after_sin > after_product

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from breatherlab import jets
+import jet_oracle
+from breatherlab import jets, specfun
 from breatherlab.jets import Jet2
 
 
@@ -184,3 +185,105 @@ def test_truncated_polynomial_evaluation_consistency():
     full = jet_eval(a, h1, h2) * jet_eval(b, h1, h2)
     trunc = jet_eval(p, h1, h2)
     assert abs(full - trunc) < 10 * max(abs(h1), abs(h2)) ** 5
+
+
+# -- bitwise agreement with the untruncated arithmetic (tests/jet_oracle.py) --
+
+GRIDS = [(), (7000,)]
+
+
+def grid_jet(rng, deg, shape, lo=-1.0, hi=1.0):
+    """Random jet on a grid; the constant term is drawn from [lo, hi]."""
+    c = rng.uniform(-1.0, 1.0, size=(deg + 1, deg + 1) + shape)
+    c[np.add.outer(np.arange(deg + 1), np.arange(deg + 1)) > deg] = 0.0
+    c[0, 0] = rng.uniform(lo, hi, size=shape)
+    return Jet2(c, deg)
+
+
+def same(new, old):
+    new = new.c if isinstance(new, Jet2) else new
+    old = old.c if isinstance(old, Jet2) else old
+    return new.shape == old.shape and np.array_equal(new, old)
+
+
+COMPOSED = {
+    "sin": jets.sin,
+    "cos": jets.cos,
+    "sinh": jets.sinh,
+    "cosh": jets.cosh,
+    "exp": jets.exp,
+    "atan": jets.atan,
+    "sncndn": lambda a: specfun.jacobi_sncndn_jet(a, 0.7),
+}
+
+
+@pytest.mark.parametrize("shape", GRIDS, ids=["grid1", "grid7000"])
+@pytest.mark.parametrize("deg", range(7))
+def test_composition_matches_untruncated_horner(deg, shape, monkeypatch):
+    rng = np.random.default_rng(100 + deg)
+    a = grid_jet(rng, deg, shape)
+    for name, f in COMPOSED.items():
+        new = f(a)
+        with monkeypatch.context() as m:
+            m.setattr(jets, "compose_univariate", jet_oracle.compose_univariate)
+            old = f(a)
+        if isinstance(new, Jet2):
+            new, old = (new,), (old,)
+        for x, y in zip(new, old, strict=True):
+            assert same(x, y), name
+
+
+@pytest.mark.parametrize("shape", GRIDS, ids=["grid1", "grid7000"])
+@pytest.mark.parametrize("deg", range(7))
+def test_reciprocal_powers_and_products_match_untruncated(deg, shape):
+    rng = np.random.default_rng(200 + deg)
+    a = grid_jet(rng, deg, shape, 0.5, 1.5)
+    b = grid_jet(rng, deg, shape)
+    assert same(jets.reciprocal(a), jet_oracle.reciprocal(a))
+    for n in range(-3, 6):
+        assert same(jets.powi(a, n), jet_oracle.powi(a, n)), n
+    assert same(a * b, jet_oracle.mul_coeffs(a.c, b.c, deg))
+    assert same(b / a, jet_oracle.mul_coeffs(b.c, jet_oracle.reciprocal(a).c, deg))
+
+
+def test_mixed_grid_shapes_match_untruncated():
+    rng = np.random.default_rng(300)
+    deg, shape = 4, (7000,)
+    point = grid_jet(rng, deg, ())
+    grid = grid_jet(rng, deg, shape)
+    # a 1-point jet composed with a table that carries a grid
+    table = rng.uniform(-1.0, 1.0, size=(deg + 1,) + shape)
+    assert same(jets.compose_univariate(table, point), jet_oracle.compose_univariate(table, point))
+    assert same(jets.compose_univariate(table[:, 0], grid), jet_oracle.compose_univariate(table[:, 0], grid))
+    # a float addend on either side of a grid jet, and grid addends on the
+    # right of a grid or 1-point jet (an ndarray on the left would make
+    # numpy broadcast the jet as an object)
+    assert same(2.5 + grid, jet_oracle.add_scalar(grid.c, 2.5))
+    assert same(2.5 - grid, jet_oracle.add_scalar(-grid.c, 2.5))
+    for j, v in ((grid, 2.5), (grid, table[0]), (point, table[0])):
+        assert same(j + v, jet_oracle.add_scalar(j.c, v))
+        assert same(j - v, jet_oracle.sub(j.c, jet_oracle.constant(v, deg)))
+    assert same(point * grid, jet_oracle.mul_coeffs(point.c, grid.c, deg))
+    assert same(grid * point, jet_oracle.mul_coeffs(grid.c, point.c, deg))
+
+
+@pytest.mark.parametrize("deg", range(7))
+def test_truncated_product_stops_at_top(deg):
+    rng = np.random.default_rng(400 + deg)
+    a, b = grid_jet(rng, deg, (5,)), grid_jet(rng, deg, (5,))
+    full = jet_oracle.mul_coeffs(a.c, b.c, deg)
+    degree = np.add.outer(np.arange(deg + 1), np.arange(deg + 1))
+    for top in range(deg + 1):
+        out = jets._mul_coeffs(a.c, b.c, deg, top=top)
+        assert np.all(out[degree > top] == 0.0)
+        assert np.array_equal(out[degree <= top], full[degree <= top])
+
+
+def test_degree_zero_and_one_compositions():
+    # deg 0 keeps the value alone; deg 1 adds the first derivative
+    e = math.exp(0.3)
+    assert jets.exp(Jet2.constant(0.3, deg=0)).c.tolist() == [[e]]
+    assert jets.exp(Jet2.variable(0.3, 1, deg=1)).c.tolist() == [[e, e], [0.0, 0.0]]
+    assert jets.reciprocal(Jet2.constant(4.0, deg=0)).c.tolist() == [[0.25]]
+    r = jets.reciprocal(2.0 + Jet2.variable(0.0, 0, deg=1))
+    assert r.c.tolist() == [[0.5, 0.0], [-0.25, 0.0]]
