@@ -27,10 +27,24 @@ only through its coefficients up to degree deg - k, so each step stops there
 computed is the same float, from the same operations in the same order, as in
 the untruncated scheme (kept in ``tests/jet_oracle.py``); only the sign of an
 exact zero can differ.
+
+Each jet also records which phase variables it can depend on, in the 2-bit
+support mask ``axes`` (bit 0 for y1, bit 1 for y2); its coefficients outside
+the mask are exact zeros.  A constant has neither bit and a seed variable its
+own; sums and products take the union, and scalar operations, compositions
+and ``reciprocal`` keep their argument's mask.  A jet built from a raw array
+gets both bits, which is always safe.  A product skips every pair of
+coefficients with a factor outside its mask: the term is a product with an
+exact zero, and adding a zero leaves a nonzero sum bitwise unchanged (with
+overflow and invalid operations raised, no infinity can turn it into a NaN).
+So a one-variable jet, such as sin(alpha Y1) or a Jacobi table of one phase,
+keeps deg + 1 coefficients and its products visit only those, while the kept
+coefficients are still the untruncated scheme's floats.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -44,6 +58,13 @@ class JetSingularity(ArithmeticError):
     """An operation hit a singular point (a zero constant term)."""
 
 
+def _constant_coeffs(value, deg):
+    value = np.asarray(value, dtype=float)
+    c = np.zeros((deg + 1, deg + 1) + value.shape)
+    c[0, 0] = value
+    return c
+
+
 def _as_coeff_array(c):
     a = np.asarray(c, dtype=float)
     if a.ndim < 2 or a.shape[0] != a.shape[1]:
@@ -52,37 +73,36 @@ def _as_coeff_array(c):
 
 
 class Jet2:
-    """Truncated bivariate Taylor expansion; immutable by convention."""
+    """Truncated bivariate Taylor expansion with its support mask ``axes``;
+    immutable by convention."""
 
-    __slots__ = ("c", "deg")
+    __slots__ = ("c", "deg", "axes")
+    # an ndarray on the left of an operator defers to the jet's reflected
+    # method, instead of broadcasting the jet as an object per grid point
+    __array_ufunc__ = None
 
-    def __init__(self, c, deg=None):
+    def __init__(self, c, deg=None, axes=3):
         self.c = _as_coeff_array(c)
         self.deg = self.c.shape[0] - 1 if deg is None else deg
         if self.c.shape[0] - 1 != self.deg:
             raise ValueError("degree does not match coefficient array")
+        self.axes = axes
 
     # -- constructors -----------------------------------------------------
 
     @classmethod
     def constant(cls, value, deg=DEFAULT_DEG):
-        value = np.asarray(value, dtype=float)
-        c = np.zeros((deg + 1, deg + 1) + value.shape)
-        c[0, 0] = value
-        return cls(c, deg)
+        return cls(_constant_coeffs(value, deg), deg, 0)
 
     @classmethod
     def variable(cls, value, axis, deg=DEFAULT_DEG):
         """Seed jet for phase variable 0 or 1: value + h_axis."""
         if axis not in (0, 1):
             raise ValueError("axis must be 0 or 1")
-        j = cls.constant(value, deg)
+        c = _constant_coeffs(value, deg)
         if deg >= 1:
-            if axis == 0:
-                j.c[1, 0] = 1.0
-            else:
-                j.c[0, 1] = 1.0
-        return j
+            c[(1, 0) if axis == 0 else (0, 1)] = 1.0
+        return cls(c, deg, 1 << axis)
 
     # -- accessors ---------------------------------------------------------
 
@@ -106,7 +126,7 @@ class Jet2:
         """Copy with the constant term removed."""
         c = self.c.copy()
         c[0, 0] = 0.0
-        return Jet2(c, self.deg)
+        return Jet2(c, self.deg, self.axes)
 
     def __repr__(self):
         return f"Jet2(deg={self.deg}, value={self.value!r}, shape={self.shape})"
@@ -119,37 +139,37 @@ class Jet2:
 
     def __add__(self, other):
         if not isinstance(other, Jet2):
-            return _shifted(np.positive, self.c, other, self.deg)
+            return _shifted(np.positive, self, other)
         self._check_deg(other)
         a, b = _align_trailing(self.c, other.c)
-        return Jet2(a + b, self.deg)
+        return Jet2(a + b, self.deg, self.axes | other.axes)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Jet2(-self.c, self.deg)
+        return Jet2(-self.c, self.deg, self.axes)
 
     def __sub__(self, other):
         if not isinstance(other, Jet2):
-            return _shifted(np.positive, self.c, -np.asarray(other, dtype=float), self.deg)
+            return _shifted(np.positive, self, -np.asarray(other, dtype=float))
         self._check_deg(other)
         a, b = _align_trailing(self.c, other.c)
-        return Jet2(a - b, self.deg)
+        return Jet2(a - b, self.deg, self.axes | other.axes)
 
     def __rsub__(self, other):
-        return _shifted(np.negative, self.c, other, self.deg)
+        return _shifted(np.negative, self, other)
 
     def __mul__(self, other):
         if not isinstance(other, Jet2):
-            return Jet2(self.c * np.asarray(other, dtype=float), self.deg)
+            return Jet2(self.c * np.asarray(other, dtype=float), self.deg, self.axes)
         self._check_deg(other)
-        return Jet2(_mul_coeffs(self.c, other.c, self.deg), self.deg)
+        return _product(self, other)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         if not isinstance(other, Jet2):
-            return Jet2(self.c / np.asarray(other, dtype=float), self.deg)
+            return Jet2(self.c / np.asarray(other, dtype=float), self.deg, self.axes)
         return self * reciprocal(other)
 
     def __rtruediv__(self, other):
@@ -169,35 +189,70 @@ def _align_trailing(a, b):
     return a, b
 
 
-def _shifted(sign, c, value, deg):
-    """Jet of sign(c) plus a non-jet value, which goes to the constant term
+def _shifted(sign, jet, value):
+    """Jet of sign(jet) plus a non-jet value, which goes to the constant term
     only; the grid shapes broadcast as in _align_trailing."""
     v = np.asarray(value, dtype=float)
-    c, _ = _align_trailing(c, v.reshape((1, 1) + v.shape))
+    c, _ = _align_trailing(jet.c, v.reshape((1, 1) + v.shape))
     out = sign(c, out=np.empty(c.shape[:2] + np.broadcast_shapes(c.shape[2:], v.shape)))
     out[0, 0] += v
-    return Jet2(out, deg)
+    return Jet2(out, jet.deg, jet.axes)
 
 
-def _mul_coeffs(a, b, deg, *, top=None):
+def _inside(axes, i, j):
+    """Whether coefficient (i, j) lies in the support of an ``axes`` mask."""
+    return (i == 0 or axes & 1) and (j == 0 or axes & 2)
+
+
+@functools.lru_cache(maxsize=None)
+def _product_plan(deg, top, axes_a, axes_b):
+    """The outputs of a Cauchy product up to total degree ``top`` that can be
+    nonzero, each as (output index, first pair, later pairs): the index pairs
+    whose factors both lie in their masks, in the order of the full sum."""
+    plan = []
+    for s in range(top + 1):
+        for i in range(s + 1):
+            j = s - i
+            pairs = [
+                ((p, q), (i - p, j - q))
+                for p in range(i + 1)
+                for q in range(j + 1)
+                if _inside(axes_a, p, q) and _inside(axes_b, i - p, j - q)
+            ]
+            if pairs:
+                plan.append(((i, j, Ellipsis), pairs[0], tuple(pairs[1:])))
+    return tuple(plan)
+
+
+def _mul_coeffs(a, b, deg, *, top=None, axes_a=3, axes_b=3):
     """Cauchy product of two coefficient arrays up to total degree ``top``
-    (default ``deg``); the entries above it stay zero."""
+    (default ``deg``); the entries above it stay zero.
+
+    ``axes_a`` and ``axes_b`` are the factors' support masks; the default,
+    both bits, visits every pair, which is safe for any array.  A pair with a
+    factor outside its mask is a product with an exact zero, so it is
+    skipped, and the entries outside the union of the masks stay zero.  The
+    kept pairs are summed in the order of the full sum, and adding a zero
+    leaves a nonzero sum bitwise unchanged, so each coefficient is the float
+    of the full sum, up to the sign of an exact zero.
+    """
     top = deg if top is None else top
     shp = np.broadcast_shapes(a.shape[2:], b.shape[2:])
     out = np.zeros((deg + 1, deg + 1) + shp)
     tmp = np.empty(shp)
-    for s in range(top + 1):
-        for i in range(s + 1):
-            j = s - i
-            acc = out[i, j, ...]  # a view even on a 0-d grid
-            np.multiply(a[0, 0], b[i, j], out=acc)
-            for p in range(i + 1):
-                for q in range(j + 1):
-                    if p == 0 and q == 0:
-                        continue
-                    np.multiply(a[p, q], b[i - p, j - q], out=tmp)
-                    np.add(acc, tmp, out=acc)
+    for ij, (pa, pb), rest in _product_plan(deg, top, axes_a, axes_b):
+        acc = out[ij]  # a view even on a 0-d grid
+        np.multiply(a[pa], b[pb], out=acc)
+        for pa, pb in rest:
+            np.multiply(a[pa], b[pb], out=tmp)
+            np.add(acc, tmp, out=acc)
     return out
+
+
+def _product(x, y, top=None):
+    """Jet product x * y up to total degree ``top``; its mask is the union."""
+    c = _mul_coeffs(x.c, y.c, x.deg, top=top, axes_a=x.axes, axes_b=y.axes)
+    return Jet2(c, x.deg, x.axes | y.axes)
 
 
 def apply(terms, *fields):
@@ -229,11 +284,10 @@ def reciprocal(a: Jet2) -> Jet2:
     a0 = np.asarray(a.value)
     if np.any(a0 == 0.0):
         raise JetSingularity("division by jet with zero constant term")
-    deg = a.deg
-    u = a.nilpotent().c * (1.0 / a0)
-    r = Jet2.constant(np.ones(np.shape(a0)), deg)
-    for s in range(1, deg + 1):
-        r = 1.0 - Jet2(_mul_coeffs(u, r.c, deg, top=s), deg)
+    u = a.nilpotent() * (1.0 / a0)
+    r = Jet2.constant(np.ones(np.shape(a0)), a.deg)
+    for s in range(1, a.deg + 1):
+        r = 1.0 - _product(u, r, top=s)
     return r * (1.0 / a0)
 
 
@@ -268,16 +322,16 @@ def compose_univariate(table, a: Jet2) -> Jet2:
     The first step is a scalar times n.  The kept coefficients are bitwise
     the untruncated scheme's.
     """
-    deg = a.deg
+    deg, axes = a.deg, a.axes
     n = a.nilpotent().c
-    c = Jet2.constant(np.asarray(table[deg], dtype=float), deg).c
+    c = _constant_coeffs(table[deg], deg)
     for k in range(deg - 1, -1, -1):
         if k == deg - 1:
             c = np.multiply(*_align_trailing(c[:1, :1], n))
         else:
-            c = _mul_coeffs(c, n, deg, top=deg - k)
+            c = _mul_coeffs(c, n, deg, top=deg - k, axes_a=axes, axes_b=axes)
         c[0, 0] += np.asarray(table[k], dtype=float)
-    return Jet2(c, deg)
+    return Jet2(c, deg, axes)
 
 
 # -- univariate Taylor tables at an array-valued expansion point ------------

@@ -287,3 +287,140 @@ def test_degree_zero_and_one_compositions():
     assert jets.reciprocal(Jet2.constant(4.0, deg=0)).c.tolist() == [[0.25]]
     r = jets.reciprocal(2.0 + Jet2.variable(0.0, 0, deg=1))
     assert r.c.tolist() == [[0.5, 0.0], [-0.25, 0.0]]
+
+
+# -- support masks: products skip the pairs with a structural zero --
+
+def support(deg, axes):
+    """Which coefficients (i, j) an ``axes`` mask lets be nonzero."""
+    i, j = np.indices((deg + 1, deg + 1))
+    return ((i == 0) | bool(axes & 1)) & ((j == 0) | bool(axes & 2))
+
+
+def masked_jet(rng, deg, shape, axes, lo=-1.0, hi=1.0):
+    """grid_jet with the coefficients outside the ``axes`` mask zeroed."""
+    c = grid_jet(rng, deg, shape, lo, hi).c
+    c[~support(deg, axes)] = 0.0
+    return Jet2(c, deg, axes)
+
+
+def outside(jet):
+    """The coefficients that the jet's mask says are exact zeros."""
+    return jet.c[~support(jet.deg, jet.axes)]
+
+
+def test_mask_of_constructed_jets():
+    assert Jet2(np.zeros((3, 3))).axes == 3
+    assert Jet2(np.zeros((3, 3, 5)), 2).axes == 3
+    assert Jet2.constant(1.5, 2).axes == 0
+    assert Jet2.variable(0.3, 0, 2).axes == 1
+    assert Jet2.variable(0.3, 1, 2).axes == 2
+    y1, y2 = Jet2.variable(0.3, 0, 2), Jet2.variable(0.2, 1, 2)
+    assert (y1 + y2).axes == (y1 * y2).axes == (y2 - y1).axes == 3
+    assert (2.0 * y1 - 1.0).axes == (-y1 / 3.0).axes == (1.0 - y1).axes == 1
+    assert y2.nilpotent().axes == jets.reciprocal(y2).axes == jets.powi(y2, -2).axes == 2
+    assert jets.powi(y2, 0).axes == 0
+
+
+MASK_PAIRS = [(1, 2), (1, 1), (2, 1), (0, 3), (3, 1), (3, 3)]
+
+
+@pytest.mark.parametrize("shape", GRIDS, ids=["grid1", "grid7000"])
+@pytest.mark.parametrize("deg", range(7))
+def test_masked_products_match_untruncated(deg, shape):
+    rng = np.random.default_rng(500 + deg)
+    degree = np.add.outer(np.arange(deg + 1), np.arange(deg + 1))
+    for axes_a, axes_b in MASK_PAIRS:
+        a, b = masked_jet(rng, deg, shape, axes_a), masked_jet(rng, deg, shape, axes_b)
+        full = jet_oracle.mul_coeffs(a.c, b.c, deg)
+        p = a * b
+        assert p.axes == axes_a | axes_b
+        assert same(p, full), (axes_a, axes_b)
+        assert np.all(outside(p) == 0.0)
+        for top in range(deg + 1):
+            out = jets._mul_coeffs(a.c, b.c, deg, top=top, axes_a=axes_a, axes_b=axes_b)
+            assert np.all(out[degree > top] == 0.0)
+            assert np.array_equal(out[degree <= top], full[degree <= top]), (axes_a, axes_b, top)
+
+
+def test_product_plan_visits_only_pairs_inside_both_masks():
+    def visits(deg, axes_a, axes_b):
+        return sum(1 + len(rest) for _, _, rest in jets._product_plan(deg, deg, axes_a, axes_b))
+
+    assert visits(4, 3, 3) == 70
+    # y1 x y1: the outputs (i, 0), with i + 1 pairs each
+    assert visits(4, 1, 1) == visits(4, 2, 2) == 1 + 2 + 3 + 4 + 5
+    # y1 x y2 and constant x full: all 15 outputs, with one pair each
+    assert visits(4, 1, 2) == visits(4, 2, 1) == visits(4, 0, 3) == 15
+    assert visits(4, 3, 1) == 35
+
+
+@pytest.mark.parametrize("shape", GRIDS, ids=["grid1", "grid7000"])
+@pytest.mark.parametrize("deg", range(7))
+def test_one_variable_compositions_match_untruncated(deg, shape, monkeypatch):
+    rng = np.random.default_rng(600 + deg)
+    for axes in (1, 2):
+        a = masked_jet(rng, deg, shape, axes, 0.5, 1.5)
+        for name, f in COMPOSED.items():
+            new = f(a)
+            with monkeypatch.context() as m:
+                m.setattr(jets, "compose_univariate", jet_oracle.compose_univariate)
+                old = f(a)
+            if isinstance(new, Jet2):
+                new, old = (new,), (old,)
+            for x, y in zip(new, old, strict=True):
+                assert x.axes == axes and same(x, y), name
+        # at degree 0 a jet is its value alone, and its reciprocal a constant
+        assert jets.reciprocal(a).axes == (axes if deg else 0)
+        assert same(jets.reciprocal(a), jet_oracle.reciprocal(a))
+        for n in range(-3, 6):
+            p = jets.powi(a, n)
+            assert p.axes == (axes if n > 0 or (n < 0 and deg) else 0), n
+            assert same(p, jet_oracle.powi(a, n)), n
+
+
+def _family_jets():
+    """Each family's evaluation, and the Baecklund seed waves and
+    superposition of the nonzero-mean breather."""
+    from breatherlab import breathers as br
+
+    x = np.linspace(-2.0, 2.0, 5)
+    families = [
+        br.MkdvBreather(alpha=0.5, beta=1.0),
+        br.GardnerBreather(alpha=0.5, beta=1.0, mu=0.3),
+        br.SgBreather(beta=0.5, v=0.7),
+        br.KkshBreather(beta=1.0, k=0.03),
+        br.NonzeroMeanBreather(mu=2.9096582464, c1=1.65, p=22, q=23),
+        br.MkdvSoliton(c=1.5),
+        br.GardnerSoliton(c=1.5, mu=0.3),
+        br.SgKink(v=0.4),
+    ]
+    for family in families:
+        family.eval(0.7, x)
+    families[3].parameter_partials(x)
+    br.permutability_profile(families[4], 0.3, np.array([0.1, 0.2]))
+
+
+def test_every_family_jet_is_zero_outside_its_mask(monkeypatch):
+    built = []
+    init = Jet2.__init__
+
+    def recording(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(self)
+
+    monkeypatch.setattr(Jet2, "__init__", recording)
+    with np.errstate(over="raise", invalid="raise"):
+        _family_jets()
+    assert {j.axes for j in built} == {0, 1, 2, 3}
+    for j in built:
+        assert np.all(outside(j) == 0.0)
+
+
+def test_ndarray_on_the_left_defers_to_the_jet():
+    rng = np.random.default_rng(700)
+    x = rng.uniform(-1.0, 1.0, 5)
+    j = grid_jet(rng, 4, (5,), 0.5, 1.5)
+    for got, want in ((x + j, j + x), (x - j, -(j - x)), (x * j, j * x),
+                      (x / j, jets.reciprocal(j) * x)):
+        assert isinstance(got, Jet2) and same(got, want)
