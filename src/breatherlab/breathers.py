@@ -761,7 +761,7 @@ def backlund_seed_residual(family: NonzeroMeanBreather, t, x) -> float:
     so the residual measures evaluation error only.
     """
     x = np.asarray(x, dtype=float)
-    w1 = _seed_wave_jets(family, t, x, deg=2)[0]
+    w1 = _seed_wave_jets(family, t, x, deg=1)[0]
     u1 = w1.partial(nx=1)
     resid = u1 - family.mu - math.sqrt(2 * family.c1) * np.sin((w1.value + family.mu * x) / SQRT2)
     return float(np.max(np.abs(resid)))
@@ -773,7 +773,7 @@ def permutability_profile(family: NonzeroMeanBreather, t, x) -> np.ndarray:
     Uses tan/arctan jets, so the sample points must avoid the (measure-zero)
     phase poles; the closed-form evaluation in ``eval`` is pole-free.
     """
-    w1, w2 = _seed_wave_jets(family, t, x, deg=2)
+    w1, w2 = _seed_wave_jets(family, t, x, deg=1)
     diff = (w2.jet - w1.jet) * (1.0 / AMP)
     wtan = (-family.rho) * (jets.sin(diff) / jets.cos(diff))
     pot = AMP * jets.atan(wtan)
@@ -802,7 +802,7 @@ def backlund_construct(mu: float, c1: float, p: int, q: int) -> NonzeroMeanBreat
     rng = np.random.default_rng(2024)
     for t in (0.0, 0.37):
         xs = _pole_free_points(family, t, rng, 50)
-        direct = family.eval(t, xs, deg=1).value
+        direct = family.eval(t, xs, deg=0).value
         err = float(np.max(np.abs(direct - permutability_profile(family, t, xs))))
         if not (err <= 1e-10):
             raise ArithmeticError(f"superposition route deviates from closed form by {err:.3e}")

@@ -392,7 +392,7 @@ def cmd_backlund(args) -> int:
     rng = np.random.default_rng(7)
     xs = breathers._pole_free_points(family, 0.0, rng, 40)
     perm = float(np.max(np.abs(
-        breathers.permutability_profile(family, 0.0, xs) - family.eval(0.0, xs, deg=1).value
+        breathers.permutability_profile(family, 0.0, xs) - family.eval(0.0, xs, deg=0).value
     )))
     seed = breathers.backlund_seed_residual(family, 0.0, xs)
     mean = functionals.mean_value(family)

@@ -34,18 +34,32 @@ def family_plan(family, t: float = 0.0):
     return window_plan(family, 6.0 * family.wavenumber, t)
 
 
-def field_arrays(family, t, x) -> dict:
-    """Grids of the field and, for wave families, of its time derivative."""
-    f = family.eval(t, x, deg=2)
-    out = {"u": f.value, "ux": f.partial(nx=1), "uxx": f.partial(nx=2)}
-    if isinstance(family, WaveFamily):
-        out.update(ut=f.partial(nt=1), utx=f.partial(nt=1, nx=1))
+# the derivative grids of the field by name, each with its (t-order, x-order);
+# the t-partials belong to wave families only
+DERIVATIVE_GRIDS = {"ux": (0, 1), "ut": (1, 0), "uxx": (0, 2), "utx": (1, 1)}
+
+
+def field_arrays(family, t, x, deg: int = 2) -> dict:
+    """The grids a degree-``deg`` jet of the field holds: ``u`` at 0; ``ux``
+    from 1, and ``ut`` for a wave family; ``uxx`` at 2, and ``utx`` for a
+    wave family.  A density that reads a grid above its degree raises
+    KeyError instead of reading a zero."""
+    f = family.eval(t, x, deg=deg)
+    wave = isinstance(family, WaveFamily)
+    out = {"u": f.value}
+    for name, (nt, nx) in DERIVATIVE_GRIDS.items():
+        if nt + nx <= deg and (wave or nt == 0):
+            out[name] = f.partial(nt=nt, nx=nx)
     return out
 
 
 # ---------------------------------------------------------------------------
 # functional integrands
 # ---------------------------------------------------------------------------
+
+
+# the jet degree each density reads: the highest order of its field grids
+DENSITY_DEG = {"mass": 0, "energy": 1, "momentum": 1, "f": 2}
 
 
 def _mkdv_integrands(mu: float = 0.0, level: float = 0.0):
@@ -116,21 +130,26 @@ def evaluate_functional(kind: str, family, t: float = 0.0) -> float:
     """Quadrature value of a conserved functional on the family at time t.
 
     kind is one of mass / energy / momentum / f / lyapunov (availability
-    depends on the family).  The quadrature on ``family_plan`` is verified by
-    node doubling.
+    depends on the family).  The field is evaluated at the density's degree
+    in ``DENSITY_DEG``, the Lyapunov density at the highest of its terms';
+    a coefficient's float does not depend on the truncation degree above its
+    order, so the value is the same as at any higher degree.  The quadrature
+    on ``family_plan`` is verified by node doubling.
     """
     if kind == "lyapunov":
+        deg = max(DENSITY_DEG[name] for name in _lyapunov_coefficients(family))
 
         def integrand(x):
-            return _lyapunov_density(family, field_arrays(family, t, x))
+            return _lyapunov_density(family, field_arrays(family, t, x, deg))
 
     else:
         table = _integrand_table(family)
         if kind not in table:
             raise ValueError(f"functional {kind!r} not defined for family {family.kind!r}")
+        deg = DENSITY_DEG[kind]
 
         def integrand(x):
-            return table[kind](field_arrays(family, t, x))
+            return table[kind](field_arrays(family, t, x, deg))
 
     value, _ = checked_integral(integrand, family_plan(family, t))
     return value
@@ -235,8 +254,9 @@ def pde_residual(family, n_points: int = 100) -> float:
     """Max absolute defect of the evolution equation at random (t, x) points,
     t in (-2, 2), drawn with seed 0.
 
-    All points go through one family evaluation; a NaN at any of them makes
-    the result NaN.
+    All points go through one family evaluation, at the degree the equation
+    reads: 2 for a wave family (u_tt, u_xx), 3 for a scalar one (u_t,
+    u_xxx).  A NaN at any point makes the result NaN.
     """
     rng = np.random.default_rng(0)
     ts = rng.uniform(-2.0, 2.0, size=n_points)
@@ -244,8 +264,9 @@ def pde_residual(family, n_points: int = 100) -> float:
         xs = rng.uniform(0.0, family.period, size=n_points)
     else:
         xs = rng.uniform(-8.0, 8.0, size=n_points)
-    out = family.eval(ts, xs, deg=4)
-    if isinstance(family, WaveFamily):
+    wave = isinstance(family, WaveFamily)
+    out = family.eval(ts, xs, deg=2 if wave else 3)
+    if wave:
         r = out.partial(nt=2) - out.partial(nx=2) + np.sin(out.value)
     else:
         u = out.value
@@ -296,7 +317,7 @@ def expansion_remainder(family, x, w_quad, z, w, eps: float) -> float:
     - (eps^2/2) Q[z, w], written term by term so that no large quantities
     cancel; its leading order is cubic in eps.
     """
-    f = family.eval(0.0, x, deg=2)
+    f = family.eval(0.0, x, deg=1)
     B, Bx, Bt = f.value, f.partial(nx=1), f.partial(nt=1)
     z, zx, w = eps * z[0], eps * z[1], eps * w[0]
 

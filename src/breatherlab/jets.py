@@ -26,7 +26,10 @@ only through its coefficients up to degree deg - k, so each step stops there
 (the geometric series of ``reciprocal`` likewise).  Each coefficient that is
 computed is the same float, from the same operations in the same order, as in
 the untruncated scheme (kept in ``tests/jet_oracle.py``); only the sign of an
-exact zero can differ.
+exact zero can differ.  The Horner products skip the constant term of n (and
+of u in ``reciprocal``), which is an exact zero, so a coefficient of order q
+is the same float at every truncation degree >= q, the sign of a zero
+included: a caller can ask for the lowest degree it reads.
 
 Each jet also records which phase variables it can depend on, in the 2-bit
 support mask ``axes`` (bit 0 for y1, bit 1 for y2); its coefficients outside
@@ -199,16 +202,17 @@ def _shifted(sign, jet, value):
     return Jet2(out, jet.deg, jet.axes)
 
 
-def _inside(axes, i, j):
-    """Whether coefficient (i, j) lies in the support of an ``axes`` mask."""
-    return (i == 0 or axes & 1) and (j == 0 or axes & 2)
+def _inside(axes, i, j, nil=False):
+    """Whether coefficient (i, j) lies in the support of an ``axes`` mask,
+    without the constant term if ``nil`` (a jet with no constant term)."""
+    return (i == 0 or axes & 1) and (j == 0 or axes & 2) and (i + j > 0 or not nil)
 
 
 @functools.lru_cache(maxsize=None)
-def _product_plan(deg, top, axes_a, axes_b):
+def _product_plan(deg, top, axes_a, axes_b, nil_a=False, nil_b=False):
     """The outputs of a Cauchy product up to total degree ``top`` that can be
     nonzero, each as (output index, first pair, later pairs): the index pairs
-    whose factors both lie in their masks, in the order of the full sum."""
+    whose factors both lie in their supports, in the order of the full sum."""
     plan = []
     for s in range(top + 1):
         for i in range(s + 1):
@@ -217,20 +221,21 @@ def _product_plan(deg, top, axes_a, axes_b):
                 ((p, q), (i - p, j - q))
                 for p in range(i + 1)
                 for q in range(j + 1)
-                if _inside(axes_a, p, q) and _inside(axes_b, i - p, j - q)
+                if _inside(axes_a, p, q, nil_a) and _inside(axes_b, i - p, j - q, nil_b)
             ]
             if pairs:
                 plan.append(((i, j, Ellipsis), pairs[0], tuple(pairs[1:])))
     return tuple(plan)
 
 
-def _mul_coeffs(a, b, deg, *, top=None, axes_a=3, axes_b=3):
+def _mul_coeffs(a, b, deg, *, top=None, axes_a=3, axes_b=3, nil_a=False, nil_b=False):
     """Cauchy product of two coefficient arrays up to total degree ``top``
     (default ``deg``); the entries above it stay zero.
 
     ``axes_a`` and ``axes_b`` are the factors' support masks; the default,
-    both bits, visits every pair, which is safe for any array.  A pair with a
-    factor outside its mask is a product with an exact zero, so it is
+    both bits, visits every pair, which is safe for any array.  ``nil_a``
+    and ``nil_b`` say that a factor has no constant term.  A pair with a
+    factor outside its support is a product with an exact zero, so it is
     skipped, and the entries outside the union of the masks stay zero.  The
     kept pairs are summed in the order of the full sum, and adding a zero
     leaves a nonzero sum bitwise unchanged, so each coefficient is the float
@@ -240,7 +245,7 @@ def _mul_coeffs(a, b, deg, *, top=None, axes_a=3, axes_b=3):
     shp = np.broadcast_shapes(a.shape[2:], b.shape[2:])
     out = np.zeros((deg + 1, deg + 1) + shp)
     tmp = np.empty(shp)
-    for ij, (pa, pb), rest in _product_plan(deg, top, axes_a, axes_b):
+    for ij, (pa, pb), rest in _product_plan(deg, top, axes_a, axes_b, nil_a, nil_b):
         acc = out[ij]  # a view even on a 0-d grid
         np.multiply(a[pa], b[pb], out=acc)
         for pa, pb in rest:
@@ -249,9 +254,10 @@ def _mul_coeffs(a, b, deg, *, top=None, axes_a=3, axes_b=3):
     return out
 
 
-def _product(x, y, top=None):
-    """Jet product x * y up to total degree ``top``; its mask is the union."""
-    c = _mul_coeffs(x.c, y.c, x.deg, top=top, axes_a=x.axes, axes_b=y.axes)
+def _product(x, y, top=None, nil_x=False):
+    """Jet product x * y up to total degree ``top``, where ``nil_x`` says that
+    x has no constant term; its mask is the union."""
+    c = _mul_coeffs(x.c, y.c, x.deg, top=top, axes_a=x.axes, axes_b=y.axes, nil_a=nil_x)
     return Jet2(c, x.deg, x.axes | y.axes)
 
 
@@ -278,8 +284,11 @@ def reciprocal(a: Jet2) -> Jet2:
 
     With u = (a - a0)/a0 the series is r = 1 - u (1 - u (1 - ...)).  The value
     after step s meets u another deg - s times, and u has no constant term,
-    so step s computes degrees up to s only; those coefficients are bitwise
-    the untruncated series'.
+    so step s computes degrees up to s only, and its products skip u's
+    constant term; those coefficients are bitwise the untruncated series'.
+    The coefficient of order q comes from those below it by the same
+    operations at every step s >= q, so it is the same float at every
+    degree >= q, the sign of a zero included.
     """
     a0 = np.asarray(a.value)
     if np.any(a0 == 0.0):
@@ -287,7 +296,7 @@ def reciprocal(a: Jet2) -> Jet2:
     u = a.nilpotent() * (1.0 / a0)
     r = Jet2.constant(np.ones(np.shape(a0)), a.deg)
     for s in range(1, a.deg + 1):
-        r = 1.0 - _product(u, r, top=s)
+        r = 1.0 - _product(u, r, top=s, nil_x=True)
     return r * (1.0 / a0)
 
 
@@ -318,19 +327,19 @@ def compose_univariate(table, a: Jet2) -> Jet2:
 
     With n = a - a0, the Horner value r_k = r_{k+1} n + table[k] meets n
     another k times, and n has no constant term, so the step to r_k computes
-    degrees up to deg - k only, and table[k] goes to the constant term alone.
-    The first step is a scalar times n.  The kept coefficients are bitwise
-    the untruncated scheme's.
+    degrees up to deg - k only, its products skip n's constant term, and its
+    constant term is table[k].  The kept coefficients are bitwise the
+    untruncated scheme's.  The coefficient of r_k of order q comes from
+    those of r_{k+1} below it, so it is the same float at every degree
+    >= k + q, the sign of a zero included.
     """
     deg, axes = a.deg, a.axes
     n = a.nilpotent().c
-    c = _constant_coeffs(table[deg], deg)
+    c, c_axes = _constant_coeffs(table[deg], deg), 0
     for k in range(deg - 1, -1, -1):
-        if k == deg - 1:
-            c = np.multiply(*_align_trailing(c[:1, :1], n))
-        else:
-            c = _mul_coeffs(c, n, deg, top=deg - k, axes_a=axes, axes_b=axes)
-        c[0, 0] += np.asarray(table[k], dtype=float)
+        c = _mul_coeffs(c, n, deg, top=deg - k, axes_a=c_axes, axes_b=axes, nil_b=True)
+        c[0, 0] = table[k]
+        c_axes = axes
     return Jet2(c, deg, axes)
 
 

@@ -136,15 +136,18 @@ def operator_for(family, t: float = 0.0):
 # ---------------------------------------------------------------------------
 
 
-def sg_scaling_direction(family, x):
-    """(dB/dbeta, dB_t/dbeta) derivative grids: x-derivatives of orders 0..4
-    and 0..3, from the jet of the family's closed-form beta-partial.
+def sg_scaling_direction(family, x, deg: int = 2):
+    """(dB/dbeta, dB_t/dbeta) derivative grids: x-derivatives of orders
+    0..deg and 0..deg-1, from the degree-``deg`` jet of the family's
+    closed-form beta-partial.  The pairing's density reads z, z', z'' and
+    w, w', so it takes the default 2; the applied operator needs 4.
 
     The shift and velocity parameters stay fixed while every derived
     constant follows the scaling.
     """
-    d = family.beta_partial(0.0, x, deg=4)
-    return tuple(d.partial(nx=j) for j in range(5)), tuple(d.partial(nt=1, nx=j) for j in range(4))
+    d = family.beta_partial(0.0, x, deg=deg)
+    return (tuple(d.partial(nx=j) for j in range(deg + 1)),
+            tuple(d.partial(nt=1, nx=j) for j in range(deg)))
 
 
 def sg_variational_direction_residual(family) -> float:
@@ -156,7 +159,7 @@ def sg_variational_direction_residual(family) -> float:
     x = np.linspace(-25.0 / family.beta, 25.0 / family.beta, 301)
     op = operator_for(family)
     fam = op.family
-    z, w = sg_scaling_direction(fam, x)
+    z, w = sg_scaling_direction(fam, x, deg=4)
     s = -0.5 / fam.beta
     z = tuple(s * zi for zi in z)
     w = tuple(s * wi for wi in w)

@@ -9,7 +9,7 @@ covers the bandwidth of the integrand (Trefethen and Weideman, SIAM Rev. 56
 integrand's top harmonic.  ``checked_integral`` evaluates the integrand once,
 on the 2N nodes, and reads the N-node value from the even ones: the drift
 between the two levels must stay below a relative 1e-9 or the result is
-rejected.  No plan has a default size.
+rejected.  No plan has a default size, and none may exceed ``MAX_NODES``.
 """
 
 from __future__ import annotations
@@ -20,6 +20,12 @@ from dataclasses import dataclass
 import numpy as np
 
 DRIFT_TOL = 1e-9
+# Most nodes a plan may hold.  The largest plan of the presets, the tests and
+# the benchmark has 4096, and the sine-Gordon functionals at (beta, v) =
+# (0.5, 0.999999) take 108,497.  At this bound a process peaks near 0.29 GB
+# in a functional and 0.47 GB in the Weinstein pairing.  A larger plan is
+# refused before any node is made.
+MAX_NODES = 1 << 18
 
 
 class QuadratureError(RuntimeError):
@@ -41,6 +47,10 @@ class TrapezoidPlan:
             raise ValueError("period must be positive")
         if self.n_nodes < 8:
             raise ValueError("need at least 8 nodes")
+        if self.n_nodes > MAX_NODES:
+            raise ValueError(
+                f"the quadrature plan needs {self.n_nodes} nodes, more than the {MAX_NODES} allowed"
+            )
 
     def nodes_weights(self, refine: int = 1):
         n = self.n_nodes * refine

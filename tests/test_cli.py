@@ -15,6 +15,7 @@ from hypothesis import strategies as hs
 from breatherlab import breathers as br
 from breatherlab import cli
 from breatherlab import functionals
+from breatherlab import quadrature
 from breatherlab import stability
 from breatherlab.quadrature import window_plan
 
@@ -742,3 +743,20 @@ def test_value_range_parsing():
     for spec in ("1:2", "0.01:0.02", "0:1:0.5:2"):
         with pytest.raises(ValueError, match=re.escape(f"grid {spec!r} must be a:b:step")):
             cli._parse_values(spec)
+
+
+@pytest.mark.parametrize("argv,n_nodes", [
+    # a Hermite plan: the strip term 48 beta of the node step
+    (["spectrum", "--family", "mkdv", "--alpha", "0.5", "--beta", "1e7", "--n", "4"], 1870537856),
+    # a functional window: the harmonic 6 alpha
+    (["conserved", "--family", "mkdv", "--alpha", "1e7", "--beta", "1", "--kind", "mass"], 763944186),
+])
+def test_an_oversized_plan_exits_2_before_any_node_is_made(argv, n_nodes, monkeypatch, capsys):
+    def no_nodes(plan, refine=1):
+        raise AssertionError(f"nodes made for a plan of {plan.n_nodes}")
+
+    monkeypatch.setattr(quadrature.TrapezoidPlan, "nodes_weights", no_nodes)
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"needs {n_nodes} nodes" in err
+    assert str(quadrature.MAX_NODES) in err

@@ -8,8 +8,9 @@ from breatherlab import breathers as br
 from breatherlab import functionals as fn
 from breatherlab import jets
 from breatherlab import stability as st
-from breatherlab.quadrature import QuadratureError, TrapezoidPlan, checked_integral
+from breatherlab.quadrature import MAX_NODES, QuadratureError, TrapezoidPlan, checked_integral
 
+import field_oracle
 import gardner_form_oracles
 import loop_oracles
 from legendre_oracle import LegendrePlan, panel_order
@@ -210,6 +211,12 @@ def test_checked_integral_rejects_nan():
         checked_integral(lambda x: np.full_like(x, np.nan), TrapezoidPlan(period=1.0, n_nodes=8))
 
 
+def test_a_plan_holds_at_most_max_nodes():
+    assert TrapezoidPlan(period=1.0, n_nodes=MAX_NODES).n_nodes == MAX_NODES
+    with pytest.raises(ValueError, match=f"needs {MAX_NODES + 1} nodes, more than the {MAX_NODES} allowed"):
+        TrapezoidPlan(period=1.0, n_nodes=MAX_NODES + 1)
+
+
 def test_checked_integral_evaluates_once_on_the_fine_nodes():
     # the Gaussian's trapezoid error at step 0.6 is about 4e-12, so the drift
     # is well above rounding and well below the gate
@@ -321,3 +328,52 @@ def test_kksh_multipliers_equal_the_period_lock_oracle(beta, k):
 def test_kink_has_no_lyapunov_combination():
     with pytest.raises(ValueError, match="no Lyapunov combination"):
         fn.evaluate_functional("lyapunov", br.SgKink(v=0.4))
+
+
+class TestDensityDegrees:
+    """Each density evaluates the field at the degree it reads."""
+
+    families = [
+        br.MkdvBreather(alpha=0.5, beta=1.0, x1=0.3), br.MkdvBreather(alpha=1.5, beta=0.5),
+        br.GardnerBreather(alpha=0.5, beta=1.0, mu=0.3), br.GardnerBreather(alpha=0.5, beta=1.0, mu=1.0),
+        br.SgBreather(beta=0.5, v=0.7), br.SgBreather(beta=0.1, v=0.99),
+        br.KkshBreather(beta=1.0, k=0.03), br.KkshBreather(beta=0.5, k=0.001),
+        br.NonzeroMeanBreather(**gardner_form_oracles.NONZERO_MEAN_CASE),
+        br.MkdvSoliton(c=1.5), br.GardnerSoliton(c=1.5, mu=0.3), br.SgKink(v=0.4),
+    ]
+
+    @pytest.mark.parametrize("t", [0.0, 0.7])
+    @pytest.mark.parametrize("family", families, ids=lambda f: f.kind)
+    def test_every_kind_matches_the_degree_2_route(self, family, t):
+        table = fn._integrand_table(family)
+        accepted = sorted(table) + (["lyapunov"] if isinstance(family, br.Breather) else [])
+        for kind in accepted:
+            def density(x):
+                f = field_oracle.field_arrays_deg2(family, t, x)
+                return fn._lyapunov_density(family, f) if kind == "lyapunov" else table[kind](f)
+
+            want = checked_integral(density, fn.family_plan(family, t))[0]
+            assert repr(fn.evaluate_functional(kind, family, t)) == repr(want), kind
+        for kind in {"mass", "energy", "momentum", "f", "lyapunov"} - set(accepted):
+            with pytest.raises(ValueError):
+                fn.evaluate_functional(kind, family, t)
+
+    @pytest.mark.parametrize("family", [br.MkdvBreather(alpha=0.5, beta=1.0), br.SgBreather(beta=0.5, v=0.7)],
+                             ids=lambda f: f.kind)
+    def test_field_arrays_hold_the_grids_of_their_degree(self, family):
+        x = np.linspace(-3.0, 3.0, 7)
+        wave = isinstance(family, br.WaveFamily)
+        want = [{"u"}, {"u", "ux"} | ({"ut"} if wave else set()),
+                {"u", "ux", "uxx"} | ({"ut", "utx"} if wave else set())]
+        full = field_oracle.field_arrays_deg2(family, 0.7, x)
+        for deg in range(3):
+            f = fn.field_arrays(family, 0.7, x, deg)
+            assert set(f) == want[deg]
+            for name, grid in f.items():
+                assert np.array_equal(grid.view(np.uint64), full[name].view(np.uint64))
+
+    def test_a_density_above_its_degree_raises(self, monkeypatch):
+        # F reads uxx: at degree 1 it finds no grid, instead of reading a zero
+        monkeypatch.setitem(fn.DENSITY_DEG, "f", 1)
+        with pytest.raises(KeyError, match="uxx"):
+            fn.evaluate_functional("f", br.MkdvBreather(alpha=0.5, beta=1.0))
