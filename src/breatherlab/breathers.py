@@ -10,10 +10,11 @@ A family's role is its class: the five breathers derive from :class:`Breather`
 (they recur and fix their Lyapunov multipliers), the sine-Gordon breather and
 kink from :class:`WaveFamily`, and the other families solve Gardner or mKdV.
 
-The mKdV, Gardner, periodic and sine-Gordon breathers state their phases
-once, as ``phase_maps`` and ``phase_period``: the phase jets, the chain maps,
-the recurrence period and shift, and ``normal_form`` (the t = 0, x2 = 0
-snapshot the spectral problems read) all come from them.
+Every breather states its phases once, as ``phase_maps`` and
+``phase_period``: the chain maps and the recurrence period and shift come
+from them, and for the mKdV, Gardner, periodic and sine-Gordon breathers the
+phase jets and ``normal_form`` (the t = 0, x2 = 0 snapshot the spectral
+problems read) too.
 
 The oscillatory families are evaluated through rational derivative forms
 amp * (N_x D - N D_x) / (D^2 + N^2) instead of differentiating an arctan,
@@ -132,8 +133,23 @@ class _ScalarFamily:
 
 
 class Breather:
-    """A breather: B(t + T, x) = B(t, x - L) with T = ``time_period`` and
-    L = ``space_shift``, and its Lyapunov functional has fixed multipliers."""
+    """A breather in two phases y_i = dx_i x + dt_i t + const, ``phase_maps``
+    = ((dt_1, dt_2), (dx_1, dx_2)), of period ``phase_period`` in y1; a
+    subclass states both.  It recurs, B(t + T, x) = B(t, x - L) with
+    T = ``time_period`` and L = ``space_shift``, and its Lyapunov functional
+    has fixed multipliers."""
+
+    @property
+    def time_period(self) -> float:
+        """T with B(t + T, x) = B(t, x - L): y2 is unchanged and y1 moves by
+        ``phase_period``."""
+        (a, b), (c, d) = self.phase_maps
+        return self.phase_period / abs(a - c * b / d)
+
+    @property
+    def space_shift(self) -> float:
+        (_, b), (_, d) = self.phase_maps
+        return -b * self.time_period / d
 
 
 class WaveFamily:
@@ -146,10 +162,10 @@ class WaveFamily:
 
 
 class _TwoPhaseBreather(Breather):
-    """A breather in the phases y_i = dx_i x + dt_i t + x_i, ``phase_maps`` =
-    ((dt_1, dt_2), (dx_1, dx_2)) with dx_2 = 1, of period ``phase_period`` in
-    y1; a subclass holds x1 and x2.  The defaults are ((delta, gamma), (1, 1))
-    and the period 2 pi / |alpha| of the trig profiles."""
+    """A breather whose phases carry the shifts x1 and x2, y_i = dx_i x +
+    dt_i t + x_i with dx_2 = 1; a subclass holds x1 and x2.  The defaults are
+    ``phase_maps`` ((delta, gamma), (1, 1)) and the period 2 pi / |alpha| of
+    the trig profiles."""
 
     @property
     def phase_maps(self) -> tuple[tuple[float, float], tuple[float, float]]:
@@ -163,17 +179,6 @@ class _TwoPhaseBreather(Breather):
         (a, b), (c, d) = self.phase_maps
         x = np.asarray(x, dtype=float)
         return _phase_jets(c * x + a * t + self.x1, d * x + b * t + self.x2, deg)
-
-    @property
-    def time_period(self) -> float:
-        """T with B(t + T, x) = B(t, x - L): y2 is unchanged and y1 moves by
-        ``phase_period``."""
-        (a, b), (c, _) = self.phase_maps
-        return self.phase_period / abs(a - c * b)
-
-    @property
-    def space_shift(self) -> float:
-        return -self.phase_maps[0][1] * self.time_period
 
 
 # ---------------------------------------------------------------------------
@@ -519,27 +524,28 @@ class NonzeroMeanBreather(Breather, _ScalarFamily):
         return 2 * math.pi * abs(self.q) / self.s1
 
     @property
-    def time_period(self) -> float:
-        return 2 * math.pi / (self.s2 * abs(self.c2 - self.c1))
+    def phase_maps(self) -> tuple[tuple[float, float], tuple[float, float]]:
+        """y_i = sigma_i (x - c_i t) with sigma_i = s_i / 2 and (c_1, c_2) =
+        (delta, gamma)."""
+        sig1, sig2 = 0.5 * self.s1, 0.5 * self.s2
+        return (-sig1 * self.delta, -sig2 * self.gamma), (sig1, sig2)
 
-    @property
-    def space_shift(self) -> float:
-        sign = 1.0 if self.c2 > self.c1 else -1.0
-        return self.delta * self.time_period * sign
+    # y1 -> y1 + pi flips the sign of both the numerator and the denominator
+    # of the arctan argument in ``eval``
+    phase_period = math.pi
 
     def _phases(self, t, x):
-        """Phase values y_i = sigma_i (x - c_i t) with sigma_i = s_i / 2 and
-        (c_1, c_2) = (delta, gamma), and their chain maps (dt, dx)."""
-        sig1, sig2 = 0.5 * self.s1, 0.5 * self.s2
+        """Phase values y_i = sigma_i (x - c_i t), formed as written: the
+        expanded form sigma_i x - sigma_i c_i t rounds differently."""
+        _, (sig1, sig2) = self.phase_maps
         x = np.asarray(x, dtype=float)
-        y = (sig1 * (x - self.delta * t), sig2 * (x - self.gamma * t))
-        return y, (-sig1 * self.delta, -sig2 * self.gamma), (sig1, sig2)
+        return sig1 * (x - self.delta * t), sig2 * (x - self.gamma * t)
 
     def eval(self, t, x, deg: int = DEFAULT_DEG) -> FieldJet:
         mu = self.mu
-        y, dt, dx = self._phases(t, x)
+        dt, dx = self.phase_maps
         sig1, sig2 = dx
-        Y1, Y2 = _phase_jets(*y, deg)
+        Y1, Y2 = _phase_jets(*self._phases(t, x), deg)
         s1, c1, s2, c2 = jets.sin(Y1), jets.cos(Y1), jets.sin(Y2), jets.cos(Y2)
         S1, C1 = _Pair(s1, sig1 * c1), _Pair(c1, -sig1 * s1)
         S2, C2 = _Pair(s2, sig2 * c2), _Pair(c2, -sig2 * s2)
@@ -742,8 +748,8 @@ def solve_mean_level(c1: float, c2: float, p: int, q: int) -> float:
 def _seed_wave_jets(family: NonzeroMeanBreather, t, x, deg):
     """The two single-phase waves feeding the superposition rule."""
     mu = family.mu
-    y, dt, dx = family._phases(t, x)
-    Y1, Y2 = _phase_jets(*y, deg)
+    dt, dx = family.phase_maps
+    Y1, Y2 = _phase_jets(*family._phases(t, x), deg)
     X = [Y1 * (1.0 / dx[0]) + family.delta * t, Y2 * (1.0 / dx[1]) + family.gamma * t]
     out = []
     for i, (Y, c) in enumerate(((Y1, family.c1), (Y2, family.c2))):
@@ -785,21 +791,24 @@ def _pole_free_points(family: NonzeroMeanBreather, t, rng, n):
     xs = []
     while len(xs) < n:
         x = rng.uniform(0.0, family.period)
-        (y1, y2), _, _ = family._phases(t, x)
+        y1, y2 = family._phases(t, x)
         if min(abs(math.cos(y1)), abs(math.cos(y2))) > 0.15:
             xs.append(x)
     return np.asarray(xs)
 
 
-def backlund_construct(mu: float, c1: float, p: int, q: int) -> NonzeroMeanBreather:
+def backlund_construct(mu: float, c1: float, p: int, q: int) -> tuple[NonzeroMeanBreather, float, float]:
     """Build the nonzero-mean breather from its superposition data.
 
-    The constructor verifies, on a random sample grid, that the two-step
-    superposition route reproduces the closed-form profile and that the
-    first-step seed relation holds, both to 1e-10.
+    The constructor verifies, on 50 random pole-free points at each of
+    t = 0 and 0.37, that the two-step superposition route reproduces the
+    closed-form profile and that the first-step seed relation holds, both
+    to 1e-10.  Returns the family and the largest superposition deviation
+    and seed residual over both times.
     """
     family = NonzeroMeanBreather(mu=mu, c1=c1, p=p, q=q)
     rng = np.random.default_rng(2024)
+    worst_err = worst_seed = 0.0
     for t in (0.0, 0.37):
         xs = _pole_free_points(family, t, rng, 50)
         direct = family.eval(t, xs, deg=0).value
@@ -809,4 +818,5 @@ def backlund_construct(mu: float, c1: float, p: int, q: int) -> NonzeroMeanBreat
         seed = backlund_seed_residual(family, t, xs)
         if not (seed <= 1e-10):
             raise ArithmeticError(f"seed-wave relation defect {seed:.3e}")
-    return family
+        worst_err, worst_seed = max(worst_err, err), max(worst_seed, seed)
+    return family, worst_err, worst_seed

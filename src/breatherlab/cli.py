@@ -388,13 +388,7 @@ def cmd_backlund(args) -> int:
         mu = breathers.solve_mean_level(args.c1, args.c2, args.p, args.q)
     else:
         mu = args.mu
-    family = breathers.backlund_construct(mu, args.c1, args.p, args.q)
-    rng = np.random.default_rng(7)
-    xs = breathers._pole_free_points(family, 0.0, rng, 40)
-    perm = float(np.max(np.abs(
-        breathers.permutability_profile(family, 0.0, xs) - family.eval(0.0, xs, deg=0).value
-    )))
-    seed = breathers.backlund_seed_residual(family, 0.0, xs)
+    family, perm, seed = breathers.backlund_construct(mu, args.c1, args.p, args.q)
     mean = functionals.mean_value(family)
     cfg = _family_config(family)
     lines = _config_lines(cfg)

@@ -51,6 +51,12 @@ DRIFT_FLAG = 1e-9
 NODE_BLOCK = 2048
 # Hermite node counts are rounded up to a multiple of this: see default_hermite_plan
 NODE_STEP = 64
+# Largest matrix dimension a problem may have.  The presets and the tests go
+# up to 600 (n = 300 on the two-slot sine-Gordon operator).  At the bound a
+# `spectrum` process peaks at 120 MB on the torus (kksh, n = 511) and 179 MB
+# on the line (mkdv, n = 1023).  A larger problem is refused before any node
+# or matrix is made.
+MAX_DIM = 1024
 
 
 class AssemblyError(RuntimeError):
@@ -62,6 +68,10 @@ class GalerkinProblem:
     operator: object
     basis: object
     plan: object
+
+    def __post_init__(self):
+        if self.dim > MAX_DIM:
+            raise ValueError(f"the Galerkin matrix would have dimension {self.dim}, more than the {MAX_DIM} allowed")
 
     @property
     def dim(self) -> int:

@@ -178,9 +178,6 @@ class Jet2:
     def __rtruediv__(self, other):
         return reciprocal(self) * other
 
-    def __pow__(self, n):
-        return powi(self, n)
-
 
 def _align_trailing(a, b):
     """Insert singleton grid axes so two coefficient arrays broadcast."""
@@ -298,24 +295,6 @@ def reciprocal(a: Jet2) -> Jet2:
     for s in range(1, a.deg + 1):
         r = 1.0 - _product(u, r, top=s, nil_x=True)
     return r * (1.0 / a0)
-
-
-def powi(a: Jet2, n: int) -> Jet2:
-    """Integer power by binary exponentiation."""
-    if not isinstance(n, (int, np.integer)):
-        raise TypeError("powi exponent must be an integer")
-    if n < 0:
-        return powi(reciprocal(a), -n)
-    if n == 0:
-        return Jet2.constant(np.ones(a.shape), a.deg)
-    result, base = None, a
-    while n:
-        if n & 1:
-            result = base if result is None else result * base
-        n >>= 1
-        if n:
-            base = base * base
-    return result
 
 
 def compose_univariate(table, a: Jet2) -> Jet2:

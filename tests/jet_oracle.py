@@ -1,7 +1,7 @@
 """Untruncated jet arithmetic, kept as the bitwise reference for jets.py.
 
-These are the Cauchy product, Horner composition, geometric-series
-reciprocal and binary power as they computed every coefficient, with every
+These are the Cauchy product, Horner composition and geometric-series
+reciprocal as they computed every coefficient, with every
 constant addend lifted to a full constant jet.  ``jets`` computes only the
 coefficients that can reach its truncated result, in the same float
 operations and order, so the tests require equal arrays.  Everything here
@@ -81,17 +81,3 @@ def reciprocal(a: Jet2) -> Jet2:
         # 1.0 - u * r, evaluated as (-(u * r)) + 1.0
         r = add_scalar(-mul_coeffs(u, r, deg), 1.0)
     return Jet2(r * np.asarray(1.0 / a0, dtype=float), deg)
-
-
-def powi(a: Jet2, n: int) -> Jet2:
-    if n < 0:
-        return powi(reciprocal(a), -n)
-    deg = a.deg
-    result = constant(np.ones(a.shape), deg)
-    base = a.c
-    while n:
-        if n & 1:
-            result = mul_coeffs(result, base, deg)
-        base = mul_coeffs(base, base, deg)
-        n >>= 1
-    return Jet2(result, deg)

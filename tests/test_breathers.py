@@ -121,9 +121,30 @@ class TestPeriodicity:
         fam = br.NonzeroMeanBreather(mu=1.3, c1=0.9, p=2, q=3)
         assert br.periodicity_check(fam) < 1e-10
 
+    @pytest.mark.parametrize("c1, p, q", [(1.0, 4, 3), (1.5, 5, 4), (0.9, -4, 3)])
+    def test_nonzero_mean_with_c2_below_c1(self, c1, p, q):
+        # |p| > |q| puts c2 below c1
+        fam = br.NonzeroMeanBreather(mu=1.0, c1=c1, p=p, q=q)
+        assert fam.c2 < fam.c1
+        assert br.periodicity_check(fam) < 1e-12
+
     def test_rejects_solitons(self):
         with pytest.raises(ValueError):
             br.periodicity_check(br.MkdvSoliton(c=1.0))
+
+    @pytest.mark.parametrize("family", [
+        br.MkdvBreather(alpha=2.5, beta=1.0, x1=0.3),
+        br.GardnerBreather(alpha=0.5, beta=1.0, mu=0.1, x1=0.1),
+        br.SgBreather(beta=0.5, v=0.7),
+        br.SgBreather(beta=0.5, v=-0.3),
+        br.KkshBreather(beta=1.0, k=0.02, x1=0.1),
+    ], ids=lambda f: f.kind)
+    def test_two_phase_recurrence_keeps_its_dx2_free_form(self, family):
+        # dx_2 = 1 for these breathers, so dividing by it changes no bit
+        (a, b), (c, _) = family.phase_maps
+        T = family.phase_period / abs(a - c * b)
+        assert repr(family.time_period) == repr(T)
+        assert repr(family.space_shift) == repr(-b * T)
 
 
 _PERIODIC_FAMILIES = [
@@ -266,7 +287,8 @@ class TestKkshReduction:
 class TestNonzeroMean:
     def test_fig_like_parameter_solve(self):
         mu = br.solve_mean_level(1.65, 2.95, 22, 23)
-        fam = br.backlund_construct(mu, 1.65, 22, 23)
+        fam, perm, seed = br.backlund_construct(mu, 1.65, 22, 23)
+        assert perm <= 1e-10 and seed <= 1e-10
         assert fam.c2 == pytest.approx(2.95, abs=1e-12)
         # quoted approximate period ~ 35.7; the exact locked value is 36.97
         assert fam.period == pytest.approx(35.7, rel=0.05)

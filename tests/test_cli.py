@@ -15,6 +15,7 @@ from hypothesis import strategies as hs
 from breatherlab import breathers as br
 from breatherlab import cli
 from breatherlab import functionals
+from breatherlab import galerkin
 from breatherlab import quadrature
 from breatherlab import stability
 from breatherlab.quadrature import window_plan
@@ -383,6 +384,16 @@ class TestOtherCommands:
         assert get("mu") == pytest.approx(2.90966, abs=1e-4)
         assert get("superposition_vs_closed_form") < 1e-10
         assert get("seed_relation_residual") < 1e-10
+
+    @pytest.mark.parametrize("mu, c1, p, q", [(1.0, 1.0, 4, 3), (1.0, 1.5, 5, 4), (1.0, 0.9, 2, 3)])
+    def test_backlund_prints_the_construction_diagnostics(self, mu, c1, p, q, capsys):
+        assert run(["backlund", f"--mu={mu}", f"--c1={c1}", f"--p={p}", f"--q={q}"]) == 0
+        rows = dict(line.split(",") for line in capsys.readouterr().out.splitlines()[3:])
+        _, perm, seed = br.backlund_construct(mu, c1, p, q)
+        assert rows["superposition_vs_closed_form"] == cli.fmt(perm)
+        assert rows["seed_relation_residual"] == cli.fmt(seed)
+        # |p| > |q| puts c2 below c1, where the recurrence once had the wrong shift
+        assert float(rows["periodicity_defect"]) < 1e-12
 
     def test_backlund_needs_mu_or_c2(self):
         assert run(["backlund", "--c1", "1.0", "--p", "2", "--q", "3"]) == 2
@@ -760,3 +771,20 @@ def test_an_oversized_plan_exits_2_before_any_node_is_made(argv, n_nodes, monkey
     err = capsys.readouterr().err
     assert err.startswith("error: ") and f"needs {n_nodes} nodes" in err
     assert str(quadrature.MAX_NODES) in err
+
+
+@pytest.mark.parametrize("argv,dim", [
+    (["spectrum", "--family", "kksh", "--beta", "1", "--k", "0.03", "--n", "30000"], 60001),
+    (["spectrum", "--family", "mkdv", "--alpha", "0.5", "--n", "20000"], 20001),
+    (["spectrum", "--family", "sg", "--beta", "0.5", "--dim-total", "1026"], 1026),
+    (["sweep", "--family", "kksh", "--beta", "1", "--k", "0.03", "--n", "512",
+      "--param", "k", "--values", "0.02,0.03"], 1025),
+])
+def test_an_oversized_matrix_exits_2_before_any_node_is_made(argv, dim, monkeypatch, capsys):
+    def no_nodes(plan, refine=1):
+        raise AssertionError(f"nodes made for a plan of {plan.n_nodes}")
+
+    monkeypatch.setattr(quadrature.TrapezoidPlan, "nodes_weights", no_nodes)
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: the Galerkin matrix would have dimension {dim}, more than the {galerkin.MAX_DIM} allowed\n"

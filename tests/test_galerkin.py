@@ -495,3 +495,13 @@ def test_matrix_csv_header():
     lines = text.strip().split("\n")
     assert lines[0] == "# galerkin N=1 family=mkdv"
     assert len(lines) == 3
+
+
+@pytest.mark.parametrize("family", [br.SgBreather(beta=0.5, v=0.3), br.MkdvBreather(alpha=0.5, beta=1.0)],
+                         ids=lambda f: f.kind)
+def test_a_matrix_at_the_dimension_bound_is_allowed(family):
+    op = linops.operator_for(family)
+    n_max = gk.MAX_DIM // op.slots - 1
+    assert gk.hermite_problem(op, n_max).dim == gk.MAX_DIM
+    with pytest.raises(ValueError, match=f"dimension {gk.MAX_DIM + op.slots}, more than the {gk.MAX_DIM} allowed"):
+        gk.hermite_problem(op, n_max + 1)

@@ -8,14 +8,12 @@ from breatherlab import jets, specfun
 from breatherlab.jets import Jet2
 
 
-def random_jet(rng, deg=6, amp=1.0, base=None):
+def random_jet(rng, deg=6, amp=1.0):
     c = rng.uniform(-amp, amp, size=(deg + 1, deg + 1))
     for i in range(deg + 1):
         for j in range(deg + 1):
             if i + j > deg:
                 c[i, j] = 0.0
-    if base is not None:
-        c[0, 0] = base
     return Jet2(c)
 
 
@@ -97,15 +95,6 @@ def test_degree_mismatch_rejected():
     b = Jet2.variable(0.0, 0, deg=4)
     with pytest.raises(ValueError):
         a + b
-
-
-def test_powi_matches_repeated_product():
-    rng = np.random.default_rng(7)
-    a = random_jet(rng, base=0.7)
-    assert np.allclose((a * a * a).c, jets.powi(a, 3).c, rtol=1e-13, atol=1e-13)
-    inv3 = jets.powi(a, -3)
-    ident = (a * a * a) * inv3
-    assert ident.c[0, 0] == pytest.approx(1.0, rel=1e-12)
 
 
 def test_first_partials_match_finite_differences():
@@ -240,8 +229,6 @@ def test_reciprocal_powers_and_products_match_untruncated(deg, shape):
     a = grid_jet(rng, deg, shape, 0.5, 1.5)
     b = grid_jet(rng, deg, shape)
     assert same(jets.reciprocal(a), jet_oracle.reciprocal(a))
-    for n in range(-3, 6):
-        assert same(jets.powi(a, n), jet_oracle.powi(a, n)), n
     assert same(a * b, jet_oracle.mul_coeffs(a.c, b.c, deg))
     assert same(b / a, jet_oracle.mul_coeffs(b.c, jet_oracle.reciprocal(a).c, deg))
 
@@ -318,8 +305,7 @@ def test_mask_of_constructed_jets():
     y1, y2 = Jet2.variable(0.3, 0, 2), Jet2.variable(0.2, 1, 2)
     assert (y1 + y2).axes == (y1 * y2).axes == (y2 - y1).axes == 3
     assert (2.0 * y1 - 1.0).axes == (-y1 / 3.0).axes == (1.0 - y1).axes == 1
-    assert y2.nilpotent().axes == jets.reciprocal(y2).axes == jets.powi(y2, -2).axes == 2
-    assert jets.powi(y2, 0).axes == 0
+    assert y2.nilpotent().axes == jets.reciprocal(y2).axes == 2
 
 
 MASK_PAIRS = [(1, 2), (1, 1), (2, 1), (0, 3), (3, 1), (3, 3)]
@@ -373,10 +359,6 @@ def test_one_variable_compositions_match_untruncated(deg, shape, monkeypatch):
         # at degree 0 a jet is its value alone, and its reciprocal a constant
         assert jets.reciprocal(a).axes == (axes if deg else 0)
         assert same(jets.reciprocal(a), jet_oracle.reciprocal(a))
-        for n in range(-3, 6):
-            p = jets.powi(a, n)
-            assert p.axes == (axes if n > 0 or (n < 0 and deg) else 0), n
-            assert same(p, jet_oracle.powi(a, n)), n
 
 
 def _family_jets():
