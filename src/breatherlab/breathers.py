@@ -358,7 +358,8 @@ class SgBreather(WaveFamily, _TwoPhaseBreather):
 
 @dataclass(frozen=True)
 class KkshBreather(_TwoPhaseBreather, _ScalarFamily):
-    """Spatially periodic breather: elliptic phases locked to a common period."""
+    """Spatially periodic breather: elliptic phases locked to a common period;
+    ``pair`` is the solved lock, with K and E at k and at m."""
 
     beta: float
     k: float
@@ -372,19 +373,19 @@ class KkshBreather(_TwoPhaseBreather, _ScalarFamily):
         stability.check_beta(self.beta)
         check_finite(self)
         stability.check_k_range(self.k)
-        object.__setattr__(self, "_pair", stability.solve_commensurability(self.k, self.beta))
+        object.__setattr__(self, "pair", stability.solve_commensurability(self.k, self.beta))
 
     @property
     def m(self) -> float:
-        return self._pair.m
+        return self.pair.m
 
     @property
     def alpha(self) -> float:
-        return self._pair.alpha
+        return self.pair.alpha
 
     @property
     def period(self) -> float:
-        return self._pair.period
+        return self.pair.period
 
     phase_period = period
 
@@ -428,7 +429,7 @@ class KkshBreather(_TwoPhaseBreather, _ScalarFamily):
         U = sn1 * dn2
         U_a = Y1 * cn1 * dn1 * dn2
         U_b = (-m) * Y2 * sn1 * sn2 * cn2
-        m_k = stability.lock_slope(k, m)
+        m_k = stability.lock_slope(self.pair)
         a_k = 0.25 * a * (-m_k / (1.0 - m) - 1.0 / k)
         U_k = (a_k * U_a + specfun.jacobi_dm_jet(a * Y1, k)[0] * dn2
                + m_k * sn1 * specfun.jacobi_dm_jet(b * Y2, m)[2])

@@ -234,6 +234,10 @@ def cmd_spectrum(args) -> int:
     return 0
 
 
+# Most matrix entries a sweep may hold at once: eight matrices at MAX_DIM.
+MAX_SWEEP_ENTRIES = 8 * galerkin.MAX_DIM**2
+
+
 def cmd_sweep(args) -> int:
     _check_n_eigs(args.n_eigs)
     values = _parse_values(args.values)
@@ -243,17 +247,24 @@ def cmd_sweep(args) -> int:
     if args.param not in params:
         raise ValueError(f"--param must be one of {params} for {args.family}, got {args.param!r}")
     n = _basis_size(args)
-    families = [_family_from_args(argparse.Namespace(**{**vars(args), args.param: val}))
-                for val in values]
-    cfg = _family_config(families[0])
+    families = (_family_from_args(argparse.Namespace(**{**vars(args), args.param: val})) for val in values)
+    first = next(families)
+    problems = [_problem(first, n)]
+    # every row's matrices are held until the last row is solved, and every
+    # row has the dimension of the first
+    dim = problems[0].dim
+    if len(values) * dim * dim > MAX_SWEEP_ENTRIES:
+        raise ValueError(f"the sweep would hold {len(values)} matrices of dimension {dim}, more than "
+                         f"{MAX_SWEEP_ENTRIES} entries (8 x {galerkin.MAX_DIM}^2) allowed")
+    # each row holds all its columns
+    if args.n_eigs > dim:
+        raise ValueError(f"--n-eigs {args.n_eigs} exceeds the matrix dimension {dim}")
+    problems += [_problem(family, n) for family in families]
+    cfg = _family_config(first)
     cfg.update({"n": n, "sweep": args.param})
     lines = _config_lines(cfg) + _EIG_HEADER
     lines.append(args.param + "," + ",".join(f"eig{i + 1}" for i in range(args.n_eigs))
                  + ",n_neg,kernel_dim,gap,asymmetry,drift")
-    problems = [_problem(family, n) for family in families]
-    # every row has the dimension of the first, and each row holds all its columns
-    if args.n_eigs > problems[0].dim:
-        raise ValueError(f"--n-eigs {args.n_eigs} exceeds the matrix dimension {problems[0].dim}")
     for val, (assembled, spectrum, cls) in zip(values, galerkin.solve_problems(problems, args.kernel_tol)):
         lines.append(
             ",".join([fmt(val)] + [fmt(v) for v in spectrum.values[:args.n_eigs]])
@@ -374,6 +385,8 @@ def cmd_stability(args) -> int:
     lines = [f"# config: beta={fmt(beta)} k_grid={args.k}"]
     lines.append("# columns: parameters, derived constants, closed-form mass, variational")
     lines.append("# coefficients, frozen-constraint discriminant D and sign function HG")
+    worst = max(rep.residual_to_gate for rep in reports)
+    lines.append(f"# max commensurability residual / gate: {worst:.1e}")
     lines.append(stability.StabilityReport.CSV_COLUMNS)
     for rep in reports:
         lines.append(rep.csv_row(fmt=fmt))

@@ -209,7 +209,7 @@ def kksh_inverse_direction_residual(beta: float, k: float) -> float:
     # the direction follows the constrained solution family, so the
     # coefficient partials carry dm/dk along the period lock
     d, _ = stability.discriminant_and_hg(beta, k, constraint="resolved")
-    _, grad_b, grad_k = stability.coefficient_gradients(beta, k, family.m, "resolved")
+    _, grad_b, grad_k = stability.coefficient_gradients(family.pair, "resolved")
     da1_db, da1_dk = grad_b[0], grad_k[0]
     b0 = tuple((da1_dk * dbj - da1_db * dkj) / d for dkj, dbj in zip(dk, db))
     op = operator_for(family)

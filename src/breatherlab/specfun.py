@@ -290,13 +290,18 @@ class FourierBasis:
         """[V, V', ..., V^(orders)] with V of shape (size, len(x)).
 
         cos and sin are evaluated once per mode; each derivative scales the
-        pair by w and rotates it, (cos, sin) -> (-sin, cos).
+        pair by w and rotates it, (cos, sin) -> (-sin, cos).  The phases w x
+        are formed in numpy's longdouble: in doubles they round by up to half
+        an ulp of 2 pi N, 3e-14 at N = 50, where this stack's trapezoid sums
+        are held to the FFT sums of ``galerkin``.  Where longdouble is a
+        double, the phases round as before.
         """
         x = np.atleast_1d(np.asarray(x, dtype=float))
         L = self.period
         w = 2.0 * math.pi * np.arange(1, self.count_n + 1) / L
-        arg = w[:, None] * x[None, :]
-        c, s = math.sqrt(2.0 / L) * np.cos(arg), math.sqrt(2.0 / L) * np.sin(arg)
+        ld = np.longdouble
+        arg = (8 * np.arctan(ld(1)) / ld(L) * np.arange(1, self.count_n + 1, dtype=ld))[:, None] * x.astype(ld)
+        c, s = (math.sqrt(2.0 / L) * f(arg).astype(float) for f in (np.cos, np.sin))
         out = []
         for d in range(orders + 1):
             v = np.zeros((self.size, x.size))

@@ -9,6 +9,13 @@ equivalently 16 k K(k)^4 = (1 - m) K(m)^4.  The left side is increasing in k
 and the right side decreasing in m, so for each admissible k there is exactly
 one m; k ranges over (0, k*) with k* the root of k K(k)^4 = (pi/2)^4 / 16.
 
+Every solve on the lock is a safeguarded Newton iteration (``_newton``): the
+log of the mismatch is nearly linear in s = ln(1 - m) and in ln k, and its
+slope is closed-form (DLMF 19.4.1), so from a start read off the two ends of
+the curve a row takes about five (K, E) evaluations.  A solved
+``CommensuratePair`` keeps K and E at k and at m, and everything a stability
+row prints is computed from those four integrals.
+
 On top of the solve this module provides the closed-form mass of the periodic
 breather, the variational coefficients (a1, a2), their exact parameter
 derivatives, the parameter-plane discriminant D, the sign function HG whose
@@ -23,49 +30,109 @@ import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
-import numpy as np
-
 from .specfun import ellip_e, ellip_k
 
 _PI_HALF_4 = (math.pi / 2.0) ** 4
+_EPS = sys.float_info.epsilon
+# largest m a solve reaches: 1 - m below 1e-15 is held by only a few doubles
+_M_MAX = 1.0 - 1e-15
+# (1 - m) K(m)^4 at _M_MAX, the smallest lock target a solve reaches
+_TARGET_MIN = (1.0 - _M_MAX) * ellip_k(_M_MAX) ** 4
+# bisection alone closes the widest bracket to one ulp in fewer
+_NEWTON_STEPS = 100
 
 
-def _bisect(f, lo: float, hi: float, iters: int = 200) -> float:
-    flo = f(lo)
-    fhi = f(hi)
-    if flo == 0.0:
-        return lo
-    if fhi == 0.0:
-        return hi
-    if flo * fhi > 0.0:
-        raise ValueError("bisection bracket does not straddle a root")
-    for _ in range(iters):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        fm = f(mid)
-        if fm == 0.0:
-            return mid
-        if flo * fm < 0.0:
-            hi = mid
+def _newton(step, lo: float, hi: float, x: float):
+    """Root of an increasing f in (lo, hi), from x (Brent, *Algorithms for
+    Minimization without Derivatives*, 1973, ch. 4; "rtsafe").
+
+    ``step(x)`` returns f(x), the caller's Newton iterate from x and any values
+    it wants back.  Each value of f moves the bracket end on its side to x; an
+    iterate outside the bracket, or NaN, is replaced by the midpoint.  Returns
+    the last x evaluated and its values, once f(x) = 0 or the next point rounds
+    to x: within rounding noise of the root, where f need not be monotone, the
+    bracket closes in on x.
+    """
+    for _ in range(_NEWTON_STEPS):
+        f, nxt, values = step(x)
+        if math.isnan(f):
+            raise ArithmeticError(f"root search met NaN at {x!r}")
+        if f == 0.0 or nxt == x:
+            return x, values
+        if f < 0.0:
+            lo = x
         else:
-            lo, flo = mid, fm
-    return 0.5 * (lo + hi)
+            hi = x
+        if not lo < nxt < hi:
+            nxt = 0.5 * (lo + hi)
+            if nxt == x:
+                return x, values
+        x = nxt
+    raise ArithmeticError(f"root search did not converge in {_NEWTON_STEPS} steps")
+
+
+def _solve_k(target: float, hi: float) -> tuple[float, float, float]:
+    """k in (0, hi) with 16 k K(k)^4 = target, and K(k), E(k) there.
+
+    Newton steps in ln k on ln(16 k K(k)^4 / target), whose ln k-slope is
+    2 E / ((1 - k) K) - 1, from the small-k series
+    16 k K(k)^4 = 16 (pi/2)^4 k (1 + k + 15 k^2 / 16 + O(k^3)).
+    """
+    k0 = target / (16.0 * _PI_HALF_4)
+    k = k0
+    for _ in range(2):
+        k = k0 / (1.0 + k + 15.0 * k * k / 16.0)
+
+    def step(k):
+        K, E = ellip_k(k), ellip_e(k)
+        h = math.log(16.0 * k * K**4 / target)
+        return h, k * math.exp(-h / (2.0 * E / ((1.0 - k) * K) - 1.0)), (K, E)
+
+    k, (K, E) = _newton(step, 0.0, hi, min(k, hi))
+    return k, K, E
 
 
 @lru_cache(maxsize=1)
 def find_kstar() -> float:
     """Largest admissible k: the m -> 0 endpoint of the commensurability curve."""
-    return _bisect(lambda k: 16.0 * k * ellip_k(k) ** 4 - _PI_HALF_4, 1e-6, 0.25)
+    return _solve_k(_PI_HALF_4, 0.25)[0]
+
+
+def _lock_start(target: float) -> float:
+    """m on the lock (1 - m) K(m)^4 = target, from the curve's two ends.
+
+    Near k*, (1 - m) K(m)^4 = (pi/2)^4 (1 - (m^2 + m^3) / 16 + O(m^4)).  Near
+    k = 0, K(m) = (1 + q/4) L - q/4 + O(q^2 L) with q = 1 - m = e^s and
+    L = ln 4 - s/2 (DLMF 19.12.1), and s solves s + 4 ln K = ln(target).
+    """
+    # m^2 (1 + m) = 16 (1 - target / (pi/2)^4), by two fixed-point steps
+    m0 = 4.0 * math.sqrt(max(0.0, 1.0 - target / _PI_HALF_4))
+    m = m0 / math.sqrt(1.0 + m0 / math.sqrt(1.0 + m0))
+    if m < 0.8:
+        return m
+    # Newton steps on s + 4 ln K = ln(target), from K = 3
+    log_target = math.log(target)
+    s = log_target - 4.0 * math.log(3.0)
+    for _ in range(4):
+        q, L = math.exp(s), math.log(4.0) - 0.5 * s
+        K = (1.0 + 0.25 * q) * L - 0.25 * q
+        dK = 0.25 * q * (L - 1.0) - 0.5 * (1.0 + 0.25 * q)
+        s -= (s + 4.0 * math.log(K) - log_target) / (1.0 + 4.0 * dK / K)
+    return -math.expm1(s)
 
 
 @dataclass(frozen=True)
 class CommensuratePair:
-    """A solved (k, m) pair with the derived scaling and common period."""
+    """A solved (k, m) pair, with K and E at k and at m, the derived scaling,
+    the common period and the closed-form mass."""
 
     beta: float
     k: float
     m: float
+    K_k: float
+    E_k: float
+    K_m: float
+    E_m: float
 
     @property
     def alpha(self) -> float:
@@ -73,12 +140,24 @@ class CommensuratePair:
 
     @property
     def period(self) -> float:
-        return 4.0 * ellip_k(self.k) / self.alpha
+        return 4.0 * self.K_k / self.alpha
+
+    @property
+    def mass(self) -> float:
+        """Mass of the periodic breather over one period."""
+        return 4.0 * self.beta * (self.E_m + 4.0 * (self.K_k / self.K_m) * (self.E_k - self.K_k))
 
     @property
     def residual(self) -> float:
         """Defect of k/(1-m) = K(m)^4 / (16 K(k)^4)."""
-        return self.k / (1.0 - self.m) - ellip_k(self.m) ** 4 / (16.0 * ellip_k(self.k) ** 4)
+        return self.k / (1.0 - self.m) - self.K_m ** 4 / (16.0 * self.K_k ** 4)
+
+    @property
+    def gate(self) -> float:
+        """Largest |residual| a solve accepts: one ulp of m shifts the defect by
+        ~ k/(1-m)^2 * eps, which dominates the 1e-12 target only in the m -> 1
+        endpoint regime."""
+        return 1e-12 * max(1.0, self.k / (1.0 - self.m)) + 4.0 * _EPS * self.k / (1.0 - self.m) ** 2
 
 
 def check_k_range(k: float) -> None:
@@ -95,21 +174,33 @@ def check_beta(beta: float) -> None:
 
 
 def solve_commensurability(k: float, beta: float = 1.0) -> CommensuratePair:
-    """Solve for m given k; bisection on the monotone period mismatch."""
+    """Solve for m given k: safeguarded Newton steps in s = ln(1 - m) on
+    g = ln((1 - m) K(m)^4 / (16 k K(k)^4)), which is nearly linear in s, with
+    slope dg/ds = 1 - 2 (E/K - (1 - m)) / m.  The iterate is m itself, moved
+    by 1 - m -> (1 - m) e^ds, so the last steps are corrections in m that
+    never round through s.  Within a few ulps of the root g is not monotone
+    (the band is about 1e-12 wide near k*, where dg/ds -> 0), so m is fixed
+    only up to that band."""
     check_beta(beta)
     check_k_range(k)
-    target = 16.0 * k * ellip_k(k) ** 4
+    K_k = ellip_k(k)
+    target = 16.0 * k * K_k**4
+    if not target > _TARGET_MIN:
+        raise ValueError(f"k = {k!r} needs 1 - m < 1e-15, which double precision cannot hold")
 
-    def f(m):
-        return (1.0 - m) * ellip_k(m) ** 4 - target
+    def step(m):
+        K, E = ellip_k(m), ellip_e(m)
+        g = math.log((1.0 - m) * K**4 / target)
+        slope = 1.0 - 2.0 * (E / K - (1.0 - m)) / m
+        # the slope cancels as m -> 0: one that rounds to zero or below gives
+        # a NaN step, a tiny one a step far out of the bracket (capped below
+        # expm1's overflow), and _newton bisects on either
+        ds = -g / slope if slope > 0.0 else math.nan
+        return -g, m - (1.0 - m) * math.expm1(min(ds, 709.0)), (K, E)
 
-    m = _bisect(f, 1e-15, 1.0 - 1e-15)
-    pair = CommensuratePair(beta=beta, k=k, m=m)
-    # one ulp of m shifts the printed-form defect by ~ k/(1-m)^2 * eps, which
-    # dominates the 1e-12 target only in the m -> 1 endpoint regime
-    eps = np.finfo(float).eps
-    gate = 1e-12 * max(1.0, k / (1.0 - m)) + 4.0 * eps * k / (1.0 - m) ** 2
-    if not (abs(pair.residual) <= gate):
+    m, (K_m, E_m) = _newton(step, 1e-15, _M_MAX, min(max(_lock_start(target), 1e-15), _M_MAX))
+    pair = CommensuratePair(beta, k, m, K_k, ellip_e(k), K_m, E_m)
+    if not (abs(pair.residual) <= pair.gate):
         raise ArithmeticError(f"commensurability solve stalled, residual {pair.residual:.2e}")
     return pair
 
@@ -118,9 +209,9 @@ def solve_commensurability_from_m(m: float, beta: float = 1.0) -> CommensuratePa
     """Inverse solve: k given m."""
     if not 0.0 < m < 1.0:
         raise ValueError(f"m must lie in (0, 1), got {m}")
-    target = (1.0 - m) * ellip_k(m) ** 4
-    k = _bisect(lambda k: 16.0 * k * ellip_k(k) ** 4 - target, 1e-18, find_kstar())
-    return CommensuratePair(beta=beta, k=k, m=m)
+    K_m = ellip_k(m)
+    k, K_k, E_k = _solve_k((1.0 - m) * K_m**4, find_kstar())
+    return CommensuratePair(beta, k, m, K_k, E_k, K_m, ellip_e(m))
 
 
 # ---------------------------------------------------------------------------
@@ -143,43 +234,39 @@ def _a1a2(beta: float, k: float, m: float) -> tuple[float, float]:
     return a1, a2
 
 
-def _mass(beta: float, k: float, m: float) -> float:
-    return 4.0 * beta * (ellip_e(m) + 4.0 * (ellip_k(k) / ellip_k(m)) * (ellip_e(k) - ellip_k(k)))
-
-
 def periodic_mass(beta: float, k: float) -> float:
     """Mass of the periodic breather over one period, in closed form."""
-    return _mass(beta, k, solve_commensurability(k, beta).m)
+    return solve_commensurability(k, beta).mass
 
 
-def _elliptic_pair(m: float) -> tuple[float, float, float, float]:
-    """K(m), E(m) and their m-derivatives (DLMF 19.4.1 in the parameter form)."""
-    K, E = ellip_k(m), ellip_e(m)
-    return K, E, (E - (1.0 - m) * K) / (2.0 * m * (1.0 - m)), (E - K) / (2.0 * m)
+def _derivatives(m: float, K: float, E: float) -> tuple[float, float]:
+    """dK/dm and dE/dm from K(m) and E(m) (DLMF 19.4.1 in the parameter form)."""
+    return (E - (1.0 - m) * K) / (2.0 * m * (1.0 - m)), (E - K) / (2.0 * m)
 
 
-def lock_slope(k: float, m: float) -> float:
+def lock_slope(pair: CommensuratePair) -> float:
     """dm/dk = -F_k / F_m along the period lock F(k, m) = 16 k K(k)^4 - (1 - m) K(m)^4 = 0."""
-    Kk, _, dKk, _ = _elliptic_pair(k)
-    Km, _, dKm, _ = _elliptic_pair(m)
+    k, m, Kk, Km = pair.k, pair.m, pair.K_k, pair.K_m
+    dKk, dKm = _derivatives(k, Kk, pair.E_k)[0], _derivatives(m, Km, pair.E_m)[0]
     return -(16.0 * Kk**4 + 64.0 * k * Kk**3 * dKk) / (Km**4 - 4.0 * (1.0 - m) * Km**3 * dKm)
 
 
-def coefficient_gradients(beta: float, k: float, m: float, constraint: str = "frozen"):
+def coefficient_gradients(pair: CommensuratePair, constraint: str = "frozen"):
     """Values and exact (beta, k)-partials of (a1, a2, mass) at a locked pair.
 
     Returns three triples ordered (a1, a2, mass): the values, the beta-partials
     and the k-partials.  beta enters as pure powers (a1 ~ beta^2, a2 ~ beta^4,
     mass ~ beta), and m does not depend on it.  "frozen" holds m fixed in the
     k-partials; "resolved" adds dm/dk = -F_k / F_m along the period lock
-    (``lock_slope``).
+    (``lock_slope``).  Every elliptic integral comes from the pair.
     """
     if constraint not in ("frozen", "resolved"):
         raise ValueError("constraint must be 'frozen' or 'resolved'")
-    check_k_range(k)
-    (a1, a2), mass = _a1a2(beta, k, m), _mass(beta, k, m)
-    Kk, Ek, dKk, dEk = _elliptic_pair(k)
-    Km, Em, dKm, dEm = _elliptic_pair(m)
+    beta, k, m = pair.beta, pair.k, pair.m
+    (a1, a2), mass = _a1a2(beta, k, m), pair.mass
+    Kk, Ek, Km = pair.K_k, pair.E_k, pair.K_m
+    dKk, dEk = _derivatives(k, Kk, Ek)
+    dKm, dEm = _derivatives(m, Km, pair.E_m)
     s = _alpha(beta, k, m) ** 2
     s_k, s_m = -s / (2.0 * k), -s / (2.0 * (1.0 - m))
     poly, b2 = 1.0 + k * k - 26.0 * k, beta * beta
@@ -191,7 +278,7 @@ def coefficient_gradients(beta: float, k: float, m: float, constraint: str = "fr
     mass_k = 16.0 * beta * (dKk * (Ek - Kk) + Kk * (dEk - dKk)) / Km
     mass_m = 4.0 * beta * (dEm - 4.0 * Kk * (Ek - Kk) * dKm / Km**2)
     if constraint == "resolved":
-        m_k = lock_slope(k, m)
+        m_k = lock_slope(pair)
         a1_k, a2_k, mass_k = a1_k + m_k * a1_m, a2_k + m_k * a2_m, mass_k + m_k * mass_m
     return (a1, a2, mass), (2.0 * a1 / beta, 4.0 * a2 / beta, mass / beta), (a1_k, a2_k, mass_k)
 
@@ -226,8 +313,8 @@ def discriminant_and_hg(beta: float, k: float, constraint: str = "frozen") -> tu
     which keeps the inverse-direction identity L[B0] = -B true but turns out
     to produce no sign change at all.
     """
-    m = solve_commensurability(k, beta).m
-    d, hg = _discriminant(*coefficient_gradients(beta, k, m, constraint)[1:])
+    pair = solve_commensurability(k, beta)
+    d, hg = _discriminant(*coefficient_gradients(pair, constraint)[1:])
     if math.isnan(hg):
         raise ArithmeticError("degenerate discriminant: the inverse direction is undefined")
     return d, hg
@@ -235,14 +322,11 @@ def discriminant_and_hg(beta: float, k: float, constraint: str = "frozen") -> tu
 
 def discriminant_root() -> float:
     """Zero crossing of the frozen-constraint discriminant in k, bracketed by
-    (0.04, 0.058).  The frozen D is beta^5 times a function of k, so the root
-    does not depend on beta; it is found at beta = 1."""
-
-    def d(k):
-        m = solve_commensurability(k).m
-        return _discriminant(*coefficient_gradients(1.0, k, m)[1:])[0]
-
-    return _bisect(d, 0.04, 0.058, iters=60)
+    (0.04, 0.058), where D falls through zero.  The frozen D is beta^5 times a
+    function of k, so the root does not depend on beta; it is found at
+    beta = 1, by bisection on -D."""
+    return _newton(lambda k: (-_discriminant(*coefficient_gradients(solve_commensurability(k))[1:])[0],
+                              math.nan, None), 0.04, 0.058, 0.049)[0]
 
 
 @dataclass(frozen=True)
@@ -258,6 +342,7 @@ class StabilityReport:
     discriminant: float
     hg: float
     verdict: str
+    residual_to_gate: float  # |commensurability residual| / its gate
 
     CSV_COLUMNS = "beta,k,m,alpha,L,mass,a1,a2,D,HG,verdict"
 
@@ -272,9 +357,10 @@ class StabilityReport:
 
 
 def stability_report(beta: float, k: float) -> StabilityReport:
-    """Full periodic-breather diagnostic row for one (beta, k)."""
+    """Full periodic-breather diagnostic row for one (beta, k), from the four
+    elliptic integrals of its solved pair."""
     pair = solve_commensurability(k, beta)
-    (a1, a2, mass), grad_b, grad_k = coefficient_gradients(beta, k, pair.m)
+    (a1, a2, mass), grad_b, grad_k = coefficient_gradients(pair)
     d, hg = _discriminant(grad_b, grad_k)
     if math.isnan(hg):
         d, verdict = 0.0, "degenerate"
@@ -283,6 +369,7 @@ def stability_report(beta: float, k: float) -> StabilityReport:
     return StabilityReport(
         beta=beta, k=k, m=pair.m, alpha=pair.alpha, period=pair.period,
         mass=mass, a1=a1, a2=a2, discriminant=d, hg=hg, verdict=verdict,
+        residual_to_gate=abs(pair.residual) / pair.gate,
     )
 
 

@@ -371,6 +371,19 @@ class TestOtherCommands:
         assert run(["stability", "--beta", "1", "--k", "5e-7"]) == 0
         assert capsys.readouterr().out.rstrip().endswith(",stable-candidate")
 
+    def test_stability_k_below_double_precision_exit_2(self, capsys):
+        assert run(["stability", "--beta", "1", "--k", "1e-12"]) == 2
+        assert capsys.readouterr().err == (
+            "error: k = 1e-12 needs 1 - m < 1e-15, which double precision cannot hold\n")
+
+    def test_stability_reports_the_largest_lock_residual(self, capsys):
+        ks = [0.001, 2e-12, 0.03, 0.058]
+        assert run(["stability", "--beta", "1", "--k", ",".join(map(repr, ks))]) == 0
+        lines = capsys.readouterr().out.split("\n")
+        worst = max(abs(p.residual) / p.gate for p in map(stability.solve_commensurability, ks))
+        assert lines[3] == f"# max commensurability residual / gate: {worst:.1e}"
+        assert 0.0 < worst <= 1.0 and lines[4] == stability.StabilityReport.CSV_COLUMNS
+
     def test_backlund(self, tmp_path):
         out = tmp_path / "bk.csv"
         assert run([
@@ -771,6 +784,21 @@ def test_an_oversized_plan_exits_2_before_any_node_is_made(argv, n_nodes, monkey
     err = capsys.readouterr().err
     assert err.startswith("error: ") and f"needs {n_nodes} nodes" in err
     assert str(quadrature.MAX_NODES) in err
+
+
+def test_an_oversized_sweep_exits_2_before_any_node_is_made(monkeypatch, capsys):
+    def no_nodes(plan, refine=1):
+        raise AssertionError(f"nodes made for a plan of {plan.n_nodes}")
+
+    monkeypatch.setattr(quadrature.TrapezoidPlan, "nodes_weights", no_nodes)
+    # 10,000 rows of dimension 101 hold 1.0e8 entries, more than 8 * 1024^2
+    argv = ["sweep", "--family", "kksh", "--beta", "1", "--k", "0.03", "--n", "50",
+            "--param", "x1", "--values", "0:0.9999:0.0001"]
+    assert run(argv) == 2
+    assert capsys.readouterr().err == (
+        "error: the sweep would hold 10000 matrices of dimension 101, more than "
+        f"{cli.MAX_SWEEP_ENTRIES} entries (8 x {galerkin.MAX_DIM}^2) allowed\n")
+    assert cli.MAX_SWEEP_ENTRIES == 8 * galerkin.MAX_DIM**2
 
 
 @pytest.mark.parametrize("argv,dim", [

@@ -5,7 +5,7 @@ import pytest
 
 from breatherlab import breathers, linops
 from breatherlab import stability as st
-from breatherlab.specfun import ellip_k
+from breatherlab.specfun import ellip_e, ellip_k
 
 
 def _central(f, x, h):
@@ -25,7 +25,8 @@ def richardson_d_hg(beta, k, constraint, hk=1e-6, hb=1e-6):
     if constraint == "frozen":
         m = st.solve_commensurability(k, beta).m
         a1a2 = lambda kk: st._a1a2(beta, kk, m)
-        mass = lambda kk: st._mass(beta, kk, m)
+        mass = lambda kk: st.CommensuratePair(
+            beta, kk, m, ellip_k(kk), ellip_e(kk), ellip_k(m), ellip_e(m)).mass
     else:
         a1a2 = lambda kk: breathers.KkshBreather(beta=beta, k=kk).a1a2
         mass = lambda kk: st.periodic_mass(beta, kk)
@@ -88,6 +89,102 @@ class TestCommensurability:
             st.solve_commensurability(0.0)
         with pytest.raises(ValueError, match=r"^m must lie in \(0, 1\), got 1.0$"):
             st.solve_commensurability_from_m(1.0)
+
+
+# the benchmark's k grid, 0.001:0.058:0.0005
+GRID = [round(0.001 + 0.0005 * i, 10) for i in range(115)]
+
+
+class TestLockSolver:
+    def test_grid_matches_brentq_oracle(self):
+        brentq = pytest.importorskip("scipy.optimize").brentq
+        ellipk = pytest.importorskip("scipy.special").ellipk
+        for k in GRID:
+            pair = st.solve_commensurability(k)
+            target = 16.0 * k * ellipk(k) ** 4
+            m_ref = brentq(lambda m: (1.0 - m) * ellipk(m) ** 4 - target, 1e-15, 1.0 - 1e-15,
+                           xtol=1e-300, rtol=4.0 * np.finfo(float).eps, maxiter=500)
+            ref = st.CommensuratePair(1.0, k, m_ref, ellip_k(k), ellip_e(k), ellip_k(m_ref), ellip_e(m_ref))
+            # both roots pass the gate, and their defects differ by less than it
+            assert abs(ref.residual) <= ref.gate, k
+            assert abs(pair.residual - ref.residual) <= pair.gate, k
+            assert pair.m == pytest.approx(m_ref, rel=0, abs=1e-13), k
+
+    def test_row_evaluates_few_elliptic_integrals(self, monkeypatch):
+        calls = []
+        for name in ("ellip_k", "ellip_e"):
+            f = getattr(st, name)
+            monkeypatch.setattr(st, name, lambda m, f=f: calls.append(m) or f(m))
+        st.find_kstar()
+        calls.clear()
+        for k in GRID:
+            st.stability_report(1.0, k)
+        # 68 per row with a bisection solve and per-function integrals
+        assert len(calls) / len(GRID) <= 16
+
+    def test_pair_carries_the_integrals_at_k_and_m(self):
+        pair = st.solve_commensurability(0.03)
+        assert (pair.K_k, pair.E_k) == (ellip_k(0.03), ellip_e(0.03))
+        assert (pair.K_m, pair.E_m) == (ellip_k(pair.m), ellip_e(pair.m))
+
+    def test_solvers_keep_the_bisection_values(self):
+        # the values the former bisection gave, to within their rounding band
+        assert st.find_kstar() == pytest.approx(0.05883625352582661, rel=0, abs=1e-16)
+        assert st.discriminant_root() == pytest.approx(0.0545126612091614, rel=0, abs=1e-15)
+        for k in (1e-8, 0.001, 0.0312, 0.05, 0.058):
+            assert st.solve_commensurability_from_m(st.solve_commensurability(k).m).k == pytest.approx(
+                k, rel=1e-10)
+
+    def test_smallest_k_still_solves(self):
+        pair = st.solve_commensurability(2e-12)
+        assert 1.0 - pair.m < 2e-15 and abs(pair.residual) <= pair.gate
+
+    def test_k_just_below_kstar_solves(self):
+        k = st.find_kstar()
+        for _ in range(4):
+            k = math.nextafter(k, 0.0)
+            pair = st.solve_commensurability(k)
+            assert 0.0 < pair.m < 1e-6 and abs(pair.residual) <= pair.gate
+
+    def test_a_vanishing_newton_slope_bisects(self, monkeypatch):
+        # with E = K (1 - m/2) the lock's slope 1 - 2 (E/K - (1 - m)) / m is
+        # zero up to rounding, so each Newton step is refused
+        st.find_kstar()
+        monkeypatch.setattr(st, "ellip_e", lambda m: ellip_k(m) * (1.0 - m) + 0.5 * m * ellip_k(m))
+        for k in (0.001, 0.03, 0.058):
+            pair = st.solve_commensurability(k)
+            assert abs(pair.residual) <= pair.gate
+
+    def test_k_below_double_precision_rejected(self):
+        with pytest.raises(ValueError, match=r"^k = 1e-12 needs 1 - m < 1e-15, which double precision cannot hold$"):
+            st.solve_commensurability(1e-12)
+
+
+class TestNewton:
+    @staticmethod
+    def cubic(x):
+        # f = x^3 - 2, increasing; the Newton iterate in x
+        f = x**3 - 2.0
+        return f, x - f / (3.0 * x * x), x
+
+    def test_converges_to_rounding(self):
+        root, last = st._newton(self.cubic, 0.0, 4.0, 3.0)
+        assert root == last and root == pytest.approx(2.0 ** (1.0 / 3.0), rel=4e-16)
+
+    def test_bisects_when_a_step_leaves_the_bracket(self):
+        seen = []
+
+        def no_step(x):
+            seen.append(x)
+            return x - 0.3, math.nan, None
+
+        root, _ = st._newton(no_step, 0.0, 1.0, 0.9)
+        assert seen[1:3] == [0.45, 0.225] and root == pytest.approx(0.3, abs=1e-15)
+        assert all(0.0 < x < 1.0 for x in seen)
+
+    def test_nan_fails_closed(self):
+        with pytest.raises(ArithmeticError, match="NaN"):
+            st._newton(lambda x: (math.nan, x, None), 0.0, 1.0, 0.5)
 
 
 class TestPeriodicMass:
