@@ -199,7 +199,8 @@ def _spectrum_payload(family, n, t, problem, assembled, spectrum, cls, n_eigs):
             "kernel_dim": cls.kernel_dim,
             "gap": None if math.isinf(cls.gap) else cls.gap,
         },
-        "diagnostics": {"asymmetry": assembled.asymmetry, "quadrature_drift": assembled.drift},
+        "diagnostics": {"asymmetry": assembled.asymmetry, "quadrature_drift": assembled.drift,
+                        "nodes": assembled.nodes},
     }
 
 

@@ -17,18 +17,29 @@ import numpy as np
 from . import linops
 from .breathers import Breather, FieldJet, WaveFamily
 from .jets import Jet2
-from .quadrature import TrapezoidPlan, checked_integral, window_plan
+from .quadrature import TrapezoidPlan, checked_integral, settled_plan, window_plan
 
 SQRT2 = math.sqrt(2.0)
 
 
 def family_plan(family, t: float = 0.0):
     """Quadrature plan of the functional densities: a torus trapezoid, or a
-    line window that tracks the envelope centre at the evaluation time."""
+    line window that tracks the envelope centre at the evaluation time.
+
+    The torus plan sizes itself: from 8 nodes it doubles until every
+    density of the family (mass, energy and F, whose highest powers bound
+    those of the Lyapunov combination) has a node-doubling drift at
+    rounding (``quadrature.settled_plan``).  KKSH for k from 0.0005 to 0.058
+    stops at 64 to 256 nodes, and the nonzero-mean benchmark case at 1024
+    (at 512 its F drifts by 3.2e-6)."""
     if family.domain == "torus":
-        # 4096: the nonzero-mean breather at (mu, c1, p, q) = (2.9096582464,
-        # 1.65, 22, 23) needs 1024 (at 512 F drifts by 3.2e-6); KKSH needs 128
-        return TrapezoidPlan(period=family.period, n_nodes=4096)
+        table = _integrand_table(family)
+
+        def densities(x):
+            f = field_arrays(family, t, x)
+            return [table[name](f) for name in sorted(table)]
+
+        return settled_plan(TrapezoidPlan(period=family.period, n_nodes=8), densities)
     # the densities are up to sixth powers of the profile, so they carry its
     # harmonics through 6 wavenumber
     return window_plan(family, 6.0 * family.wavenumber, t)

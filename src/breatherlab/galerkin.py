@@ -12,11 +12,12 @@ a basis and a plan (the rows of a sweep) share each block's stack:
 ``assemble_all`` builds it once and adds each problem's block sum to its own
 matrix, in the order that problem alone would add it.  On the torus the
 trapezoid rule on N uniform nodes is a discrete Fourier transform, so the
-same sum is formed from transforms: in the complex basis e^{i w_p x}
-a term of order r adds c^[(p - q) mod N] (i w_q)^r, c^ = fft(c) / N, for a
-coefficient grid c, and c (i w_q)^r where p = q mod N for a constant c; the
-real basis follows by a fixed unitary change of basis.  So this is exactly
-the trapezoid sum of the literal application, aliasing included.
+same sum is read off the coefficients' transforms c^ = fft(c) / N in real
+arithmetic: each grid term reads Re and Im of c^ at the Toeplitz index
+p - q and the Hankel index p + q of the modes' frequencies, a derivative of
+order r scales column q by +-w_q^r (and trades cos_q for sin_q when r is
+odd), and a constant is the grid whose transform is c at index 0.  So this
+is exactly the trapezoid sum of the literal application, aliasing included.
 
 The asymmetry of M, measured before symmetrization, is a genuine quality
 metric for the operator coefficients (on the torus it still tests
@@ -26,7 +27,11 @@ run.  On both bases the trapezoid levels are nested (the N nodes are every
 other one of the 2N, bitwise), so each node is evaluated once, on the 2N
 nodes: on the torus the N-node sum reads every other coefficient value, and
 on the line the sum over the even nodes, at the fine weight, is half the
-N-node matrix and the even and odd sums add to the 2N-node one.
+N-node matrix and the even and odd sums add to the 2N-node one.  A torus
+assembly sizes itself: it starts at the fewest nodes at which p - q never
+wraps and doubles N, evaluating only the new nodes, while the drift stays
+above ``quadrature.ROUNDING_DRIFT``; at ``quadrature.MAX_NODES`` the 1e-9
+gate decides.
 """
 
 from __future__ import annotations
@@ -36,9 +41,10 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .jets import apply
-from .quadrature import TrapezoidPlan
+from .quadrature import ROUNDING_DRIFT, TrapezoidPlan, doubling_levels
 from .specfun import FourierBasis, HermiteBasis
 
 ASYMMETRY_FLAG = 1e-6
@@ -109,11 +115,15 @@ def hermite_problem(operator, n_max: int) -> GalerkinProblem:
 
 
 def fourier_problem(operator, n_max: int) -> GalerkinProblem:
-    """Problem over the 2 n_max + 1 trig functions on the operator's period,
-    on the smallest power of two N >= 4 (2 n_max + 1) trapezoid nodes (the
-    FFT sum reads the coefficients' transforms only at |p - q| <= 2 n_max),
-    and at least 512: at small n the coefficient grids alone need 128."""
-    period, n_nodes = operator.family.period, max(512, 1 << (4 * (2 * n_max + 1) - 1).bit_length())
+    """Problem over the 2 n_max + 1 trig functions on the operator's period.
+
+    Its plan is where the assembly starts: the fewest trapezoid nodes, a
+    power of two (and at least 8), at which the index p - q of the
+    coefficients' transforms never wraps, N > 4 n_max.  The assembly doubles
+    N from there until the node-doubling drift reaches rounding
+    (``_settled_torus``)."""
+    period = operator.family.period
+    n_nodes = max(8, 1 << (4 * n_max).bit_length())
     return GalerkinProblem(operator, FourierBasis(period=period, count_n=n_max), TrapezoidPlan(period, n_nodes))
 
 
@@ -122,6 +132,7 @@ class AssembledMatrix:
     matrix: np.ndarray  # symmetrized
     asymmetry: float    # max |M - M^T| before symmetrization, relative to max |entry|
     drift: float        # max entry change under node doubling, relative to max |entry|
+    nodes: int = 0      # trapezoid nodes of the accepted (fine) level
 
     def require_quality(self):
         if not (self.asymmetry <= ASYMMETRY_FLAG):
@@ -153,64 +164,102 @@ def _project(problems, x, w) -> list[np.ndarray]:
     return mats
 
 
-def _real_trig_change(count_n: int) -> np.ndarray:
-    """Unitary T with [const, cos_1, sin_1, ...] = [e_-n, ..., e_n] T, where
-    e_p = e^{i w_p x} / sqrt(L) and the rows run over p = -n..n."""
-    t = np.zeros((2 * count_n + 1, 2 * count_n + 1), dtype=complex)
-    t[count_n, 0] = 1.0
-    h = math.sqrt(0.5)
-    for k in range(1, count_n + 1):
-        t[count_n + k, 2 * k - 1] = t[count_n - k, 2 * k - 1] = h
-        t[count_n + k, 2 * k], t[count_n - k, 2 * k] = -1j * h, 1j * h
-    return t
-
-
 def _project_torus(basis: FourierBasis, terms, n_nodes: int) -> np.ndarray:
-    """The trapezoid sum of ``_project`` on ``n_nodes`` uniform nodes, formed
-    from the terms in a fixed order, constants first, then the FFTs of the
-    grids by ascending order (another order moves eigenvalues near 1e-9)."""
-    p = np.arange(-basis.count_n, basis.count_n + 1)
-    omega = 2.0 * math.pi * p / basis.period
-    wrap = (p[:, None] - p[None, :]) % n_nodes
+    """The trapezoid sum of ``_project`` on ``n_nodes`` uniform nodes, read
+    off the grids' transforms c^ = fft(c) / N.
+
+    The cos_p and sin_p rows of column cos_q are the real part and minus the
+    imaginary part of (2/L) int c e^{-i w_p x} d^r cos_q = A + B, and those
+    of column sin_q the same parts of -i (A - B), where A = (i w_q)^r c^[p - q]
+    and B = (-i w_q)^r c^[p + q] read the transform at the Toeplitz and the
+    Hankel index, p, q = 0..n.  So an even order scales column q by
+    +-w_q^r, and an odd one also trades cos_q for sin_q.  The constant mode
+    cos_0 takes 1 / sqrt(2) in its row and in its column.  A constant c is
+    the grid whose transform is c at index 0 alone: it lands on the diagonal
+    (for odd r, on the cos/sin partner), and on its aliases when the level
+    is too coarse for the basis.  Each slot block sums its terms in a fixed
+    order, constants first, then the grids by ascending order (another order
+    moves eigenvalues near 1e-9)."""
+    n = basis.count_n
+    omega = 2.0 * math.pi * np.arange(n + 1) / basis.period
+    # c^ is read at -2n..2n, mod N so that a level too coarse for the basis aliases as the stack sum does
+    index = np.arange(-2 * n, 2 * n + 1) % n_nodes
+    # each slot is summed as [cos_0, sin_0, cos_1, sin_1, ...]; sin_0 = 0 is dropped at the end
+    side = 2 * (n + 1)
     slots = 1 + max(row for row, *_ in terms)
-    m = np.zeros((slots, slots, p.size, p.size), dtype=complex)
+    m = np.zeros((slots * side, slots * side))
+    blocks: dict = {}
     for row, col, r, c in sorted(terms, key=lambda term: (np.ndim(term[3]) > 0, term[2])):
-        if np.ndim(c):
-            m[row, col] += (np.fft.fft(c) / n_nodes)[wrap] * (1j * omega) ** r
-        else:
-            m[row, col] += np.where(wrap == 0, c * omega**r * 1j**r, 0.0)
-    t = _real_trig_change(basis.count_n)
-    return np.block([[(t.conj().T @ block @ t).real for block in blocks] for blocks in m])
+        blocks.setdefault((row, col), []).append((r, c))
+    for (row, col), group in blocks.items():
+        band = np.array([np.fft.fft(c)[index] / n_nodes if np.ndim(c) else np.where(index == 0, c, 0.0) + 0j
+                         for _, c in group])
+        windows = sliding_window_view(band, n + 1, axis=1)  # [t, i, j] reads c^ at i + j - 2n
+        toeplitz, hankel = windows[:, n:2 * n + 1, ::-1], windows[:, 2 * n:]
+        up = np.array([(1, 1j, -1, -1j)[r % 4] * omega**r for r, _ in group])  # (i w_q)^r
+        a = np.einsum("tpq,tq->pq", toeplitz, up)
+        b = np.einsum("tpq,tq->pq", hankel, up.conj())
+        w_cos, w_sin = a + b, -1j * (a - b)
+        block = m[row * side:(row + 1) * side, col * side:(col + 1) * side]
+        block[0::2, 0::2] += w_cos.real
+        block[1::2, 0::2] -= w_cos.imag
+        block[0::2, 1::2] += w_sin.real
+        block[1::2, 1::2] -= w_sin.imag
+    sin_0 = np.arange(1, slots * side, side)
+    m = np.delete(np.delete(m, sin_0, 0), sin_0, 1)
+    cos_0 = np.arange(slots) * basis.size
+    m[cos_0] *= math.sqrt(0.5)
+    m[:, cos_0] *= math.sqrt(0.5)
+    return m
 
 
-def _levels(problems) -> list[tuple[np.ndarray, np.ndarray]]:
-    """(coarse, fine) matrices of problems that share one basis and one plan.
+def _settled_torus(problem) -> tuple[np.ndarray, np.ndarray, int]:
+    """(coarse, fine, fine node count) of a torus problem: the plan doubles
+    while the node-doubling drift stays above ROUNDING_DRIFT, up to
+    MAX_NODES.  Each node is evaluated once: the first N-node sum reads every
+    other coefficient value of the 2N nodes, and each doubling evaluates only
+    its new nodes and keeps the last fine matrix as its coarse one."""
+    basis, op = problem.basis, problem.operator
+    fine = None
+    for plan, terms in doubling_levels(problem.plan, lambda x: op.terms(op.coefficients(x))):
+        if fine is None:
+            fine = _project_torus(basis, [(i, j, r, c[::2] if np.ndim(c) else c) for i, j, r, c in terms],
+                                  plan.n_nodes)
+        coarse, fine = fine, _project_torus(basis, terms, 2 * plan.n_nodes)
+        if not _drift(coarse, fine) > ROUNDING_DRIFT:  # a NaN stops too: the gates reject it
+            break
+    return coarse, fine, 2 * plan.n_nodes
+
+
+def _levels(problems) -> list[tuple[np.ndarray, np.ndarray, int]]:
+    """(coarse, fine, fine node count) of problems that share one basis and
+    one plan.
 
     The N coarse trapezoid nodes are every other one of the 2N fine ones,
     bitwise, so each node is evaluated once, on the 2N nodes."""
-    basis, plan = problems[0].basis, problems[0].plan
-    x, w = plan.nodes_weights(2)
-    if isinstance(basis, FourierBasis):
-        # the coefficient grids on the N nodes are every other value too
-        levels = []
-        for problem in problems:
-            op = problem.operator
-            fine = op.terms(op.coefficients(x))
-            coarse = [(i, j, r, c[::2] if np.ndim(c) else c) for i, j, r, c in fine]
-            levels.append((_project_torus(basis, coarse, plan.n_nodes), _project_torus(basis, fine, x.size)))
-        return levels
+    if isinstance(problems[0].basis, FourierBasis):
+        return [_settled_torus(problem) for problem in problems]
+    x, w = problems[0].plan.nodes_weights(2)
     # at the fine weight the even nodes sum to half the coarse matrix,
     # bitwise: the coarse weight is twice the fine one, and scaling by 2 is exact
     even, odd = _project(problems, x[::2], w[::2]), _project(problems, x[1::2], w[1::2])
-    return [(2.0 * e, e + o) for e, o in zip(even, odd)]
+    return [(2.0 * e, e + o, x.size) for e, o in zip(even, odd)]
 
 
-def _assembled(coarse: np.ndarray, fine: np.ndarray) -> AssembledMatrix:
+def _scale(matrix: np.ndarray) -> float:
+    return max(1.0, float(np.max(np.abs(matrix))))
+
+
+def _drift(coarse: np.ndarray, fine: np.ndarray) -> float:
+    """Largest entry change between the levels, relative to max |entry|."""
+    return float(np.max(np.abs(fine - coarse))) / _scale(fine)
+
+
+def _assembled(coarse: np.ndarray, fine: np.ndarray, nodes: int) -> AssembledMatrix:
     """The fine matrix symmetrized, with its asymmetry and the drift from the coarse one."""
-    scale = max(1.0, float(np.max(np.abs(fine))))
-    drift = float(np.max(np.abs(fine - coarse))) / scale
-    asymmetry = float(np.max(np.abs(fine - fine.T))) / scale
-    return AssembledMatrix(matrix=0.5 * (fine + fine.T), asymmetry=asymmetry, drift=drift)
+    asymmetry = float(np.max(np.abs(fine - fine.T))) / _scale(fine)
+    return AssembledMatrix(matrix=0.5 * (fine + fine.T), asymmetry=asymmetry, drift=_drift(coarse, fine),
+                           nodes=nodes)
 
 
 def assemble_all(problems) -> list[AssembledMatrix]:
@@ -225,8 +274,8 @@ def assemble_all(problems) -> list[AssembledMatrix]:
         groups.setdefault((problem.basis, problem.plan), []).append(i)
     out = [None] * len(problems)
     for members in groups.values():
-        for i, (coarse, fine) in zip(members, _levels([problems[i] for i in members])):
-            out[i] = _assembled(coarse, fine)
+        for i, levels in zip(members, _levels([problems[i] for i in members])):
+            out[i] = _assembled(*levels)
             out[i].require_quality()
     return out
 

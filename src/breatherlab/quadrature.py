@@ -10,22 +10,33 @@ integrand's top harmonic.  ``checked_integral`` evaluates the integrand once,
 on the 2N nodes, and reads the N-node value from the even ones: the drift
 between the two levels must stay below a relative 1e-9 or the result is
 rejected.  No plan has a default size, and none may exceed ``MAX_NODES``.
+A torus sum sizes itself instead: ``doubling_levels`` evaluates its grids on
+nested levels, each node once, and the caller stops at the first level whose
+node-doubling drift is at ``ROUNDING_DRIFT`` (``settled_plan`` for
+integrals), or at ``MAX_NODES``, where the sum's own drift gate decides.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 DRIFT_TOL = 1e-9
-# Most nodes a plan may hold.  The largest plan of the presets, the tests and
-# the benchmark has 4096, and the sine-Gordon functionals at (beta, v) =
+# Most nodes a plan may hold.  The sine-Gordon functionals at (beta, v) =
 # (0.5, 0.999999) take 108,497.  At this bound a process peaks near 0.29 GB
-# in a functional and 0.47 GB in the Weinstein pairing.  A larger plan is
-# refused before any node is made.
+# in a line functional, 0.41 GB in a torus functional plan that sizes itself
+# up to it (KKSH at k = 1e-5, x1 = 0.3) and 0.47 GB in the Weinstein
+# pairing.  A larger plan is refused before any node is made, and a torus
+# sum that doubles to the bound stops there.
 MAX_NODES = 1 << 18
+
+# Node-doubling drift below which a self-sizing torus sum stops doubling:
+# 64 eps of its rounding scale (max |entry| of a Galerkin matrix, the
+# integral of |density| for a functional).  Converged levels read up to
+# 6 eps on KKSH matrices and 24 eps on the nonzero-mean densities.
+ROUNDING_DRIFT = 2.0**-46
 
 
 class QuadratureError(RuntimeError):
@@ -90,3 +101,52 @@ def checked_integral(f, plan):
             f"quadrature not converged: node doubling moved the integral by {drift:.3e}"
         )
     return fine, drift
+
+
+def _interleave(even, odd):
+    """The grids of a doubled level from those of its even and odd nodes:
+    arrays interleave, and everything else (constants, labels) is kept, in
+    the same nesting of tuples and lists."""
+    if isinstance(even, (tuple, list)):
+        return type(even)(_interleave(e, o) for e, o in zip(even, odd))
+    if np.ndim(even) == 0:
+        return even
+    out = np.empty(2 * even.size, dtype=np.result_type(even, odd))
+    out[::2], out[1::2] = even, odd
+    return out
+
+
+def doubling_levels(plan, evaluate):
+    """Yield ``(plan, grids)`` for ``plan`` and each doubling of it, up to
+    ``MAX_NODES``, where grids is ``evaluate`` on the plan's 2N nodes.
+
+    Each node is evaluated once: the 2N nodes of a plan are the even ones of
+    the next plan's 4N, bitwise, so a doubled level evaluates only its odd
+    nodes.  ``evaluate`` returns an array, or tuples and lists of arrays
+    among values that do not depend on the nodes.  The next level is made
+    only when the caller asks for it.
+    """
+    x, _ = plan.nodes_weights(2)
+    grids = evaluate(x)
+    while True:
+        yield plan, grids
+        if plan.n_nodes >= MAX_NODES:
+            return
+        plan = replace(plan, n_nodes=2 * plan.n_nodes)
+        x, _ = plan.nodes_weights(2)
+        grids = _interleave(grids, evaluate(x[1::2]))
+
+
+def settled_plan(plan, evaluate) -> TrapezoidPlan:
+    """The first plan of ``doubling_levels`` on which the integral of every
+    grid ``evaluate`` returns (a list of arrays) changes under node doubling
+    by at most ROUNDING_DRIFT of its rounding scale, the integral of |grid|
+    (at least 1); at ``MAX_NODES``, the last one.  That scale, not the
+    integral, bounds the rounding of the sum, so a density that cancels
+    (F) settles as soon as one that does not."""
+    for plan, grids in doubling_levels(plan, evaluate):
+        w = plan.period / (2 * plan.n_nodes)
+        drift = max(abs(w * np.sum(y) - 2.0 * w * np.sum(y[::2])) / max(w * np.sum(np.abs(y)), 1.0) for y in grids)
+        if not drift > ROUNDING_DRIFT:  # a NaN stops too: the integral's own gate rejects it
+            break
+    return plan

@@ -211,15 +211,26 @@ def hermite_values(nmax: int, x) -> np.ndarray:
     """Orthonormal Hermite functions f_0..f_nmax at the points x.
 
     Generated by the normalised recurrence with the Gaussian folded in, so
-    no entry overflows even for nmax in the hundreds.
+    no entry overflows even for nmax in the hundreds.  The Gaussian seed
+    underflows (to exactly 0 from |x| = 38.6) where f_800 is still O(0.1),
+    out to its turning point near 40.  So past |x| = sqrt(1200) the seed is
+    scaled up by e^s, s = x^2/2 - 600, and the values down by e^-s at the
+    end, in two halves so that no factor underflows before its product
+    does.  Elsewhere s = 0 and the values are unchanged, bitwise.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
+    shift = np.maximum(0.5 * x * x - 600.0, 0.0)
     v = np.zeros((nmax + 1, x.size))
-    v[0] = math.pi ** (-0.25) * np.exp(-0.5 * x * x)
+    v[0] = math.pi ** (-0.25) * np.exp(shift - 0.5 * x * x)
     if nmax >= 1:
         v[1] = math.sqrt(2.0) * x * v[0]
     for n in range(1, nmax):
         v[n + 1] = math.sqrt(2.0 / (n + 1)) * x * v[n] - math.sqrt(n / (n + 1)) * v[n - 1]
+    far = shift > 0.0
+    if np.any(far):
+        half = np.exp(-0.5 * shift[far])
+        v[:, far] *= half
+        v[:, far] *= half
     return v
 
 

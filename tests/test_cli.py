@@ -63,10 +63,22 @@ class TestSpectrumCommand:
         payload = json.loads(out.read_text())
         assert set(payload) == {"config", "eigenvalues", "classification", "diagnostics"}
         assert set(payload["classification"]) == {"n_neg", "kernel_dim", "gap"}
-        assert set(payload["diagnostics"]) == {"asymmetry", "quadrature_drift"}
+        assert set(payload["diagnostics"]) == {"asymmetry", "quadrature_drift", "nodes"}
         assert payload["config"]["family"] == "kksh"
         assert "L" in payload["config"]
         assert payload["config"]["n"] == 24 and isinstance(payload["config"]["n"], int)
+
+    @pytest.mark.parametrize("argv", [
+        ["--family", "kksh", "--beta", "1", "--k", "0.0005", "--n", "2"],  # doubles from 16 nodes
+        ["--family", "kksh", "--beta", "1", "--m", "0.5", "--n", "24"],
+        ["--family", "mkdv", "--alpha", "0.5", "--beta", "1", "--n", "10"],
+    ])
+    def test_json_reports_the_accepted_node_count(self, argv, capsys):
+        assert run(["spectrum"] + argv + ["--format", "json"]) == 0
+        nodes = json.loads(capsys.readouterr().out)["diagnostics"]["nodes"]
+        args = cli.build_parser().parse_args(["spectrum"] + argv)
+        problem = cli._problem(cli._family_from_args(args), cli._basis_size(args))
+        assert nodes == galerkin.assemble(problem).nodes >= 2 * problem.plan.n_nodes
 
     def test_narrow_profile_passes_the_drift_gate(self, tmp_path):
         # beta = 3: the profile's complex singularities lie pi/6 off the line,

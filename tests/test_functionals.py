@@ -8,7 +8,7 @@ from breatherlab import breathers as br
 from breatherlab import functionals as fn
 from breatherlab import jets
 from breatherlab import stability as st
-from breatherlab.quadrature import MAX_NODES, QuadratureError, TrapezoidPlan, checked_integral
+from breatherlab.quadrature import MAX_NODES, QuadratureError, TrapezoidPlan, checked_integral, doubling_levels
 
 import field_oracle
 import gardner_form_oracles
@@ -215,6 +215,47 @@ def test_a_plan_holds_at_most_max_nodes():
     assert TrapezoidPlan(period=1.0, n_nodes=MAX_NODES).n_nodes == MAX_NODES
     with pytest.raises(ValueError, match=f"needs {MAX_NODES + 1} nodes, more than the {MAX_NODES} allowed"):
         TrapezoidPlan(period=1.0, n_nodes=MAX_NODES + 1)
+
+
+def test_doubling_levels_evaluate_each_node_once():
+    plan = TrapezoidPlan(period=3.7, n_nodes=8)
+    calls = []
+
+    def evaluate(x):
+        calls.append(x)
+        return [np.cos(x), (2, np.sin(x)), 1.5]
+
+    for level, (got, grids) in zip(range(4), doubling_levels(plan, evaluate)):
+        x, _ = got.nodes_weights(2)
+        assert got.n_nodes == 8 << level and len(calls) == level + 1
+        assert np.array_equal(np.sort(np.concatenate(calls)), x)
+        assert np.array_equal(grids[0], np.cos(x)) and np.array_equal(grids[1][1], np.sin(x))
+        assert grids[1][0] == 2 and grids[2] == 1.5
+
+
+def test_doubling_stops_at_max_nodes():
+    levels = list(doubling_levels(TrapezoidPlan(period=1.0, n_nodes=MAX_NODES // 4), lambda x: x[:0]))
+    assert [plan.n_nodes for plan, _ in levels] == [MAX_NODES // 4, MAX_NODES // 2, MAX_NODES]
+
+
+@pytest.mark.parametrize("family, most", [
+    (br.KkshBreather(beta=1.0, k=0.03), 128),
+    (br.KkshBreather(beta=0.5, k=0.001), 128),
+    (br.KkshBreather(beta=1.0, k=0.058, x1=0.3), 64),
+    # at 512 nodes its F drifts by 3.2e-6
+    (br.NonzeroMeanBreather(**gardner_form_oracles.NONZERO_MEAN_CASE), 1024),
+], ids=["kksh", "kksh-narrow", "kksh-wide", "nonzero-mean"])
+def test_torus_plan_settles_on_the_4096_node_values(family, most):
+    plan = fn.family_plan(family)
+    assert plan.n_nodes == most
+    dense = TrapezoidPlan(period=family.period, n_nodes=4096)
+    table = fn._integrand_table(family)
+    for name, density in table.items():
+        def integrand(x):
+            return density(fn.field_arrays(family, 0.0, x))
+
+        value, want = checked_integral(integrand, plan)[0], checked_integral(integrand, dense)[0]
+        assert abs(value - want) <= 1e-13 * max(abs(want), 1.0), name
 
 
 def test_checked_integral_evaluates_once_on_the_fine_nodes():

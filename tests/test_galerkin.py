@@ -13,7 +13,7 @@ from breatherlab import cli
 from breatherlab import galerkin as gk
 from breatherlab import linops
 from breatherlab import stability as st
-from breatherlab.quadrature import TrapezoidPlan
+from breatherlab.quadrature import MAX_NODES, TrapezoidPlan
 from breatherlab.specfun import FourierBasis, HermiteBasis, hermite_values
 
 
@@ -215,7 +215,8 @@ class TestNestedLevels:
     def test_coarse_matrix_is_twice_the_even_node_sum(self, problem):
         (x1, w1), (x2, w2) = problem.plan.nodes_weights(1), problem.plan.nodes_weights(2)
         assert np.array_equal(x1, x2[::2]) and np.array_equal(w1, 2.0 * w2[::2])
-        coarse, fine = gk._levels([problem])[0]
+        coarse, fine, nodes = gk._levels([problem])[0]
+        assert nodes == x2.size
         even, odd = (gk._project([problem], x2[half::2], w2[half::2])[0] for half in (0, 1))
         assert np.array_equal(coarse, 2.0 * even)
         assert np.array_equal(fine, even + odd)
@@ -252,15 +253,24 @@ class TestNestedLevels:
             gk.assemble(halved)
 
 
+def _preset_problems(preset):
+    """The problems of a preset's rows: a sweep's, or its one spectrum's."""
+    args = cli.build_parser().parse_args(cli.PRESETS[preset].split())
+    if args.command == "spectrum":
+        return [cli._problem(cli._family_from_args(args), cli._basis_size(args))]
+    return _sweep_problems(preset)
+
+
 def _kksh_problem(n, **params):
     return gk.fourier_problem(linops.operator_for(br.KkshBreather(**params)), n)
 
 
 class TestTorusNodeRule:
-    """N is the smallest power of two >= 4 (2n + 1), and at least 512: the FFT
-    sum reads the coefficients' transforms only at |p - q| <= 2n."""
+    """The assembly starts at the smallest power of two N > 4n (and at least
+    8), where the index p - q of the transforms never wraps, and doubles N
+    until the node-doubling drift reaches rounding."""
 
-    @pytest.mark.parametrize("n, n_nodes", [(0, 512), (40, 512), (50, 512), (63, 512), (64, 1024)])
+    @pytest.mark.parametrize("n, n_nodes", [(0, 8), (2, 16), (40, 256), (50, 256), (63, 256), (64, 512)])
     def test_rule_values(self, n, n_nodes):
         assert _kksh_problem(n, beta=1.0, k=0.03).plan.n_nodes == n_nodes
 
@@ -279,6 +289,55 @@ class TestTorusNodeRule:
         low, low_dense = (gk.eig_sym(a).values[:4] for a in (m, m_dense))
         assert np.max(np.abs(low - low_dense)) <= 1e-8
 
+    @pytest.mark.parametrize("preset", ["fig20", "fig22", "fig24", "table-6-9"])
+    def test_preset_rows_match_4096_nodes(self, preset):
+        eps = np.finfo(float).eps
+        for problem in _preset_problems(preset):
+            assembled = gk.assemble(problem)
+            assert assembled.nodes == 2 * problem.plan.n_nodes  # accepted at the first level
+            x, _ = TrapezoidPlan(problem.plan.period, 4096).nodes_weights()
+            op = problem.operator
+            dense = gk._project_torus(problem.basis, op.terms(op.coefficients(x)), x.size)
+            dense = 0.5 * (dense + dense.T)
+            assert np.max(np.abs(assembled.matrix - dense)) <= 4 * eps * np.max(np.abs(dense))
+
+    def test_each_node_is_evaluated_once_across_doublings(self, monkeypatch):
+        # at n = 2 the rule starts at 16 nodes, which the narrow profile outgrows
+        prob = _kksh_problem(2, beta=1.0, k=0.0005, x1=0.1)
+        grids = []
+        coefficients = linops.ScalarOperator.coefficients
+
+        def recorded(op, x):
+            grids.append(np.array(x))
+            return coefficients(op, x)
+
+        monkeypatch.setattr(linops.ScalarOperator, "coefficients", recorded)
+        assembled = gk.assemble(prob)
+        assert len(grids) > 2
+        x = np.concatenate(grids)
+        accepted, _ = TrapezoidPlan(prob.plan.period, assembled.nodes // 2).nodes_weights(2)
+        assert x.size == assembled.nodes and np.array_equal(np.sort(x), accepted)
+        # the doubled levels' grids are those of one evaluation on their nodes
+        monkeypatch.setattr(linops.ScalarOperator, "coefficients", coefficients)
+        op = prob.operator
+        direct = gk._project_torus(prob.basis, op.terms(op.coefficients(accepted)), accepted.size)
+        assert np.array_equal(assembled.matrix, 0.5 * (direct + direct.T))
+
+    def test_a_jump_in_a_coefficient_reaches_the_cap_and_fails_closed(self):
+        # the trapezoid sum of a step converges like 1/N: no level settles
+        sizes = []
+
+        @dataclass(frozen=True)
+        class StepOperator(linops.ScalarOperator):
+            def coefficients(self, x):
+                sizes.append(np.size(x))
+                return np.where(x < 0.5 * self.family.period, 1.0, -1.0), 0.0, 0.0
+
+        op = StepOperator(br.KkshBreather(beta=1.0, k=0.03, x1=0.1))
+        with pytest.raises(gk.AssemblyError, match="drift"):
+            gk.assemble(gk.fourier_problem(op, 2))
+        assert sum(sizes) == 2 * MAX_NODES
+
 
 class TestTorusProjection:
     """The FFT projection against the basis-stack sum ``_project``."""
@@ -296,6 +355,31 @@ class TestTorusProjection:
             x, w = prob.plan.nodes_weights(refine)
             stack = gk._project([prob], x, w)[0]
             fft = gk._project_torus(prob.basis, prob.operator.terms(prob.operator.coefficients(x)), x.size)
+            assert np.max(np.abs(fft - stack)) <= 1e-14 * np.max(np.abs(stack))
+
+    def test_matches_the_stack_sum_on_two_slots(self):
+        # every slot block holds grid terms of orders 0 to 3 and constant
+        # terms of orders 1 and 3, which trade each cos_q column for sin_q
+        @dataclass(frozen=True)
+        class TwoSlotOperator:
+            family: object
+            slots = 2
+
+            def coefficients(self, x):
+                k = 2.0 * math.pi / self.family.period
+                return [np.exp(np.cos(k * x + j)) * np.sin((j % 3 + 1) * k * x + 0.3 * j) for j in range(16)]
+
+            @staticmethod
+            def terms(c):
+                return [(i, j, r, c[4 * (2 * i + j) + r]) for i in range(2) for j in range(2) for r in range(4)] + [
+                    (i, j, r, 0.7 * (i + 1) - 0.4 * r * j) for i in range(2) for j in range(2) for r in (1, 3)]
+
+        op = TwoSlotOperator(br.KkshBreather(beta=1.0, k=0.03, x1=0.1))
+        prob = gk.fourier_problem(op, 12)
+        for refine in (1, 2):
+            x, w = prob.plan.nodes_weights(refine)
+            stack = gk._project([prob], x, w)[0]
+            fft = gk._project_torus(prob.basis, op.terms(op.coefficients(x)), x.size)
             assert np.max(np.abs(fft - stack)) <= 1e-14 * np.max(np.abs(stack))
 
     def test_constant_coefficient_operator_is_diagonal(self):
@@ -321,11 +405,14 @@ class TestTorusProjection:
             # 1e-13: at 64 nodes the stack sum itself is 1.7e-14 of max|M| from
             # a long-double sum of the same terms
             assert np.max(np.abs(fft - stack)) <= 1e-13 * np.max(np.abs(stack))
-        with pytest.raises(gk.AssemblyError, match="drift"):
-            gk.assemble(prob)
         levels = [gk._project([prob], *prob.plan.nodes_weights(refine))[0] for refine in (1, 2)]
         with pytest.raises(gk.AssemblyError, match="drift"):
-            gk._assembled(*levels).require_quality()
+            gk._assembled(*levels, 128).require_quality()
+        # the assembly doubles past the failing levels, to the rule's matrix
+        settled = gk.assemble(prob)
+        assert settled.nodes > 2 * prob.plan.n_nodes and settled.drift <= gk.ROUNDING_DRIFT
+        rule = gk.assemble(_kksh_problem(40, beta=1.0, k=0.03, x1=0.1)).matrix
+        assert np.max(np.abs(settled.matrix - rule)) <= 1e-14 * np.max(np.abs(rule))
 
     def test_asymmetry_flags_c1_off_c2_prime(self):
         @dataclass(frozen=True)

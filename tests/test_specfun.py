@@ -202,6 +202,30 @@ class TestHermite:
             assert np.max(np.abs(resid) / scale) < 1e-8
 
 
+def hermite_values_longdouble(nmax, x):
+    """The same recurrence in numpy's longdouble, whose Gaussian seed
+    reaches e^-11355 before it underflows."""
+    x = np.asarray(x, dtype=np.longdouble)
+    v = np.zeros((nmax + 1, x.size), dtype=np.longdouble)
+    v[0] = np.pi ** np.longdouble(-0.25) * np.exp(-x * x / 2)
+    v[1] = np.sqrt(np.longdouble(2)) * x * v[0]
+    for n in range(1, nmax):
+        v[n + 1] = np.sqrt(np.longdouble(2) / (n + 1)) * x * v[n] - np.sqrt(np.longdouble(n) / (n + 1)) * v[n - 1]
+    return v
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps == np.finfo(float).eps, reason="longdouble is a double here")
+def test_hermite_far_tail_matches_a_long_double_recurrence():
+    # the double Gaussian seed underflows to 0 from |x| = 38.6, where f_800
+    # is still O(0.1) out to its turning point near 40
+    x = np.concatenate([np.linspace(30.0, 47.0, 69), -np.linspace(30.0, 47.0, 69)])
+    got, want = sf.hermite_values(800, x), hermite_values_longdouble(800, x)
+    scale = np.max(np.abs(want), axis=0)
+    assert np.all(scale > 0.0)
+    assert np.max(np.abs(got - want.astype(float)) / scale) <= 1e-12
+    assert np.max(np.abs(got[800, np.abs(x) <= 40.0])) > 0.1
+
+
 class TestFourierBasis:
     def test_orthonormal_under_trapezoid(self):
         L = 3.7
