@@ -17,7 +17,7 @@ import numpy as np
 from . import linops
 from .breathers import Breather, FieldJet, WaveFamily
 from .jets import Jet2
-from .quadrature import TrapezoidPlan, checked_integral, settled_plan, window_plan
+from .quadrature import TrapezoidPlan, checked_integral, window_plan
 
 SQRT2 = math.sqrt(2.0)
 
@@ -26,20 +26,13 @@ def family_plan(family, t: float = 0.0):
     """Quadrature plan of the functional densities: a torus trapezoid, or a
     line window that tracks the envelope centre at the evaluation time.
 
-    The torus plan sizes itself: from 8 nodes it doubles until every
-    density of the family (mass, energy and F, whose highest powers bound
-    those of the Lyapunov combination) has a node-doubling drift at
-    rounding (``quadrature.settled_plan``).  KKSH for k from 0.0005 to 0.058
-    stops at 64 to 256 nodes, and the nonzero-mean benchmark case at 1024
-    (at 512 its F drifts by 3.2e-6)."""
+    The torus plan sizes itself: ``checked_integral`` doubles it from 8
+    nodes until the density's node-doubling drift is at rounding.  For KKSH
+    at k from 0.0005 to 0.058 a density is evaluated on 64 to 2048 nodes,
+    and the nonzero-mean benchmark case's on 2048 (half as many leave its F
+    drifting by 3.2e-6)."""
     if family.domain == "torus":
-        table = _integrand_table(family)
-
-        def densities(x):
-            f = field_arrays(family, t, x)
-            return [table[name](f) for name in sorted(table)]
-
-        return settled_plan(TrapezoidPlan(period=family.period, n_nodes=8), densities)
+        return TrapezoidPlan(period=family.period, n_nodes=8, settle=True)
     # the densities are up to sixth powers of the profile, so they carry its
     # harmonics through 6 wavenumber
     return window_plan(family, 6.0 * family.wavenumber, t)
@@ -293,12 +286,12 @@ def pde_residual(family, n_points: int = 100) -> float:
 
 
 def mean_value(family) -> float:
-    """Spatial mean of a periodic family over one period at t = 0, on the
-    doubled nodes of its torus plan."""
+    """Spatial mean of a periodic family over one period at t = 0: its
+    integral on the torus plan, over the period."""
     if family.domain != "torus":
         raise ValueError("mean value is defined for periodic families")
-    x, _ = family_plan(family).nodes_weights(2)
-    return float(np.mean(family.eval(0.0, x, deg=0).value))
+    value, _ = checked_integral(lambda x: family.eval(0.0, x, deg=0).value, family_plan(family))
+    return value / family.period
 
 
 # ---------------------------------------------------------------------------

@@ -12,12 +12,14 @@ a basis and a plan (the rows of a sweep) share each block's stack:
 ``assemble_all`` builds it once and adds each problem's block sum to its own
 matrix, in the order that problem alone would add it.  On the torus the
 trapezoid rule on N uniform nodes is a discrete Fourier transform, so the
-same sum is read off the coefficients' transforms c^ = fft(c) / N in real
-arithmetic: each grid term reads Re and Im of c^ at the Toeplitz index
-p - q and the Hankel index p + q of the modes' frequencies, a derivative of
-order r scales column q by +-w_q^r (and trades cos_q for sin_q when r is
-odd), and a constant is the grid whose transform is c at index 0.  So this
-is exactly the trapezoid sum of the literal application, aliasing included.
+cos/sin matrix is read off the coefficients' transforms c^ = fft(c) / N,
+with no complex matrix and no change of basis: each grid term reads c^ at
+the Toeplitz index p - q and the Hankel index p + q of the modes'
+frequencies, whose real and imaginary parts give the cos and the sin rows,
+a derivative of order r scales column q by +-w_q^r (and trades cos_q for
+sin_q when r is odd), and a constant is the grid whose transform is c at
+index 0.  So this is exactly the trapezoid sum of the literal application,
+aliasing included.
 
 The asymmetry of M, measured before symmetrization, is a genuine quality
 metric for the operator coefficients (on the torus it still tests

@@ -11,9 +11,10 @@ on the 2N nodes, and reads the N-node value from the even ones: the drift
 between the two levels must stay below a relative 1e-9 or the result is
 rejected.  No plan has a default size, and none may exceed ``MAX_NODES``.
 A torus sum sizes itself instead: ``doubling_levels`` evaluates its grids on
-nested levels, each node once, and the caller stops at the first level whose
-node-doubling drift is at ``ROUNDING_DRIFT`` (``settled_plan`` for
-integrals), or at ``MAX_NODES``, where the sum's own drift gate decides.
+nested levels, each node once, and the sum stops at the first level whose
+node-doubling drift is at ``ROUNDING_DRIFT`` of its rounding scale (a
+``checked_integral`` on a plan that settles, or a torus Galerkin matrix), or
+at ``MAX_NODES``, where the sum's own drift gate decides.
 """
 
 from __future__ import annotations
@@ -26,10 +27,10 @@ import numpy as np
 DRIFT_TOL = 1e-9
 # Most nodes a plan may hold.  The sine-Gordon functionals at (beta, v) =
 # (0.5, 0.999999) take 108,497.  At this bound a process peaks near 0.29 GB
-# in a line functional, 0.41 GB in a torus functional plan that sizes itself
-# up to it (KKSH at k = 1e-5, x1 = 0.3) and 0.47 GB in the Weinstein
-# pairing.  A larger plan is refused before any node is made, and a torus
-# sum that doubles to the bound stops there.
+# in a line functional, 0.32 GB in a torus functional that doubles up to it
+# (KKSH F at k = 1e-5, x1 = 0.3) and 0.47 GB in the Weinstein pairing.  A
+# larger plan is refused before any node is made, and a torus sum that
+# doubles to the bound stops there.
 MAX_NODES = 1 << 18
 
 # Node-doubling drift below which a self-sizing torus sum stops doubling:
@@ -47,11 +48,14 @@ class QuadratureError(RuntimeError):
 class TrapezoidPlan:
     """Periodic trapezoid rule on [start, start + period): equal weights,
     uniform nodes.  The torus starts at 0; a line window whose integrands
-    vanish to rounding at both ends is a torus that starts at its left end."""
+    vanish to rounding at both ends is a torus that starts at its left end.
+    A plan that settles (a torus functional's) is only the level where
+    ``checked_integral`` starts doubling."""
 
     period: float
     n_nodes: int
     start: float = 0.0
+    settle: bool = False
 
     def __post_init__(self):
         if self.period <= 0:
@@ -86,15 +90,22 @@ def window_plan(family, harmonic: float, t: float = 0.0) -> TrapezoidPlan:
 def checked_integral(f, plan):
     """Integrate f(x) with the plan and verify stability under node doubling.
 
-    f is evaluated once, on the 2N nodes.  Returns ``(value, drift)``: the
-    2N-node value and its change from the N-node one, which is twice the
-    even-node sum (the coarse weight is twice the fine one, and scaling by 2
-    is exact), relative to max(|values|, 1).  Raises QuadratureError if the
+    f is evaluated once on each node, on the 2N nodes.  A plan that settles
+    doubles, evaluating only the new nodes (``doubling_levels``), while the
+    2N- and N-node values differ by more than ROUNDING_DRIFT of the integral
+    of |f| (at least 1), the scale of the sum's own rounding, up to
+    ``MAX_NODES``.  Returns ``(value, drift)``: the last level's 2N-node
+    value and its change from the N-node one, which is twice the even-node
+    sum (the coarse weight is twice the fine one, and scaling by 2 is
+    exact), relative to max(|values|, 1).  Raises QuadratureError if the
     drift exceeds DRIFT_TOL.
     """
-    x, w = plan.nodes_weights(2)
-    y = f(x)
-    fine, coarse = float(np.dot(w, y)), 2.0 * float(np.dot(w[::2], y[::2]))
+    for plan, y in doubling_levels(plan, f):
+        _, w = plan.nodes_weights(2)
+        fine, coarse = float(np.dot(w, y)), 2.0 * float(np.dot(w[::2], y[::2]))
+        # a NaN stops too: the gate below rejects it
+        if not (plan.settle and abs(fine - coarse) > ROUNDING_DRIFT * max(float(np.dot(w, np.abs(y))), 1.0)):
+            break
     drift = abs(fine - coarse) / max(abs(coarse), abs(fine), 1.0)
     if not (drift <= DRIFT_TOL):
         raise QuadratureError(
@@ -135,18 +146,3 @@ def doubling_levels(plan, evaluate):
         plan = replace(plan, n_nodes=2 * plan.n_nodes)
         x, _ = plan.nodes_weights(2)
         grids = _interleave(grids, evaluate(x[1::2]))
-
-
-def settled_plan(plan, evaluate) -> TrapezoidPlan:
-    """The first plan of ``doubling_levels`` on which the integral of every
-    grid ``evaluate`` returns (a list of arrays) changes under node doubling
-    by at most ROUNDING_DRIFT of its rounding scale, the integral of |grid|
-    (at least 1); at ``MAX_NODES``, the last one.  That scale, not the
-    integral, bounds the rounding of the sum, so a density that cancels
-    (F) settles as soon as one that does not."""
-    for plan, grids in doubling_levels(plan, evaluate):
-        w = plan.period / (2 * plan.n_nodes)
-        drift = max(abs(w * np.sum(y) - 2.0 * w * np.sum(y[::2])) / max(w * np.sum(np.abs(y)), 1.0) for y in grids)
-        if not drift > ROUNDING_DRIFT:  # a NaN stops too: the integral's own gate rejects it
-            break
-    return plan

@@ -238,6 +238,14 @@ def test_doubling_stops_at_max_nodes():
     assert [plan.n_nodes for plan, _ in levels] == [MAX_NODES // 4, MAX_NODES // 2, MAX_NODES]
 
 
+def test_a_nan_density_stops_a_settling_plan_at_its_first_level():
+    calls = []
+    with pytest.raises(QuadratureError):
+        checked_integral(lambda x: calls.append(x) or np.full_like(x, math.nan),
+                         TrapezoidPlan(period=1.0, n_nodes=8, settle=True))
+    assert len(calls) == 1
+
+
 @pytest.mark.parametrize("family, most", [
     (br.KkshBreather(beta=1.0, k=0.03), 128),
     (br.KkshBreather(beta=0.5, k=0.001), 128),
@@ -245,16 +253,22 @@ def test_doubling_stops_at_max_nodes():
     # at 512 nodes its F drifts by 3.2e-6
     (br.NonzeroMeanBreather(**gardner_form_oracles.NONZERO_MEAN_CASE), 1024),
 ], ids=["kksh", "kksh-narrow", "kksh-wide", "nonzero-mean"])
-def test_torus_plan_settles_on_the_4096_node_values(family, most):
+def test_torus_densities_settle_on_the_4096_node_values(family, most):
     plan = fn.family_plan(family)
-    assert plan.n_nodes == most
+    assert plan.settle and plan.n_nodes == 8
     dense = TrapezoidPlan(period=family.period, n_nodes=4096)
-    table = fn._integrand_table(family)
-    for name, density in table.items():
+    for name, density in fn._integrand_table(family).items():
+        nodes = []
+
         def integrand(x):
+            nodes.append(x)
             return density(fn.field_arrays(family, 0.0, x))
 
-        value, want = checked_integral(integrand, plan)[0], checked_integral(integrand, dense)[0]
+        value = checked_integral(integrand, plan)[0]
+        # each node once, on the levels up to the settled one
+        x = np.sort(np.concatenate(nodes))
+        assert x.size <= 2 * most and np.array_equal(x, TrapezoidPlan(family.period, x.size // 2).nodes_weights(2)[0])
+        want = checked_integral(integrand, dense)[0]
         assert abs(value - want) <= 1e-13 * max(abs(want), 1.0), name
 
 
@@ -342,7 +356,7 @@ class TestNonzeroMeanIsGardnerInTheShiftedField:
 
     @pytest.mark.parametrize("t", [0.0, 0.7])
     def test_integrands(self, t):
-        x, _ = fn.family_plan(self.family, t).nodes_weights(2)
+        x, _ = TrapezoidPlan(period=self.family.period, n_nodes=4096).nodes_weights(2)
         f = fn.field_arrays(self.family, t, x)
         shifted = gardner_form_oracles.shifted_mkdv_integrands(self.family.mu)
         table = fn._integrand_table(self.family)

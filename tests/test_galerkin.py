@@ -338,6 +338,21 @@ class TestTorusNodeRule:
             gk.assemble(gk.fourier_problem(op, 2))
         assert sum(sizes) == 2 * MAX_NODES
 
+    def test_a_nan_coefficient_stops_the_doubling_and_fails_closed(self):
+        sizes = []
+
+        @dataclass(frozen=True)
+        class NanOperator(linops.ScalarOperator):
+            def coefficients(self, x):
+                sizes.append(np.size(x))
+                c0, c1, c2 = super().coefficients(x)
+                return np.where(x == 0.0, math.nan, c0), c1, c2
+
+        prob = gk.fourier_problem(NanOperator(br.KkshBreather(beta=1.0, k=0.03, x1=0.1)), 2)
+        with pytest.raises(gk.AssemblyError):
+            gk.assemble(prob)
+        assert sizes == [2 * prob.plan.n_nodes]
+
 
 class TestTorusProjection:
     """The FFT projection against the basis-stack sum ``_project``."""
