@@ -6,9 +6,12 @@ nodes of w f L_ij[f], where L_ij sums the terms of row slot i and column
 slot j in ``op.terms(op.coefficients(x))``, the operator's only statement.
 
 On the line (Hermite basis, trapezoid nodes on a window past which every
-basis function is below 6e-24) ``jets.apply`` sums each column's terms on
-the basis derivative stack, over fixed blocks of nodes.  Problems that share
-a basis and a plan (the rows of a sweep) share each block's stack:
+basis function is below 6e-24) the sum is taken over fixed blocks of nodes.
+Each slot block's terms become one (orders, nodes) coefficient array, a
+constant broadcast and an absent order zero, which one ``einsum`` contracts
+with the basis derivative stack, one (orders, size, nodes) array; one
+product with the weighted values then adds the block.  Problems that share
+a basis and a plan (the rows of a sweep) share each node block's stack:
 ``assemble_all`` builds it once and adds each problem's block sum to its own
 matrix, in the order that problem alone would add it.  On the torus the
 trapezoid rule on N uniform nodes is a discrete Fourier transform, so the
@@ -45,25 +48,26 @@ from typing import Optional
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .jets import apply
 from .quadrature import ROUNDING_DRIFT, TrapezoidPlan, doubling_levels
 from .specfun import FourierBasis, HermiteBasis
 
 ASYMMETRY_FLAG = 1e-6
 DRIFT_FLAG = 1e-9
-# Nodes per assembly block.  A block holds its basis stack (five (size, nodes)
-# arrays) and the operator applied to it, so the block size bounds assembly
-# memory: mKdV at n = 160 (1792 fine nodes, summed as two halves of 896, one
-# block each) peaks at 9.4 MiB of Python allocations, and at 6.8 MiB with
-# 512-node blocks.
+# Nodes per assembly block.  A block holds its basis stack (a (5, size, nodes)
+# array), the weighted values and one slot block's image, so the block size
+# bounds assembly memory: mKdV at n = 160 (1792 fine nodes, summed as two
+# halves of 896, one block each) peaks at 9.1 MiB of Python allocations, and
+# at 5.4 MiB with 512-node blocks.
 NODE_BLOCK = 2048
+# Highest derivative order in the basis stack: the operators are of fourth order
+STACK_ORDERS = 4
 # Hermite node counts are rounded up to a multiple of this: see default_hermite_plan
 NODE_STEP = 64
 # Largest matrix dimension a problem may have.  The presets and the tests go
 # up to 600 (n = 300 on the two-slot sine-Gordon operator).  At the bound a
-# `spectrum` process peaks at 120 MB on the torus (kksh, n = 511) and 179 MB
-# on the line (mkdv, n = 1023).  A larger problem is refused before any node
-# or matrix is made.
+# `spectrum` process peaks at 80 MB on the torus (kksh, n = 511), and on the
+# line at 171 MB for mkdv (n = 1023) and 90 MB for sg (n = 511 per slot).  A
+# larger problem is refused before any node or matrix is made.
 MAX_DIM = 1024
 
 
@@ -153,17 +157,31 @@ def _project(problems, x, w) -> list[np.ndarray]:
     mats = [np.zeros((p.dim, p.dim)) for p in problems]
     for lo in range(0, x.size, NODE_BLOCK):
         xb = x[lo:lo + NODE_BLOCK]
-        stack = basis.stack(xb, 4)
+        stack = basis.stack(xb, STACK_ORDERS)
         rows = stack[0] * w[lo:lo + NODE_BLOCK]
+        image = np.empty_like(rows)
         for problem, m in zip(problems, mats):
             op = problem.operator
-            terms = op.terms(op.coefficients(xb))
-            for j in range(op.slots):
-                # column j's terms read the stack in slot j only
-                for i, image in enumerate(apply([t for t in terms if t[1] == j], *(stack,) * op.slots)):
-                    m[i * n:(i + 1) * n, j * n:(j + 1) * n] += rows @ image.T
-            del image  # the next problem's sums reuse its memory
+            for (i, j), coef in _block_coefficients(op.terms(op.coefficients(xb)), xb.size).items():
+                np.einsum("rnx,rx->nx", stack[:len(coef)], coef, out=image)
+                m[i * n:(i + 1) * n, j * n:(j + 1) * n] += rows @ image.T
+        del stack, rows, image  # freed before the next node block's stack is built
     return mats
+
+
+def _block_coefficients(terms, n_nodes: int) -> dict:
+    """Each slot block's terms as one (top + 1, n_nodes) array: row r sums the
+    coefficients of derivative order r, a constant broadcast over the
+    nodes, an order with no term zero."""
+    tops: dict = {}
+    for row, col, r, _ in terms:
+        if r > STACK_ORDERS:
+            raise ValueError(f"the basis stack holds derivatives up to order {STACK_ORDERS}, a term needs {r}")
+        tops[row, col] = max(r, tops.get((row, col), 0))
+    coefs = {key: np.zeros((top + 1, n_nodes)) for key, top in tops.items()}
+    for row, col, r, c in terms:
+        coefs[row, col][r] += c
+    return coefs
 
 
 def _project_torus(basis: FourierBasis, terms, n_nodes: int) -> np.ndarray:

@@ -249,13 +249,33 @@ def hermite_derivative_ladder(values: np.ndarray) -> np.ndarray:
     return out
 
 
-def hermite_stack(nmax: int, x, orders: int) -> list[np.ndarray]:
-    """[f, f', ..., f^(orders)] for n = 0..nmax; uses indices through nmax+orders."""
-    v = hermite_values(nmax + orders, np.asarray(x, dtype=float))
-    stack = [v]
-    for _ in range(orders):
-        stack.append(hermite_derivative_ladder(stack[-1]))
-    return [arr[: nmax + 1] for arr in stack]
+def hermite_stack(nmax: int, x, orders: int) -> np.ndarray:
+    """[f, f', ..., f^(orders)] for n = 0..nmax as one C-contiguous
+    (orders + 1, nmax + 1, len(x)) array; it reads indices through nmax + 1.
+
+    f comes from ``hermite_values`` and f' from one ladder pass.  The higher
+    orders come from the Hermite equation f_n'' = q_n f_n with
+    q_n = x^2 - (2n + 1), differentiated m times (q has no third derivative):
+    f^(m+2) = q f^(m) + 2 m x f^(m-1) + m (m - 1) f^(m-2).  They are formed 32
+    rows at a time, which keeps q and the products small.
+    """
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    out = np.empty((orders + 1, nmax + 1, x.size))
+    v = hermite_values(nmax + 1, x)
+    out[0] = v[:nmax + 1]
+    if orders >= 1:
+        out[1] = hermite_derivative_ladder(v)
+    del v
+    for lo in range(0, nmax + 1, 32):
+        f = out[:, lo:lo + 32]
+        q = x * x - (2.0 * np.arange(lo, lo + f.shape[1]) + 1.0)[:, None]
+        for m in range(orders - 1):
+            np.multiply(q, f[m], out=f[m + 2])
+            if m >= 1:
+                f[m + 2] += (2.0 * m) * x * f[m - 1]
+            if m >= 2:
+                f[m + 2] += float(m * (m - 1)) * f[m - 2]
+    return out
 
 
 @dataclass(frozen=True)
@@ -272,7 +292,8 @@ class HermiteBasis:
     def size(self) -> int:
         return self.count
 
-    def stack(self, x, orders: int) -> list[np.ndarray]:
+    def stack(self, x, orders: int) -> np.ndarray:
+        """[V, V', ..., V^(orders)] as one (orders + 1, size, len(x)) array."""
         return hermite_stack(self.count - 1, x, orders)
 
 
@@ -297,8 +318,9 @@ class FourierBasis:
     def size(self) -> int:
         return 2 * self.count_n + 1
 
-    def stack(self, x, orders: int) -> list[np.ndarray]:
-        """[V, V', ..., V^(orders)] with V of shape (size, len(x)).
+    def stack(self, x, orders: int) -> np.ndarray:
+        """[V, V', ..., V^(orders)] as one (orders + 1, size, len(x)) array,
+        shaped as ``HermiteBasis.stack``.
 
         cos and sin are evaluated once per mode; each derivative scales the
         pair by w and rotates it, (cos, sin) -> (-sin, cos).  The phases w x
@@ -313,13 +335,10 @@ class FourierBasis:
         ld = np.longdouble
         arg = (8 * np.arctan(ld(1)) / ld(L) * np.arange(1, self.count_n + 1, dtype=ld))[:, None] * x.astype(ld)
         c, s = (math.sqrt(2.0 / L) * f(arg).astype(float) for f in (np.cos, np.sin))
-        out = []
-        for d in range(orders + 1):
-            v = np.zeros((self.size, x.size))
-            if d == 0:
-                v[0] = 1.0 / math.sqrt(L)
-            else:
+        out = np.zeros((orders + 1, self.size, x.size))
+        out[0, 0] = 1.0 / math.sqrt(L)
+        for d, v in enumerate(out):
+            if d:
                 c, s = -w[:, None] * s, w[:, None] * c
             v[1::2], v[2::2] = c, s
-            out.append(v)
         return out

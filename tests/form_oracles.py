@@ -4,10 +4,14 @@
 over the nodes of each field times its row of the operator, applied by
 ``linops.apply`` to the fields' derivative grids.  ``rayleigh_quotient``
 reads a sampled field's quotient off an assembled matrix.
+``project_applied`` is the earlier form of ``galerkin._project``: each
+column slot's terms applied by ``linops.apply`` to the basis stack, term by
+term, and each row slot's image summed by its own product.
 """
 
 import numpy as np
 
+from breatherlab import galerkin as gk
 from breatherlab import linops
 
 
@@ -32,3 +36,24 @@ def rayleigh_quotient(problem, matrix, values) -> float:
         raise ValueError("one sampled field: the operator must have one slot")
     coeff = problem.basis.stack(x, 0)[0] @ (w * values)
     return float(coeff @ matrix @ coeff) / float(coeff @ coeff)
+
+
+def project_applied(problems, x, w):
+    """``galerkin._project`` by ``linops.apply``: the same node blocks and
+    the same weighted products, with each image summed term by term."""
+    basis = problems[0].basis
+    n = basis.size
+    mats = [np.zeros((p.dim, p.dim)) for p in problems]
+    for lo in range(0, x.size, gk.NODE_BLOCK):
+        xb = x[lo:lo + gk.NODE_BLOCK]
+        stack = basis.stack(xb, gk.STACK_ORDERS)
+        rows = stack[0] * w[lo:lo + gk.NODE_BLOCK]
+        for problem, m in zip(problems, mats):
+            op = problem.operator
+            terms = op.terms(op.coefficients(xb))
+            for j in range(op.slots):
+                # column j's terms read the stack in slot j only
+                for i, image in enumerate(linops.apply([t for t in terms if t[1] == j], *(stack,) * op.slots)):
+                    if image is not None:
+                        m[i * n:(i + 1) * n, j * n:(j + 1) * n] += rows @ image.T
+    return mats

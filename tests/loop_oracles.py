@@ -1,6 +1,7 @@
 """Per-point reference loops for the batched residual and periodicity checks,
 the families they are checked on, eval patches that count calls or plant a
-NaN, and the per-row loop of the Hermite derivative ladder.
+NaN, the per-row loop of the Hermite derivative ladder, and the Hermite
+derivative stack by repeated ladder passes.
 
 ``functionals.pde_residual`` and ``breathers.periodicity_check`` evaluate the
 family once over all their sample points.  The loops below are the earlier
@@ -15,6 +16,7 @@ import math
 import numpy as np
 
 from breatherlab import breathers as br
+from breatherlab import specfun as sf
 from breatherlab.jets import DEFAULT_DEG
 
 # the families' roles by name, stated here apart from the class hierarchy that
@@ -125,3 +127,13 @@ def hermite_derivative_ladder_loop(values):
         if n >= 1:
             out[n] += math.sqrt(n / 2.0) * values[n - 1]
     return out
+
+
+def hermite_stack_ladder(nmax, x, orders):
+    """[f, f', ..., f^(orders)] for n = 0..nmax, each order one ladder pass
+    on the one below, from the values through index nmax + orders: the
+    earlier form of ``specfun.hermite_stack``."""
+    stack = [sf.hermite_values(nmax + orders, np.asarray(x, dtype=float))]
+    for _ in range(orders):
+        stack.append(sf.hermite_derivative_ladder(stack[-1]))
+    return [arr[: nmax + 1] for arr in stack]

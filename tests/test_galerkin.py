@@ -172,6 +172,34 @@ class TestSharedStack:
             assert (together.asymmetry, together.drift) == (alone.asymmetry, alone.drift)
 
 
+class TestLineProjection:
+    """Each slot block contracts its terms with the stack in one pass."""
+
+    @pytest.mark.parametrize("preset, problems", [
+        ("mkdv", [gk.hermite_problem(linops.operator_for(br.MkdvBreather(alpha=0.5, beta=1.0, x1=0.8)), 40)]),
+        ("fig14-right", None),
+    ])
+    def test_matches_the_applied_projection(self, preset, problems):
+        problems = problems or _sweep_problems(preset)
+        eps = np.finfo(float).eps
+        for refine in (1, 2):
+            x, w = problems[0].plan.nodes_weights(refine)
+            for got, want in zip(gk._project(problems, x, w), form_oracles.project_applied(problems, x, w)):
+                assert np.max(np.abs(got - want)) <= 4 * eps * np.max(np.abs(want))
+
+    def test_fig14_right_rows_are_even_in_x1(self):
+        # the benchmark's symmetry tolerance; the rows agree to about 4e-14
+        values = cli._parse_values(cli.build_parser().parse_args(cli.PRESETS["fig14-right"].split()).values)
+        rows = dict(zip(values, gk.solve_problems(_sweep_problems("fig14-right"))))
+        for x1 in (0.1, 0.2, 0.3):
+            plus, minus = (rows[s * x1][1].values[:4] for s in (1.0, -1.0))
+            assert np.max(np.abs(plus - minus)) <= 1e-9
+
+    def test_a_term_above_the_stack_order_is_refused(self):
+        with pytest.raises(ValueError, match="order"):
+            gk._block_coefficients([(0, 0, gk.STACK_ORDERS + 1, 1.0)], 4)
+
+
 class TestHermitePlan:
     """The window comes from the basis, the step from the three scales."""
 
@@ -184,7 +212,8 @@ class TestHermitePlan:
         edge = edges.pop()
         assert all(plan.period == 2.0 * edge for plan in plans)
         x = np.array([-edge, edge])
-        stacked = HermiteBasis(count=n + 1).stack(x, 4) + [hermite_values(n + 4, x)]
+        # the stack reads indices through n + 1; the n + 4 row bounds those too
+        stacked = list(HermiteBasis(count=n + 1).stack(x, 4)) + [hermite_values(n + 4, x)]
         assert max(np.max(np.abs(v)) for v in stacked) < 6e-24
 
     @pytest.mark.parametrize("alpha, beta, n", [(0.2, 10.0, 20), (24.0, 1.0, 10), (12.0, 1.0, 160)])

@@ -201,6 +201,22 @@ class TestHermite:
             scale = np.maximum(np.abs(fpp), 1e-12)
             assert np.max(np.abs(resid) / scale) < 1e-8
 
+    @pytest.mark.parametrize("n", [1, 50, 160, 300, 800])
+    def test_stack_matches_the_ladder_passes(self, n):
+        # the window reaches past |x| = sqrt(1200), where hermite_values rescales
+        edge = max(math.sqrt(2.0 * (n + 5)) + 8.0, 40.0)
+        x = np.linspace(-edge, edge, 1201)
+        for orders in range(5):
+            got = sf.hermite_stack(n, x, orders)
+            want = loop_oracles.hermite_stack_ladder(n, x, orders)
+            assert got.shape == (orders + 1, n + 1, x.size) and got.flags.c_contiguous
+            for r in range(min(orders, 1) + 1):
+                assert np.array_equal(got[r], want[r])
+            for r in range(2, orders + 1):
+                scale = np.max(np.abs(want[r]), axis=1, keepdims=True)
+                assert np.all(scale > 0.0)
+                assert np.max(np.abs(got[r] - want[r]) / scale) <= 4e-15
+
 
 def hermite_values_longdouble(nmax, x):
     """The same recurrence in numpy's longdouble, whose Gaussian seed
