@@ -54,6 +54,5 @@ def project_applied(problems, x, w):
             for j in range(op.slots):
                 # column j's terms read the stack in slot j only
                 for i, image in enumerate(linops.apply([t for t in terms if t[1] == j], *(stack,) * op.slots)):
-                    if image is not None:
-                        m[i * n:(i + 1) * n, j * n:(j + 1) * n] += rows @ image.T
+                    m[i * n:(i + 1) * n, j * n:(j + 1) * n] += rows @ image.T
     return mats
