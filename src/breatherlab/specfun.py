@@ -274,7 +274,7 @@ def hermite_stack(nmax: int, x, orders: int) -> np.ndarray:
             if m >= 1:
                 f[m + 2] += (2.0 * m) * x * f[m - 1]
             if m >= 2:
-                f[m + 2] += float(m * (m - 1)) * f[m - 2]
+                f[m + 2] += m * (m - 1) * f[m - 2]
     return out
 
 
