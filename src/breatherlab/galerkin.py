@@ -5,38 +5,39 @@ never a pre-symmetrized form: slot block (i, j) of M is the sum over the
 nodes of w f L_ij[f], where L_ij sums the terms of row slot i and column
 slot j in ``op.terms(op.coefficients(x))``, the operator's only statement.
 
-On the line (Hermite basis, trapezoid nodes on a window past which every
-basis function is below 6e-24) the sum is taken over fixed blocks of nodes.
-Each slot block's terms become one (orders, nodes) coefficient array, a
-constant broadcast and an absent order zero, which one ``einsum`` contracts
-with the basis derivative stack, one (orders, size, nodes) array; one
-product with the weighted values then adds the block.  Problems that share
-a basis and a plan (the rows of a sweep) share each node block's stack:
-``assemble_all`` builds it once and adds each problem's block sum to its own
-matrix, in the order that problem alone would add it.  On the torus the
-trapezoid rule on N uniform nodes is a discrete Fourier transform, so the
-cos/sin matrix is read off the coefficients' transforms c^ = fft(c) / N,
-with no complex matrix and no change of basis: each grid term reads c^ at
-the Toeplitz index p - q and the Hankel index p + q of the modes'
-frequencies, whose real and imaginary parts give the cos and the sin rows,
-a derivative of order r scales column q by +-w_q^r (and trades cos_q for
-sin_q when r is odd), and a constant is the grid whose transform is c at
-index 0.  So this is exactly the trapezoid sum of the literal application,
-aliasing included.
+On the line (Hermite basis, trapezoid nodes on a window at whose edge every
+basis function and derivative is below 1e-23) the sum is taken over fixed
+blocks of nodes.  Each slot block's terms become one (orders, nodes)
+coefficient array, a constant broadcast and an absent order zero, which one
+``einsum`` contracts with the basis derivative stack, one (orders, size,
+nodes) array built from f_0..f_n alone (f' by the lowering relation, the
+higher orders by the Hermite equation); one product with the weighted values
+then adds the block.  Problems that share a basis and a plan (the rows of a
+sweep) share each node block's stack: ``assemble_all`` builds it once and
+adds each problem's block sum to its own matrix, in the order that problem
+alone would add it.  On the torus the trapezoid rule on N uniform nodes is a
+discrete Fourier transform, so the cos/sin matrix is read off the
+coefficients' transforms c^ = fft(c) / N, with no complex matrix and no
+change of basis: each grid term reads c^ at the Toeplitz index p - q and the
+Hankel index p + q of the modes' frequencies, whose real and imaginary parts
+give the cos and the sin rows, a derivative of order r scales column q by
++-w_q^r (and trades cos_q for sin_q when r is odd), and a constant is the
+grid whose transform is c at index 0.  So this is exactly the trapezoid sum
+of the literal application, aliasing included.
 
 The asymmetry of M, measured before symmetrization, is a genuine quality
-metric for the operator coefficients (on the torus it still tests
-c1 = c2') and the quadrature.  Assembly runs at two node densities; the
-entry drift between them is reported and must stay below 1e-9 for a healthy
-run.  On both bases the trapezoid levels are nested (the N nodes are every
-other one of the 2N, bitwise), so each node is evaluated once, on the 2N
-nodes: on the torus the N-node sum reads every other coefficient value, and
-on the line the sum over the even nodes, at the fine weight, is half the
-N-node matrix and the even and odd sums add to the 2N-node one.  A torus
-assembly sizes itself: it starts at the fewest nodes at which p - q never
-wraps and doubles N, evaluating only the new nodes, while the drift stays
-above ``quadrature.ROUNDING_DRIFT``; at ``quadrature.MAX_NODES`` the 1e-9
-gate decides.
+metric for the operator coefficients (on the torus it still tests c1 = c2')
+and the quadrature.  Assembly runs at two node densities; the entry drift
+between them is reported and must stay below ``quadrature.DRIFT_TOL`` = 1e-9
+for a healthy run.  On both bases the trapezoid levels are nested (the N
+nodes are every other one of the 2N, bitwise), so each node is evaluated
+once, on the 2N nodes: on the torus the N-node sum reads every other
+coefficient value, and on the line the sum over the even nodes, at the fine
+weight, is half the N-node matrix and the even and odd sums add to the
+2N-node one.  A torus assembly sizes itself: it starts at the fewest nodes
+at which p - q never wraps and doubles N, evaluating only the new nodes,
+while the drift stays above ``quadrature.ROUNDING_DRIFT``; at
+``quadrature.MAX_NODES`` the 1e-9 gate decides.
 """
 
 from __future__ import annotations
@@ -48,11 +49,10 @@ from typing import Optional
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .quadrature import ROUNDING_DRIFT, TrapezoidPlan, doubling_levels
+from .quadrature import DRIFT_TOL, ROUNDING_DRIFT, TrapezoidPlan, doubling_levels
 from .specfun import FourierBasis, HermiteBasis
 
 ASYMMETRY_FLAG = 1e-6
-DRIFT_FLAG = 1e-9
 # Nodes per assembly block.  A block holds its basis stack (a (5, size, nodes)
 # array), the weighted values and one slot block's image, so the block size
 # bounds assembly memory: mKdV at n = 160 (1792 fine nodes, summed as two
@@ -95,18 +95,20 @@ def default_hermite_plan(operator, n_basis: int) -> TrapezoidPlan:
     """Trapezoid nodes on the window [-X, X) of the basis, at a step from the
     three scales of w f_i L[f_j].
 
-    Every term carries a basis function, so X is the turning point
-    x_t = sqrt(2(n + 5)) of the stacked indices plus a Gaussian-tail margin
-    of 8; there every stacked |f_k^(r)| is below 6e-24 for n <= 300, so the
-    truncated rule acts as a periodic one and converges geometrically.  The
-    coarse step is H = 2 pi / K with K = 2X (the basis pair's band: Hermite
-    functions are their own Fourier transforms) + 6k (the potential's
-    harmonics) + 48 decay_rate (the profile's complex singularities lie
-    pi / (2 decay_rate) off the line; for mKdV at alpha 0.2, beta 3, n 40 a
-    strip term of 40 decay_rate leaves a drift of 1.3e-12, and 48 one of
-    6e-15).  N = 2X / H is rounded up to a multiple of NODE_STEP, so that
-    the rows of a sweep, whose scales move a little, share one plan and so
-    one stack per node block.
+    Every term carries a basis function, so X = sqrt(2(n + 5)) + 8: the
+    stack reads f_0..f_n, whose outer turning point is sqrt(2n + 1), and
+    both the five extra indices and the Gaussian-tail 8 are margin.  At X
+    every stacked |f_k^(r)| is at most 9.8e-24 (at n = 0) and below 6e-24
+    for 1 <= n <= 300; a window of sqrt(2n + 1) + 8 would leave 1.2e-14 at
+    n = 0 and 8.3e-22 at n = 10.  So the truncated rule acts as a periodic
+    one and converges geometrically.  The coarse step is H = 2 pi / K with
+    K = 2X (the basis pair's band: Hermite functions are their own Fourier
+    transforms) + 6k (the potential's harmonics) + 48 decay_rate (the
+    profile's complex singularities lie pi / (2 decay_rate) off the line;
+    for mKdV at alpha 0.2, beta 3, n 40 a strip term of 40 decay_rate leaves
+    a drift of 1.3e-12, and 48 one of 6e-15).  N = 2X / H is rounded up to a
+    multiple of NODE_STEP, so that the rows of a sweep, whose scales move a
+    little, share one plan and so one stack per node block.
     """
     fam = operator.family
     half_width = math.sqrt(2.0 * (n_basis + 5)) + 8.0
@@ -143,7 +145,7 @@ class AssembledMatrix:
     def require_quality(self):
         if not (self.asymmetry <= ASYMMETRY_FLAG):
             raise AssemblyError(f"matrix asymmetry {self.asymmetry:.3e} flags an operator or quadrature bug")
-        if not (self.drift <= DRIFT_FLAG):
+        if not (self.drift <= DRIFT_TOL):
             raise AssemblyError(f"assembly drift {self.drift:.3e} under node doubling")
 
 
@@ -355,7 +357,7 @@ class Classification:
     kernel_tol: float
 
 
-DEFAULT_KERNEL_TOL = {"hermite": 0.1, "fourier": 1e-5}
+DEFAULT_KERNEL_TOL = {HermiteBasis: 0.1, FourierBasis: 1e-5}
 
 
 def _check_kernel_tol(kernel_tol: float) -> None:
@@ -383,9 +385,7 @@ def solve_problems(problems, kernel_tol: Optional[float] = None) -> list:
     results = []
     for problem, assembled in zip(problems, assemble_all(problems)):
         spectrum = eig_sym(assembled.matrix)
-        tol = kernel_tol
-        if tol is None:
-            tol = DEFAULT_KERNEL_TOL["fourier" if isinstance(problem.basis, FourierBasis) else "hermite"]
+        tol = DEFAULT_KERNEL_TOL[type(problem.basis)] if kernel_tol is None else kernel_tol
         results.append((assembled, spectrum, classify(spectrum, tol)))
     return results
 

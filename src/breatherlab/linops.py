@@ -26,9 +26,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import breathers, stability
+from . import breathers, quadrature, stability
 from .jets import apply
-from .quadrature import checked_integral, window_plan
+from .quadrature import window_plan
 
 
 # ---------------------------------------------------------------------------
@@ -180,7 +180,7 @@ def sg_scaling_quadratic_form(family) -> float:
     def density(x):
         return op.quadratic_density(x, *sg_scaling_direction(op.family, x))
 
-    return checked_integral(density, window_plan(op.family, 4.0 * op.family.wavenumber))[0]
+    return quadrature.checked_integral(density, window_plan(op.family, 4.0 * op.family.wavenumber))[0]
 
 
 # ---------------------------------------------------------------------------

@@ -214,9 +214,10 @@ def hermite_values(nmax: int, x) -> np.ndarray:
     no entry overflows even for nmax in the hundreds.  The Gaussian seed
     underflows (to exactly 0 from |x| = 38.6) where f_800 is still O(0.1),
     out to its turning point near 40.  So past |x| = sqrt(1200) the seed is
-    scaled up by e^s, s = x^2/2 - 600, and the values down by e^-s at the
-    end, in two halves so that no factor underflows before its product
-    does.  Elsewhere s = 0 and the values are unchanged, bitwise.
+    scaled up by e^s, s = x^2/2 - 600, and the values down at the end by
+    e^(-s/2) twice, so that no factor underflows before its product does.
+    Elsewhere s = 0, the factor is exactly 1 and the values are unchanged,
+    bitwise.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     shift = np.maximum(0.5 * x * x - 600.0, 0.0)
@@ -226,49 +227,35 @@ def hermite_values(nmax: int, x) -> np.ndarray:
         v[1] = math.sqrt(2.0) * x * v[0]
     for n in range(1, nmax):
         v[n + 1] = math.sqrt(2.0 / (n + 1)) * x * v[n] - math.sqrt(n / (n + 1)) * v[n - 1]
-    far = shift > 0.0
-    if np.any(far):
-        half = np.exp(-0.5 * shift[far])
-        v[:, far] *= half
-        v[:, far] *= half
+    if np.any(shift):
+        half = np.exp(-0.5 * shift)
+        v *= half
+        v *= half
     return v
-
-
-def hermite_derivative_ladder(values: np.ndarray) -> np.ndarray:
-    """First derivatives from f_n' = sqrt(n/2) f_{n-1} - sqrt((n+1)/2) f_{n+1}.
-
-    The output has one row fewer than the input (the top index lacks its
-    upper neighbour).  The lower neighbours go in 32 rows at a time, which
-    keeps their temporary small.
-    """
-    n = np.arange(values.shape[0] - 1)[:, None]
-    out = -np.sqrt((n + 1) / 2.0) * values[1:]
-    for lo in range(1, out.shape[0], 32):
-        hi = min(lo + 32, out.shape[0])
-        out[lo:hi] += np.sqrt(n[lo:hi] / 2.0) * values[lo - 1:hi - 1]
-    return out
 
 
 def hermite_stack(nmax: int, x, orders: int) -> np.ndarray:
     """[f, f', ..., f^(orders)] for n = 0..nmax as one C-contiguous
-    (orders + 1, nmax + 1, len(x)) array; it reads indices through nmax + 1.
+    (orders + 1, nmax + 1, len(x)) array; it reads f_0..f_nmax alone.
 
-    f comes from ``hermite_values`` and f' from one ladder pass.  The higher
-    orders come from the Hermite equation f_n'' = q_n f_n with
-    q_n = x^2 - (2n + 1), differentiated m times (q has no third derivative):
-    f^(m+2) = q f^(m) + 2 m x f^(m-1) + m (m - 1) f^(m-2).  They are formed 32
-    rows at a time, which keeps q and the products small.
+    f comes from ``hermite_values``, f' from the lowering relation
+    f_n' = sqrt(2n) f_{n-1} - x f_n, and the higher orders from the Hermite
+    equation f_n'' = q_n f_n with q_n = x^2 - (2n + 1), differentiated m
+    times (q has no third derivative):
+    f^(m+2) = q f^(m) + 2 m x f^(m-1) + m (m - 1) f^(m-2).  They are formed
+    32 rows at a time, which keeps q and the products small.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     out = np.empty((orders + 1, nmax + 1, x.size))
-    v = hermite_values(nmax + 1, x)
-    out[0] = v[:nmax + 1]
-    if orders >= 1:
-        out[1] = hermite_derivative_ladder(v)
-    del v
+    out[0] = hermite_values(nmax, x)
     for lo in range(0, nmax + 1, 32):
         f = out[:, lo:lo + 32]
-        q = x * x - (2.0 * np.arange(lo, lo + f.shape[1]) + 1.0)[:, None]
+        k = np.arange(lo, lo + f.shape[1])[:, None]
+        if orders >= 1:
+            np.multiply(-x, f[0], out=f[1])
+            first = 1 if lo == 0 else 0  # f_0 has no lower neighbour
+            f[1, first:] += np.sqrt(2.0 * k[first:]) * out[0, lo + first - 1:lo + f.shape[1] - 1]
+        q = x * x - (2.0 * k + 1.0)
         for m in range(orders - 1):
             np.multiply(q, f[m], out=f[m + 2])
             if m >= 1:

@@ -1,7 +1,7 @@
 """Per-point reference loops for the batched residual and periodicity checks,
 the families they are checked on, eval patches that count calls or plant a
-NaN, the per-row loop of the Hermite derivative ladder, and the Hermite
-derivative stack by repeated ladder passes.
+NaN, per-row loops of the Hermite derivative ladder and of the lowering
+relation, and the Hermite derivative stack by repeated ladder passes.
 
 ``functionals.pde_residual`` and ``breathers.periodicity_check`` evaluate the
 family once over all their sample points.  The loops below are the earlier
@@ -119,7 +119,9 @@ def sample_xs(n_points, seed, lo=-8.0, hi=8.0):
 
 
 def hermite_derivative_ladder_loop(values):
-    """``specfun.hermite_derivative_ladder`` one output row at a time."""
+    """First derivatives from f_n' = sqrt(n/2) f_{n-1} - sqrt((n+1)/2) f_{n+1},
+    one output row at a time; the output has one row fewer than the input
+    (the top index lacks its upper neighbour)."""
     nmax = values.shape[0] - 1
     out = np.zeros((nmax, values.shape[1]))
     for n in range(nmax):
@@ -129,11 +131,22 @@ def hermite_derivative_ladder_loop(values):
     return out
 
 
+def hermite_lowering_loop(values, x):
+    """First derivatives from the lowering relation f_n' = sqrt(2n) f_{n-1} - x f_n,
+    one row at a time, in the operation order of ``specfun.hermite_stack``."""
+    out = np.zeros_like(values)
+    for n in range(values.shape[0]):
+        out[n] = -x * values[n]
+        if n >= 1:
+            out[n] += math.sqrt(2.0 * n) * values[n - 1]
+    return out
+
+
 def hermite_stack_ladder(nmax, x, orders):
     """[f, f', ..., f^(orders)] for n = 0..nmax, each order one ladder pass
-    on the one below, from the values through index nmax + orders: the
+    on the one below, from the values through index nmax + orders: an
     earlier form of ``specfun.hermite_stack``."""
     stack = [sf.hermite_values(nmax + orders, np.asarray(x, dtype=float))]
     for _ in range(orders):
-        stack.append(sf.hermite_derivative_ladder(stack[-1]))
+        stack.append(hermite_derivative_ladder_loop(stack[-1]))
     return [arr[: nmax + 1] for arr in stack]

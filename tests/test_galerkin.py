@@ -211,7 +211,7 @@ class TestHermitePlan:
         edge = edges.pop()
         assert all(plan.period == 2.0 * edge for plan in plans)
         x = np.array([-edge, edge])
-        # the stack reads indices through n + 1; the n + 4 row bounds those too
+        # the stack reads f_0..f_n; the n + 4 row checks the margin the window keeps
         stacked = list(HermiteBasis(count=n + 1).stack(x, 4)) + [hermite_values(n + 4, x)]
         assert max(np.max(np.abs(v)) for v in stacked) < 6e-24
 
