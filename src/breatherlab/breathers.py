@@ -710,26 +710,6 @@ def normal_form(family, t: float = 0.0):
     return replace(family, x1=(a * t + family.x1 - c * s2) % family.phase_period, x2=0.0)
 
 
-def shift_direction_callable(family, nt: int = 0, n1: int = 0, n2: int = 0, t: float = 0.0):
-    """Shift derivative d_t^nt d_{x1}^n1 d_{x2}^n2 of the field as a
-    jet-callable perturbation x -> jet; nt = 1 gives the B_t slot of a
-    wave-equation family.
-
-    Useful for feeding kernel directions into the quadratic-form and
-    expansion machinery, which accept perturbations as univariate jets.
-    """
-    from math import factorial
-
-    def fun(X: Jet2) -> Jet2:
-        fj = family.eval(t, X.value, deg=X.deg + nt + n1 + n2)
-        c = np.zeros((X.deg + 1, X.deg + 1) + np.shape(X.value))
-        for i in range(X.deg + 1):
-            c[i, 0] = fj.partial(nt=nt, nx=i, n1=n1, n2=n2) / factorial(i)
-        return Jet2(c, X.deg)
-
-    return fun
-
-
 # ---------------------------------------------------------------------------
 # double Backlund construction of the nonzero-mean breather
 # ---------------------------------------------------------------------------

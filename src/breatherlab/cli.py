@@ -396,6 +396,8 @@ def cmd_stability(args) -> int:
 
 
 def cmd_backlund(args) -> int:
+    if args.mu is not None and args.c2 is not None:
+        raise ValueError("backlund takes --mu or --c2, not both")
     if args.mu is None:
         if args.c2 is None:
             raise ValueError("backlund needs --mu or --c2")

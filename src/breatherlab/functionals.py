@@ -5,7 +5,10 @@ from the family jets, over one period or over a window that tracks the
 envelope centre; every integral is verified by node doubling.  Stationary
 residuals are reported relative to the largest single term of the equation at
 each grid point, since term magnitudes vary over orders of magnitude across
-parameter ranges.
+parameter ranges.  The Lyapunov expansion check takes its direction as
+``direction(x) -> (z, w)``, the derivative grids z = (z, z', z'') and
+w = (w, w') that ``linops`` reads, and integrates both of its sides by
+``checked_integral``.
 """
 
 from __future__ import annotations
@@ -16,7 +19,6 @@ import numpy as np
 
 from . import linops
 from .breathers import Breather, FieldJet, WaveFamily
-from .jets import Jet2
 from .quadrature import TrapezoidPlan, checked_integral, window_plan
 
 SQRT2 = math.sqrt(2.0)
@@ -299,25 +301,20 @@ def mean_value(family) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _eval_perturbation(fun, x, orders: int):
-    """Evaluate a jet-callable perturbation and its x-derivatives on a grid."""
-    jet = fun(Jet2.variable(np.asarray(x, dtype=float), 0, deg=orders))
-    return tuple(jet.partial(i, 0) for i in range(orders + 1))
-
-
-def sg_lyapunov_of_perturbed(family, x, w_quad, z, w, eps: float) -> float:
-    """H evaluated on (B + eps z, B_t + eps w) by quadrature with nodes x and
-    weights w_quad, from the derivative grids z = (z, z', z'') and w."""
+def sg_lyapunov_of_perturbed(family, x, z, w, eps: float) -> np.ndarray:
+    """Density of H on (B + eps z, B_t + eps w) at the nodes x, from the
+    derivative grids z = (z, z', z'') and w = (w, w')."""
     f = field_arrays(family, 0.0, x)
-    for key, d in zip(("u", "ux", "uxx", "ut", "utx"), z + w[:2]):
+    for key, d in zip(("u", "ux", "uxx", "ut", "utx"), z[:3] + w[:2]):
         f[key] = f[key] + eps * d
-    return float(np.dot(w_quad, _lyapunov_density(family, f)))
+    return _lyapunov_density(family, f)
 
 
-def expansion_remainder(family, x, w_quad, z, w, eps: float) -> float:
-    """Closed-form cubic-and-higher remainder of the Lyapunov expansion.
+def expansion_remainder(family, x, z, w, eps: float) -> np.ndarray:
+    """Density of the closed-form cubic-and-higher remainder of the Lyapunov
+    expansion.
 
-    This is the exact difference H[B+eps z, B_t+eps w] - H[B, B_t]
+    Its integral is the exact difference H[B+eps z, B_t+eps w] - H[B, B_t]
     - (eps^2/2) Q[z, w], written term by term so that no large quantities
     cancel; its leading order is cubic in eps.
     """
@@ -346,21 +343,30 @@ def expansion_remainder(family, x, w_quad, z, w, eps: float) -> float:
         + w**2 * (cb * c1 - sb * sz)
     ) / 8.0
     t6 = family.a * (sb * s2 - cb * c2)
-    return float(np.dot(w_quad, t1 + t2 + t3 + t4 + t5 + t6))
+    return t1 + t2 + t3 + t4 + t5 + t6
 
 
-def expansion_check(family, z_fun, w_fun, eps: float) -> tuple[float, float]:
-    """(H-difference minus half the quadratic form, explicit remainder), for
-    perturbations given as jet callables (position jet in, jet out).
+def expansion_check(family, direction, eps: float) -> tuple[float, float]:
+    """(H-difference minus half the quadratic form, explicit remainder) along
+    a direction ``direction(x) -> (z, w)`` given by its derivative grids
+    z = (z, z', z'') and w = (w, w').
 
-    The two must agree: the difference route relies on the stationary
-    equations killing the linear term and on the quadratic-form
-    normalisation, while the explicit remainder contains neither.
+    Each side is the ``checked_integral`` of its density on ``family_plan``,
+    so a direction the plan does not resolve raises QuadratureError.  The
+    two must agree: the difference route relies on the stationary equations
+    killing the linear term and on the quadratic-form normalisation, while
+    the explicit remainder contains neither.
     """
-    x, w_quad = family_plan(family, 0.0).nodes_weights(2)
-    z, w = _eval_perturbation(z_fun, x, 2), _eval_perturbation(w_fun, x, 2)
-    h0 = sg_lyapunov_of_perturbed(family, x, w_quad, z, w, 0.0)
-    h1 = sg_lyapunov_of_perturbed(family, x, w_quad, z, w, eps)
-    q = linops.operator_for(family).quadratic_form(x, w_quad, z, w)
-    lhs = h1 - h0 - 0.5 * eps * eps * q
-    return lhs, expansion_remainder(family, x, w_quad, z, w, eps)
+    op = linops.operator_for(family)
+
+    def difference(x):
+        z, w = direction(x)
+        return (sg_lyapunov_of_perturbed(family, x, z, w, eps)
+                - sg_lyapunov_of_perturbed(family, x, z, w, 0.0)
+                - 0.5 * eps * eps * op.quadratic_density(x, z, w))
+
+    def remainder(x):
+        return expansion_remainder(family, x, *direction(x), eps)
+
+    plan = family_plan(family)
+    return checked_integral(difference, plan)[0], checked_integral(remainder, plan)[0]

@@ -14,9 +14,12 @@ order on the second, first-order couplers).  All operators are formally
 self-adjoint: c1 = c2' for the scalar template, and the two couplers are
 mutual adjoints.
 
-Quadratic forms have two routes: the operator applied under the integral by
-``apply`` (needs four derivatives of the test field) and the
-integrated-by-parts expression (needs two).  The routes agree for decaying
+A direction is given by its derivative grids: z = (z, z', z'', ...) on
+the first slot and w = (w, w', ...) on the second, the form
+``sg_scaling_direction`` returns.  Quadratic forms have two routes: the
+operator applied under the integral by ``apply`` (needs four derivatives of
+z) and the integrated-by-parts density ``quadratic_density`` (needs two),
+which a caller integrates on its own plan.  The routes agree for decaying
 fields, which the tests check.
 """
 
@@ -119,10 +122,6 @@ class SgBlockOperator:
         return (z[2] ** 2 + w[1] ** 2 - c["l1_2"] * z[1] ** 2 + c["l1_0"] * z[0] ** 2
                 + c["l2_0"] * w[0] ** 2 + cross)
 
-    def quadratic_form(self, x, w_quad, z, w):
-        """Integrated-by-parts route: the weighted sum of ``quadratic_density``."""
-        return float(np.dot(w_quad, self.quadratic_density(x, z, w)))
-
 
 def operator_for(family, t: float = 0.0):
     """Linearization of a breather's stationary equation about its normal
@@ -188,30 +187,19 @@ def sg_scaling_quadratic_form(family) -> float:
 # ---------------------------------------------------------------------------
 
 
-def kksh_parameter_direction(beta: float, k: float, x):
-    """Derivative grids (orders 0..4) of the periodic profile along k and
-    along beta, from the jets of the family's closed-form partials.
-
-    The k-direction follows the constrained family: m moves with k along the
-    period lock.
-    """
-    dk, db = breathers.KkshBreather(beta=beta, k=k).parameter_partials(x, deg=5)
-    return tuple(dk.partial(nx=j + 1) for j in range(5)), tuple(db.partial(nx=j + 1) for j in range(5))
-
-
 def kksh_inverse_direction_residual(beta: float, k: float) -> float:
     """Max defect of L[B0] = -B, on 200 points of one period, for the
     discriminant-normalised direction built from the two parameter
     derivatives of the periodic profile."""
     family = breathers.KkshBreather(beta=beta, k=k)
     x = np.linspace(0.0, family.period, 200, endpoint=False)
-    dk, db = kksh_parameter_direction(beta, k, x)
-    # the direction follows the constrained solution family, so the
-    # coefficient partials carry dm/dk along the period lock
+    # the k-partial follows the constrained solution family (m moves with k
+    # along the period lock), and so do the coefficient partials
+    dk, db = family.parameter_partials(x, deg=5)
     d, _ = stability.discriminant_and_hg(beta, k, constraint="resolved")
     _, grad_b, grad_k = stability.coefficient_gradients(family.pair, "resolved")
     da1_db, da1_dk = grad_b[0], grad_k[0]
-    b0 = tuple((da1_dk * dbj - da1_db * dkj) / d for dkj, dbj in zip(dk, db))
+    b0 = tuple((da1_dk * db.partial(nx=j + 1) - da1_db * dk.partial(nx=j + 1)) / d for j in range(5))
     op = operator_for(family)
     (image,) = apply(op.terms(op.coefficients(x)), b0)
     B = family.eval(0.0, x, deg=0).value

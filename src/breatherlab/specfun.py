@@ -127,21 +127,30 @@ def _sncndn(u, m: float):
     return sn, cn, dn
 
 
+# each Jacobi function by name, from (sn, cn, dn): arrays or jets
+_JACOBI = {
+    "sn": lambda s, c, d: s,
+    "cn": lambda s, c, d: c,
+    "dn": lambda s, c, d: d,
+    "nd": lambda s, c, d: 1.0 / d,
+    "sd": lambda s, c, d: s / d,
+    "cd": lambda s, c, d: c / d,
+}
+
+
+def _jacobi_form(which: str):
+    if which not in _JACOBI:
+        raise ValueError(f"unknown Jacobi function {which!r}")
+    return _JACOBI[which]
+
+
 def jacobi(u, m: float, which: str):
     """Jacobi elliptic function value(s); which in {sn, cn, dn, nd, sd, cd}."""
     sn, cn, dn = _sncndn(u, m)
-    if which == "sn":
-        out = sn
-    elif which == "cn":
-        out = cn
-    elif which == "dn":
-        out = dn
-    elif which in ("nd", "sd", "cd"):
-        if np.any(dn == 0.0):
-            raise ZeroDivisionError(f"{which} undefined where dn vanishes")
-        out = {"nd": 1.0 / dn, "sd": sn / dn, "cd": cn / dn}[which]
-    else:
-        raise ValueError(f"unknown Jacobi function {which!r}")
+    form = _jacobi_form(which)
+    if which in ("nd", "sd", "cd") and np.any(dn == 0.0):
+        raise ZeroDivisionError(f"{which} undefined where dn vanishes")
+    out = form(sn, cn, dn)
     return out if np.ndim(out) else float(out)
 
 
@@ -188,20 +197,7 @@ def jacobi_dm_jet(a: Jet2, m: float):
 
 
 def jacobi_jet(a: Jet2, m: float, which: str) -> Jet2:
-    sn, cn, dn = jacobi_sncndn_jet(a, m)
-    if which == "sn":
-        return sn
-    if which == "cn":
-        return cn
-    if which == "dn":
-        return dn
-    if which == "nd":
-        return 1.0 / dn
-    if which == "sd":
-        return sn / dn
-    if which == "cd":
-        return cn / dn
-    raise ValueError(f"unknown Jacobi function {which!r}")
+    return _jacobi_form(which)(*jacobi_sncndn_jet(a, m))
 
 
 # -- Hermite functions -------------------------------------------------------

@@ -234,11 +234,6 @@ def _a1a2(beta: float, k: float, m: float) -> tuple[float, float]:
     return a1, a2
 
 
-def periodic_mass(beta: float, k: float) -> float:
-    """Mass of the periodic breather over one period, in closed form."""
-    return solve_commensurability(k, beta).mass
-
-
 def _derivatives(m: float, K: float, E: float) -> tuple[float, float]:
     """dK/dm and dE/dm from K(m) and E(m) (DLMF 19.4.1 in the parameter form)."""
     return (E - (1.0 - m) * K) / (2.0 * m * (1.0 - m)), (E - K) / (2.0 * m)

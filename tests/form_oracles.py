@@ -7,12 +7,25 @@ reads a sampled field's quotient off an assembled matrix.
 ``project_applied`` is the earlier form of ``galerkin._project``: each
 column slot's terms applied by ``linops.apply`` to the basis stack, term by
 term, and each row slot's image summed by its own product.
+``jet_direction`` turns two jet-built perturbations into a direction
+``x -> (z, w)`` of derivative grids, the form the identity checks take.
 """
 
 import numpy as np
 
 from breatherlab import galerkin as gk
-from breatherlab import linops
+from breatherlab import jets, linops
+
+
+def jet_direction(zf, wf):
+    """The direction x -> (z, w) whose grids are the x-derivatives of orders
+    0..2 of the jet callables zf and wf (position jet in, jet out)."""
+
+    def grids(fun, x):
+        jet = fun(jets.Jet2.variable(np.asarray(x, dtype=float), 0, deg=2))
+        return tuple(jet.partial(i, 0) for i in range(3))
+
+    return lambda x: (grids(zf, x), grids(wf, x))
 
 
 def applied(op, x, *fields):

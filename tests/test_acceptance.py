@@ -27,6 +27,7 @@ import numpy as np
 import pytest
 
 import fd_oracle
+import form_oracles
 from breatherlab import breathers as br
 from breatherlab import functionals as fn
 from breatherlab import galerkin as gk
@@ -390,14 +391,14 @@ def test_criterion7_stability_machinery():
     checks = {
         "m solve": abs(pair.k - 0.057) <= 1e-3,
         "k limit": abs(st.find_kstar() - 0.058836) <= 1e-4,
-        "mass limit": abs(st.periodic_mass(1.0, 1e-4) / 4.0 - 1.0) <= 1e-3,
+        "mass limit": abs(st.solve_commensurability(1e-4, 1.0).mass / 4.0 - 1.0) <= 1e-3,
         "root": abs(st.discriminant_root() - 0.0545) <= 0.002,
         "sign high": st.discriminant_and_hg(1.0, 0.057)[1] < 0,
         "sign low": st.discriminant_and_hg(1.0, 0.03)[1] > 0,
     }
     fam = br.KkshBreather(beta=1.0, k=0.03)
     direct = fn.evaluate_functional("mass", fam)
-    checks["mass quadrature"] = abs(direct - st.periodic_mass(1.0, 0.03)) <= 1e-7 * abs(direct)
+    checks["mass quadrature"] = abs(direct - st.solve_commensurability(0.03, 1.0).mass) <= 1e-7 * abs(direct)
     ok = all(checks.values())
     report(7, "periodic stability machinery", ok,
            ", ".join(f"{k}={'ok' if v else 'BAD'}" for k, v in checks.items()))
@@ -423,8 +424,12 @@ def test_criterion8_expansion():
         def wf(X, b=b, w1=w1, x1=x1, s=s):
             return jets.exp(-b * (X - x1) * (X - x1)) * jets.cos(w1 * X + s)
 
-        lhs, rem = fn.expansion_check(fam, zf, wf, 1e-3)
+        lhs, rem = fn.expansion_check(fam, form_oracles.jet_direction(zf, wf), 1e-3)
         worst = max(worst, abs(lhs - rem))
+
+    # along the scaling direction, the Weinstein pairing's
+    lhs, rem = fn.expansion_check(fam, lambda x: linops.sg_scaling_direction(fam, x), 1e-3)
+    scaling = abs(lhs - rem)
 
     def zf(X):
         return jets.exp(-0.25 * (X - 0.4) * (X - 0.4)) * jets.sin(X * 1.1)
@@ -432,11 +437,14 @@ def test_criterion8_expansion():
     def wf(X):
         return jets.exp(-0.3 * X * X) * jets.cos(X * 0.7 + 0.2)
 
-    values = [abs(fn.expansion_check(fam, zf, wf, eps)[0]) for eps in (1e-2, 1e-3, 1e-4)]
+    direction = form_oracles.jet_direction(zf, wf)
+    values = [abs(fn.expansion_check(fam, direction, eps)[0]) for eps in (1e-2, 1e-3, 1e-4)]
     slope = (math.log(values[0]) - math.log(values[2])) / (math.log(1e-2) - math.log(1e-4))
-    ok = worst <= 1e-10 and slope >= 2.7
-    report(8, "quadratic expansion", ok, f"max mismatch {worst:.2e}, slope {slope:.3f}")
+    ok = worst <= 1e-10 and scaling <= 1e-10 and slope >= 2.7
+    report(8, "quadratic expansion", ok,
+           f"max mismatch {worst:.2e}, along the scaling direction {scaling:.2e}, slope {slope:.3f}")
     assert worst <= 1e-10
+    assert scaling <= 1e-10
     assert slope >= 2.7
 
 

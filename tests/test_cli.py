@@ -423,6 +423,13 @@ class TestOtherCommands:
     def test_backlund_needs_mu_or_c2(self):
         assert run(["backlund", "--c1", "1.0", "--p", "2", "--q", "3"]) == 2
 
+    def test_backlund_takes_mu_or_c2_not_both(self, capsys):
+        # --mu fixes c2 itself, so a given --c2 would go unread
+        assert run(["backlund", "--mu", "1", "--c1", "1", "--c2", "5", "--p", "4", "--q", "3"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: backlund takes --mu or --c2, not both\n"
+
     def test_numerical_quality_failure_exit_3(self, monkeypatch, capsys):
         from breatherlab import linops
         from breatherlab.quadrature import QuadratureError

@@ -11,6 +11,7 @@ from breatherlab import stability as st
 from breatherlab.quadrature import MAX_NODES, QuadratureError, TrapezoidPlan, checked_integral, doubling_levels
 
 import field_oracle
+import form_oracles
 import gardner_form_oracles
 import loop_oracles
 from legendre_oracle import LegendrePlan, panel_order
@@ -158,7 +159,7 @@ class TestPeriodicMass:
         for k in (0.005, 0.01, 0.02, 0.03, 0.05):
             fam = br.KkshBreather(beta=1.0, k=k)
             direct = fn.evaluate_functional("mass", fam)
-            closed = st.periodic_mass(1.0, k)
+            closed = st.solve_commensurability(k, 1.0).mass
             assert direct == pytest.approx(closed, rel=1e-7)
 
 
@@ -171,34 +172,46 @@ class TestExpansion:
         def wf(X):
             return jets.exp(-0.3 * X * X) * jets.cos(X * 0.7 + 0.2)
 
-        return zf, wf
+        return form_oracles.jet_direction(zf, wf)
 
     def test_zero_perturbation(self):
         fam = br.SgBreather(beta=0.5, v=0.3)
-        zf, wf = self._smooth_pair()
-        lhs, rem = fn.expansion_check(fam, zf, wf, 0.0)
+        lhs, rem = fn.expansion_check(fam, self._smooth_pair(), 0.0)
         assert lhs == 0.0 and rem == 0.0
 
     def test_difference_matches_remainder(self):
         fam = br.SgBreather(beta=0.5, v=0.3)
-        zf, wf = self._smooth_pair()
         for eps in (1e-2, 1e-3):
-            lhs, rem = fn.expansion_check(fam, zf, wf, eps)
+            lhs, rem = fn.expansion_check(fam, self._smooth_pair(), eps)
             assert abs(lhs - rem) < 1e-10
 
     def test_kernel_direction_perturbation(self):
         fam = br.SgBreather(beta=0.5, v=0.3)
-        zf = br.shift_direction_callable(fam, n1=1)
-        wf = br.shift_direction_callable(fam, nt=1, n1=1)
-        lhs, rem = fn.expansion_check(fam, zf, wf, 1e-3)
+
+        def kernel(x):
+            f = fam.eval(0.0, x, deg=4)
+            return (tuple(f.partial(nx=j, n1=1) for j in range(3)),
+                    tuple(f.partial(nt=1, nx=j, n1=1) for j in range(3)))
+
+        lhs, rem = fn.expansion_check(fam, kernel, 1e-3)
         assert abs(lhs - rem) < 1e-10
 
     def test_cubic_scaling(self):
         fam = br.SgBreather(beta=0.5, v=0.3)
-        zf, wf = self._smooth_pair()
-        values = [abs(fn.expansion_check(fam, zf, wf, eps)[0]) for eps in (1e-2, 1e-3, 1e-4)]
+        values = [abs(fn.expansion_check(fam, self._smooth_pair(), eps)[0]) for eps in (1e-2, 1e-3, 1e-4)]
         slope = (math.log(values[0]) - math.log(values[2])) / (math.log(1e-2) - math.log(1e-4))
         assert slope >= 2.7
+
+    def test_unresolved_direction_raises(self):
+        # a jump at x = 0.3 leaves both sums drifting under node doubling
+        fam = br.SgBreather(beta=0.5, v=0.3)
+
+        def jump(x):
+            g = np.exp(-x * x) * (x > 0.3)
+            return (g, -2.0 * x * g, (4.0 * x * x - 2.0) * g), (np.zeros_like(x), np.zeros_like(x))
+
+        with pytest.raises(QuadratureError, match="not converged"):
+            fn.expansion_check(fam, jump, 1e-2)
 
 
 def test_mean_value_requires_torus():

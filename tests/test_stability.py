@@ -20,8 +20,8 @@ def _central(f, x, h):
 
 def richardson_d_hg(beta, k, constraint, hk=1e-6, hb=1e-6):
     """D and HG from Richardson differences: of the closed forms at the locked
-    m ("frozen"), or of ``KkshBreather.a1a2``/``periodic_mass``, which re-solve
-    the period lock at every displaced k ("resolved")."""
+    m ("frozen"), or of ``KkshBreather.a1a2`` and ``solve_commensurability``'s
+    mass, which re-solve the period lock at every displaced k ("resolved")."""
     if constraint == "frozen":
         m = st.solve_commensurability(k, beta).m
         a1a2 = lambda kk: st._a1a2(beta, kk, m)
@@ -29,14 +29,14 @@ def richardson_d_hg(beta, k, constraint, hk=1e-6, hb=1e-6):
             beta, kk, m, ellip_k(kk), ellip_e(kk), ellip_k(m), ellip_e(m)).mass
     else:
         a1a2 = lambda kk: breathers.KkshBreather(beta=beta, k=kk).a1a2
-        mass = lambda kk: st.periodic_mass(beta, kk)
+        mass = lambda kk: st.solve_commensurability(kk, beta).mass
     hbeta = hb * max(1.0, beta)
     a1_k = _central(lambda kk: a1a2(kk)[0], k, hk)
     a2_k = _central(lambda kk: a1a2(kk)[1], k, hk)
     mass_k = _central(mass, k, hk)
     a1_b = _central(lambda b: breathers.KkshBreather(beta=b, k=k).a1a2[0], beta, hbeta)
     a2_b = _central(lambda b: breathers.KkshBreather(beta=b, k=k).a1a2[1], beta, hbeta)
-    mass_b = _central(lambda b: st.periodic_mass(b, k), beta, hbeta)
+    mass_b = _central(lambda b: st.solve_commensurability(k, b).mass, beta, hbeta)
     d = a1_k * a2_b - a2_k * a1_b
     return d, (a1_k * mass_b - a1_b * mass_k) / d
 
@@ -189,18 +189,19 @@ class TestNewton:
 
 class TestPeriodicMass:
     def test_aperiodic_limit(self):
-        assert st.periodic_mass(1.0, 1e-4) / 4.0 == pytest.approx(1.0, abs=1e-3)
+        assert st.solve_commensurability(1e-4, 1.0).mass / 4.0 == pytest.approx(1.0, abs=1e-3)
 
     def test_decreasing_in_m_except_near_one(self):
         ms = np.linspace(0.1, 0.97, 15)
-        masses = [st.periodic_mass(1.0, st.solve_commensurability_from_m(m).k) for m in ms]
+        masses = [st.solve_commensurability(st.solve_commensurability_from_m(m).k).mass for m in ms]
         assert all(b < a for a, b in zip(masses, masses[1:]))
         # beyond m ~ 0.98 the trend reverses on the way back to the line value
-        hi = [st.periodic_mass(1.0, st.solve_commensurability_from_m(m).k) for m in (0.985, 0.999)]
+        hi = [st.solve_commensurability(st.solve_commensurability_from_m(m).k).mass for m in (0.985, 0.999)]
         assert hi[1] > hi[0]
 
     def test_scaling_in_beta(self):
-        assert st.periodic_mass(2.0, 0.03) == pytest.approx(2 * st.periodic_mass(1.0, 0.03), rel=1e-12)
+        mass = st.solve_commensurability(0.03, 2.0).mass
+        assert mass == pytest.approx(2 * st.solve_commensurability(0.03, 1.0).mass, rel=1e-12)
 
 
 class TestVariationalCoefficients:
@@ -223,7 +224,7 @@ class TestVariationalCoefficients:
         with pytest.raises(ValueError, match=r"k must lie in \(0, "):
             breathers.KkshBreather(beta=1.0, k=0.0).a1a2
         with pytest.raises(ValueError, match=r"k must lie in \(0, "):
-            st.periodic_mass(1.0, 0.0)
+            st.solve_commensurability(0.0, 1.0).mass
 
 
 class TestDiscriminant:
