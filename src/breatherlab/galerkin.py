@@ -5,25 +5,30 @@ never a pre-symmetrized form: slot block (i, j) of M is the sum over the
 nodes of w f L_ij[f], where L_ij sums the terms of row slot i and column
 slot j in ``op.terms(op.coefficients(x))``, the operator's only statement.
 
-On the line (Hermite basis, trapezoid nodes on a window at whose edge every
-basis function and derivative is below 1e-23) the sum is taken over fixed
-blocks of nodes.  Each slot block's terms become one (orders, nodes)
-coefficient array, a constant broadcast and an absent order zero, which one
-``einsum`` contracts with the basis derivative stack, one (orders, size,
-nodes) array built from f_0..f_n alone (f' by the lowering relation, the
-higher orders by the Hermite equation); one product with the weighted values
-then adds the block.  Problems that share a basis and a plan (the rows of a
-sweep) share each node block's stack: ``assemble_all`` builds it once and
-adds each problem's block sum to its own matrix, in the order that problem
-alone would add it.  On the torus the trapezoid rule on N uniform nodes is a
-discrete Fourier transform, so the cos/sin matrix is read off the
-coefficients' transforms c^ = fft(c) / N, with no complex matrix and no
-change of basis: each grid term reads c^ at the Toeplitz index p - q and the
-Hankel index p + q of the modes' frequencies, whose real and imaginary parts
-give the cos and the sin rows, a derivative of order r scales column q by
-+-w_q^r (and trades cos_q for sin_q when r is odd), and a constant is the
-grid whose transform is c at index 0.  So this is exactly the trapezoid sum
-of the literal application, aliasing included.
+On the line (Hermite basis, trapezoid nodes on a window [-X, X] centred on
+0, at whose edge every basis function and derivative is below 1e-23) the sum
+is folded onto x >= 0 by parity, f_k^(r)(-x) = (-1)^(k + r) f_k^(r)(x).
+Each slot block's terms become one (orders, nodes) coefficient array, a
+constant broadcast and an absent order zero, evaluated once per assembly on
+the nonnegative nodes and their exact negatives.  Over fixed blocks of
+nonnegative nodes, one ``einsum`` contracts the basis derivative stack, one
+(orders, size, nodes) array built from f_0..f_n alone (f' by the lowering
+relation, the higher orders by the Hermite equation), with the coefficients
+at x, and one with those at -x times (-1)^r; the even rows' product with the
+sum of the two images and the odd rows' with their difference then add the
+block, at half the flops of one product over x and -x.  Problems that share
+a basis and a plan (the rows of a sweep) share each node block's stack:
+``assemble_all`` builds it once and adds each problem's block sum to its own
+matrix, in the order that problem alone would add it.  On the torus the
+trapezoid rule on N uniform nodes is a discrete Fourier transform, so the
+cos/sin matrix is read off the coefficients' transforms c^ = fft(c) / N,
+with no complex matrix and no change of basis: each grid term reads c^ at
+the Toeplitz index p - q and the Hankel index p + q of the modes'
+frequencies, whose real and imaginary parts give the cos and the sin rows, a
+derivative of order r scales column q by +-w_q^r (and trades cos_q for sin_q
+when r is odd), and a constant is the grid whose transform is c at index 0.
+So this is exactly the trapezoid sum of the literal application, aliasing
+included.
 
 The asymmetry of M, measured before symmetrization, is a genuine quality
 metric for the operator coefficients (on the torus it still tests c1 = c2')
@@ -32,11 +37,11 @@ between them is reported and must stay below ``quadrature.DRIFT_TOL`` = 1e-9
 for a healthy run.  On both bases the trapezoid levels are nested (the N
 nodes are every other one of the 2N, bitwise), so each node is evaluated
 once, on the 2N nodes: on the torus the N-node sum reads every other
-coefficient value, and on the line the sum over the even nodes, at the fine
-weight, is half the N-node matrix and the even and odd sums add to the
-2N-node one.  A torus assembly sizes itself: it starts at the fewest nodes
-at which p - q never wraps and doubles N, evaluating only the new nodes,
-while the drift stays above ``quadrature.ROUNDING_DRIFT``; at
+coefficient value, and on the line the fold of the even nodes, at the fine
+weight, is half the N-node matrix and the folds of the even and the odd
+nodes add to the 2N-node one.  A torus assembly sizes itself: it starts at
+the fewest nodes at which p - q never wraps and doubles N, evaluating only
+the new nodes, while the drift stays above ``quadrature.ROUNDING_DRIFT``; at
 ``quadrature.MAX_NODES`` the 1e-9 gate decides.
 """
 
@@ -53,11 +58,12 @@ from .quadrature import DRIFT_TOL, ROUNDING_DRIFT, TrapezoidPlan, doubling_level
 from .specfun import FourierBasis, HermiteBasis
 
 ASYMMETRY_FLAG = 1e-6
-# Nodes per assembly block.  A block holds its basis stack (a (5, size, nodes)
-# array), the weighted values and one slot block's image, so the block size
-# bounds assembly memory: mKdV at n = 160 (1792 fine nodes, summed as two
-# halves of 896, one block each) peaks at 9.1 MiB of Python allocations, and
-# at 5.4 MiB with 512-node blocks.
+# Nodes per assembly block, x and -x together.  A block holds its basis stack
+# on x >= 0 (a (5, size, NODE_BLOCK / 2) array), the weighted values and one
+# slot block's two images, so the block size bounds assembly memory: mKdV at
+# n = 160 (1792 fine nodes, summed as two halves of 449 and 448 nonnegative
+# nodes, one block each) peaks at 5.5 MiB of Python allocations, and at
+# 3.4 MiB with 512-node blocks.
 NODE_BLOCK = 2048
 # Highest derivative order in the basis stack: the operators are of fourth order
 STACK_ORDERS = 4
@@ -66,7 +72,7 @@ NODE_STEP = 64
 # Largest matrix dimension a problem may have.  The presets and the tests go
 # up to 600 (n = 300 on the two-slot sine-Gordon operator).  At the bound a
 # `spectrum` process peaks at 80 MB on the torus (kksh, n = 511), and on the
-# line at 171 MB for mkdv (n = 1023) and 90 MB for sg (n = 511 per slot).  A
+# line at 125 MB for mkdv (n = 1023) and 74 MB for sg (n = 511 per slot).  A
 # larger problem is refused before any node or matrix is made.
 MAX_DIM = 1024
 
@@ -92,8 +98,9 @@ class GalerkinProblem:
 
 
 def default_hermite_plan(operator, n_basis: int) -> TrapezoidPlan:
-    """Trapezoid nodes on the window [-X, X) of the basis, at a step from the
-    three scales of w f_i L[f_j].
+    """Trapezoid nodes on the window [-X, X) of the basis, centred on 0 (the
+    assembly folds it by parity), at a step from the three scales of
+    w f_i L[f_j].
 
     Every term carries a basis function, so X = sqrt(2(n + 5)) + 8: the
     stack reads f_0..f_n, whose outer turning point is sqrt(2n + 1), and
@@ -149,25 +156,72 @@ class AssembledMatrix:
             raise AssemblyError(f"assembly drift {self.drift:.3e} under node doubling")
 
 
-def _project(problems, x, w) -> list[np.ndarray]:
-    """Slot block (i, j) of each M is the sum over the nodes of w f (L_ij f),
-    taken node block by node block, for problems that share one basis: each
-    node block's stack is built once, and each matrix gets the same sum, in
-    the same order, as it would alone."""
+def _folded_nodes(plan) -> tuple[np.ndarray, np.ndarray, int]:
+    """(x, w, split): the nonnegative nodes of the even fine nodes, then
+    those of the odd ones (from ``split`` on), with their weights.
+
+    Fine node j of a window [-X, X) centred on 0 is x_j = -X + j h, for
+    j = 0..2N - 1, and its mirror is node 2N - j, of the same parity.  So
+    each half is its nodes 0, x_{N+1}..x_{2N-1} and X (x_N is 0 up to an
+    ulp of X) and their exact negatives, which the nodes x_j, j < N, miss by
+    up to an ulp of X.  The nodes 0 and X carry half the fine weight on each
+    side: the sum is the classical trapezoid rule on [-X, X], which moves
+    half the weight of the periodic rule's node -X to X, where every stacked
+    value is below 1e-23."""
+    if plan.start != -0.5 * plan.period:
+        raise ValueError(f"a Hermite plan must be centred on 0, this one starts at {plan.start}")
+    n = plan.n_nodes
+    x, w = plan.nodes_weights(2)
+    x, w = np.append(x[n:], -x[0]), np.append(w[n:], w[0])
+    x[0] = 0.0
+    w[0] *= 0.5
+    w[n] *= 0.5
+    # node n + m is even when m = n mod 2
+    order = np.concatenate([np.arange(n % 2, n + 1, 2), np.arange(1 - n % 2, n + 1, 2)])
+    return x[order], w[order], n // 2 + 1
+
+
+def _mirrored_coefficients(op, x) -> dict:
+    """Each slot block's coefficient array (``_block_coefficients``) at the
+    nodes x and at -x, from one evaluation, as one (top + 1, 2, x.size)
+    array: [r, 0] at x, and [r, 1] at -x times (-1)^r, the sign that an
+    r-th derivative takes under x -> -x."""
+    coefs = {}
+    for key, c in _block_coefficients(op.terms(op.coefficients(np.concatenate([x, -x]))), 2 * x.size).items():
+        coefs[key] = c = c.reshape(len(c), 2, x.size)
+        c[1::2, 1] *= -1.0
+    return coefs
+
+
+def _fold(problems, coefs, x, w, start: int, stop: int) -> list[np.ndarray]:
+    """Slot block (i, j) of each M summed over the nodes x[start:stop] >= 0
+    and their negatives, for problems that share one basis, from the basis
+    stack at x alone.
+
+    f_k^(r)(-x) = (-1)^(k + r) f_k^(r)(x), so the contraction of the stack
+    with the coefficients at -x times (-1)^r (``_mirrored_coefficients``) is
+    (-1)^k g_k(-x), where g_k = L_ij f_k, and the sum over x and -x of
+    w f_k g_l is that over x of w f_k (g_l(x) + (-1)^k g_l(-x)): the even
+    rows take the sum of the images and the odd rows their difference.
+    Each node block's stack is built once, and each matrix gets the same
+    sum, in the same order, as it would alone."""
     basis = problems[0].basis
     n = basis.size
     mats = [np.zeros((p.dim, p.dim)) for p in problems]
-    for lo in range(0, x.size, NODE_BLOCK):
-        xb = x[lo:lo + NODE_BLOCK]
-        stack = basis.stack(xb, STACK_ORDERS)
-        rows = stack[0] * w[lo:lo + NODE_BLOCK]
-        image = np.empty_like(rows)
-        for problem, m in zip(problems, mats):
-            op = problem.operator
-            for (i, j), coef in _block_coefficients(op.terms(op.coefficients(xb)), xb.size).items():
-                np.einsum("rnx,rx->nx", stack[:len(coef)], coef, out=image)
-                m[i * n:(i + 1) * n, j * n:(j + 1) * n] += rows @ image.T
-        del stack, rows, image  # freed before the next node block's stack is built
+    for lo in range(start, stop, NODE_BLOCK // 2):
+        hi = min(lo + NODE_BLOCK // 2, stop)
+        stack = basis.stack(x[lo:hi], STACK_ORDERS)
+        rows = stack[0] * w[lo:hi]
+        image, mirror = np.empty_like(rows), np.empty_like(rows)
+        for blocks, m in zip(coefs, mats):
+            for (i, j), c in blocks.items():
+                np.einsum("rnx,rx->nx", stack[:len(c)], c[:, 0, lo:hi], out=image)
+                np.einsum("rnx,rx->nx", stack[:len(c)], c[:, 1, lo:hi], out=mirror)
+                mirror[1::2] *= -1.0  # now the image at -x
+                block = m[i * n:(i + 1) * n, j * n:(j + 1) * n]
+                block[0::2] += rows[0::2] @ (image + mirror).T
+                block[1::2] += rows[1::2] @ (image - mirror).T
+        del stack, rows, image, mirror  # freed before the next node block's stack is built
     return mats
 
 
@@ -187,8 +241,8 @@ def _block_coefficients(terms, n_nodes: int) -> dict:
 
 
 def _project_torus(basis: FourierBasis, terms, n_nodes: int) -> np.ndarray:
-    """The trapezoid sum of ``_project`` on ``n_nodes`` uniform nodes, read
-    off the grids' transforms c^ = fft(c) / N.
+    """The trapezoid sum of w f L[f] on ``n_nodes`` uniform nodes, read off
+    the grids' transforms c^ = fft(c) / N.
 
     The cos_p and sin_p rows of column cos_q are the real part and minus the
     imaginary part of (2/L) int c e^{-i w_p x} d^r cos_q = A + B, and those
@@ -258,14 +312,19 @@ def _levels(problems) -> list[tuple[np.ndarray, np.ndarray, int]]:
     one plan.
 
     The N coarse trapezoid nodes are every other one of the 2N fine ones,
-    bitwise, so each node is evaluated once, on the 2N nodes."""
+    so each node is evaluated once, on the 2N nodes.  On the line each
+    problem's coefficients are evaluated once, on the nonnegative nodes of
+    both halves and their negatives (``_folded_nodes``), and each half is
+    summed from the basis stack on its nonnegative nodes (``_fold``)."""
     if isinstance(problems[0].basis, FourierBasis):
         return [_settled_torus(problem) for problem in problems]
-    x, w = problems[0].plan.nodes_weights(2)
+    plan = problems[0].plan
+    x, w, split = _folded_nodes(plan)
+    coefs = [_mirrored_coefficients(problem.operator, x) for problem in problems]
     # at the fine weight the even nodes sum to half the coarse matrix,
     # bitwise: the coarse weight is twice the fine one, and scaling by 2 is exact
-    even, odd = _project(problems, x[::2], w[::2]), _project(problems, x[1::2], w[1::2])
-    return [(2.0 * e, e + o, x.size) for e, o in zip(even, odd)]
+    even, odd = _fold(problems, coefs, x, w, 0, split), _fold(problems, coefs, x, w, split, x.size)
+    return [(2.0 * e, e + o, 2 * plan.n_nodes) for e, o in zip(even, odd)]
 
 
 def _scale(matrix: np.ndarray) -> float:

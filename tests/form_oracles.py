@@ -4,7 +4,9 @@
 over the nodes of each field times its row of the operator, applied by
 ``linops.apply`` to the fields' derivative grids.  ``rayleigh_quotient``
 reads a sampled field's quotient off an assembled matrix.
-``project_applied`` is the earlier form of ``galerkin._project``: each
+``project`` is the plain stack sum over the nodes that the Galerkin
+matrices take, on the line folded by parity and on the torus read off the
+coefficients' transforms, and ``project_applied`` is its earlier form: each
 column slot's terms applied by ``linops.apply`` to the basis stack, term by
 term, and each row slot's image summed by its own product.
 ``jet_direction`` turns two jet-built perturbations into a direction
@@ -51,9 +53,31 @@ def rayleigh_quotient(problem, matrix, values) -> float:
     return float(coeff @ matrix @ coeff) / float(coeff @ coeff)
 
 
+def project(problems, x, w):
+    """Slot block (i, j) of each M as the plain sum over the nodes of
+    w f (L_ij f), taken node block by node block, for problems that share
+    one basis: each node block's stack is built once, and each slot block's
+    terms are contracted with it in one ``einsum`` and added by one product
+    with the weighted values."""
+    basis = problems[0].basis
+    n = basis.size
+    mats = [np.zeros((p.dim, p.dim)) for p in problems]
+    for lo in range(0, x.size, gk.NODE_BLOCK):
+        xb = x[lo:lo + gk.NODE_BLOCK]
+        stack = basis.stack(xb, gk.STACK_ORDERS)
+        rows = stack[0] * w[lo:lo + gk.NODE_BLOCK]
+        image = np.empty_like(rows)
+        for problem, m in zip(problems, mats):
+            op = problem.operator
+            for (i, j), coef in gk._block_coefficients(op.terms(op.coefficients(xb)), xb.size).items():
+                np.einsum("rnx,rx->nx", stack[:len(coef)], coef, out=image)
+                m[i * n:(i + 1) * n, j * n:(j + 1) * n] += rows @ image.T
+    return mats
+
+
 def project_applied(problems, x, w):
-    """``galerkin._project`` by ``linops.apply``: the same node blocks and
-    the same weighted products, with each image summed term by term."""
+    """``project`` by ``linops.apply``: the same node blocks and the same
+    weighted products, with each image summed term by term."""
     basis = problems[0].basis
     n = basis.size
     mats = [np.zeros((p.dim, p.dim)) for p in problems]

@@ -276,6 +276,17 @@ class TestSweepAndTable:
         assert captured.out == ""
         assert f"matrix dimension {dim}" in captured.err
 
+    @pytest.mark.parametrize("argv,dim", [
+        (["table", "--preset", "table-6-9", "--n-eigs", "100"], 81),
+        # the default --n-eigs of 8 at a dimension of 5
+        (["spectrum", "--family", "kksh", "--beta", "1", "--k", "0.0005", "--n", "2"], 5),
+    ])
+    def test_a_spectrum_prints_every_eigenvalue_when_n_eigs_exceeds_the_dimension(self, argv, dim, capsys):
+        # one eigenvalue per line, so a short list leaves no column empty
+        assert run(argv) == 0
+        rows = [l for l in capsys.readouterr().out.split("\n") if l[:1].isdigit()]
+        assert [row.split(",")[0] for row in rows] == [str(i + 1) for i in range(dim)]
+
     @pytest.mark.parametrize("family_argv, param, values", [
         (["--family", "mkdv", "--beta", "1", "--alpha", "0.5", "--n", "40"], "x1", ["0.09", "1.53"]),
         (["--family", "kksh", "--beta", "1", "--x1", "0.1", "--n", "20"], "k", ["0.01", "0.05"]),

@@ -76,23 +76,26 @@ class TestAssembly:
             assert assembled.asymmetry <= 1e-8
             assert assembled.drift <= 1e-9
 
-    def test_block_operator_evaluates_coefficients_once_per_node_block(self, monkeypatch):
+    def test_block_operator_evaluates_coefficients_once_per_assembly(self, monkeypatch):
         prob = gk.hermite_problem(linops.operator_for(br.SgBreather(beta=0.5, v=0.7, x1=0.1)), 24)
-        sizes = []
+        grids = []
         coefficients = linops.SgBlockOperator.coefficients
 
-        def counted(op, x):
-            sizes.append(np.size(x))
+        def recorded(op, x):
+            grids.append(np.array(x))
             return coefficients(op, x)
 
-        monkeypatch.setattr(linops.SgBlockOperator, "coefficients", counted)
-        # the basis window fits each half of the fine nodes in one 2048-node block
+        monkeypatch.setattr(linops.SgBlockOperator, "coefficients", recorded)
+        # several node blocks in each half of the fine nodes
         monkeypatch.setattr(gk, "NODE_BLOCK", 128)
         gk.assemble(prob)
-        # once per fine node: the even nodes, then the odd ones, block by block
-        fine = prob.plan.nodes_weights(2)[0].size
-        assert len(sizes) == 2 * math.ceil(fine // 2 / gk.NODE_BLOCK) > 2
-        assert sum(sizes) == fine
+        # once, on the N + 1 nonnegative fine nodes and their exact negatives
+        (x,) = grids
+        n_nodes = prob.plan.n_nodes
+        assert n_nodes // 2 > gk.NODE_BLOCK // 2
+        plus, minus = np.split(x, 2)
+        assert plus.size == n_nodes + 1 and np.all(plus >= 0.0)
+        assert np.array_equal(minus, -plus)
 
     def test_node_blocks_do_not_change_the_matrix(self, monkeypatch):
         prob = gk.hermite_problem(linops.operator_for(br.MkdvBreather(alpha=0.5, beta=1.0, x1=0.8)), 40)
@@ -141,10 +144,9 @@ class TestSharedStack:
     def test_shared_projection_equals_one_problem_calls(self, preset):
         problems = _sweep_problems(preset)
         assert len({(p.basis, p.plan) for p in problems}) == 1
-        for refine in (1, 2):
-            x, w = problems[0].plan.nodes_weights(refine)
-            for shared, problem in zip(gk._project(problems, x, w), problems):
-                assert np.array_equal(shared, gk._project([problem], x, w)[0])
+        for shared, problem in zip(gk._levels(problems), problems):
+            alone = gk._levels([problem])[0]
+            assert all(np.array_equal(a, b) for a, b in zip(shared, alone))
 
     def test_one_stack_per_node_block_per_level(self, monkeypatch, capsys):
         calls = []
@@ -156,10 +158,10 @@ class TestSharedStack:
 
         monkeypatch.setattr(HermiteBasis, "stack", counted)
         assert cli.main(["table", "--preset", "fig8"]) == 0
-        # one stack per block of the even fine nodes and one per block of the odd ones
-        fine = _sweep_problems("fig8")[0].plan.nodes_weights(2)[0].size
-        assert len(calls) == 2 * math.ceil(fine // 2 / gk.NODE_BLOCK) == 2
-        assert sum(calls) == fine
+        # one stack on the nonnegative even fine nodes and one on the odd ones
+        n_nodes = _sweep_problems("fig8")[0].plan.n_nodes
+        assert len(calls) == 2 * math.ceil((n_nodes // 2 + 1) / (gk.NODE_BLOCK // 2)) == 2
+        assert sum(calls) == n_nodes + 1
 
     def test_assemble_all_keeps_the_order_of_mixed_problems(self):
         mkdv = [gk.hermite_problem(linops.operator_for(br.MkdvBreather(alpha=0.5, beta=1.0, x1=x1)), 20)
@@ -183,7 +185,7 @@ class TestLineProjection:
         eps = np.finfo(float).eps
         for refine in (1, 2):
             x, w = problems[0].plan.nodes_weights(refine)
-            for got, want in zip(gk._project(problems, x, w), form_oracles.project_applied(problems, x, w)):
+            for got, want in zip(form_oracles.project(problems, x, w), form_oracles.project_applied(problems, x, w)):
                 assert np.max(np.abs(got - want)) <= 4 * eps * np.max(np.abs(want))
 
     def test_fig14_right_rows_are_even_in_x1(self):
@@ -197,6 +199,39 @@ class TestLineProjection:
     def test_a_term_above_the_stack_order_is_refused(self):
         with pytest.raises(ValueError, match="order"):
             gk._block_coefficients([(0, 0, gk.STACK_ORDERS + 1, 1.0)], 4)
+
+
+class TestParityFold:
+    """Each half of the fine Hermite nodes is summed from the basis stack on
+    its nonnegative nodes: f_k^(r)(-x) = (-1)^(k + r) f_k^(r)(x), so the even
+    rows take g(x) + g(-x) and the odd rows g(x) - g(-x), g = L f."""
+
+    @pytest.mark.parametrize("problems", [
+        [gk.hermite_problem(linops.operator_for(br.MkdvBreather(alpha=0.5, beta=1.0, x1=0.8)), 40)],
+        [gk.hermite_problem(linops.operator_for(br.GardnerBreather(alpha=0.5, beta=1.0, mu=0.3, x1=0.2)), 20)],
+        [gk.hermite_problem(linops.operator_for(br.SgBreather(beta=0.8, v=0.3, x1=0.2)), 8)],
+        # two slots, with the order-1 couplers b1_1 and b2_1
+        _sweep_problems("fig14-right"),
+    ], ids=["mkdv", "gardner", "sg", "fig14-right"])
+    @pytest.mark.parametrize("parity", [0, 1], ids=["N-even", "N-odd"])
+    def test_folded_halves_equal_the_plain_sum_on_the_mirrored_nodes(self, problems, parity, monkeypatch):
+        monkeypatch.setattr(gk, "NODE_BLOCK", 128)
+        plan = replace(problems[0].plan, n_nodes=problems[0].plan.n_nodes + parity)
+        problems = [replace(problem, plan=plan) for problem in problems]
+        x, w, split = gk._folded_nodes(plan)
+        assert plan.n_nodes % 2 == parity and x.size - split > gk.NODE_BLOCK // 2
+        coefs = [gk._mirrored_coefficients(problem.operator, x) for problem in problems]
+        eps = np.finfo(float).eps
+        for lo, hi in ((0, split), (split, x.size)):
+            mirrored = np.concatenate([x[lo:hi], -x[lo:hi]]), np.concatenate([w[lo:hi], w[lo:hi]])
+            for got, want in zip(gk._fold(problems, coefs, x, w, lo, hi), form_oracles.project(problems, *mirrored)):
+                assert np.max(np.abs(got - want)) <= 4 * eps * np.max(np.abs(want))
+
+    def test_an_off_centre_plan_is_refused(self):
+        problem = gk.hermite_problem(linops.operator_for(br.MkdvBreather(alpha=0.5, beta=1.0, x1=0.8)), 20)
+        shifted = replace(problem, plan=replace(problem.plan, start=problem.plan.start + 0.5))
+        with pytest.raises(ValueError, match="centred on 0"):
+            gk.assemble(shifted)
 
 
 class TestHermitePlan:
@@ -245,10 +280,12 @@ class TestNestedLevels:
         assert np.array_equal(x1, x2[::2]) and np.array_equal(w1, 2.0 * w2[::2])
         coarse, fine, nodes = gk._levels([problem])[0]
         assert nodes == x2.size
-        even, odd = (gk._project([problem], x2[half::2], w2[half::2])[0] for half in (0, 1))
+        x, w, split = gk._folded_nodes(problem.plan)
+        coefs = [gk._mirrored_coefficients(problem.operator, x)]
+        even, odd = (gk._fold([problem], coefs, x, w, *ends)[0] for ends in ((0, split), (split, x.size)))
         assert np.array_equal(coarse, 2.0 * even)
         assert np.array_equal(fine, even + odd)
-        direct = gk._project([problem], x1, w1)[0]
+        direct = form_oracles.project([problem], x1, w1)[0]
         assert np.max(np.abs(coarse - direct)) <= 1e-15 * np.max(np.abs(direct))
 
     @pytest.mark.parametrize("preset", ["fig2", "fig4", "fig8", "fig14-left", "fig14-right"])
@@ -256,7 +293,7 @@ class TestNestedLevels:
         problems = _sweep_problems(preset)
         for problem, assembled in zip(problems, gk.assemble_all(problems)):
             legendre = _gauss_legendre(problem)
-            m = gk._project([legendre], *legendre.plan.nodes_weights(2))[0]
+            m = form_oracles.project([legendre], *legendre.plan.nodes_weights(2))[0]
             want, got = np.linalg.eigvalsh(0.5 * (m + m.T)), np.linalg.eigvalsh(assembled.matrix)
             # the four a table prints; the rest, up to 9e4 at n = 164, to rounding
             assert np.max(np.abs(got[:4] - want[:4])) <= 1e-10
@@ -383,7 +420,7 @@ class TestTorusNodeRule:
 
 
 class TestTorusProjection:
-    """The FFT projection against the basis-stack sum ``_project``."""
+    """The FFT projection against the basis-stack sum ``form_oracles.project``."""
 
     @pytest.mark.parametrize("n, params", [
         (40, dict(beta=1.0, k=0.058836240, x1=0.1)),  # fig20's first k
@@ -396,7 +433,7 @@ class TestTorusProjection:
         prob = _kksh_problem(n, **params)
         for refine in (1, 2):
             x, w = prob.plan.nodes_weights(refine)
-            stack = gk._project([prob], x, w)[0]
+            stack = form_oracles.project([prob], x, w)[0]
             fft = gk._project_torus(prob.basis, prob.operator.terms(prob.operator.coefficients(x)), x.size)
             assert np.max(np.abs(fft - stack)) <= 1e-14 * np.max(np.abs(stack))
 
@@ -421,7 +458,7 @@ class TestTorusProjection:
         prob = gk.fourier_problem(op, 12)
         for refine in (1, 2):
             x, w = prob.plan.nodes_weights(refine)
-            stack = gk._project([prob], x, w)[0]
+            stack = form_oracles.project([prob], x, w)[0]
             fft = gk._project_torus(prob.basis, op.terms(op.coefficients(x)), x.size)
             assert np.max(np.abs(fft - stack)) <= 1e-14 * np.max(np.abs(stack))
 
@@ -443,12 +480,12 @@ class TestTorusProjection:
         prob = gk.GalerkinProblem(op, FourierBasis(period=period, count_n=40), TrapezoidPlan(period=period, n_nodes=64))
         for refine in (1, 2):
             x, w = prob.plan.nodes_weights(refine)
-            stack = gk._project([prob], x, w)[0]
+            stack = form_oracles.project([prob], x, w)[0]
             fft = gk._project_torus(prob.basis, prob.operator.terms(prob.operator.coefficients(x)), x.size)
             # 1e-13: at 64 nodes the stack sum itself is 1.7e-14 of max|M| from
             # a long-double sum of the same terms
             assert np.max(np.abs(fft - stack)) <= 1e-13 * np.max(np.abs(stack))
-        levels = [gk._project([prob], *prob.plan.nodes_weights(refine))[0] for refine in (1, 2)]
+        levels = [form_oracles.project([prob], *prob.plan.nodes_weights(refine))[0] for refine in (1, 2)]
         with pytest.raises(gk.AssemblyError, match="drift"):
             gk._assembled(*levels, 128).require_quality()
         # the assembly doubles past the failing levels, to the rule's matrix
@@ -473,7 +510,7 @@ class TestTorusProjection:
         with pytest.raises(gk.AssemblyError, match="asymmetry"):
             assembled.require_quality()
         x, w = prob.plan.nodes_weights(2)
-        stack = gk._project([prob], x, w)[0]
+        stack = form_oracles.project([prob], x, w)[0]
         stack_asymmetry = np.max(np.abs(stack - stack.T)) / np.max(np.abs(stack))
         assert assembled.asymmetry == pytest.approx(stack_asymmetry, rel=1e-6)
 

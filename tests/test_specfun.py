@@ -182,6 +182,15 @@ class TestHermite:
             sign = 1.0 if n % 2 == 0 else -1.0
             assert np.allclose(v_minus[n], sign * v_plus[n], atol=1e-15)
 
+    @pytest.mark.parametrize("n", [0, 1, 50, 160, 800])
+    def test_stack_parity_is_exact(self, n):
+        # f_k^(r)(-x) = (-1)^(k + r) f_k^(r)(x), which the line assembly folds
+        # by; the grid reaches past |x| = sqrt(1200), where hermite_values rescales
+        x = np.linspace(0.0, 45.0, 451)
+        assert x[-1] > math.sqrt(1200.0)
+        sign = (-1.0) ** (np.arange(5)[:, None, None] + np.arange(n + 1)[None, :, None])
+        assert np.array_equal(sf.hermite_stack(n, -x, 4), sign * sf.hermite_stack(n, x, 4))
+
     def test_orthogonality_by_quadrature(self):
         # composite Gauss-Legendre panels; cross-checked at doubled nodes
         plan = LegendrePlan(center=0.0, half_width=12.0, order=10)
