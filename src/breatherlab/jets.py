@@ -75,6 +75,15 @@ def _as_coeff_array(c):
     return a
 
 
+def _jet(c, deg, axes):
+    """A jet on a coefficient array built by jet arithmetic, which is already
+    a float (deg+1, deg+1, ...) array, so the checks of ``Jet2(...)`` are
+    skipped."""
+    jet = object.__new__(Jet2)
+    jet.c, jet.deg, jet.axes = c, deg, axes
+    return jet
+
+
 class Jet2:
     """Truncated bivariate Taylor expansion with its support mask ``axes``;
     immutable by convention."""
@@ -129,7 +138,7 @@ class Jet2:
         """Copy with the constant term removed."""
         c = self.c.copy()
         c[0, 0] = 0.0
-        return Jet2(c, self.deg, self.axes)
+        return _jet(c, self.deg, self.axes)
 
     def __repr__(self):
         return f"Jet2(deg={self.deg}, value={self.value!r}, shape={self.shape})"
@@ -144,27 +153,31 @@ class Jet2:
         if not isinstance(other, Jet2):
             return _shifted(np.positive, self, other)
         self._check_deg(other)
-        a, b = _align_trailing(self.c, other.c)
-        return Jet2(a + b, self.deg, self.axes | other.axes)
+        a, b = self.c, other.c
+        if a.ndim != b.ndim:
+            a, b = _align_trailing(a, b)
+        return _jet(a + b, self.deg, self.axes | other.axes)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Jet2(-self.c, self.deg, self.axes)
+        return _jet(-self.c, self.deg, self.axes)
 
     def __sub__(self, other):
         if not isinstance(other, Jet2):
-            return _shifted(np.positive, self, -np.asarray(other, dtype=float))
+            return _shifted(np.positive, self, -_scalar(other))
         self._check_deg(other)
-        a, b = _align_trailing(self.c, other.c)
-        return Jet2(a - b, self.deg, self.axes | other.axes)
+        a, b = self.c, other.c
+        if a.ndim != b.ndim:
+            a, b = _align_trailing(a, b)
+        return _jet(a - b, self.deg, self.axes | other.axes)
 
     def __rsub__(self, other):
         return _shifted(np.negative, self, other)
 
     def __mul__(self, other):
         if not isinstance(other, Jet2):
-            return Jet2(self.c * np.asarray(other, dtype=float), self.deg, self.axes)
+            return _jet(self.c * _scalar(other), self.deg, self.axes)
         self._check_deg(other)
         return _product(self, other)
 
@@ -172,11 +185,17 @@ class Jet2:
 
     def __truediv__(self, other):
         if not isinstance(other, Jet2):
-            return Jet2(self.c / np.asarray(other, dtype=float), self.deg, self.axes)
+            return _jet(self.c / _scalar(other), self.deg, self.axes)
         return self * reciprocal(other)
 
     def __rtruediv__(self, other):
         return reciprocal(self) * other
+
+
+def _scalar(value):
+    """A non-jet operand as a float array; a Python float stays as it is,
+    which numpy applies to each coefficient alike."""
+    return value if isinstance(value, float) else np.asarray(value, dtype=float)
 
 
 def _align_trailing(a, b):
@@ -191,12 +210,16 @@ def _align_trailing(a, b):
 
 def _shifted(sign, jet, value):
     """Jet of sign(jet) plus a non-jet value, which goes to the constant term
-    only; the grid shapes broadcast as in _align_trailing."""
-    v = np.asarray(value, dtype=float)
-    c, _ = _align_trailing(jet.c, v.reshape((1, 1) + v.shape))
-    out = sign(c, out=np.empty(c.shape[:2] + np.broadcast_shapes(c.shape[2:], v.shape)))
-    out[0, 0] += v
-    return Jet2(out, jet.deg, jet.axes)
+    only; the grid shapes broadcast as in _align_trailing.  A Python float
+    leaves the grid shape as it is."""
+    if isinstance(value, float):
+        out = sign(jet.c)
+    else:
+        value = np.asarray(value, dtype=float)
+        c, _ = _align_trailing(jet.c, value.reshape((1, 1) + value.shape))
+        out = sign(c, out=np.empty(c.shape[:2] + np.broadcast_shapes(c.shape[2:], value.shape)))
+    out[0, 0] += value
+    return _jet(out, jet.deg, jet.axes)
 
 
 def _inside(axes, i, j, nil=False):
@@ -239,7 +262,9 @@ def _mul_coeffs(a, b, deg, *, top=None, axes_a=3, axes_b=3, nil_a=False, nil_b=F
     of the full sum, up to the sign of an exact zero.
     """
     top = deg if top is None else top
-    shp = np.broadcast_shapes(a.shape[2:], b.shape[2:])
+    shp = a.shape[2:]
+    if b.shape[2:] != shp:
+        shp = np.broadcast_shapes(shp, b.shape[2:])
     out = np.zeros((deg + 1, deg + 1) + shp)
     tmp = np.empty(shp)
     for ij, (pa, pb), rest in _product_plan(deg, top, axes_a, axes_b, nil_a, nil_b):
@@ -255,7 +280,7 @@ def _product(x, y, top=None, nil_x=False):
     """Jet product x * y up to total degree ``top``, where ``nil_x`` says that
     x has no constant term; its mask is the union."""
     c = _mul_coeffs(x.c, y.c, x.deg, top=top, axes_a=x.axes, axes_b=y.axes, nil_a=nil_x)
-    return Jet2(c, x.deg, x.axes | y.axes)
+    return _jet(c, x.deg, x.axes | y.axes)
 
 
 def apply(terms, *fields):
@@ -319,7 +344,7 @@ def compose_univariate(table, a: Jet2) -> Jet2:
         c = _mul_coeffs(c, n, deg, top=deg - k, axes_a=c_axes, axes_b=axes, nil_b=True)
         c[0, 0] = table[k]
         c_axes = axes
-    return Jet2(c, deg, axes)
+    return _jet(c, deg, axes)
 
 
 # -- univariate Taylor tables at an array-valued expansion point ------------

@@ -5,12 +5,13 @@ Everything uses the PARAMETER convention: ``m`` is the quantity appearing as
 identities read ``sn'^2 = 1 - (1+m) sn^2 + m sn^4`` and
 ``nd'^2 = -1 + (2-m) nd^2 + (m-1) nd^4``.
 
-Elliptic integrals are computed by the arithmetic-geometric mean, the Jacobi
-functions and Jacobi's epsilon by the descending-Landen phase recursion, and
-the Hermite functions by the stable normalised recurrence; none of these lose
-accuracy over the parameter ranges used by the breather families.  The jets of
-sn, cn and dn, and of their partials in m, come from Taylor tables built by
-the derivative relations.
+The complete elliptic integrals K and E come together from one
+arithmetic-geometric mean (``ellip_ke``; ``ellip_k`` and ``ellip_e`` read
+it), the Jacobi functions and Jacobi's epsilon from the descending-Landen
+phase recursion, and the Hermite functions from the stable normalised
+recurrence; none of these lose accuracy over the parameter ranges used by the
+breather families.  The jets of sn, cn and dn, and of their partials in m,
+come from Taylor tables built by the derivative relations.
 """
 
 from __future__ import annotations
@@ -28,24 +29,12 @@ _AGM_TOL = 4e-16
 _AGM_MAX_ITER = 64
 
 
-def ellip_k(m: float) -> float:
-    """Complete elliptic integral of the first kind, parameter convention."""
+def ellip_ke(m: float) -> tuple[float, float]:
+    """Complete elliptic integrals (K(m), E(m)) of the first and second kind,
+    parameter convention, from one AGM: K = pi / (2 a_N) and
+    E = K (1 - sum_n 2^(n-1) c_n^2) (DLMF 19.8.1, 19.8.6)."""
     if not 0.0 <= m < 1.0:
-        raise ValueError(f"ellip_k requires 0 <= m < 1, got {m}")
-    a, b = 1.0, math.sqrt(1.0 - m)
-    for _ in range(_AGM_MAX_ITER):
-        if abs(a - b) <= _AGM_TOL * a:
-            break
-        a, b = 0.5 * (a + b), math.sqrt(a * b)
-    return math.pi / (a + b)
-
-
-def ellip_e(m: float) -> float:
-    """Complete elliptic integral of the second kind, parameter convention."""
-    if not 0.0 <= m <= 1.0:
-        raise ValueError(f"ellip_e requires 0 <= m <= 1, got {m}")
-    if m == 1.0:
-        return 1.0
+        raise ValueError(f"ellip_ke requires 0 <= m < 1, got {m}")
     a, b, c = 1.0, math.sqrt(1.0 - m), math.sqrt(m)
     csum = 0.5 * c * c
     p = 1.0
@@ -57,7 +46,19 @@ def ellip_e(m: float) -> float:
         csum += p * c * c
         p *= 2.0
     k = math.pi / (a + b)
-    return k * (1.0 - csum)
+    return k, k * (1.0 - csum)
+
+
+def ellip_k(m: float) -> float:
+    """Complete elliptic integral of the first kind, parameter convention."""
+    return ellip_ke(m)[0]
+
+
+def ellip_e(m: float) -> float:
+    """Complete elliptic integral of the second kind, parameter convention."""
+    if m == 1.0:
+        return 1.0
+    return ellip_ke(m)[1]
 
 
 def _agm_ladder(m: float):
@@ -110,7 +111,8 @@ def jacobi_epsilon(u, m: float):
     if not 0.0 < m < 1.0:
         raise ValueError(f"epsilon and the parameter partials need 0 < m < 1, got {m}")
     u = np.asarray(u, dtype=float)
-    out = ellip_e(m) / ellip_k(m) * u + _landen(u, m, zeta=True)[1]
+    K, E = ellip_ke(m)
+    out = E / K * u + _landen(u, m, zeta=True)[1]
     return out if out.ndim else float(out)
 
 

@@ -12,9 +12,10 @@ one m; k ranges over (0, k*) with k* the root of k K(k)^4 = (pi/2)^4 / 16.
 Every solve on the lock is a safeguarded Newton iteration (``_newton``): the
 log of the mismatch is nearly linear in s = ln(1 - m) and in ln k, and its
 slope is closed-form (DLMF 19.4.1), so from a start read off the two ends of
-the curve a row takes about five (K, E) evaluations.  A solved
-``CommensuratePair`` keeps K and E at k and at m, and everything a stability
-row prints is computed from those four integrals.
+the curve a row takes about six AGM passes, each giving K and E
+(``specfun.ellip_ke``).  A solved ``CommensuratePair`` keeps K and E at k
+and at m, and everything a stability row prints is computed from those four
+integrals.
 
 On top of the solve this module provides the closed-form mass of the periodic
 breather, the variational coefficients (a1, a2), their exact parameter
@@ -30,7 +31,8 @@ import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .specfun import ellip_e, ellip_k
+# ellip_e stays bound: bench/tracing.py wraps stability.ellip_k and .ellip_e
+from .specfun import ellip_e, ellip_k, ellip_ke  # noqa: F401
 
 _PI_HALF_4 = (math.pi / 2.0) ** 4
 _EPS = sys.float_info.epsilon
@@ -84,7 +86,7 @@ def _solve_k(target: float, hi: float) -> tuple[float, float, float]:
         k = k0 / (1.0 + k + 15.0 * k * k / 16.0)
 
     def step(k):
-        K, E = ellip_k(k), ellip_e(k)
+        K, E = ellip_ke(k)
         h = math.log(16.0 * k * K**4 / target)
         return h, k * math.exp(-h / (2.0 * E / ((1.0 - k) * K) - 1.0)), (K, E)
 
@@ -183,13 +185,13 @@ def solve_commensurability(k: float, beta: float = 1.0) -> CommensuratePair:
     only up to that band."""
     check_beta(beta)
     check_k_range(k)
-    K_k = ellip_k(k)
+    K_k, E_k = ellip_ke(k)
     target = 16.0 * k * K_k**4
     if not target > _TARGET_MIN:
         raise ValueError(f"k = {k!r} needs 1 - m < 1e-15, which double precision cannot hold")
 
     def step(m):
-        K, E = ellip_k(m), ellip_e(m)
+        K, E = ellip_ke(m)
         g = math.log((1.0 - m) * K**4 / target)
         slope = 1.0 - 2.0 * (E / K - (1.0 - m)) / m
         # the slope cancels as m -> 0: one that rounds to zero or below gives
@@ -199,7 +201,7 @@ def solve_commensurability(k: float, beta: float = 1.0) -> CommensuratePair:
         return -g, m - (1.0 - m) * math.expm1(min(ds, 709.0)), (K, E)
 
     m, (K_m, E_m) = _newton(step, 1e-15, _M_MAX, min(max(_lock_start(target), 1e-15), _M_MAX))
-    pair = CommensuratePair(beta, k, m, K_k, ellip_e(k), K_m, E_m)
+    pair = CommensuratePair(beta, k, m, K_k, E_k, K_m, E_m)
     if not (abs(pair.residual) <= pair.gate):
         raise ArithmeticError(f"commensurability solve stalled, residual {pair.residual:.2e}")
     return pair
@@ -209,9 +211,9 @@ def solve_commensurability_from_m(m: float, beta: float = 1.0) -> CommensuratePa
     """Inverse solve: k given m."""
     if not 0.0 < m < 1.0:
         raise ValueError(f"m must lie in (0, 1), got {m}")
-    K_m = ellip_k(m)
+    K_m, E_m = ellip_ke(m)
     k, K_k, E_k = _solve_k((1.0 - m) * K_m**4, find_kstar())
-    return CommensuratePair(beta, k, m, K_k, E_k, K_m, ellip_e(m))
+    return CommensuratePair(beta, k, m, K_k, E_k, K_m, E_m)
 
 
 # ---------------------------------------------------------------------------

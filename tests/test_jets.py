@@ -384,14 +384,16 @@ def _family_jets():
 
 
 def test_every_family_jet_is_zero_outside_its_mask(monkeypatch):
+    # jets are built by Jet2(...) and, as results of arithmetic, by jets._jet
     built = []
-    init = Jet2.__init__
+    init, make = Jet2.__init__, jets._jet
 
     def recording(self, *args, **kwargs):
         init(self, *args, **kwargs)
         built.append(self)
 
     monkeypatch.setattr(Jet2, "__init__", recording)
+    monkeypatch.setattr(jets, "_jet", lambda *args: built.append(make(*args)) or built[-1])
     with np.errstate(over="raise", invalid="raise"):
         _family_jets()
     assert {j.axes for j in built} == {0, 1, 2, 3}

@@ -49,6 +49,20 @@ class TestEllipticIntegrals:
         with pytest.raises(ValueError):
             sf.ellip_e(1.2)
 
+    def test_one_agm_gives_k_and_e_bitwise(self):
+        rng = np.random.default_rng(19)
+        for m in [0.0, 1e-300, 1e-15, 0.5, 1.0 - 1e-15] + list(rng.uniform(0.0, 1.0, 200)):
+            assert sf.ellip_ke(m) == (sf.ellip_k(m), sf.ellip_e(m)), m
+        with pytest.raises(ValueError):
+            sf.ellip_ke(1.0)
+
+    @pytest.mark.parametrize("m", [1e-12, 1e-6, 0.1, 0.5, 0.9, 1 - 1e-6, 1 - 1e-12])
+    def test_legendre_relation(self, m):
+        # E K' + E' K - K K' = pi/2 with K' = K(1 - m) (DLMF 19.7.1)
+        K, E = sf.ellip_ke(m)
+        Kc, Ec = sf.ellip_ke(1.0 - m)
+        assert abs(E * Kc + Ec * K - K * Kc - math.pi / 2) <= 2e-14
+
 
 class TestJacobi:
     def test_trig_limit(self):
