@@ -372,7 +372,6 @@ class KkshBreather(_TwoPhaseBreather, _ScalarFamily):
     def __post_init__(self):
         stability.check_beta(self.beta)
         check_finite(self)
-        stability.check_k_range(self.k)
         object.__setattr__(self, "pair", stability.solve_commensurability(self.k, self.beta))
 
     @property

@@ -101,15 +101,20 @@ _FAMILY_PARAMS = {"beta": float, "v": float, "alpha": float, "mu": float, "k": f
 DEFAULT_BETA = 1.0
 
 
+def _not_applying(args, names, family: str) -> None:
+    """Refuse a given flag among ``names`` that --family ``family`` ignores."""
+    for name in names:
+        if getattr(args, name, None) is not None:
+            raise ValueError(f"--{name.replace('_', '-')} does not apply to --family {family}")
+
+
 def _family_from_args(args) -> object:
     """The family named by ``args.family``, built from the attributes of
     ``args`` that name its dataclass fields; a None attribute is not given."""
     cls = breathers.FAMILIES[args.family]
     fields = dataclasses.fields(cls)
     takes = {f.name for f in fields} | ({"m"} if cls is breathers.KkshBreather else set())
-    for name in _FAMILY_PARAMS:
-        if getattr(args, name, None) is not None and name not in takes:
-            raise ValueError(f"--{name} does not apply to --family {args.family}")
+    _not_applying(args, [name for name in _FAMILY_PARAMS if name not in takes], args.family)
     kwargs = {f.name: getattr(args, f.name) for f in fields
               if getattr(args, f.name, None) is not None}
     beta_defaulted = "beta" in takes and "beta" not in kwargs
@@ -136,11 +141,14 @@ def _family_from_args(args) -> object:
 
 
 def _basis_size(args) -> int:
-    """--n, or half of --dim-total, the size of sg's two-block matrix."""
+    """--n (default 80), or half of --dim-total, the size of sg's two-block
+    matrix; the two set the same size, so only one may be given."""
     if args.dim_total is None:
-        return args.n
+        return 80 if args.n is None else args.n
     if args.family != "sg":
         raise ValueError(f"--dim-total applies to the sg family only, got --family {args.family}")
+    if args.n is not None:
+        raise ValueError("--dim-total sets the basis size, so --n does not apply")
     if args.dim_total < 2 or args.dim_total % 2:
         raise ValueError(f"--dim-total must be even and at least 2, got {args.dim_total}")
     return args.dim_total // 2
@@ -321,29 +329,32 @@ def cmd_residual(args) -> int:
     family = _family_from_args(args)
     if not math.isfinite(args.t):
         raise ValueError(f"--t must be finite, got {args.t}")
-    if not (math.isfinite(args.grid_lo) and math.isfinite(args.grid_hi)):
-        raise ValueError(
-            f"--grid-lo and --grid-hi must be finite, got {args.grid_lo} and {args.grid_hi}"
-        )
-    if not args.grid_lo < args.grid_hi:
-        raise ValueError(
-            f"--grid-lo must lie below --grid-hi, got {args.grid_lo} and {args.grid_hi}"
-        )
     if args.grid_points < 2:
         raise ValueError(f"--grid-points must be at least 2, got {args.grid_points}")
     if args.grid_points > MAX_GRID_POINTS:
         raise ValueError(f"--grid-points must be at most {MAX_GRID_POINTS}, got {args.grid_points}")
     if family.domain == "torus":
+        # a torus family's grid spans its period
+        _not_applying(args, ("grid_lo", "grid_hi"), args.family)
         x = np.linspace(0.0, family.period, args.grid_points, endpoint=False)
     else:
-        lo, hi = args.grid_lo, args.grid_hi
+        lo = -10.0 if args.grid_lo is None else args.grid_lo
+        hi = 10.0 if args.grid_hi is None else args.grid_hi
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            raise ValueError(f"--grid-lo and --grid-hi must be finite, got {lo} and {hi}")
+        if not lo < hi:
+            raise ValueError(f"--grid-lo must lie below --grid-hi, got {lo} and {hi}")
         x = np.linspace(lo, hi, args.grid_points)
     ab = None
     if args.family == "sg-kink":
-        b = family.admissible_b(args.a) if args.b is None else args.b
-        if not (math.isfinite(args.a) and math.isfinite(b)):
-            raise ValueError(f"--a and --b must be finite, got {args.a} and {b}")
-        ab = (args.a, b)
+        a = 0.0 if args.a is None else args.a
+        b = family.admissible_b(a) if args.b is None else args.b
+        if not (math.isfinite(a) and math.isfinite(b)):
+            raise ValueError(f"--a and --b must be finite, got {a} and {b}")
+        ab = (a, b)
+    else:
+        # only the kink admits a line of (a, b); a breather fixes its own
+        _not_applying(args, ("a", "b"), args.family)
     stat = functionals.stationary_residual(family, x=x, t=args.t, ab=ab)
     pde = functionals.pde_residual(family, n_points=50)
     cfg = _family_config(family)
@@ -453,7 +464,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("spectrum", help="eigenvalues of the projected linearized operator")
     _add_family_options(p)
-    p.add_argument("--n", type=int, default=80, help="basis cutoff (Hermite index / trig count)")
+    p.add_argument("--n", type=int, default=None, help="basis cutoff (Hermite index / trig count); default 80")
     p.add_argument("--dim-total", type=int, default=None,
                    help="total matrix dimension for the coupled wave-equation case")
     p.add_argument("--kernel-tol", type=float, default=None)
@@ -466,7 +477,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="spectrum across a parameter range")
     _add_family_options(p)
-    p.add_argument("--n", type=int, default=80)
+    p.add_argument("--n", type=int, default=None, help="default 80")
     p.add_argument("--dim-total", type=int, default=None)
     p.add_argument("--kernel-tol", type=float, default=None)
     p.add_argument("--n-eigs", type=int, default=4)
@@ -484,11 +495,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("residual", help="stationary and evolution-equation residuals")
     _add_family_options(p)
     p.add_argument("--t", type=float, default=0.0)
-    p.add_argument("--grid-lo", type=float, default=-10.0)
-    p.add_argument("--grid-hi", type=float, default=10.0)
+    p.add_argument("--grid-lo", type=float, default=None, help="line families only; default -10")
+    p.add_argument("--grid-hi", type=float, default=None, help="line families only; default 10")
     p.add_argument("--grid-points", type=int, default=200)
-    p.add_argument("--a", type=float, default=0.0,
-                   help="first variational constant (kink): any value is admissible")
+    p.add_argument("--a", type=float, default=None,
+                   help="first variational constant (kink): any value is admissible; default 0")
     p.add_argument("--b", type=float, default=None,
                    help="second variational constant (kink): admissible only at "
                         "b = 2v(a - (3+v^2)/(4(1-v^2))), the default; b = 0 when static")

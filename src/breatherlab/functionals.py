@@ -126,10 +126,11 @@ def _integrand_table(family) -> dict:
     return _mkdv_integrands(family.quadratic, family.level)
 
 
-def _lyapunov_density(family, f: dict) -> np.ndarray:
-    """Integrand of the family's Lyapunov functional on the field grids f."""
+def _density(family, coefficients: dict, f: dict) -> np.ndarray:
+    """Sum of the densities named in ``coefficients``, each times its
+    coefficient, on the field grids f."""
     table = _integrand_table(family)
-    return sum(c * table[name](f) for name, c in _lyapunov_coefficients(family).items())
+    return sum(c * table[name](f) for name, c in coefficients.items())
 
 
 def evaluate_functional(kind: str, family, t: float = 0.0) -> float:
@@ -143,19 +144,15 @@ def evaluate_functional(kind: str, family, t: float = 0.0) -> float:
     on ``family_plan`` is verified by node doubling.
     """
     if kind == "lyapunov":
-        deg = max(DENSITY_DEG[name] for name in _lyapunov_coefficients(family))
-
-        def integrand(x):
-            return _lyapunov_density(family, field_arrays(family, t, x, deg))
-
+        coefficients = _lyapunov_coefficients(family)
+    elif kind in _integrand_table(family):
+        coefficients = {kind: 1.0}
     else:
-        table = _integrand_table(family)
-        if kind not in table:
-            raise ValueError(f"functional {kind!r} not defined for family {family.kind!r}")
-        deg = DENSITY_DEG[kind]
+        raise ValueError(f"functional {kind!r} not defined for family {family.kind!r}")
+    deg = max(DENSITY_DEG[name] for name in coefficients)
 
-        def integrand(x):
-            return table[kind](field_arrays(family, t, x, deg))
+    def integrand(x):
+        return _density(family, coefficients, field_arrays(family, t, x, deg))
 
     value, _ = checked_integral(integrand, family_plan(family, t))
     return value
@@ -307,7 +304,7 @@ def sg_lyapunov_of_perturbed(family, x, z, w, eps: float) -> np.ndarray:
     f = field_arrays(family, 0.0, x)
     for key, d in zip(("u", "ux", "uxx", "ut", "utx"), z[:3] + w[:2]):
         f[key] = f[key] + eps * d
-    return _lyapunov_density(family, f)
+    return _density(family, _lyapunov_coefficients(family), f)
 
 
 def expansion_remainder(family, x, z, w, eps: float) -> np.ndarray:

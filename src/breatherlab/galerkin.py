@@ -413,7 +413,6 @@ class Classification:
     n_neg: int
     kernel_dim: int
     gap: float
-    kernel_tol: float
 
 
 DEFAULT_KERNEL_TOL = {HermiteBasis: 0.1, FourierBasis: 1e-5}
@@ -434,7 +433,7 @@ def classify(spectrum: Spectrum, kernel_tol: float) -> Classification:
     kernel = int(np.sum(np.abs(vals) <= kernel_tol))
     above = vals[vals > kernel_tol]
     gap = float(above[0]) if above.size else math.inf
-    return Classification(n_neg=n_neg, kernel_dim=kernel, gap=gap, kernel_tol=kernel_tol)
+    return Classification(n_neg=n_neg, kernel_dim=kernel, gap=gap)
 
 
 def solve_problems(problems, kernel_tol: Optional[float] = None) -> list:

@@ -11,9 +11,13 @@ coefficients exactly, so any derivative read off a composed jet is correct to
 roundoff.
 
 Coefficients live in a ``(deg+1, deg+1) + shape`` float array whose entries
-with ``i + j > deg`` are kept at zero.  ``shape`` is an arbitrary trailing
-broadcast shape, which lets one jet carry an entire evaluation grid; all
-arithmetic is vectorised over it.
+with ``i + j > deg`` are kept at zero.  ``shape`` is the jet's grid, which
+lets one jet carry an entire evaluation grid; all arithmetic is vectorised
+over it.  The two jets of a sum have grids of one rank (number of axes),
+which broadcast as numpy arrays do, and a sum of two ranks raises
+ValueError.  A non-jet addend must broadcast into the jet's grid; a non-jet
+factor or divisor applies to the coefficients as numpy applies it.  Products
+and compositions broadcast grids of any ranks, trailing axes aligned.
 
 Coefficients are stored divided by factorials (true Taylor coefficients), so
 composition reduces to polynomial evaluation and degree-6 entries stay well
@@ -149,14 +153,16 @@ class Jet2:
         if other.deg != self.deg:
             raise ValueError("jet degrees must match")
 
+    def _check_summand(self, other):
+        self._check_deg(other)
+        if other.c.ndim != self.c.ndim:
+            raise ValueError(f"jet sum of grids of different ranks: {self.shape} and {other.shape}")
+
     def __add__(self, other):
         if not isinstance(other, Jet2):
             return _shifted(np.positive, self, other)
-        self._check_deg(other)
-        a, b = self.c, other.c
-        if a.ndim != b.ndim:
-            a, b = _align_trailing(a, b)
-        return _jet(a + b, self.deg, self.axes | other.axes)
+        self._check_summand(other)
+        return _jet(self.c + other.c, self.deg, self.axes | other.axes)
 
     __radd__ = __add__
 
@@ -165,19 +171,16 @@ class Jet2:
 
     def __sub__(self, other):
         if not isinstance(other, Jet2):
-            return _shifted(np.positive, self, -_scalar(other))
-        self._check_deg(other)
-        a, b = self.c, other.c
-        if a.ndim != b.ndim:
-            a, b = _align_trailing(a, b)
-        return _jet(a - b, self.deg, self.axes | other.axes)
+            return _shifted(np.positive, self, np.negative(other))
+        self._check_summand(other)
+        return _jet(self.c - other.c, self.deg, self.axes | other.axes)
 
     def __rsub__(self, other):
         return _shifted(np.negative, self, other)
 
     def __mul__(self, other):
         if not isinstance(other, Jet2):
-            return _jet(self.c * _scalar(other), self.deg, self.axes)
+            return _jet(self.c * other, self.deg, self.axes)
         self._check_deg(other)
         return _product(self, other)
 
@@ -185,39 +188,17 @@ class Jet2:
 
     def __truediv__(self, other):
         if not isinstance(other, Jet2):
-            return _jet(self.c / _scalar(other), self.deg, self.axes)
+            return _jet(self.c / other, self.deg, self.axes)
         return self * reciprocal(other)
 
     def __rtruediv__(self, other):
         return reciprocal(self) * other
 
 
-def _scalar(value):
-    """A non-jet operand as a float array; a Python float stays as it is,
-    which numpy applies to each coefficient alike."""
-    return value if isinstance(value, float) else np.asarray(value, dtype=float)
-
-
-def _align_trailing(a, b):
-    """Insert singleton grid axes so two coefficient arrays broadcast."""
-    na, nb = a.ndim - 2, b.ndim - 2
-    if na < nb:
-        a = a.reshape(a.shape[:2] + (1,) * (nb - na) + a.shape[2:])
-    elif nb < na:
-        b = b.reshape(b.shape[:2] + (1,) * (na - nb) + b.shape[2:])
-    return a, b
-
-
 def _shifted(sign, jet, value):
     """Jet of sign(jet) plus a non-jet value, which goes to the constant term
-    only; the grid shapes broadcast as in _align_trailing.  A Python float
-    leaves the grid shape as it is."""
-    if isinstance(value, float):
-        out = sign(jet.c)
-    else:
-        value = np.asarray(value, dtype=float)
-        c, _ = _align_trailing(jet.c, value.reshape((1, 1) + value.shape))
-        out = sign(c, out=np.empty(c.shape[:2] + np.broadcast_shapes(c.shape[2:], value.shape)))
+    only; the value must broadcast into the jet's grid."""
+    out = sign(jet.c)
     out[0, 0] += value
     return _jet(out, jet.deg, jet.axes)
 

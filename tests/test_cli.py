@@ -143,6 +143,44 @@ class TestSpectrumCommand:
         assert run(argv) == 2
         assert flag in capsys.readouterr().err
 
+    _SG = ["--family", "sg", "--beta", "0.5", "--v", "0.7"]
+    _KKSH = ["--family", "kksh", "--beta", "1", "--k", "0.03"]
+
+    @pytest.mark.parametrize("argv,flag", [
+        # only the kink reads (a, b); a breather fixes its own
+        (["residual", *_SG, "--a", "5", "--b", "2"], "--a"),
+        (["residual", *_SG, "--b", "2"], "--b"),
+        (["residual", "--family", "mkdv", "--alpha", "0.5", "--a", "0"], "--a"),
+        # a torus family's grid spans its period
+        (["residual", *_KKSH, "--grid-lo", "-3", "--grid-hi", "3"], "--grid-lo"),
+        (["residual", *_KKSH, "--grid-hi", "3"], "--grid-hi"),
+        # --dim-total sets the basis size
+        (["spectrum", *_SG, "--n", "80", "--dim-total", "10"], "--n"),
+        (["sweep", *_SG, "--n", "5", "--dim-total", "10", "--param", "x1", "--values", "0"], "--n"),
+    ])
+    @pytest.mark.parametrize("from_config", [False, True], ids=["flag", "config"])
+    def test_flag_the_run_would_ignore_exit_2(self, argv, flag, from_config, tmp_path, capsys):
+        if from_config:
+            # a key in a config file counts as given
+            at = argv.index(flag)
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text(f"{flag[2:]} = {argv[at + 1]}\n")
+            argv = argv[:at] + argv[at + 2:] + ["--config", str(cfg)]
+        assert run(argv) == 2
+        assert flag in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv,given", [
+        (["residual", "--family", "mkdv", "--alpha", "0.5"], ["--grid-lo", "-10", "--grid-hi", "10"]),
+        (["residual", "--family", "sg-kink", "--v", "0.4"], ["--a", "0"]),
+        (["residual", *_KKSH], ["--grid-points", "200"]),
+        (["spectrum", "--family", "mkdv", "--alpha", "0.5"], ["--n", "80"]),
+    ])
+    def test_a_default_prints_what_its_value_prints(self, argv, given, capsys):
+        assert run(argv) == 0
+        defaulted = capsys.readouterr().out
+        assert run(argv + given) == 0
+        assert capsys.readouterr().out == defaulted
+
     @pytest.mark.parametrize("argv", [
         ["spectrum", *_SMALL_MKDV, "--dim-total", "50"],
         ["sweep", *_SMALL_MKDV, "--dim-total", "50", "--param", "x1", "--values", "0"],

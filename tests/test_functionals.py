@@ -300,7 +300,8 @@ def test_checked_integral_evaluates_once_on_the_fine_nodes():
 
 def _density(kind, family, t):
     if kind == "lyapunov":
-        return lambda x: fn._lyapunov_density(family, fn.field_arrays(family, t, x))
+        coefficients = fn._lyapunov_coefficients(family)
+        return lambda x: fn._density(family, coefficients, fn.field_arrays(family, t, x))
     return lambda x: fn._integrand_table(family)[kind](fn.field_arrays(family, t, x))
 
 
@@ -418,7 +419,8 @@ class TestDensityDegrees:
         for kind in accepted:
             def density(x):
                 f = field_oracle.field_arrays_deg2(family, t, x)
-                return fn._lyapunov_density(family, f) if kind == "lyapunov" else table[kind](f)
+                return (fn._density(family, fn._lyapunov_coefficients(family), f) if kind == "lyapunov"
+                        else table[kind](f))
 
             want = checked_integral(density, fn.family_plan(family, t))[0]
             assert repr(fn.evaluate_functional(kind, family, t)) == repr(want), kind

@@ -1,4 +1,5 @@
 import math
+import operator
 
 import numpy as np
 import pytest
@@ -242,16 +243,31 @@ def test_mixed_grid_shapes_match_untruncated():
     table = rng.uniform(-1.0, 1.0, size=(deg + 1,) + shape)
     assert same(jets.compose_univariate(table, point), jet_oracle.compose_univariate(table, point))
     assert same(jets.compose_univariate(table[:, 0], grid), jet_oracle.compose_univariate(table[:, 0], grid))
-    # a float addend on either side of a grid jet, and grid addends on the
-    # right of a grid or 1-point jet (an ndarray on the left would make
-    # numpy broadcast the jet as an object)
+    # a float addend on either side of a grid jet, and a grid addend on the
+    # right of a grid jet (an ndarray on the left would make numpy broadcast
+    # the jet as an object)
     assert same(2.5 + grid, jet_oracle.add_scalar(grid.c, 2.5))
     assert same(2.5 - grid, jet_oracle.add_scalar(-grid.c, 2.5))
-    for j, v in ((grid, 2.5), (grid, table[0]), (point, table[0])):
+    for j, v in ((grid, 2.5), (grid, table[0])):
         assert same(j + v, jet_oracle.add_scalar(j.c, v))
         assert same(j - v, jet_oracle.sub(j.c, jet_oracle.constant(v, deg)))
+    # a grid addend does not broadcast into a 1-point jet's grid
+    with pytest.raises(ValueError):
+        point + table[0]
+    with pytest.raises(ValueError):
+        point - table[0]
     assert same(point * grid, jet_oracle.mul_coeffs(point.c, grid.c, deg))
     assert same(grid * point, jet_oracle.mul_coeffs(grid.c, point.c, deg))
+
+
+def test_sums_of_mixed_grid_ranks_raise():
+    rng = np.random.default_rng(301)
+    point, grid = grid_jet(rng, 3, ()), grid_jet(rng, 3, (4,))
+    # (4,) is deg + 1 long, so numpy alone would broadcast the two arrays
+    for a, b in ((point, grid), (grid, point)):
+        for op in (operator.add, operator.sub):
+            with pytest.raises(ValueError, match=r"\(\) and \(4,\)|\(4,\) and \(\)"):
+                op(a, b)
 
 
 @pytest.mark.parametrize("deg", range(7))
