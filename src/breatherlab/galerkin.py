@@ -7,26 +7,27 @@ slot j in ``op.terms(op.coefficients(x))``, the operator's only statement.
 
 On the line (Hermite basis, trapezoid nodes on a window [-X, X] centred on
 0, at whose edge every basis function and derivative is below 1e-23) the sum
-is folded onto x >= 0 by parity, f_k^(r)(-x) = (-1)^(k + r) f_k^(r)(x).
-Each slot block's terms become one (orders, nodes) coefficient array, a
-constant broadcast and an absent order zero, evaluated once per assembly on
-the nonnegative nodes and their exact negatives.  Over fixed blocks of
-nonnegative nodes, one ``einsum`` contracts the basis derivative stack, one
-(orders, size, nodes) array built from f_0..f_n alone (f' by the lowering
-relation, the higher orders by the Hermite equation), with the coefficients
-at x, and one with those at -x times (-1)^r; the even rows' product with the
-sum of the two images and the odd rows' with their difference then add the
-block, at half the flops of one product over x and -x.  Problems that share
-a basis and a plan (the rows of a sweep) share each node block's stack:
-``assemble_all`` builds it once and adds each problem's block sum to its own
-matrix, in the order that problem alone would add it.  On the torus the
-trapezoid rule on N uniform nodes is a discrete Fourier transform, so the
-cos/sin matrix is read off the coefficients' transforms c^ = fft(c) / N,
-with no complex matrix and no change of basis: each grid term reads c^ at
-the Toeplitz index p - q and the Hankel index p + q of the modes'
-frequencies, whose real and imaginary parts give the cos and the sin rows, a
-derivative of order r scales column q by +-w_q^r (and trades cos_q for sin_q
-when r is odd), and a constant is the grid whose transform is c at index 0.
+is folded onto x >= 0 by parity, f_k^(r)(-x) = (-1)^(k + r) f_k^(r)(x).  Each
+slot block's terms become one (orders, nodes) coefficient array, a constant
+broadcast and an absent order zero, evaluated once per assembly on the
+nonnegative nodes and their exact negatives.  Over blocks of
+``quadrature.NODE_BLOCK`` nonnegative nodes, one ``einsum`` contracts the
+basis derivative stack, one (orders, size, nodes) array built from f_0..f_n
+alone (f' by the lowering relation, the higher orders by the Hermite
+equation), with the coefficients at x, and one with those at -x times
+(-1)^r; the even rows' product with the sum of the two images and the odd
+rows' with their difference then add the block, at half the flops of one
+product over x and -x.  Problems that share a basis and a plan (the rows of a
+sweep) share each node block's stack: ``assemble_all`` builds it once and
+adds each problem's block sum to its own matrix, in the order that problem
+alone would add it.  On the torus the trapezoid rule on N uniform nodes is a
+discrete Fourier transform, so the cos/sin matrix is read off the
+coefficients' transforms c^ = fft(c) / N, with no complex matrix and no
+change of basis: each grid term reads c^ at the Toeplitz index p - q and the
+Hankel index p + q of the modes' frequencies, whose real and imaginary parts
+give the cos and the sin rows, a derivative of order r scales column q by
++-w_q^r (and trades cos_q for sin_q when r is odd), and a constant is the
+grid whose transform is c at index 0.
 So this is exactly the trapezoid sum of the literal application, aliasing
 included.
 
@@ -54,17 +55,11 @@ from typing import Optional
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from . import quadrature
 from .quadrature import DRIFT_TOL, ROUNDING_DRIFT, TrapezoidPlan, doubling_levels
 from .specfun import FourierBasis, HermiteBasis
 
 ASYMMETRY_FLAG = 1e-6
-# Nodes per assembly block, x and -x together.  A block holds its basis stack
-# on x >= 0 (a (5, size, NODE_BLOCK / 2) array), the weighted values and one
-# slot block's two images, so the block size bounds assembly memory: mKdV at
-# n = 160 (1792 fine nodes, summed as two halves of 449 and 448 nonnegative
-# nodes, one block each) peaks at 5.5 MiB of Python allocations, and at
-# 3.4 MiB with 512-node blocks.
-NODE_BLOCK = 2048
 # Highest derivative order in the basis stack: the operators are of fourth order
 STACK_ORDERS = 4
 # Hermite node counts are rounded up to a multiple of this: see default_hermite_plan
@@ -208,8 +203,9 @@ def _fold(problems, coefs, x, w, start: int, stop: int) -> list[np.ndarray]:
     basis = problems[0].basis
     n = basis.size
     mats = [np.zeros((p.dim, p.dim)) for p in problems]
-    for lo in range(start, stop, NODE_BLOCK // 2):
-        hi = min(lo + NODE_BLOCK // 2, stop)
+    step = quadrature.NODE_BLOCK
+    for lo in range(start, stop, step):
+        hi = min(lo + step, stop)
         stack = basis.stack(x[lo:hi], STACK_ORDERS)
         rows = stack[0] * w[lo:hi]
         image, mirror = np.empty_like(rows), np.empty_like(rows)

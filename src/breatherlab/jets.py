@@ -15,9 +15,11 @@ with ``i + j > deg`` are kept at zero.  ``shape`` is the jet's grid, which
 lets one jet carry an entire evaluation grid; all arithmetic is vectorised
 over it.  The two jets of a sum have grids of one rank (number of axes),
 which broadcast as numpy arrays do, and a sum of two ranks raises
-ValueError.  A non-jet addend must broadcast into the jet's grid; a non-jet
-factor or divisor applies to the coefficients as numpy applies it.  Products
-and compositions broadcast grids of any ranks, trailing axes aligned.
+ValueError.  A non-jet addend must broadcast into the jet's grid.  A non-jet
+factor or divisor scales every coefficient, broadcast against the grid as
+numpy broadcasts; one of higher rank than the grid raises ValueError, since
+numpy would align its axes with the coefficient axes.  Products and
+compositions broadcast grids of any ranks, trailing axes aligned.
 
 Coefficients are stored divided by factorials (true Taylor coefficients), so
 composition reduces to polynomial evaluation and degree-6 entries stay well
@@ -178,8 +180,13 @@ class Jet2:
     def __rsub__(self, other):
         return _shifted(np.negative, self, other)
 
+    def _check_factor(self, other):
+        if type(other) is not float and np.ndim(other) > self.c.ndim - 2:
+            raise ValueError(f"jet factor of higher rank than its grid: {self.shape} and {np.shape(other)}")
+
     def __mul__(self, other):
         if not isinstance(other, Jet2):
+            self._check_factor(other)
             return _jet(self.c * other, self.deg, self.axes)
         self._check_deg(other)
         return _product(self, other)
@@ -188,6 +195,7 @@ class Jet2:
 
     def __truediv__(self, other):
         if not isinstance(other, Jet2):
+            self._check_factor(other)
             return _jet(self.c / other, self.deg, self.axes)
         return self * reciprocal(other)
 

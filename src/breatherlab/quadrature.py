@@ -14,7 +14,12 @@ A torus sum sizes itself instead: ``doubling_levels`` evaluates its grids on
 nested levels, each node once, and the sum stops at the first level whose
 node-doubling drift is at ``ROUNDING_DRIFT`` of its rounding scale (a
 ``checked_integral`` on a plan that settles, or a torus Galerkin matrix), or
-at ``MAX_NODES``, where the sum's own drift gate decides.
+at ``MAX_NODES``, where the sum's own drift gate decides.  Every grid of
+``doubling_levels``, and so of every ``checked_integral``, is evaluated in
+the fewest near-equal blocks of at most ``NODE_BLOCK`` nodes and joined in
+node order: the evaluators are pointwise, so the grids are those of one
+evaluation on all the nodes, bitwise, while the jets behind them are held
+for one block at a time.
 """
 
 from __future__ import annotations
@@ -26,12 +31,26 @@ import numpy as np
 
 DRIFT_TOL = 1e-9
 # Most nodes a plan may hold.  The sine-Gordon functionals at (beta, v) =
-# (0.5, 0.999999) take 108,497.  At this bound a process peaks near 0.29 GB
-# in a line functional, 0.32 GB in a torus functional that doubles up to it
-# (KKSH F at k = 1e-5, x1 = 0.3) and 0.47 GB in the Weinstein pairing.  A
-# larger plan is refused before any node is made, and a torus sum that
-# doubles to the bound stops there.
+# (0.5, 0.999999) take 108,497.  At this bound, with grids evaluated in
+# ``NODE_BLOCK`` blocks, a process peaks near 55 MB in a line functional (sg
+# F at v = 0.9999998295516412), 59 MB in a torus functional that doubles up
+# to it (KKSH F at k = 1e-5, x1 = 0.3) and 54 MB in the Weinstein pairing
+# (beta 0.5, v = 0.9999999242451595); in one block they took 0.26, 0.32 and
+# 0.46 GB.  A larger plan is refused before any node is made, and a torus
+# sum that doubles to the bound stops there.
 MAX_NODES = 1 << 18
+# Most nodes one block of work holds.  ``doubling_levels`` calls its
+# evaluator on blocks of at most this many nodes, so every
+# ``checked_integral`` and every self-sizing torus sum holds the jets of one
+# block at a time: a degree-2 jet on 1024 nodes is 72 KiB, below glibc's
+# default 128 KiB mmap threshold.  The Hermite line fold stacks this many
+# nonnegative nodes per block (x and -x together, 2 NODE_BLOCK nodes): a
+# block holds its basis stack (a (5, size, NODE_BLOCK) array), the weighted
+# values and one slot block's two images, so the block size bounds assembly
+# memory: mKdV at n = 160 (1792 fine nodes, summed as two halves of 449 and
+# 448 nonnegative nodes, one block each) peaks at 5.5 MiB of Python
+# allocations, and at 3.4 MiB at NODE_BLOCK = 256.
+NODE_BLOCK = 1024
 
 # Node-doubling drift below which a self-sizing torus sum stops doubling:
 # 64 eps of its rounding scale (max |entry| of a Galerkin matrix, the
@@ -127,22 +146,43 @@ def _interleave(even, odd):
     return out
 
 
+def _joined(parts):
+    """The grids of consecutive node blocks joined in node order: arrays
+    concatenate, and everything else is kept from the first block, in the
+    same nesting of tuples and lists."""
+    first = parts[0]
+    if len(parts) == 1:
+        return first
+    if isinstance(first, (tuple, list)):
+        return type(first)(_joined(p) for p in zip(*parts))
+    if np.ndim(first) == 0:
+        return first
+    return np.concatenate(parts)
+
+
+def _blocked(evaluate, x):
+    """``evaluate`` on the fewest near-equal blocks of at most ``NODE_BLOCK``
+    of the nodes x, joined in node order."""
+    return _joined([evaluate(part) for part in np.array_split(x, -(-x.size // NODE_BLOCK))])
+
+
 def doubling_levels(plan, evaluate):
     """Yield ``(plan, grids)`` for ``plan`` and each doubling of it, up to
     ``MAX_NODES``, where grids is ``evaluate`` on the plan's 2N nodes.
 
     Each node is evaluated once: the 2N nodes of a plan are the even ones of
     the next plan's 4N, bitwise, so a doubled level evaluates only its odd
-    nodes.  ``evaluate`` returns an array, or tuples and lists of arrays
-    among values that do not depend on the nodes.  The next level is made
-    only when the caller asks for it.
+    nodes.  ``evaluate`` is called on blocks of at most ``NODE_BLOCK``
+    nodes, so it must be pointwise; it returns an array, or tuples and lists
+    of arrays among values that do not depend on the nodes.  The next level
+    is made only when the caller asks for it.
     """
     x, _ = plan.nodes_weights(2)
-    grids = evaluate(x)
+    grids = _blocked(evaluate, x)
     while True:
         yield plan, grids
         if plan.n_nodes >= MAX_NODES:
             return
         plan = replace(plan, n_nodes=2 * plan.n_nodes)
         x, _ = plan.nodes_weights(2)
-        grids = _interleave(grids, evaluate(x[1::2]))
+        grids = _interleave(grids, _blocked(evaluate, x[1::2]))

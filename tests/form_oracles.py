@@ -16,7 +16,7 @@ term, and each row slot's image summed by its own product.
 import numpy as np
 
 from breatherlab import galerkin as gk
-from breatherlab import jets, linops
+from breatherlab import jets, linops, quadrature
 
 
 def jet_direction(zf, wf):
@@ -62,10 +62,11 @@ def project(problems, x, w):
     basis = problems[0].basis
     n = basis.size
     mats = [np.zeros((p.dim, p.dim)) for p in problems]
-    for lo in range(0, x.size, gk.NODE_BLOCK):
-        xb = x[lo:lo + gk.NODE_BLOCK]
+    step = 2 * quadrature.NODE_BLOCK
+    for lo in range(0, x.size, step):
+        xb = x[lo:lo + step]
         stack = basis.stack(xb, gk.STACK_ORDERS)
-        rows = stack[0] * w[lo:lo + gk.NODE_BLOCK]
+        rows = stack[0] * w[lo:lo + step]
         image = np.empty_like(rows)
         for problem, m in zip(problems, mats):
             op = problem.operator
@@ -81,10 +82,11 @@ def project_applied(problems, x, w):
     basis = problems[0].basis
     n = basis.size
     mats = [np.zeros((p.dim, p.dim)) for p in problems]
-    for lo in range(0, x.size, gk.NODE_BLOCK):
-        xb = x[lo:lo + gk.NODE_BLOCK]
+    step = 2 * quadrature.NODE_BLOCK
+    for lo in range(0, x.size, step):
+        xb = x[lo:lo + step]
         stack = basis.stack(xb, gk.STACK_ORDERS)
-        rows = stack[0] * w[lo:lo + gk.NODE_BLOCK]
+        rows = stack[0] * w[lo:lo + step]
         for problem, m in zip(problems, mats):
             op = problem.operator
             terms = op.terms(op.coefficients(xb))

@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 from breatherlab import breathers as br
+from breatherlab import cli
 from breatherlab import functionals as fn
-from breatherlab import jets
+from breatherlab import jets, quadrature
 from breatherlab import stability as st
 from breatherlab.quadrature import MAX_NODES, QuadratureError, TrapezoidPlan, checked_integral, doubling_levels
 
@@ -249,6 +250,61 @@ def test_doubling_levels_evaluate_each_node_once():
 def test_doubling_stops_at_max_nodes():
     levels = list(doubling_levels(TrapezoidPlan(period=1.0, n_nodes=MAX_NODES // 4), lambda x: x[:0]))
     assert [plan.n_nodes for plan, _ in levels] == [MAX_NODES // 4, MAX_NODES // 2, MAX_NODES]
+
+
+def test_doubling_levels_evaluate_blocks_of_at_most_node_block_nodes():
+    # 3000 nodes at the first level, then 3000, 6000 and 12,000 new ones
+    plan = TrapezoidPlan(period=3.7, n_nodes=1500)
+    calls, seen = [], []
+
+    def evaluate(x):
+        calls.append(x)
+        return [np.cos(x), (2, np.sin(x)), 1.5]
+
+    for level, (got, grids) in zip(range(4), doubling_levels(plan, evaluate)):
+        x, _ = got.nodes_weights(2)
+        new = x if level == 0 else x[1::2]
+        # the fewest near-equal blocks, in node order
+        sizes = [c.size for c in calls]
+        assert len(sizes) == math.ceil(new.size / quadrature.NODE_BLOCK) > 1
+        assert max(sizes) <= quadrature.NODE_BLOCK and max(sizes) - min(sizes) <= 1
+        assert np.array_equal(np.concatenate(calls), new)
+        seen += calls
+        calls.clear()
+        # each node of the level once, over this level's calls and the earlier ones
+        assert np.array_equal(np.sort(np.concatenate(seen)), x)
+        assert np.array_equal(grids[0], np.cos(x)) and np.array_equal(grids[1][1], np.sin(x))
+        assert grids[1][0] == 2 and grids[2] == 1.5
+
+
+class TestNodeBlocks:
+    """Every evaluator is pointwise, so a sum evaluated in blocks of
+    ``NODE_BLOCK`` nodes is bitwise the sum of whole-level evaluations."""
+
+    def test_the_weinstein_pairing_is_unchanged(self, monkeypatch):
+        fam = br.SgBreather(beta=0.1, v=0.99)
+        assert 2 * quadrature.window_plan(fam, 4.0 * fam.wavenumber).n_nodes > quadrature.NODE_BLOCK
+        blocked = st.sg_weinstein_check(0.1, 0.99)
+        monkeypatch.setattr(quadrature, "NODE_BLOCK", 10**9)
+        assert st.sg_weinstein_check(0.1, 0.99).hex() == blocked.hex()
+
+    def test_a_far_doubling_torus_functional_is_unchanged(self, monkeypatch, capsys):
+        sizes, block = [], quadrature.NODE_BLOCK
+        evaluate = br.KkshBreather.eval
+
+        def recorded(family, t, x, deg=jets.DEFAULT_DEG):
+            sizes.append(np.size(x))
+            return evaluate(family, t, x, deg)
+
+        monkeypatch.setattr(br.KkshBreather, "eval", recorded)
+        argv = ["conserved", "--family", "kksh", "--beta", "1", "--k", "1e-4", "--kind", "f"]
+        assert cli.main(argv) == 0
+        blocked = capsys.readouterr().out
+        assert max(sizes) <= block
+        monkeypatch.setattr(quadrature, "NODE_BLOCK", 10**9)
+        sizes.clear()
+        assert cli.main(argv) == 0
+        assert max(sizes) > block and capsys.readouterr().out == blocked
 
 
 def test_a_nan_density_stops_a_settling_plan_at_its_first_level():

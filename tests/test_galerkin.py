@@ -11,7 +11,7 @@ from legendre_oracle import LegendrePlan, panel_order
 from breatherlab import breathers as br
 from breatherlab import cli
 from breatherlab import galerkin as gk
-from breatherlab import linops
+from breatherlab import linops, quadrature
 from breatherlab import stability as st
 from breatherlab.quadrature import MAX_NODES, TrapezoidPlan
 from breatherlab.specfun import FourierBasis, HermiteBasis, hermite_values
@@ -87,22 +87,22 @@ class TestAssembly:
 
         monkeypatch.setattr(linops.SgBlockOperator, "coefficients", recorded)
         # several node blocks in each half of the fine nodes
-        monkeypatch.setattr(gk, "NODE_BLOCK", 128)
+        monkeypatch.setattr(quadrature, "NODE_BLOCK", 64)
         gk.assemble(prob)
         # once, on the N + 1 nonnegative fine nodes and their exact negatives
         (x,) = grids
         n_nodes = prob.plan.n_nodes
-        assert n_nodes // 2 > gk.NODE_BLOCK // 2
+        assert n_nodes // 2 > quadrature.NODE_BLOCK
         plus, minus = np.split(x, 2)
         assert plus.size == n_nodes + 1 and np.all(plus >= 0.0)
         assert np.array_equal(minus, -plus)
 
     def test_node_blocks_do_not_change_the_matrix(self, monkeypatch):
         prob = gk.hermite_problem(linops.operator_for(br.MkdvBreather(alpha=0.5, beta=1.0, x1=0.8)), 40)
-        monkeypatch.setattr(gk, "NODE_BLOCK", 128)
+        monkeypatch.setattr(quadrature, "NODE_BLOCK", 64)
         blocked = gk.assemble(prob).matrix
-        assert prob.plan.nodes_weights(2)[0][::2].size > 2 * gk.NODE_BLOCK
-        monkeypatch.setattr(gk, "NODE_BLOCK", 10**9)
+        assert prob.plan.nodes_weights(2)[0][::2].size > 4 * quadrature.NODE_BLOCK
+        monkeypatch.setattr(quadrature, "NODE_BLOCK", 10**9)
         whole = gk.assemble(prob).matrix
         assert np.max(np.abs(blocked - whole)) <= 1e-14 * np.max(np.abs(whole))
 
@@ -160,7 +160,7 @@ class TestSharedStack:
         assert cli.main(["table", "--preset", "fig8"]) == 0
         # one stack on the nonnegative even fine nodes and one on the odd ones
         n_nodes = _sweep_problems("fig8")[0].plan.n_nodes
-        assert len(calls) == 2 * math.ceil((n_nodes // 2 + 1) / (gk.NODE_BLOCK // 2)) == 2
+        assert len(calls) == 2 * math.ceil((n_nodes // 2 + 1) / quadrature.NODE_BLOCK) == 2
         assert sum(calls) == n_nodes + 1
 
     def test_assemble_all_keeps_the_order_of_mixed_problems(self):
@@ -215,11 +215,11 @@ class TestParityFold:
     ], ids=["mkdv", "gardner", "sg", "fig14-right"])
     @pytest.mark.parametrize("parity", [0, 1], ids=["N-even", "N-odd"])
     def test_folded_halves_equal_the_plain_sum_on_the_mirrored_nodes(self, problems, parity, monkeypatch):
-        monkeypatch.setattr(gk, "NODE_BLOCK", 128)
+        monkeypatch.setattr(quadrature, "NODE_BLOCK", 64)
         plan = replace(problems[0].plan, n_nodes=problems[0].plan.n_nodes + parity)
         problems = [replace(problem, plan=plan) for problem in problems]
         x, w, split = gk._folded_nodes(plan)
-        assert plan.n_nodes % 2 == parity and x.size - split > gk.NODE_BLOCK // 2
+        assert plan.n_nodes % 2 == parity and x.size - split > quadrature.NODE_BLOCK
         coefs = [gk._mirrored_coefficients(problem.operator, x) for problem in problems]
         eps = np.finfo(float).eps
         for lo, hi in ((0, split), (split, x.size)):
@@ -387,6 +387,30 @@ class TestTorusNodeRule:
         op = prob.operator
         direct = gk._project_torus(prob.basis, op.terms(op.coefficients(accepted)), accepted.size)
         assert np.array_equal(assembled.matrix, 0.5 * (direct + direct.T))
+
+    def test_node_blocks_do_not_change_a_far_doubling_matrix(self, monkeypatch):
+        # the matrix of spectrum --family kksh --beta 1 --k 1e-4 --n 2
+        prob = _kksh_problem(2, beta=1.0, k=1e-4)
+        grids, block = [], quadrature.NODE_BLOCK
+        coefficients = linops.ScalarOperator.coefficients
+
+        def recorded(op, x):
+            grids.append(np.array(x))
+            return coefficients(op, x)
+
+        monkeypatch.setattr(linops.ScalarOperator, "coefficients", recorded)
+        blocked = gk.assemble(prob)
+        assert blocked.nodes == 16384
+        # blocks of at most NODE_BLOCK nodes, each accepted node in one of them once
+        accepted, _ = TrapezoidPlan(prob.plan.period, blocked.nodes // 2).nodes_weights(2)
+        assert max(x.size for x in grids) <= block
+        assert np.array_equal(np.sort(np.concatenate(grids)), accepted)
+        monkeypatch.setattr(quadrature, "NODE_BLOCK", 10**9)
+        grids.clear()
+        whole = gk.assemble(prob)
+        assert max(x.size for x in grids) > block
+        assert whole.nodes == blocked.nodes and np.array_equal(whole.matrix, blocked.matrix)
+        assert (whole.asymmetry, whole.drift) == (blocked.asymmetry, blocked.drift)
 
     def test_a_jump_in_a_coefficient_reaches_the_cap_and_fails_closed(self):
         # the trapezoid sum of a step converges like 1/N: no level settles

@@ -270,6 +270,21 @@ def test_sums_of_mixed_grid_ranks_raise():
                 op(a, b)
 
 
+def test_factors_of_higher_rank_than_the_grid_raise():
+    rng = np.random.default_rng(302)
+    point, single = grid_jet(rng, 3, ()), grid_jet(rng, 3, (1,))
+    # numpy alone would scale column j of the 0-d jet by element j, and turn
+    # the 1-point jet into a (1,)-grid jet with its coefficients mixed
+    for jet, factor, shapes in ((point, np.array([1.0, 2.0, 3.0, 4.0]), r"\(\) and \(4,\)"),
+                                (single, np.ones((4, 1)), r"\(1,\) and \(4, 1\)")):
+        for op in (operator.mul, operator.truediv, lambda a, b: b * a, lambda a, b: b / a):
+            with pytest.raises(ValueError, match=shapes):
+                op(jet, factor)
+    # a factor of the grid's rank, or lower, scales every coefficient
+    assert same(single * np.array([2.0]), single.c * 2.0)
+    assert same(single / np.float64(2.0), single.c / 2.0)
+
+
 @pytest.mark.parametrize("deg", range(7))
 def test_truncated_product_stops_at_top(deg):
     rng = np.random.default_rng(400 + deg)

@@ -73,18 +73,30 @@ class TestSgBlock:
         lambda fam: linops.sg_variational_direction_residual(fam),
         lambda fam: st.sg_weinstein_check(fam.beta, fam.v),
     ]
-    # the pairings evaluate the profile once, on the fine quadrature nodes
-    _EVALS = dict(zip(_CHECKS, (1, 1, 1)))
+    # the checks evaluate the profile at degree 2 once on each fine node: of
+    # the pairings' quadrature window, or of the residual's 301 points
+    _NODES = dict(zip(_CHECKS, (
+        lambda fam: window_plan(fam, 4.0 * fam.wavenumber).nodes_weights(2)[0],
+        lambda fam: np.linspace(-25.0 / fam.beta, 25.0 / fam.beta, 301),
+        lambda fam: window_plan(fam, 4.0 * fam.wavenumber).nodes_weights(2)[0],
+    )))
 
     @pytest.mark.parametrize("check", _CHECKS)
     def test_profile_evaluated_once_per_check(self, check, monkeypatch):
         # the scaling direction is the family's beta-partial, not an eval
         calls = []
         evaluate = br.SgBreather.eval
-        counted = lambda *a, **kw: calls.append(a) or evaluate(*a, **kw)
+
+        def counted(family, t, x, deg=jets.DEFAULT_DEG):
+            calls.append((deg, np.array(x)))
+            return evaluate(family, t, x, deg)
+
         monkeypatch.setattr(br.SgBreather, "eval", counted)
-        check(br.SgBreather(beta=0.5, v=0.7))
-        assert len(calls) == self._EVALS[check]
+        fam = br.SgBreather(beta=0.5, v=0.7)
+        check(fam)
+        assert calls and all(deg == 2 for deg, _ in calls)
+        nodes = np.sort(np.concatenate([x for _, x in calls]))
+        assert np.array_equal(nodes, np.sort(self._NODES[check](fam)))
 
     def test_scaling_relation_residuals(self):
         # the image of dB/dbeta is -2 beta times that of the scaled direction

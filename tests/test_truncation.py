@@ -13,6 +13,7 @@ from breatherlab import breathers as br
 from breatherlab import functionals as fn
 from breatherlab import linops
 from breatherlab.jets import DEFAULT_DEG
+from breatherlab.quadrature import window_plan
 
 from gardner_form_oracles import NONZERO_MEAN_CASE
 
@@ -82,15 +83,26 @@ def test_scaling_direction_at_degree_4_extends_the_default():
         assert np.array_equal(_bits(low), _bits(full))
 
 
-def _record_degrees(monkeypatch, cls, method):
-    degrees, original = [], getattr(cls, method)
+def _record_calls(monkeypatch, cls, method):
+    calls, original = [], getattr(cls, method)
 
     def recorded(self, t, x, deg=DEFAULT_DEG):
-        degrees.append(deg)
+        calls.append((deg, np.array(x)))
         return original(self, t, x, deg)
 
     monkeypatch.setattr(cls, method, recorded)
-    return degrees
+    return calls
+
+
+def _degrees(calls):
+    return [deg for deg, _ in calls]
+
+
+def _read_once(calls, deg, nodes):
+    """Every call reads degree ``deg``, and together the calls evaluate each
+    of ``nodes`` once (a quadrature evaluates its nodes in blocks)."""
+    assert calls and all(d == deg for d, _ in calls)
+    assert np.array_equal(np.sort(np.concatenate([x for _, x in calls])), np.sort(nodes))
 
 
 @pytest.mark.parametrize("family,want", [
@@ -98,23 +110,26 @@ def _record_degrees(monkeypatch, cls, method):
     (br.SgBreather(beta=0.5, v=0.7), {"energy": 1, "momentum": 1, "f": 2, "lyapunov": 2}),
 ], ids=["mkdv", "sg"])
 def test_each_functional_reads_its_own_degree(family, want, monkeypatch):
-    degrees = _record_degrees(monkeypatch, type(family), "eval")
+    calls = _record_calls(monkeypatch, type(family), "eval")
     for kind, deg in want.items():
-        degrees.clear()
+        calls.clear()
         fn.evaluate_functional(kind, family)
-        assert degrees == [deg], kind
+        _read_once(calls, deg, fn.family_plan(family).nodes_weights(2)[0])
 
 
 def test_residual_pairing_and_backlund_read_their_own_degrees(monkeypatch):
-    scalar = _record_degrees(monkeypatch, br.MkdvBreather, "eval")
-    wave = _record_degrees(monkeypatch, br.SgBreather, "eval")
+    scalar = _record_calls(monkeypatch, br.MkdvBreather, "eval")
+    wave = _record_calls(monkeypatch, br.SgBreather, "eval")
     fn.pde_residual(br.MkdvBreather(alpha=0.5, beta=1.0), n_points=5)
     fn.pde_residual(br.SgBreather(beta=0.5, v=0.7), n_points=5)
-    assert (scalar, wave) == ([3], [2])
-    direction = _record_degrees(monkeypatch, br.SgBreather, "beta_partial")
-    linops.sg_scaling_quadratic_form(br.SgBreather(beta=0.5, v=0.7))
-    linops.sg_variational_direction_residual(br.SgBreather(beta=0.5, v=0.7))
-    assert direction == [2, 4]
-    closed = _record_degrees(monkeypatch, br.NonzeroMeanBreather, "eval")
+    assert (_degrees(scalar), _degrees(wave)) == ([3], [2])
+    direction = _record_calls(monkeypatch, br.SgBreather, "beta_partial")
+    family = br.SgBreather(beta=0.5, v=0.7)
+    linops.sg_scaling_quadratic_form(family)
+    _read_once(direction, 2, window_plan(family, 4.0 * family.wavenumber).nodes_weights(2)[0])
+    direction.clear()
+    linops.sg_variational_direction_residual(family)
+    _read_once(direction, 4, np.linspace(-25.0 / family.beta, 25.0 / family.beta, 301))
+    closed = _record_calls(monkeypatch, br.NonzeroMeanBreather, "eval")
     br.backlund_construct(br.solve_mean_level(1.65, 2.95, 22, 23), 1.65, 22, 23)
-    assert closed == [0, 0]
+    assert _degrees(closed) == [0, 0]
