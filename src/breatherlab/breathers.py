@@ -768,13 +768,17 @@ def permutability_profile(family: NonzeroMeanBreather, t, x) -> np.ndarray:
 
 
 def _pole_free_points(family: NonzeroMeanBreather, t, rng, n):
-    xs = []
-    while len(xs) < n:
-        x = rng.uniform(0.0, family.period)
+    """The first n uniform draws on one period whose phases both keep
+    |cos| > 0.15, in draw order.  Each round draws only as many points as
+    are still missing, so no round draws past the n-th acceptance: the
+    points and the generator state are those of drawing one at a time."""
+    xs = np.empty(0)
+    while xs.size < n:
+        x = rng.uniform(0.0, family.period, size=n - xs.size)
         y1, y2 = family._phases(t, x)
-        if min(abs(math.cos(y1)), abs(math.cos(y2))) > 0.15:
-            xs.append(x)
-    return np.asarray(xs)
+        keep = np.minimum(np.abs(np.cos(y1)), np.abs(np.cos(y2))) > 0.15
+        xs = np.concatenate([xs, x[keep]])
+    return xs
 
 
 def backlund_construct(mu: float, c1: float, p: int, q: int) -> tuple[NonzeroMeanBreather, float, float]:

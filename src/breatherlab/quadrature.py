@@ -42,14 +42,17 @@ MAX_NODES = 1 << 18
 # Most nodes one block of work holds.  ``doubling_levels`` calls its
 # evaluator on blocks of at most this many nodes, so every
 # ``checked_integral`` and every self-sizing torus sum holds the jets of one
-# block at a time: a degree-2 jet on 1024 nodes is 72 KiB, below glibc's
-# default 128 KiB mmap threshold.  The Hermite line fold stacks this many
-# nonnegative nodes per block (x and -x together, 2 NODE_BLOCK nodes): a
-# block holds its basis stack (a (5, size, NODE_BLOCK) array), the weighted
-# values and one slot block's two images, so the block size bounds assembly
-# memory: mKdV at n = 160 (1792 fine nodes, summed as two halves of 449 and
-# 448 nonnegative nodes, one block each) peaks at 5.5 MiB of Python
-# allocations, and at 3.4 MiB at NODE_BLOCK = 256.
+# block at a time: a degree-2 jet on 1024 nodes is 72 KiB.  Each block frees
+# what the next one allocates, so ``cli.main`` keeps freed heap rather than
+# let glibc trim it and fault it back in per block (see ``cli``); a process
+# that only imports the package keeps its own allocator policy.  The Hermite
+# line fold stacks this many nonnegative nodes per block (x and -x together,
+# 2 NODE_BLOCK nodes): a block holds its basis stack (a (5, size,
+# NODE_BLOCK) array), the weighted values and one slot block's two images,
+# so the block size bounds assembly memory: mKdV at n = 160 (1792 fine
+# nodes, summed as two halves of 449 and 448 nonnegative nodes, one block
+# each) peaks at 5.5 MiB of Python allocations, and at 3.4 MiB at
+# NODE_BLOCK = 256.
 NODE_BLOCK = 1024
 
 # Node-doubling drift below which a self-sizing torus sum stops doubling:

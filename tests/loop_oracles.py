@@ -1,12 +1,16 @@
-"""Per-point reference loops for the batched residual and periodicity checks,
-the families they are checked on, eval patches that count calls or plant a
-NaN, per-row loops of the Hermite derivative ladder and of the lowering
-relation, and the Hermite derivative stack by repeated ladder passes.
+"""Per-point reference loops for the batched residual and periodicity checks
+and for the Backlund sample points, the families they are checked on, eval
+patches that count calls or plant a NaN, per-row loops of the Hermite
+derivative ladder and of the lowering relation, and the Hermite derivative
+stack by repeated ladder passes.
 
 ``functionals.pde_residual`` and ``breathers.periodicity_check`` evaluate the
 family once over all their sample points.  The loops below are the earlier
 form, one family evaluation per point (per time for the period check), with
 the same generator draws; the batched results must equal them bit for bit.
+``breathers._pole_free_points`` draws its candidates in batches of the
+missing count; the loop below draws one x per turn, and the two must give the
+same points and leave the generator in the same state.
 The loops fold with Python ``max``, which drops a NaN, so they also show the
 fault the batched forms close.
 """
@@ -70,6 +74,16 @@ def periodicity_check_loop(family, n_points=40, seed=0):
         for t in ts[:8]:
             worst = max(worst, float(np.max(np.abs(values(t, xs + P) - values(t, xs)))))
     return worst
+
+
+def pole_free_points_loop(family, t, rng, n):
+    xs = []
+    while len(xs) < n:
+        x = rng.uniform(0.0, family.period)
+        y1, y2 = family._phases(t, x)
+        if min(abs(math.cos(y1)), abs(math.cos(y2))) > 0.15:
+            xs.append(x)
+    return np.asarray(xs)
 
 
 # one of each family, for the evolution-equation residual

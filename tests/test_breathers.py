@@ -323,6 +323,19 @@ class TestNonzeroMean:
             via = br.permutability_profile(fam, t, xs)
             assert np.max(np.abs(direct - via)) < 1e-10
 
+    @pytest.mark.parametrize("seed", [2024, 5])
+    def test_batched_sample_points_equal_the_scalar_draws(self, seed):
+        # about one draw in five falls near a pole (125 draws for the 100
+        # points at seed 2024), so each call takes more than one round
+        fam = br.NonzeroMeanBreather(mu=1.3, c1=0.9, p=2, q=3)
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        for t in (0.0, 0.37):
+            xs = br._pole_free_points(fam, t, rng, 50)
+            expected = loop_oracles.pole_free_points_loop(fam, t, ref, 50)
+            assert xs.shape == (50,)
+            assert np.array_equal(xs, expected)
+        assert rng.bit_generator.state == ref.bit_generator.state
+
     def test_mean_offset_is_quantised_by_the_phase_winding(self):
         # The closed-form profile's spatial mean exceeds the background level
         # by exactly (p - q) windings of 2 sqrt(2) pi / L: the two phases

@@ -1,11 +1,16 @@
 import argparse
 import contextlib
+import ctypes
 import io
 import json
 import math
 import os
+import pathlib
 import re
+import subprocess
+import sys
 import tempfile
+import textwrap
 
 import numpy as np
 import pytest
@@ -884,3 +889,88 @@ def test_an_oversized_matrix_exits_2_before_any_node_is_made(argv, dim, monkeypa
     assert run(argv) == 2
     err = capsys.readouterr().err
     assert err == f"error: the Galerkin matrix would have dimension {dim}, more than the {galerkin.MAX_DIM} allowed\n"
+
+
+def _has_mallopt():
+    try:
+        return hasattr(ctypes.CDLL(None), "mallopt")
+    except (OSError, TypeError):
+        return False
+
+
+def _run_fresh(script):
+    """Run a script on a fresh interpreter that imports this source tree."""
+    src = pathlib.Path(cli.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run([sys.executable, "-c", textwrap.dedent(script)], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+class TestHeapPolicy:
+    """``cli.main`` keeps freed heap for the next node block: it sets glibc's
+    mmap and trim thresholds once per process, and importing the package
+    sets nothing."""
+
+    MKDV_F = ["conserved", "--family", "mkdv", "--alpha", "0.5", "--beta", "1",
+              "--kind", "f", "--times", "0,0.7,2.1"]
+
+    @pytest.mark.skipif(not _has_mallopt(), reason="no mallopt in this C library")
+    def test_a_repeated_command_faults_in_no_fresh_pages(self):
+        # with glibc's default thresholds the heap is trimmed after every node
+        # block, and the second call faults in several hundred pages again
+        out = _run_fresh(f"""
+            import contextlib, io, resource
+            from breatherlab import cli
+
+            def faults():
+                return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+            added = []
+            for _ in range(2):
+                with contextlib.redirect_stdout(io.StringIO()):
+                    before = faults()
+                    assert cli.main({self.MKDV_F!r}) == 0
+                    added.append(faults() - before)
+            print(added[1])
+        """)
+        assert int(out) < 20
+
+    def test_main_sets_both_thresholds_once_and_import_sets_none(self):
+        out = _run_fresh(f"""
+            import contextlib, ctypes, io, types
+            calls = []
+
+            def mallopt(param, value):
+                calls.append((param, value))
+                return 1
+
+            ctypes.CDLL = lambda name, *args, **kwargs: types.SimpleNamespace(mallopt=mallopt)
+            import breatherlab
+            from breatherlab import (breathers, cli, functionals, galerkin, jets,
+                                     linops, quadrature, specfun, stability)
+            print(calls)
+            with contextlib.redirect_stdout(io.StringIO()):
+                for _ in range(2):
+                    assert cli.main({self.MKDV_F!r}) == 0
+            print(calls)
+        """)
+        assert out.splitlines() == ["[]", repr([(-3, 32 << 20), (-1, 64 << 20)])]
+
+    @pytest.mark.parametrize("cdll", [
+        lambda name: (_ for _ in ()).throw(OSError("no C library")),
+        lambda name: (_ for _ in ()).throw(TypeError("no handle for None")),
+        lambda name: object(),
+    ], ids=["OSError", "TypeError", "no-mallopt"])
+    def test_without_mallopt_main_runs_as_before(self, cdll, monkeypatch, capsys):
+        assert run(self.MKDV_F) == 0
+        expected = capsys.readouterr().out
+        monkeypatch.setattr(cli.ctypes, "CDLL", cdll)
+        cli._retain_heap.cache_clear()
+        try:
+            assert run(self.MKDV_F) == 0
+            assert capsys.readouterr().out == expected
+            assert cli._retain_heap.cache_info().misses == 1
+        finally:
+            cli._retain_heap.cache_clear()
