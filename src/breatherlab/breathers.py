@@ -706,7 +706,11 @@ def normal_form(family, t: float = 0.0):
         raise ValueError(f"no linearized operator for family kind {family.kind!r}")
     (a, b), (c, _) = family.phase_maps
     s2 = b * t + family.x2
-    return replace(family, x1=(a * t + family.x1 - c * s2) % family.phase_period, x2=0.0)
+    x1 = (a * t + family.x1 - c * s2) % family.phase_period
+    # a family already in normal form is its own: rebuilding it would re-solve a KKSH lock
+    if x1 == family.x1 and family.x2 == 0.0:
+        return family
+    return replace(family, x1=x1, x2=0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -38,9 +38,11 @@ from .quadrature import QuadratureError
 
 def fmt(x) -> str:
     """CSV number format: '.' decimal, scientific only for small magnitudes."""
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    x = float(x)
+    # floats first: a Python float or an np.float64 needs no conversion
+    if not isinstance(x, float):
+        if isinstance(x, (int, np.integer)):
+            return str(int(x))
+        x = float(x)
     if x == 0.0:
         return "0"
     if abs(x) < 1e-3:

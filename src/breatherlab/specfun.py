@@ -27,6 +27,8 @@ from .jets import Jet2
 # one ulp above machine precision; AGM gains quadratically per step anyway
 _AGM_TOL = 4e-16
 _AGM_MAX_ITER = 64
+# an AGM stops once |c_n| <= _AGM_STOP a_n
+_AGM_STOP = 0.25 * _AGM_TOL
 
 
 def ellip_ke(m: float) -> tuple[float, float]:
@@ -35,14 +37,15 @@ def ellip_ke(m: float) -> tuple[float, float]:
     E = K (1 - sum_n 2^(n-1) c_n^2) (DLMF 19.8.1, 19.8.6)."""
     if not 0.0 <= m < 1.0:
         raise ValueError(f"ellip_ke requires 0 <= m < 1, got {m}")
-    a, b, c = 1.0, math.sqrt(1.0 - m), math.sqrt(m)
+    sqrt = math.sqrt
+    a, b, c = 1.0, sqrt(1.0 - m), sqrt(m)
     csum = 0.5 * c * c
     p = 1.0
     for _ in range(_AGM_MAX_ITER):
-        if abs(c) <= 0.25 * _AGM_TOL * a:
+        if abs(c) <= _AGM_STOP * a:
             break
         c = 0.5 * (a - b)
-        a, b = 0.5 * (a + b), math.sqrt(a * b)
+        a, b = 0.5 * (a + b), sqrt(a * b)
         csum += p * c * c
         p *= 2.0
     k = math.pi / (a + b)
@@ -65,7 +68,7 @@ def _agm_ladder(m: float):
     a_list, c_list = [1.0], [math.sqrt(m)]
     b = math.sqrt(1.0 - m)
     for _ in range(_AGM_MAX_ITER):
-        if abs(c_list[-1]) <= 0.25 * _AGM_TOL * a_list[-1]:
+        if abs(c_list[-1]) <= _AGM_STOP * a_list[-1]:
             break
         a, c = 0.5 * (a_list[-1] + b), 0.5 * (a_list[-1] - b)
         b = math.sqrt(a_list[-1] * b)

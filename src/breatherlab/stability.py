@@ -363,11 +363,10 @@ def stability_report(beta: float, k: float) -> StabilityReport:
         d, verdict = 0.0, "degenerate"
     else:
         verdict = "stable-candidate" if hg > 0 else "unstable-candidate"
-    return StabilityReport(
-        beta=beta, k=k, m=pair.m, alpha=pair.alpha, period=pair.period,
-        mass=mass, a1=a1, a2=a2, discriminant=d, hg=hg, verdict=verdict,
-        residual_to_gate=abs(pair.residual) / pair.gate,
-    )
+    # alpha read once; the period as CommensuratePair.period forms it
+    alpha = pair.alpha
+    return StabilityReport(beta, k, pair.m, alpha, 4.0 * pair.K_k / alpha, mass, a1, a2, d, hg,
+                           verdict, abs(pair.residual) / pair.gate)
 
 
 def sg_weinstein_check(beta: float, v: float) -> float:

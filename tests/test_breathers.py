@@ -371,6 +371,13 @@ class TestNormalForm:
         normal = nf.eval(0.0, xs + shift(family, t), deg=0).value
         assert np.max(np.abs(orig - normal)) < 1e-12
 
+    def test_a_kksh_family_in_normal_form_is_returned_as_it_is(self):
+        # x2 = 0 and x1 within the phase period: no rebuild, so no second lock solve
+        family = br.KkshBreather(beta=1.0, k=0.03, x1=0.1)
+        assert br.normal_form(family, 0.0) is family
+        moved = br.normal_form(family, 0.7)
+        assert moved is not family and moved.x2 == 0.0
+
     @pytest.mark.parametrize("family", [f for f in _FAMILIES if f.kind in (
         "nonzero-mean", "mkdv-soliton", "gardner-soliton", "sg-kink")], ids=lambda f: f.kind)
     def test_rejects_families_without_an_operator(self, family):

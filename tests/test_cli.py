@@ -829,6 +829,12 @@ def test_number_format():
     assert cli.fmt(12.5) == "12.5000000000"
     assert cli.fmt(1e-5) == "1.0000000000e-05"
     assert cli.fmt(3) == "3"
+    assert cli.fmt(np.int64(3)) == "3"
+    # an np.float64 takes the float path and prints as the Python float does
+    for x in (0.0, -0.0, 1e-3, math.nextafter(1e-3, 0.0), -2.75, math.nan, math.inf, -math.inf):
+        assert cli.fmt(np.float64(x)) == cli.fmt(x)
+    assert [cli.fmt(x) for x in (-0.0, 1e-3, math.nextafter(1e-3, 0.0), -2.75)] == [
+        "0", "0.0010000000", "1.0000000000e-03", "-2.7500000000"]
 
 
 def test_value_range_parsing():

@@ -319,6 +319,15 @@ class TestReport:
         root = st.discriminant_root()
         assert st.stability_report(1.0, root).verdict == "degenerate"
 
+    def test_columns_are_the_solved_pairs_own(self):
+        # on the sweep's 115-point grid, the report's derived columns are the
+        # pair's values to the last bit
+        for i in range(115):
+            k = 0.001 + i * 0.0005
+            rep, pair = st.stability_report(1.0, k), st.solve_commensurability(k, 1.0)
+            assert (rep.alpha, rep.period, rep.mass) == (pair.alpha, pair.period, pair.mass)
+            assert rep.residual_to_gate == abs(pair.residual) / pair.gate
+
     def test_one_commensurability_solve_per_row(self, monkeypatch):
         calls = []
         solve = st.solve_commensurability
